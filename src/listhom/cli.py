@@ -2,7 +2,8 @@
 
 Commands: classify, count, ising, count-sat, gadget, reduce-sat,
 reduce-ising, selftest.  Exit codes: 0 success, 1 verification mismatch,
-2 usage or parse error.
+2 usage or parse error (including an exact count above the oracles' table
+limit), 3 internal error (any other exception, reported on one line).
 """
 
 from __future__ import annotations
@@ -497,6 +498,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -78,7 +78,7 @@ def serialise_h(h: ColourGraph) -> str:
 def _parse_graph_lines(text: str, allow_lists: bool):
     m = None
     edges = []
-    lists: dict[int, list[int]] = {}
+    lists: dict[int, tuple[int, list[int]]] = {}  # vertex -> (line, colours)
     for line_no, fields in _meaningful_lines(text):
         tag = fields[0]
         if tag == "g":
@@ -112,7 +112,7 @@ def _parse_graph_lines(text: str, allow_lists: bool):
                 raise ParseError(line_no, f"vertex {v} out of range 1..{m}")
             if v in lists:
                 raise ParseError(line_no, f"duplicate list for vertex {v}")
-            lists[v] = cols
+            lists[v] = (line_no, cols)
         else:
             raise ParseError(line_no, f"unknown directive {tag!r} in graph file")
     if m is None:
@@ -128,10 +128,11 @@ def parse_graph(text: str) -> InstanceGraph:
 def parse_instance(text: str, colour_count: int) -> Instance:
     m, edges, lists = _parse_graph_lines(text, allow_lists=True)
     assignment = list(full_lists(m, colour_count))
-    for v, cols in lists.items():
+    for v, (line_no, cols) in lists.items():
         for c in cols:
             if not (1 <= c <= colour_count):
-                raise ParseError(1, f"vertex {v}: colour {c} out of range 1..{colour_count}")
+                raise ParseError(
+                    line_no, f"vertex {v}: colour {c} out of range 1..{colour_count}")
         assignment[v - 1] = frozenset(cols)
     return Instance(InstanceGraph.from_edges(m, edges), tuple(assignment), colour_count)
 

@@ -77,6 +77,13 @@ def test_parse_errors_carry_line_numbers():
         parse_h("h 2\nz 1\n")
 
 
+def test_bad_list_colour_names_its_line():
+    text = "g 3\ne 1 2\n# lists follow\nl 1 1\nl 2 1 4\n"
+    with pytest.raises(ParseError) as err:
+        parse_instance(text, 3)
+    assert err.value.line_no == 5
+
+
 def test_comments_and_blank_lines():
     h = parse_h("# a target\n\nh 2\n# loop below\ne 2 2\ne 1 2\n")
     assert h == patterns.K2_PRIME
@@ -209,6 +216,31 @@ def test_cmd_errors_exit_2(tmp_path, capsys):
     g = write(tmp_path, "k2.g", "g 2\ne 1 2\n")
     assert main(["ising", g, "--lambda", "3/2"]) == 2
     capsys.readouterr()
+
+
+def test_cmd_count_sat_long_chain(tmp_path, capsys):
+    text = "f 3000\n" + "".join(f"i {v + 1} {v}\n" for v in range(1, 3000))
+    assert main(["count-sat", write(tmp_path, "chain.f", text)]) == 0
+    assert capsys.readouterr().out.strip() == "3001"
+
+
+def test_cmd_count_over_table_limit_exits_2(tmp_path, capsys):
+    h = write(tmp_path, "k2p.h", serialise_h(patterns.K2_PRIME))
+    edges = "".join(f"e {u} {v}\n" for u in range(1, 41) for v in range(u + 1, 41))
+    inst = write(tmp_path, "k40.inst", "g 40\n" + edges)
+    assert main(["count", h, inst]) == 2
+    assert "induced width 39" in capsys.readouterr().err
+
+
+def test_cmd_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    import listhom.cli
+
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(listhom.cli, "cmd_count_sat", crash)
+    assert main(["count-sat", write(tmp_path, "c.f", "f 1\n")]) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
 
 def test_cmd_selftest(capsys):
