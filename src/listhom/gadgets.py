@@ -394,13 +394,17 @@ def thicken(
     for u, v in gg.edges:
         degrees[u] += 1
         degrees[v] += 1
-    assert degrees[gg.terminal1] == 1 and degrees[gg.terminal2] == 1
-    assert all(
-        degrees[v] <= 3
+    if degrees[gg.terminal1] != 1 or degrees[gg.terminal2] != 1:
+        raise RuntimeError("thickened gadget terminals must have degree 1")
+    if any(
+        degrees[v] > 3
         for v in range(1, gg.m + 1)
         if v not in (gg.terminal1, gg.terminal2)
-    )
-    assert gg.matrix == entrywise_pow(base.matrix, 2**t)
+    ):
+        raise RuntimeError("thickened gadget internal vertices must have degree <= 3")
+    if gg.matrix != entrywise_pow(base.matrix, 2**t):
+        raise RuntimeError(
+            "thickened gadget matrix must be the base matrix to the power 2^t")
     return gg
 
 

@@ -8,10 +8,16 @@ graphs and reflexive proper interval graphs), or as hard as approximating
 #SAT (everything else).  Disconnected targets take the maximum class over
 their components.
 
-Both known characterisations of the two tractable-ish hereditary classes are
-implemented: the staircase-matrix form (a permutation certificate) and the
-forbidden-induced-subgraph form (an embedding certificate).  Having both lets
-every classification be cross-checked.
+Both known characterisations of the two middle classes are implemented: the
+staircase-matrix form (a permutation certificate) and the
+forbidden-induced-subgraph form (an embedding certificate).  The staircase
+order comes from three lexicographic breadth-first sweeps per component
+(LBFS, then two LBFS+ sweeps; Corneil 2004, Hell and Huang 2005), about
+O(n^3) on the dense matrix, and is accepted only if the rearranged matrix
+is staircase.  When it is not, classification asks the obstruction search
+for a witness and raises RuntimeError if that finds none either, so a
+target is never put in a class without a certificate.  Every search here is
+iterative.
 """
 
 from __future__ import annotations
@@ -131,47 +137,47 @@ def _component_sides(h: ColourGraph, comp: frozenset[int]):
     return rows, cols
 
 
-def _component_biadjacency_orders(h: ColourGraph, rows, cols):
-    """Search row/column orders putting the component's biadjacency matrix in
-    staircase form.  Exhaustive over permutations of the smaller side; for a
-    fixed row order the column order is forced up to ties, so each attempt is
-    a linear check."""
-    swap = len(rows) > len(cols)
-    perm_side, other = (cols, rows) if swap else (rows, cols)
-    for perm in itertools.permutations(perm_side):
-        pos = {v: i for i, v in enumerate(perm)}
-        intervals = []
-        ok = True
-        for c in other:
-            ones = sorted(pos[u] for u in h.neighbours(c))
-            if not ones or ones[-1] - ones[0] + 1 != len(ones):
-                ok = False
-                break
-            intervals.append((ones[0], ones[-1], c))
-        if not ok:
-            continue
-        intervals.sort()
-        if any(
-            intervals[i][1] > intervals[i + 1][1] for i in range(len(intervals) - 1)
-        ):
-            continue
-        row_order = tuple(perm)
-        col_order = tuple(c for _, _, c in intervals)
-        if swap:
-            row_order, col_order = col_order, row_order
-        return row_order, col_order
-    return None
+def _lbfs(h: ColourGraph, verts, prev=None) -> list[int]:
+    """One lexicographic breadth-first sweep over verts.
+
+    Each step visits the unvisited vertex with the lexicographically largest
+    label; visiting the i-th vertex appends -i to the label of each unvisited
+    neighbour, so earlier visits weigh more.  Ties go to the smallest vertex,
+    or, given the previous sweep prev (LBFS+), to the vertex that came latest
+    in it.
+    """
+    rank = {v: i for i, v in enumerate(prev)} if prev else {v: -v for v in verts}
+    label: dict[int, list[int]] = {v: [] for v in verts}
+    order: list[int] = []
+    while label:
+        v = max(label, key=lambda u: (label[u], rank[u]))
+        del label[v]
+        order.append(v)
+        for u in h.neighbours(v):
+            if u in label:
+                label[u].append(-len(order))
+    return order
+
+
+def _three_sweeps(h: ColourGraph, verts) -> list[int]:
+    """LBFS, then LBFS+, then LBFS+; the third order is the candidate
+    staircase order (Corneil 2004)."""
+    order = None
+    for _ in range(3):
+        order = _lbfs(h, verts, order)
+    return order
 
 
 def find_staircase_biadjacency(h: ColourGraph) -> StaircaseForm | None:
     """Permutation certificate that h is a bipartite permutation graph.
 
-    None when h has a loop, an odd cycle, or no staircase arrangement exists.
-    Isolated vertices go on the row side, ahead of every component block.
+    Each component with an edge is swept three times (LBFS, LBFS+, LBFS+);
+    the third order, split by side, gives its rows (the side of its
+    smallest vertex) and columns.  Isolated vertices go on the row side,
+    ahead of every component block.  None when h has a loop or an odd cycle,
+    or when the resulting biadjacency matrix is not staircase.
     """
     if reflexivity_status(h) != "irreflexive":
-        return None
-    if colour_bipartition(h) is None:
         return None
     row_order: list[int] = []
     col_order: list[int] = []
@@ -184,10 +190,12 @@ def find_staircase_biadjacency(h: ColourGraph) -> StaircaseForm | None:
         sides = _component_sides(h, comp)
         if sides is None:
             return None
-        found = _component_biadjacency_orders(h, *sides)
-        if found is None:
-            return None
-        blocks.append(found)
+        row_side = set(sides[0])
+        order = _three_sweeps(h, comp)
+        blocks.append((
+            [v for v in order if v in row_side],
+            [v for v in order if v not in row_side],
+        ))
     row_order.extend(sorted(isolated))
     for rows, cols in blocks:
         row_order.extend(rows)
@@ -203,64 +211,18 @@ def find_staircase_biadjacency(h: ColourGraph) -> StaircaseForm | None:
     )
 
 
-def _component_adjacency_order(h: ColourGraph, comp: frozenset[int]):
-    """Backtracking search for a vertex order whose adjacency matrix is
-    staircase.  Rows acquire columns left to right, so a placed row can be
-    pruned the moment its block of 1s would become non-contiguous."""
-    verts = sorted(comp)
-    k = len(verts)
-    order: list[int] = []
-    alphas: list[int] = []
-    open_rows: list[bool] = []
-
-    def extend():
-        p = len(order)
-        if p == k:
-            return tuple(order)
-        for v in verts:
-            if v in order:
-                continue
-            entries = [1 if h.adjacent(v, u) else 0 for u in order]
-            first = next((j for j, e in enumerate(entries) if e), p)
-            if 0 in entries[first:]:
-                continue  # gap inside the new row
-            if alphas and first < alphas[-1]:
-                continue  # first-1 column may never move left
-            if any(e and not open_rows[j] for j, e in enumerate(entries)):
-                continue  # a 1 after an old row already ended is a gap
-            closed_now = [j for j, e in enumerate(entries) if not e and open_rows[j]]
-            for j in closed_now:
-                open_rows[j] = False
-            order.append(v)
-            alphas.append(first)
-            open_rows.append(True)
-            found = extend()
-            if found is not None:
-                return found
-            order.pop()
-            alphas.pop()
-            open_rows.pop()
-            for j in closed_now:
-                open_rows[j] = True
-        return None
-
-    return extend()
-
-
 def find_staircase_adjacency(h: ColourGraph) -> StaircaseForm | None:
     """Permutation certificate that a reflexive h is a proper interval graph.
 
-    One permutation is applied to rows and columns simultaneously.  None for
-    non-reflexive h or when no arrangement exists.
+    Each component is swept three times (LBFS, LBFS+, LBFS+) and the third
+    order is applied to rows and columns alike.  None for non-reflexive h or
+    when the resulting adjacency matrix is not staircase.
     """
     if reflexivity_status(h) != "reflexive":
         return None
     order: list[int] = []
     for comp in connected_components(h):
-        found = _component_adjacency_order(h, comp)
-        if found is None:
-            return None
-        order.extend(found)
+        order.extend(_three_sweeps(h, comp))
     matrix = [[1 if h.adjacent(r, c) else 0 for c in order] for r in order]
     bounds = is_staircase(matrix)
     if bounds is None:
@@ -332,15 +294,18 @@ def find_induced_embedding(pattern: ColourGraph, host: ColourGraph):
         return None
     pdeg = [pattern.degree(v) for v in pattern.colours]
     hdeg = [host.degree(v) for v in host.colours]
+    if max(pdeg) > max(hdeg):
+        return None
     emb: list[int] = []
     used = [False] * (n + 1)
-
-    def extend():
+    # candidates[i] yields the host colours still to try for pattern vertex i+1
+    candidates = [iter(host.colours)]
+    while candidates:
         i = len(emb)
         if i == k:
             return tuple(emb)
         v = i + 1
-        for c in host.colours:
+        for c in candidates[-1]:
             if used[c] or hdeg[c - 1] < pdeg[i]:
                 continue
             if host.has_loop(c) != pattern.has_loop(v):
@@ -351,14 +316,13 @@ def find_induced_embedding(pattern: ColourGraph, host: ColourGraph):
             ):
                 used[c] = True
                 emb.append(c)
-                found = extend()
-                if found is not None:
-                    return found
-                emb.pop()
-                used[c] = False
-        return None
-
-    return extend()
+                candidates.append(iter(host.colours))
+                break
+        else:
+            candidates.pop()
+            if emb:
+                used[emb.pop()] = False
+    return None
 
 
 def find_chordless_cycle(h: ColourGraph, length: int):
@@ -366,33 +330,29 @@ def find_chordless_cycle(h: ColourGraph, length: int):
     in cyclic order starting from its smallest vertex.  Loops are ignored."""
     if length < 3 or length > h.n:
         return None
-    walk: list[int] = []
-
-    def extend(start: int):
-        p = len(walk)
-        if p == length:
-            return tuple(walk)
-        for w in h.colours:
-            if w <= start or w in walk:
-                continue
-            if not h.adjacent(walk[-1], w):
-                continue
-            if any(h.adjacent(w, walk[j]) for j in range(1, p - 1)):
-                continue
-            if p >= 2 and h.adjacent(w, start) != (p == length - 1):
-                continue
-            walk.append(w)
-            found = extend(start)
-            if found is not None:
-                return found
-            walk.pop()
-        return None
-
-    for s in h.colours:
-        walk = [s]
-        found = extend(s)
-        if found is not None:
-            return found
+    for start in h.colours:
+        walk = [start]
+        on_walk = {start}
+        # candidates[p] yields the neighbours of walk[p] still to try after it
+        candidates = [iter(h.neighbours(start))]
+        while candidates:
+            p = len(walk)
+            if p == length:
+                return tuple(walk)
+            for w in candidates[-1]:
+                if w <= start or w in on_walk:
+                    continue
+                if any(h.adjacent(w, walk[j]) for j in range(1, p - 1)):
+                    continue
+                if p >= 2 and h.adjacent(w, start) != (p == length - 1):
+                    continue
+                walk.append(w)
+                on_walk.add(w)
+                candidates.append(iter(h.neighbours(w)))
+                break
+            else:
+                candidates.pop()
+                on_walk.discard(walk.pop())
     return None
 
 
@@ -518,7 +478,9 @@ def find_induced_p3star(h: ColourGraph) -> tuple[int, int, int] | None:
                 if best is None or cand < best:
                     best = cand
     d, i, j = best
-    assert d == 2, "minimum distance between non-adjacent vertices must be 2"
+    if d != 2:
+        raise RuntimeError(
+            f"minimum distance between non-adjacent vertices is {d}, not 2")
     k = next(u for u in h.colours if h.adjacent(i, u) and h.adjacent(j, u))
     return (i, k, j)
 
@@ -546,7 +508,9 @@ def find_induced_p4(h: ColourGraph) -> tuple[int, int, int, int] | None:
                 if best is None or cand < best:
                     best = cand
     d, i, j = best
-    assert d == 3, "minimum cross-side distance between non-adjacent vertices must be 3"
+    if d != 3:
+        raise RuntimeError(
+            f"minimum cross-side distance between non-adjacent vertices is {d}, not 3")
     p = _bfs_path(h, i, j)
     return tuple(p)
 
@@ -608,6 +572,17 @@ class TrichotomyResult:
     per_component: tuple["TrichotomyResult", ...] = ()
 
 
+def _obstruction(witness: ExcludedWitness | None) -> Excluded:
+    """The SAT-side certificate once the staircase search has failed.  The
+    two characterisations are complementary, so a missing witness means one
+    of the two searches is wrong; refuse to classify rather than guess."""
+    if witness is None:
+        raise RuntimeError(
+            "recognition failed: neither a staircase order nor an "
+            "obstruction was found")
+    return Excluded(witness)
+
+
 def _classify_connected(hc: ColourGraph):
     if is_complete_reflexive(hc):
         return Hardness.POLYTIME, CompleteReflexive(), None
@@ -629,11 +604,11 @@ def _classify_connected(hc: ColourGraph):
         form = find_staircase_biadjacency(hc)
         if form is not None:
             return Hardness.BIS_EQUIVALENT, Staircase(form), 6
-        return Hardness.SAT_EQUIVALENT, Excluded(find_excluded_bp(hc)), 3
+        return Hardness.SAT_EQUIVALENT, _obstruction(find_excluded_bp(hc)), 3
     form = find_staircase_adjacency(hc)
     if form is not None:
         return Hardness.BIS_EQUIVALENT, Staircase(form), 6
-    return Hardness.SAT_EQUIVALENT, Excluded(find_excluded_pi(hc)), 3
+    return Hardness.SAT_EQUIVALENT, _obstruction(find_excluded_pi(hc)), 3
 
 
 def _translate_reason(reason, mapping: dict[int, int]):

@@ -269,3 +269,14 @@ def test_cmd_selftest_detects_corruption(capsys, monkeypatch):
     assert main(["selftest"]) == 1
     out = capsys.readouterr().out
     assert "FAIL catalog X3 D'" in out
+
+
+def test_cmd_classify_without_a_certificate_exits_3(tmp_path, capsys, monkeypatch):
+    import listhom.recognizer
+
+    monkeypatch.setattr(listhom.recognizer, "find_staircase_biadjacency",
+                        lambda h: None)
+    path = write(tmp_path, "p4.h", serialise_h(patterns.P4))
+    assert main(["classify", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError: recognition failed")

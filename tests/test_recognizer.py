@@ -312,3 +312,89 @@ def test_witness_pattern_rejects_bad_kinds():
         ExcludedWitness("CycleNe4", 4, (1, 2, 3, 4)).pattern()
     with pytest.raises(ValueError):
         ExcludedWitness("CycleGe4", 3, (1, 2, 3)).pattern()
+
+
+# --- beyond the exhaustive range ---
+
+def _relabel(h, rng):
+    perm = list(h.colours)
+    rng.shuffle(perm)
+    return ColourGraph.from_edges(
+        h.n, [(perm[u - 1], perm[v - 1]) for u, v in h.edge_list()])
+
+
+def _random_bipartite(rng, n):
+    side = [rng.random() < 0.5 for _ in range(n)]
+    p = rng.choice((0.2, 0.35, 0.5, 0.7))
+    return ColourGraph.from_edges(n, [
+        (u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+        if side[u - 1] != side[v - 1] and rng.random() < p])
+
+
+def _random_tree(rng, n):
+    return ColourGraph.from_edges(
+        n, [(v, rng.randint(1, v - 1)) for v in range(2, n + 1)])
+
+
+def _random_reflexive(rng, n):
+    p = rng.choice((0.08, 0.12, 0.2, 0.4, 0.75, 0.85, 0.92))
+    edges = frozenset((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                      if rng.random() < p)
+    return reflexive_closure(edges, n)
+
+
+def test_staircase_and_obstruction_agree_beyond_exhaustive_range():
+    """Seeded differential test at 8-12 colours: the sweeps find a staircase
+    form exactly when the forbidden-subgraph search finds no witness, and
+    whichever certificate comes back checks out."""
+    rng = random.Random(31)
+    outcomes = {"bp": [0, 0], "pi": [0, 0]}
+    for i in range(360):
+        n = rng.randint(8, 12)
+        if i % 3 == 0:
+            h = _random_bipartite(rng, n)
+        elif i % 3 == 1:
+            h = _relabel(_random_tree(rng, n), rng)
+        else:
+            h = _random_reflexive(rng, n)
+        if i % 3 == 2:
+            form, witness, key = find_staircase_adjacency(h), find_excluded_pi(h), "pi"
+        else:
+            form, witness, key = find_staircase_biadjacency(h), find_excluded_bp(h), "bp"
+        assert (form is None) == (witness is not None), h.edge_list()
+        if form is not None:
+            assert form.certifies(h), h.edge_list()
+        else:
+            assert witness.verify(h), h.edge_list()
+        outcomes[key][form is None] += 1
+    # both answers occur often on both sides
+    assert min(outcomes["bp"] + outcomes["pi"]) >= 25, outcomes
+
+
+def test_classify_scales_to_long_paths_and_cycles():
+    rng = random.Random(32)
+    for h in (patterns.path(200), patterns.path(200, reflexive=True)):
+        h = _relabel(h, rng)
+        res = classify(h)
+        assert res.klass is Hardness.BIS_EQUIVALENT and res.degree_threshold == 6
+        assert isinstance(res.reason, Staircase) and res.reason.form.certifies(h)
+    for h in (patterns.cycle(40), patterns.cycle(40, reflexive=True)):
+        h = _relabel(h, rng)
+        res = classify(h)
+        assert res.klass is Hardness.SAT_EQUIVALENT and res.degree_threshold == 3
+        assert isinstance(res.reason, Excluded) and res.reason.witness.verify(h)
+        assert res.reason.witness.length == 40
+
+
+def test_find_chordless_cycle_long():
+    # deeper than the default recursion limit
+    assert find_chordless_cycle(patterns.cycle(1200), 1200) == tuple(range(1, 1201))
+
+
+def test_classify_refuses_without_a_certificate(monkeypatch):
+    import listhom.recognizer
+
+    monkeypatch.setattr(listhom.recognizer, "find_staircase_biadjacency",
+                        lambda h: None)
+    with pytest.raises(RuntimeError, match="neither a staircase order nor an obstruction"):
+        classify(patterns.P4)
