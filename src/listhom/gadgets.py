@@ -27,6 +27,10 @@ Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 
 IDENTITY2: Matrix2 = ((1, 0), (0, 1))
 
+# Highest thickening level thicken builds.  The gadget doubles per level: the
+# X3 gadget has 10 vertices at level 0 and 2,560 at level 8.
+MAX_THICKENING_LEVEL = 8
+
 
 def mat_mul(a: Matrix2, b: Matrix2) -> Matrix2:
     return (
@@ -177,7 +181,8 @@ def interaction_matrix_bruteforce(h: ColourGraph, gg: GadgetGraph) -> Matrix2:
 
 def find_transposing_automorphism(h: ColourGraph, r: int, s: int):
     """An order-two automorphism of h exchanging r and s, as a 1-based image
-    tuple; None when none exists.  Exhaustive backtracking, smallest images
+    tuple; None when none exists.  Exhaustive iterative backtracking that
+    maps the smallest unmapped colour next and tries its smallest images
     first, so the result is deterministic."""
     if r == s or not (1 <= r <= h.n and 1 <= s <= h.n):
         raise ValueError("need two distinct colours of h")
@@ -188,35 +193,30 @@ def find_transposing_automorphism(h: ColourGraph, r: int, s: int):
             return False
         return all(h.adjacent(a, x) == h.adjacent(b, y) for x, y in perm.items())
 
-    def extend():
-        v = next((x for x in h.colours if x not in perm), None)
-        if v is None:
-            return tuple(perm[x] for x in h.colours)
-        for w in h.colours:
-            if w in perm:
-                continue
-            to_add = [(v, w)] if w == v else [(v, w), (w, v)]
-            added = []
-            for a, b in to_add:
-                if image_ok(a, b):
-                    perm[a] = b
-                    added.append(a)
-                else:
-                    break
-            if len(added) == len(to_add):
-                found = extend()
-                if found is not None:
-                    return found
-            for a in added:
-                del perm[a]
-        return None
+    def unmapped():
+        return next((x for x in h.colours if x not in perm), None)
 
-    for a, b in ((r, s), (s, r)):
-        if image_ok(a, b):
-            perm[a] = b
+    if not image_ok(r, s):
+        return None
+    perm[r], perm[s] = s, r
+    # frames[k] is (v, the images still to try for v) for the k-th colour
+    # mapped by the search; v and its current image are swapped in perm
+    frames = []
+    while (v := unmapped()) is not None:
+        frames.append((v, iter(h.colours)))
+        while frames:
+            v, images = frames[-1]
+            if v in perm:  # undo the image tried last
+                perm.pop(perm.pop(v), None)
+            # perm stays an involution, so image_ok(v, w) also covers w -> v
+            w = next((w for w in images if w not in perm and image_ok(v, w)), None)
+            if w is not None:
+                break
+            frames.pop()
         else:
             return None
-    return extend()
+        perm[v], perm[w] = w, v
+    return tuple(perm[x] for x in h.colours)
 
 
 def symmetrize(h: ColourGraph, g: PathGadget, pi) -> tuple[GadgetGraph, Matrix2]:
@@ -354,8 +354,6 @@ def thicken(
     base: GadgetGraph,
     rp_sp: tuple[int, int],
     t: int,
-    *,
-    max_levels: int = 8,
 ) -> GadgetGraph:
     """Bounded-degree thickening of a symmetrised gadget.
 
@@ -366,12 +364,14 @@ def thicken(
     level t is the entrywise 2^t power of the base matrix; terminals end up
     with degree 1 and every internal vertex with degree at most 3.
 
-    The gadget doubles in size per level, so t is capped (max_levels).
+    The gadget doubles in size per level, so t is capped at
+    MAX_THICKENING_LEVEL.
     """
     if t < 0:
         raise ValueError("thickening level must be non-negative")
-    if t > max_levels:
-        raise ValueError(f"thickening level {t} exceeds the size cap {max_levels}")
+    if t > MAX_THICKENING_LEVEL:
+        raise ValueError(
+            f"thickening level {t} exceeds the size cap {MAX_THICKENING_LEVEL}")
     if not _positive(base.matrix):
         raise ValueError("thickening needs a strictly positive interaction matrix")
     r, s = base.terminal_colours

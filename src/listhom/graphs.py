@@ -8,11 +8,15 @@ colour lists.
 
 Vertices and colours are 1-indexed everywhere.  All values are immutable
 after construction and every function in this module is pure.
+
+Every walk over either kind of graph (components, 2-colourings, and the
+distances and shortest paths the recogniser reads) goes through the one
+breadth-first search _bfs, which takes a start vertex and a neighbour
+function.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -69,18 +73,6 @@ class ColourGraph:
         """Number of neighbours other than v itself (loops do not count)."""
         row = self.adj[v - 1]
         return sum(row) - row[v - 1]
-
-    @cached_property
-    def row_masks(self) -> tuple[int, ...]:
-        """Bitmask per colour: bit (u-1) set iff u is adjacent to the colour."""
-        out = []
-        for v in self.colours:
-            mask = 0
-            for u in self.colours:
-                if self.adj[v - 1][u - 1]:
-                    mask |= 1 << (u - 1)
-            out.append(mask)
-        return tuple(out)
 
     def edge_list(self) -> list[tuple[int, int]]:
         """Sorted edges as (u, v) with u <= v; loops appear as (v, v)."""
@@ -172,27 +164,53 @@ class Instance:
         return cls(g, full_lists(g.m, n), n)
 
 
+def _bfs(start: int, neighbours) -> dict[int, tuple[int, int | None]]:
+    """Breadth-first search from start.
+
+    Maps each vertex reached, in visiting order, to its distance from start
+    and the vertex it was reached from (None for start itself).
+    """
+    tree: dict[int, tuple[int, int | None]] = {start: (0, None)}
+    visit = [start]
+    for v in visit:
+        d = tree[v][0] + 1
+        for u in neighbours(v):
+            if u not in tree:
+                tree[u] = (d, v)
+                visit.append(u)
+    return tree
+
+
+def _forest(vertices, neighbours) -> list[dict[int, tuple[int, int | None]]]:
+    """One BFS tree per vertex not reached yet, taken in the given order."""
+    trees = []
+    reached: set[int] = set()
+    for v in vertices:
+        if v not in reached:
+            trees.append(_bfs(v, neighbours))
+            reached.update(trees[-1])
+    return trees
+
+
+def _two_colouring(vertices, neighbours):
+    """Sides by BFS depth parity, each tree root in the first; None when
+    some edge joins two vertices of equal parity (a loop always does)."""
+    parity = {
+        v: d % 2 for tree in _forest(vertices, neighbours) for v, (d, _) in tree.items()
+    }
+    if any(parity[u] == parity[v] for v in vertices for u in neighbours(v)):
+        return None
+    v1 = frozenset(v for v in vertices if parity[v] == 0)
+    v2 = frozenset(v for v in vertices if parity[v] == 1)
+    return v1, v2
+
+
 def connected_components(h: ColourGraph) -> list[frozenset[int]]:
     """Partition of the colours into maximal connected sets (loops irrelevant).
 
     Components are ordered by their smallest colour.
     """
-    seen: set[int] = set()
-    comps = []
-    for start in h.colours:
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in h.neighbours(v):
-                if u not in comp:
-                    comp.add(u)
-                    queue.append(u)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
+    return [frozenset(tree) for tree in _forest(h.colours, h.neighbours)]
 
 
 def induced_subgraph(h: ColourGraph, verts) -> ColourGraph:
@@ -225,66 +243,20 @@ def bipartition(g: InstanceGraph) -> tuple[frozenset[int], frozenset[int]] | Non
 
     In each component, the smallest-index vertex is placed in V1.
     """
-    side: dict[int, int] = {}
-    for start in g.vertices:
-        if start in side:
-            continue
-        side[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in g.neighbours[v - 1]:
-                if u not in side:
-                    side[u] = 1 - side[v]
-                    queue.append(u)
-                elif side[u] == side[v]:
-                    return None
-    v1 = frozenset(v for v in g.vertices if side[v] == 0)
-    v2 = frozenset(v for v in g.vertices if side[v] == 1)
-    return v1, v2
+    return _two_colouring(g.vertices, lambda v: g.neighbours[v - 1])
 
 
 def colour_bipartition(h: ColourGraph) -> tuple[frozenset[int], frozenset[int]] | None:
-    """2-colouring of a colour graph; a loop counts as an odd cycle."""
-    if any(h.has_loop(v) for v in h.colours):
-        return None
-    side: dict[int, int] = {}
-    for start in h.colours:
-        if start in side:
-            continue
-        side[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in h.neighbours(v):
-                if u not in side:
-                    side[u] = 1 - side[v]
-                    queue.append(u)
-                elif side[u] == side[v]:
-                    return None
-    v1 = frozenset(v for v in h.colours if side[v] == 0)
-    v2 = frozenset(v for v in h.colours if side[v] == 1)
-    return v1, v2
+    """2-colouring of a colour graph; a loop counts as an odd cycle.
+
+    In each component, the smallest colour is placed in V1.
+    """
+    return _two_colouring(h.colours, h.neighbours)
 
 
 def instance_components(g: InstanceGraph) -> list[frozenset[int]]:
     """Connected components of an instance graph, ordered by smallest vertex."""
-    seen: set[int] = set()
-    comps = []
-    for start in g.vertices:
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in g.neighbours[v - 1]:
-                if u not in comp:
-                    comp.add(u)
-                    queue.append(u)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
+    return [frozenset(tree) for tree in _forest(g.vertices, lambda v: g.neighbours[v - 1])]
 
 
 def max_degree(g: InstanceGraph) -> int:

@@ -23,13 +23,13 @@ iterative.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
 
 from . import patterns
 from .graphs import (
     ColourGraph,
+    _bfs,
     colour_bipartition,
     connected_components,
     induced_subgraph,
@@ -118,25 +118,6 @@ def is_staircase(mat) -> tuple[tuple[int | None, ...], tuple[int | None, ...]] |
     return tuple(alpha), tuple(beta)
 
 
-def _component_sides(h: ColourGraph, comp: frozenset[int]):
-    """2-colour one connected component; the side of its smallest vertex
-    comes first."""
-    verts = sorted(comp)
-    side = {verts[0]: 0}
-    queue = deque([verts[0]])
-    while queue:
-        v = queue.popleft()
-        for u in h.neighbours(v):
-            if u not in side:
-                side[u] = 1 - side[v]
-                queue.append(u)
-            elif side[u] == side[v]:
-                return None
-    rows = sorted(v for v in verts if side[v] == 0)
-    cols = sorted(v for v in verts if side[v] == 1)
-    return rows, cols
-
-
 def _lbfs(h: ColourGraph, verts, prev=None) -> list[int]:
     """One lexicographic breadth-first sweep over verts.
 
@@ -172,13 +153,18 @@ def find_staircase_biadjacency(h: ColourGraph) -> StaircaseForm | None:
     """Permutation certificate that h is a bipartite permutation graph.
 
     Each component with an edge is swept three times (LBFS, LBFS+, LBFS+);
-    the third order, split by side, gives its rows (the side of its
-    smallest vertex) and columns.  Isolated vertices go on the row side,
-    ahead of every component block.  None when h has a loop or an odd cycle,
-    or when the resulting biadjacency matrix is not staircase.
+    the third order, split by the sides of colour_bipartition, gives its
+    rows (the side of its smallest vertex) and columns.  Isolated vertices
+    go on the row side, ahead of every component block.  None when h has a
+    loop or an odd cycle, or when the resulting biadjacency matrix is not
+    staircase.
     """
     if reflexivity_status(h) != "irreflexive":
         return None
+    sides = colour_bipartition(h)
+    if sides is None:
+        return None
+    row_side = sides[0]
     row_order: list[int] = []
     col_order: list[int] = []
     isolated = []
@@ -187,10 +173,6 @@ def find_staircase_biadjacency(h: ColourGraph) -> StaircaseForm | None:
         if len(comp) == 1:
             isolated.extend(comp)
             continue
-        sides = _component_sides(h, comp)
-        if sides is None:
-            return None
-        row_side = set(sides[0])
         order = _three_sweeps(h, comp)
         blocks.append((
             [v for v in order if v in row_side],
@@ -429,35 +411,6 @@ def find_induced_k2prime(h: ColourGraph) -> tuple[int, int] | None:
     return None
 
 
-def _bfs_distances(h: ColourGraph, start: int) -> dict[int, int]:
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for u in h.neighbours(v):
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist
-
-
-def _bfs_path(h: ColourGraph, start: int, goal: int) -> list[int]:
-    parent: dict[int, int | None] = {start: None}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        if v == goal:
-            break
-        for u in h.neighbours(v):
-            if u not in parent:
-                parent[u] = v
-                queue.append(u)
-    out = [goal]
-    while parent[out[-1]] is not None:
-        out.append(parent[out[-1]])
-    return out[::-1]
-
-
 def find_induced_p3star(h: ColourGraph) -> tuple[int, int, int] | None:
     """Induced looped 3-path in a connected, reflexive, non-complete target.
 
@@ -471,10 +424,10 @@ def find_induced_p3star(h: ColourGraph) -> tuple[int, int, int] | None:
         return None
     best = None
     for i in h.colours:
-        dist = _bfs_distances(h, i)
+        tree = _bfs(i, h.neighbours)
         for j in range(i + 1, h.n + 1):
             if not h.adjacent(i, j):
-                cand = (dist[j], i, j)
+                cand = (tree[j][0], i, j)
                 if best is None or cand < best:
                     best = cand
     d, i, j = best
@@ -501,18 +454,21 @@ def find_induced_p4(h: ColourGraph) -> tuple[int, int, int, int] | None:
     v1, _ = sides
     best = None
     for i in h.colours:
-        dist = _bfs_distances(h, i)
+        tree = _bfs(i, h.neighbours)
         for j in range(i + 1, h.n + 1):
             if ((i in v1) != (j in v1)) and not h.adjacent(i, j):
-                cand = (dist[j], i, j)
+                cand = (tree[j][0], i, j)
                 if best is None or cand < best:
                     best = cand
     d, i, j = best
     if d != 3:
         raise RuntimeError(
             f"minimum cross-side distance between non-adjacent vertices is {d}, not 3")
-    p = _bfs_path(h, i, j)
-    return tuple(p)
+    tree = _bfs(i, h.neighbours)
+    path = [j]
+    while path[-1] != i:
+        path.append(tree[path[-1]][1])
+    return tuple(reversed(path))
 
 
 # ---------------------------------------------------------------------------

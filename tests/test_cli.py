@@ -25,39 +25,77 @@ WRENCH_TEXT = "h 4\ne 1 2\ne 2 3\ne 2 4\ne 2 2\ne 3 3\ne 4 4\n"
 
 # --- formats ---
 
+def _random_graph(rng, m, p):
+    return InstanceGraph.from_edges(m, [
+        (u, v) for u in range(1, m + 1) for v in range(u + 1, m + 1)
+        if rng.random() < p])
+
+
 def test_h_round_trip():
     rng = random.Random(51)
-    for _ in range(25):
-        n = rng.randint(1, 8)
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        p = rng.random()
         edges = [(u, v) for u in range(1, n + 1) for v in range(u, n + 1)
-                 if rng.random() < 0.4]
+                 if rng.random() < p]
         h = ColourGraph.from_edges(n, edges)
         assert parse_h(serialise_h(h)) == h
 
 
 def test_instance_round_trip():
+    """Seeded fuzz over empty lists ("l v"), full lists (omitted on output),
+    isolated vertices and "g 0"."""
     rng = random.Random(52)
-    for _ in range(25):
-        m = rng.randint(1, 8)
-        n = rng.randint(1, 6)
-        edges = [(u, v) for u in range(1, m + 1) for v in range(u + 1, m + 1)
-                 if rng.random() < 0.3]
+    seen = dict.fromkeys(("empty list", "full list", "isolated vertex", "g 0"), 0)
+    for _ in range(200):
+        m = rng.choice((0, rng.randint(1, 15)))
+        n = rng.randint(1, 8)
+        g = _random_graph(rng, m, rng.random() / 2)
+        everything = frozenset(range(1, n + 1))
         lists = tuple(
-            frozenset(c for c in range(1, n + 1) if rng.random() < 0.6)
+            rng.choice((frozenset(), everything, frozenset(
+                c for c in everything if rng.random() < 0.5)))
             for _ in range(m))
-        inst = Instance(InstanceGraph.from_edges(m, edges), lists, n)
-        assert parse_instance(serialise_instance(inst), n) == inst
+        inst = Instance(g, lists, n)
+        text = serialise_instance(inst)
+        assert parse_instance(text, n) == inst
+        list_lines = {int(line.split()[1]) for line in text.splitlines()
+                      if line.startswith("l ")}
+        assert list_lines == {v for v, s in enumerate(lists, start=1) if s != everything}
+        seen["empty list"] += frozenset() in lists
+        seen["full list"] += everything in lists
+        seen["isolated vertex"] += any(not ns for ns in g.neighbours)
+        seen["g 0"] += m == 0
+    assert min(seen.values()) >= 10, seen
 
 
 def test_formula_round_trip():
     f = ImplicationFormula(
         4, (unit_pos(1), unit_neg(4), implies(2, 1), implies(3, 2)))
     assert parse_formula(serialise_formula(f)) == f
+    rng = random.Random(53)
+    seen = dict.fromkeys(("f 0", "i v v"), 0)
+    for _ in range(200):
+        k = rng.choice((0, rng.randint(1, 12)))
+        clauses = [
+            rng.choice((unit_pos, unit_neg))(rng.randint(1, k)) if rng.random() < 0.4
+            else implies(rng.randint(1, k), rng.randint(1, k))
+            for _ in range(rng.randint(0, 3 * k))
+        ]
+        f = ImplicationFormula(k, tuple(clauses))
+        assert parse_formula(serialise_formula(f)) == f
+        seen["f 0"] += k == 0
+        seen["i v v"] += any(cl[0] == "i" and cl[1] == cl[2] for cl in clauses)
+    assert min(seen.values()) >= 10, seen
 
 
 def test_graph_round_trip_and_list_rejection():
     g = InstanceGraph.from_edges(3, [(1, 2), (2, 3)])
     assert parse_graph(serialise_graph(g)) == g
+    rng = random.Random(54)
+    for _ in range(100):
+        g = _random_graph(rng, rng.choice((0, rng.randint(1, 15))), rng.random() / 2)
+        assert parse_graph(serialise_graph(g)) == g
     with pytest.raises(ParseError):
         parse_graph("g 2\nl 1 1\n")
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from listhom.gadgets import (
     thicken,
     validate_gadget,
 )
-from listhom.graphs import InstanceGraph, max_degree
+from listhom.graphs import ColourGraph, InstanceGraph, max_degree
 from listhom.oracles import count_list_hcol, ising_partition
 from listhom.recognizer import ExcludedWitness, witness_pattern
 
@@ -143,6 +144,45 @@ def test_find_transposing_automorphism():
     assert find_transposing_automorphism(patterns.P4, 1, 3) is None
     pi = find_transposing_automorphism(patterns.S3, 1, 2)
     assert pi is not None and pi[0] == 2 and pi[pi[0] - 1] == 1
+    # 3 -> 6 is consistent at first but strands 4; the search must undo
+    # both halves of that swap before it tries 3 -> 7
+    h = ColourGraph.from_edges(10, [(1, 3), (1, 4), (1, 5), (3, 4), (5, 10),
+                                    (2, 6), (2, 7), (2, 8), (7, 8), (6, 9)])
+    assert find_transposing_automorphism(h, 1, 2) == (2, 1, 7, 8, 6, 5, 3, 4, 10, 9)
+
+
+def test_find_transposing_automorphism_is_first_involution():
+    """Seeded: the search returns the lexicographically first image tuple of
+    an automorphism that is its own inverse and swaps r and s."""
+    rng = random.Random(61)
+    found = 0
+    for _ in range(150):
+        n = rng.randint(2, 6)
+        mirror = list(range(1, n + 1))
+        paired = rng.sample(range(1, n + 1), n)
+        for a, b in zip(paired[::2], paired[1::2]):
+            mirror[a - 1], mirror[b - 1] = b, a
+        edges = [(u, v) for u in range(1, n + 1) for v in range(u, n + 1)
+                 if rng.random() < 0.4]
+        if rng.random() < 0.7:  # make mirror an automorphism
+            edges += [(mirror[u - 1], mirror[v - 1]) for u, v in edges]
+        h = ColourGraph.from_edges(n, edges)
+        r, s = rng.sample(range(1, n + 1), 2)
+        want = next((
+            pi for pi in itertools.permutations(range(1, n + 1))
+            if pi[r - 1] == s and all(pi[pi[v] - 1] == v + 1 for v in range(n))
+            and all(h.adjacent(pi[u - 1], pi[v - 1]) == h.adjacent(u, v)
+                    for u in h.colours for v in h.colours)
+        ), None)
+        assert find_transposing_automorphism(h, r, s) == want, (edges, r, s)
+        found += want is not None
+    assert 40 <= found <= 110, found
+
+
+def test_find_transposing_automorphism_many_colours():
+    # one search level per colour: deeper than the default recursion limit
+    h = ColourGraph.from_edges(1200, [(1, 2)])
+    assert find_transposing_automorphism(h, 1, 2) == (2, 1, *range(3, 1201))
 
 
 def test_symmetrize_catalog_matrices():
