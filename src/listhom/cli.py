@@ -17,7 +17,6 @@ from pathlib import Path
 
 from . import patterns
 from .formats import (
-    ParseError,
     parse_formula,
     parse_fraction,
     parse_graph,
@@ -62,6 +61,10 @@ _CLASS_NAMES = {
 }
 
 
+def _witness_json(w: ExcludedWitness) -> dict:
+    return {"kind": w.kind, "length": w.length, "embedding": list(w.embedding)}
+
+
 def _certificate_json(reason) -> dict:
     if isinstance(reason, CompleteReflexive):
         return {"type": "complete_reflexive"}
@@ -80,13 +83,7 @@ def _certificate_json(reason) -> dict:
             "beta": list(f.beta),
         }
     if isinstance(reason, Excluded):
-        w = reason.witness
-        return {
-            "type": "excluded_subgraph",
-            "kind": w.kind,
-            "length": w.length,
-            "embedding": list(w.embedding),
-        }
+        return {"type": "excluded_subgraph", **_witness_json(reason.witness)}
     raise AssertionError(f"unknown certificate {reason!r}")
 
 
@@ -144,16 +141,17 @@ def cmd_count_sat(args) -> int:
     return 0
 
 
-_WITNESS_KINDS = {
-    "x3": "X3", "x2": "X2", "t2": "T2",
-    "claw": "Claw", "net": "Net", "s3": "S3",
-}
-
-
 def _explicit_witness(h, selector: str) -> ExcludedWitness:
     selector = selector.lower()
-    if selector.startswith("cycle"):
-        length = int(selector[len("cycle"):])
+    kinds = {row.kind.lower(): row.kind for row in patterns.RECIPES}
+    if selector in kinds:
+        kind = kinds[selector]
+        length = None
+    elif selector.startswith("cycle"):
+        try:
+            length = int(selector[len("cycle"):])
+        except ValueError:
+            raise ValueError(f"unknown witness kind {selector!r}") from None
         status = reflexivity_status(h)
         if status == "irreflexive":
             kind = "CycleNe4"
@@ -161,9 +159,6 @@ def _explicit_witness(h, selector: str) -> ExcludedWitness:
             kind = "CycleGe4"
         else:
             raise ValueError("cycle witnesses need a purely reflexive or irreflexive target")
-    elif selector in _WITNESS_KINDS:
-        kind = _WITNESS_KINDS[selector]
-        length = None
     else:
         raise ValueError(f"unknown witness kind {selector!r}")
     pattern = witness_pattern(kind, length)
@@ -193,73 +188,74 @@ def _fmt_matrix(m) -> str:
     return f"[[{m[0][0]}, {m[0][1]}], [{m[1][0]}, {m[1][1]}]]"
 
 
-def cmd_gadget(args) -> int:
-    h = parse_h(Path(args.h_file).read_text())
-    witness = _gadget_witness(h, args.witness)
+def _gadget_report(h, witness: ExcludedWitness, levels) -> dict:
+    """The gadget report for a witness in h, ending in its named checks: the
+    catalogue's D', the determinants, brute force on D and on the
+    symmetrised D*, and the thickened matrix at each level in levels (the
+    report's thickening fields describe the last level)."""
     entry = gadget_catalog(witness)
     dprime, d = interaction_matrix(h, entry.gadget)
-    checks = []
-    checks.append(("D' matches catalog", dprime == entry.expected_dprime))
-    checks.append(("det D' = 1", det2(dprime) == 1))
-    checks.append(("det D = -1", det2(d) == -1))
     bf = interaction_matrix_bruteforce(h, path_gadget_graph(h, entry.gadget))
-    checks.append(("brute force agrees with D", bf == d))
     _, gg = build_symmetrized(h, witness)
-    checks.append(("D* symmetric", gg.matrix[0][1] == gg.matrix[1][0]
-                   and gg.matrix[0][0] == gg.matrix[1][1]))
-    checks.append(("det D* < 0", det2(gg.matrix) < 0))
-    bf_star = interaction_matrix_bruteforce(h, gg)
-    checks.append(("brute force agrees with D*", bf_star == gg.matrix))
-
+    dstar = gg.matrix
+    checks = {
+        "D' matches catalog": dprime == entry.expected_dprime,
+        "det D' = 1": det2(dprime) == 1,
+        "det D = -1": det2(d) == -1,
+        "brute force agrees with D": bf == d,
+        "D* symmetric": dstar[0][1] == dstar[1][0] and dstar[0][0] == dstar[1][1],
+        "det D* < 0": det2(dstar) < 0,
+        "brute force agrees with D*": interaction_matrix_bruteforce(h, gg) == dstar,
+    }
     report = {
-        "witness": {"kind": witness.kind, "length": witness.length,
-                    "embedding": list(witness.embedding)},
+        "witness": _witness_json(witness),
         "gadget": [list(p) for p in entry.gadget.pairs],
         "terminals": list(entry.terminals),
         "dprime": [list(r) for r in dprime],
         "d": [list(r) for r in d],
-        "dstar": [list(r) for r in gg.matrix],
+        "dstar": [list(r) for r in dstar],
     }
-    if args.t is not None:
-        gt = thicken(h, gg, entry.cond_pair, args.t)
-        expected = entrywise_pow(gg.matrix, 2**args.t)
-        bf_t = interaction_matrix_bruteforce(h, gt)
-        checks.append((f"thickened matrix is the entrywise 2^{args.t} power",
-                       bf_t == expected and gt.matrix == expected))
+    for t in levels:
+        gt = thicken(h, gg, entry.cond_pair, t)
+        expected = entrywise_pow(dstar, 2**t)
+        checks[f"thickened matrix is the entrywise 2^{t} power"] = (
+            interaction_matrix_bruteforce(h, gt) == expected and gt.matrix == expected)
         report["cond_pair"] = list(entry.cond_pair)
-        report["t"] = args.t
+        report["t"] = t
         report["dstar_t"] = [list(r) for r in gt.matrix]
         report["thickened_vertices"] = gt.m
-    ok = all(flag for _, flag in checks)
-    report["checks"] = {name: flag for name, flag in checks}
+    report["checks"] = checks
+    return report
+
+
+def cmd_gadget(args) -> int:
+    h = parse_h(Path(args.h_file).read_text())
+    witness = _gadget_witness(h, args.witness)
+    levels = () if args.t is None else (args.t,)
+    report = _gadget_report(h, witness, levels)
     if args.json:
         print(json.dumps(report, indent=2))
     else:
         print(f"witness: {witness.kind}"
               + (f"({witness.length})" if witness.length else "")
               + f" embedding={list(witness.embedding)}")
-        print(f"gadget: {[tuple(p) for p in entry.gadget.pairs]}")
-        print(f"terminals: {entry.terminals}")
-        print(f"D' = {_fmt_matrix(dprime)}")
-        print(f"D  = {_fmt_matrix(d)}")
-        print(f"D* = {_fmt_matrix(gg.matrix)}")
+        print(f"gadget: {[tuple(p) for p in report['gadget']]}")
+        print(f"terminals: {tuple(report['terminals'])}")
+        print(f"D' = {_fmt_matrix(report['dprime'])}")
+        print(f"D  = {_fmt_matrix(report['d'])}")
+        print(f"D* = {_fmt_matrix(report['dstar'])}")
         if args.t is not None:
             print(f"D*_{args.t} = {_fmt_matrix(report['dstar_t'])}"
                   f"  ({report['thickened_vertices']} vertices)")
-        for name, flag in checks:
+        for name, flag in report["checks"].items():
             print(f"{'ok' if flag else 'FAIL'} {name}")
-    return 0 if ok else 1
+    return 0 if all(report["checks"].values()) else 1
 
 
 def cmd_reduce_sat(args) -> int:
     h = parse_h(Path(args.h_file).read_text())
     inst = parse_instance(Path(args.instance_file).read_text(), h.n)
-    status = reflexivity_status(h)
-    form = None
-    if status == "irreflexive":
-        form = find_staircase_biadjacency(h)
-    elif status == "reflexive":
-        form = find_staircase_adjacency(h)
+    form = find_staircase_biadjacency(h) or find_staircase_adjacency(h)
     if form is None:
         raise ValueError("target has no staircase certificate; reduction unavailable")
     enc = build_staircase_encoding(h, form)
@@ -298,8 +294,7 @@ def cmd_reduce_ising(args) -> int:
         "scale": str(scale),
         "original_vertices": g.m,
         "original_edges": len(g.edges),
-        "witness": {"kind": witness.kind, "length": witness.length,
-                    "embedding": list(witness.embedding)},
+        "witness": _witness_json(witness),
         "gadget_matrix": [list(r) for r in gg.matrix],
         "t": args.t,
         "identity": "count(instance) = scale * Z_lambda(g)",
@@ -315,44 +310,19 @@ def cmd_reduce_ising(args) -> int:
 def _selftest_checks(seed: int):
     rng = random.Random(seed)
 
-    def pattern_witness(kind, length, pat):
-        return ExcludedWitness(kind, length, tuple(range(1, pat.n + 1)))
+    def pattern_witness(row):
+        return ExcludedWitness(row.kind, row.length, tuple(range(1, row.pattern.n + 1)))
 
-    catalog_cases = [
-        ("X3", None, patterns.X3, ((2, 3), (3, 5))),
-        ("X2", None, patterns.X2, ((5, 8), (8, 13))),
-        ("T2", None, patterns.T2, ((5, 7), (7, 10))),
-        ("CycleNe4", 3, patterns.cycle(3), ((2, 1), (1, 1))),
-        ("CycleNe4", 5, patterns.cycle(5), ((2, 1), (1, 1))),
-        ("CycleNe4", 7, patterns.cycle(7), ((2, 1), (1, 1))),
-        ("CycleNe4", 6, patterns.cycle(6), ((1, 2), (1, 3))),
-        ("CycleNe4", 8, patterns.cycle(8), ((1, 2), (1, 3))),
-        ("Claw", None, patterns.CLAW, ((2, 3), (3, 5))),
-        ("Net", None, patterns.NET, ((2, 3), (3, 5))),
-        ("S3", None, patterns.S3, ((1, 1), (1, 2))),
-        ("CycleGe4", 4, patterns.cycle(4, reflexive=True), ((1, 2), (1, 3))),
-        ("CycleGe4", 5, patterns.cycle(5, reflexive=True), ((1, 2), (1, 3))),
-        ("CycleGe4", 6, patterns.cycle(6, reflexive=True), ((1, 2), (1, 3))),
-    ]
-
-    for kind, length, pat, want in catalog_cases:
-        w = pattern_witness(kind, length, pat)
-        entry = gadget_catalog(w)
-        dprime, d = interaction_matrix(pat, entry.gadget)
-        label = kind + (f"({length})" if length else "")
-        yield (f"catalog {label} D'", dprime == want == entry.expected_dprime)
-        yield (f"catalog {label} determinants", det2(dprime) == 1 and det2(d) == -1)
-        bf = interaction_matrix_bruteforce(pat, path_gadget_graph(pat, entry.gadget))
-        yield (f"catalog {label} brute force", bf == d)
-        _, gg = build_symmetrized(pat, w)
-        sym = gg.matrix[0][0] == gg.matrix[1][1] and gg.matrix[0][1] == gg.matrix[1][0]
-        yield (f"catalog {label} D* shape", sym and det2(gg.matrix) < 0)
-        yield (f"catalog {label} D* brute force",
-               interaction_matrix_bruteforce(pat, gg) == gg.matrix)
-        for t in (0, 1):
-            gt = thicken(pat, gg, entry.cond_pair, t)
-            ok = interaction_matrix_bruteforce(pat, gt) == entrywise_pow(gg.matrix, 2**t)
-            yield (f"catalog {label} thicken t={t}", ok)
+    # every fixed-shape row and cycle rows of both parities, class by class
+    cases = []
+    for kind, lengths in (("CycleNe4", (3, 5, 7, 6, 8)), ("CycleGe4", (4, 5, 6))):
+        cases += [row for row in patterns.RECIPES if row.reflexive == (kind == "CycleGe4")]
+        cases += [patterns.cycle_recipe(kind, q) for q in lengths]
+    for row in cases:
+        label = row.kind + (f"({row.length})" if row.length else "")
+        report = _gadget_report(row.pattern, pattern_witness(row), (0, 1))
+        for name, ok in report["checks"].items():
+            yield (f"catalog {label} {name}", ok)
 
     k2 = InstanceGraph.from_edges(2, [(1, 2)])
     yield ("oracle K2' count", count_list_hcol(
@@ -384,8 +354,7 @@ def _selftest_checks(seed: int):
         edges = [(u, v) for u in range(1, m + 1) for v in range(u + 1, m + 1)
                  if rng.random() < 0.5]
         g = InstanceGraph.from_edges(m, edges)
-        w = pattern_witness("X3", None, patterns.X3)
-        _, gg = build_symmetrized(patterns.X3, w)
+        _, gg = build_symmetrized(patterns.X3, pattern_witness(patterns.RECIPES[0]))
         inst, lam, scale = reduce_ising_to_listhcol(g, gg)
         ok = count_list_hcol(patterns.X3, inst) == scale * ising_partition(g, lam)
         yield (f"two-spin identity trial {trial + 1}", ok)
@@ -492,9 +461,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

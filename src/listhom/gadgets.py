@@ -12,6 +12,11 @@ Symmetrising a gadget against a terminal-transposing automorphism makes the
 matrix symmetric; thickening (parallel doubling behind fresh pendant
 terminals) squares its entries while keeping every internal degree at most 3
 and terminal degrees exactly 1.
+
+The gadget for each forbidden pattern (its colour pairs, expected D',
+terminal pair and pendant pair) is not kept here: gadget_catalog and
+build_symmetrized read it from the witness catalogue in patterns.py and
+relabel it through the witness embedding.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from fractions import Fraction
 
 from .graphs import ColourGraph, Instance, InstanceGraph
 from .oracles import count_list_hcol
+from .patterns import Recipe, recipe
 from .recognizer import ExcludedWitness
 
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
@@ -45,10 +51,6 @@ def det2(m: Matrix2) -> int:
 
 def swap_cols(m: Matrix2) -> Matrix2:
     return ((m[0][1], m[0][0]), (m[1][1], m[1][0]))
-
-
-def swap_rows_cols(m: Matrix2) -> Matrix2:
-    return ((m[1][1], m[1][0]), (m[0][1], m[0][0]))
 
 
 def entrywise_pow(m: Matrix2, e: int) -> Matrix2:
@@ -448,7 +450,7 @@ def reduce_ising_to_listhcol(
 
 
 # ---------------------------------------------------------------------------
-# the gadget catalog, one entry per forbidden pattern
+# the gadget catalog, read from the witness catalogue in patterns
 
 @dataclass(frozen=True)
 class CatalogEntry:
@@ -462,86 +464,21 @@ class CatalogEntry:
     cond_pair: tuple[int, int]
 
 
-def _pattern_recipe(kind: str, length: int | None):
-    if kind == "X3":
-        return (
-            ((1, 2), (4, 7), (3, 6), (4, 5), (2, 1)),
-            ((2, 3), (3, 5)),
-            (1, 2),
-            (5, 7),
-        )
-    if kind == "X2":
-        return (
-            ((1, 2), (4, 7), (3, 2), (4, 6), (3, 1), (4, 5), (2, 1)),
-            ((5, 8), (8, 13)),
-            (1, 2),
-            (5, 7),
-        )
-    if kind == "T2":
-        return (
-            ((1, 2), (5, 7), (4, 2), (3, 5), (4, 1), (5, 6), (2, 1)),
-            ((5, 7), (7, 10)),
-            (1, 2),
-            (6, 7),
-        )
-    if kind == "Claw":
-        return (
-            ((1, 2), (4, 2), (3, 4), (4, 1), (2, 1)),
-            ((2, 3), (3, 5)),
-            (1, 2),
-            (1, 2),
-        )
-    if kind == "Net":
-        return (
-            ((1, 2), (4, 6), (3, 2), (3, 1), (4, 5), (2, 1)),
-            ((2, 3), (3, 5)),
-            (1, 2),
-            (5, 6),
-        )
-    if kind == "S3":
-        return (
-            ((1, 2), (3, 6), (3, 5), (3, 4), (2, 1)),
-            ((1, 1), (1, 2)),
-            (1, 2),
-            (4, 6),
-        )
-    if kind == "CycleNe4":
-        q = length
-        if q is None or q < 3 or q == 4:
-            raise ValueError(f"no catalog gadget for a cycle of length {q!r}")
-        if q % 2 == 1:
-            j_track = list(range(2, q + 1)) + list(range(q - 1, 1, -1)) + [1]
-            pairs = tuple(
-                (1 if k % 2 == 0 else 2, j) for k, j in enumerate(j_track)
-            )
-            return pairs, ((2, 1), (1, 1)), (1, 2), (2, 1)
-        pairs = tuple(
-            (1 if k % 2 == 1 else 2, k + 2) for k in range(1, q - 1)
-        ) + ((3, 1),)
-        return pairs, ((1, 2), (1, 3)), (1, 3), (q, 4)
-    if kind == "CycleGe4":
-        q = length
-        if q is None or q < 4:
-            raise ValueError(f"no catalog gadget for a reflexive cycle of length {q!r}")
-        pairs = tuple((1, k + 1) for k in range(1, q)) + ((2, 1),)
-        return pairs, ((1, 2), (1, 3)), (1, 2), (q, 3)
-    raise ValueError(f"no catalog gadget for witness kind {kind!r}")
-
-
-def gadget_catalog(witness: ExcludedWitness) -> CatalogEntry:
-    """The catalog gadget for a witness, relabelled through its embedding."""
-    pairs, dprime, terminals, cond = _pattern_recipe(witness.kind, witness.length)
-    emb = witness.embedding
-
+def _embedded_entry(row: Recipe, emb: tuple[int, ...]) -> CatalogEntry:
     def f(c: int) -> int:
         return emb[c - 1]
 
     return CatalogEntry(
-        PathGadget(tuple((f(i), f(j)) for i, j in pairs)),
-        dprime,
-        (f(terminals[0]), f(terminals[1])),
-        (f(cond[0]), f(cond[1])),
+        PathGadget(tuple((f(i), f(j)) for i, j in row.pairs)),
+        row.dprime,
+        (f(row.terminals[0]), f(row.terminals[1])),
+        (f(row.pendants[0]), f(row.pendants[1])),
     )
+
+
+def gadget_catalog(witness: ExcludedWitness) -> CatalogEntry:
+    """The catalog gadget for a witness, relabelled through its embedding."""
+    return _embedded_entry(recipe(witness.kind, witness.length), witness.embedding)
 
 
 def build_symmetrized(
@@ -552,13 +489,13 @@ def build_symmetrized(
     The terminal-transposing automorphism is found on the pattern itself and
     carried through the embedding, so it need not extend to all of h.
     """
-    entry = gadget_catalog(witness)
-    pattern = witness.pattern()
-    _, _, pat_terminals, _ = _pattern_recipe(witness.kind, witness.length)
-    pat_pi = find_transposing_automorphism(pattern, *pat_terminals)
+    row = recipe(witness.kind, witness.length)
+    emb = witness.embedding
+    entry = _embedded_entry(row, emb)
+    pattern = row.pattern
+    pat_pi = find_transposing_automorphism(pattern, *row.terminals)
     if pat_pi is None:
         raise AssertionError(f"pattern {witness.kind} lost its terminal symmetry")
-    emb = witness.embedding
     lifted = list(range(1, h.n + 1))
     for x in range(1, pattern.n + 1):
         lifted[emb[x - 1] - 1] = emb[pat_pi[x - 1] - 1]

@@ -4,9 +4,17 @@ two hereditary classes, plus a handful of pocket-sized targets.
 The bipartite-permutation obstructions (X3, X2, T2 and cycles of length
 other than four) are irreflexive; the proper-interval obstructions (claw,
 net, S3 and cycles of length at least four) are reflexive.
+
+This module also holds the witness catalogue, the one place that lists the
+witness kinds: RECIPES has a row per fixed-shape pattern with the path
+gadget the hardness proof builds on it, and cycle_recipe builds the row of
+a cycle kind from its length.  The recogniser's obstruction searches, the
+gadget catalogue and the CLI's --witness selector all read it.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from .graphs import ColourGraph
 
@@ -81,3 +89,85 @@ NET = _with_loops(6, [(5, 1), (1, 4), (4, 2), (2, 6), (3, 4), (1, 2)])
 S3 = _with_loops(
     6, [(4, 1), (1, 3), (3, 2), (2, 6), (6, 5), (5, 4), (1, 2), (2, 5), (5, 1)]
 )
+
+
+# ---------------------------------------------------------------------------
+# the witness catalogue
+
+@dataclass(frozen=True)
+class Recipe:
+    """A forbidden pattern and the path gadget built on it, in the pattern's
+    own labels: the gadget's colour pairs, its expected D', the terminal
+    colour pair, and the pendant pair (r', s') that thickening appends."""
+
+    kind: str
+    length: int | None
+    pattern: ColourGraph
+    pairs: tuple[tuple[int, int], ...]
+    dprime: tuple[tuple[int, int], tuple[int, int]]
+    terminals: tuple[int, int]
+    pendants: tuple[int, int]
+
+    @property
+    def reflexive(self) -> bool:
+        """True for the proper-interval kinds, False for the
+        bipartite-permutation kinds."""
+        return self.pattern.has_loop(1)
+
+
+# The fixed-shape kinds, bipartite-permutation ones first; the obstruction
+# searches try the rows of their class in this order.
+RECIPES = (
+    Recipe("X3", None, X3, ((1, 2), (4, 7), (3, 6), (4, 5), (2, 1)),
+           ((2, 3), (3, 5)), (1, 2), (5, 7)),
+    Recipe("X2", None, X2, ((1, 2), (4, 7), (3, 2), (4, 6), (3, 1), (4, 5), (2, 1)),
+           ((5, 8), (8, 13)), (1, 2), (5, 7)),
+    Recipe("T2", None, T2, ((1, 2), (5, 7), (4, 2), (3, 5), (4, 1), (5, 6), (2, 1)),
+           ((5, 7), (7, 10)), (1, 2), (6, 7)),
+    Recipe("Claw", None, CLAW, ((1, 2), (4, 2), (3, 4), (4, 1), (2, 1)),
+           ((2, 3), (3, 5)), (1, 2), (1, 2)),
+    Recipe("Net", None, NET, ((1, 2), (4, 6), (3, 2), (3, 1), (4, 5), (2, 1)),
+           ((2, 3), (3, 5)), (1, 2), (5, 6)),
+    Recipe("S3", None, S3, ((1, 2), (3, 6), (3, 5), (3, 4), (2, 1)),
+           ((1, 1), (1, 2)), (1, 2), (4, 6)),
+)
+
+# The cycle kinds, each with the one length at which its cycle is complete
+# (C4 = K_{2,2}; the reflexive C3 = K_3) and so not an obstruction.
+CYCLE_KINDS = {"CycleNe4": 4, "CycleGe4": 3}
+
+
+def cycle_obstructs(kind: str, length: int | None) -> bool:
+    """Whether a chordless cycle of this kind and length is an obstruction:
+    every length from 3 on except the complete one."""
+    return length is not None and 3 <= length != CYCLE_KINDS[kind]
+
+
+def cycle_recipe(kind: str, length: int | None) -> Recipe:
+    """The catalogue row of a cycle kind: CycleNe4 (irreflexive, every
+    length but 4) or CycleGe4 (reflexive, every length from 4)."""
+    if kind not in CYCLE_KINDS:
+        raise ValueError(f"unknown witness kind {kind!r}")
+    if not cycle_obstructs(kind, length):
+        raise ValueError(f"bad cycle length {length!r} for kind {kind}")
+    q = length
+    if kind == "CycleNe4" and q % 2 == 1:
+        j_track = [*range(2, q + 1), *range(q - 1, 1, -1), 1]
+        pairs = tuple((1 if k % 2 == 0 else 2, j) for k, j in enumerate(j_track))
+        return Recipe(kind, q, cycle(q), pairs, ((2, 1), (1, 1)), (1, 2), (2, 1))
+    if kind == "CycleNe4":
+        pairs = tuple((1 if k % 2 == 1 else 2, k + 2) for k in range(1, q - 1)) + ((3, 1),)
+        terminals, pendants = (1, 3), (q, 4)
+    else:
+        pairs = tuple((1, k + 1) for k in range(1, q)) + ((2, 1),)
+        terminals, pendants = (1, 2), (q, 3)
+    pattern = cycle(q, reflexive=kind == "CycleGe4")
+    return Recipe(kind, q, pattern, pairs, ((1, 2), (1, 3)), terminals, pendants)
+
+
+def recipe(kind: str, length: int | None = None) -> Recipe:
+    """The catalogue row of a witness kind; a cycle kind needs its length."""
+    for row in RECIPES:
+        if row.kind == kind:
+            return row
+    return cycle_recipe(kind, length)

@@ -215,26 +215,11 @@ def find_staircase_adjacency(h: ColourGraph) -> StaircaseForm | None:
 # ---------------------------------------------------------------------------
 # forbidden induced subgraphs
 
-_BP_PATTERNS = (("X3", patterns.X3), ("X2", patterns.X2), ("T2", patterns.T2))
-_PI_PATTERNS = (("Claw", patterns.CLAW), ("Net", patterns.NET), ("S3", patterns.S3))
-
-
 def witness_pattern(kind: str, length: int | None = None) -> ColourGraph:
     """The pattern graph for a witness kind, with the loop convention of its
     class (irreflexive for the bipartite-permutation kinds, reflexive for the
     proper-interval kinds)."""
-    table = dict(_BP_PATTERNS + _PI_PATTERNS)
-    if kind in table:
-        return table[kind]
-    if kind == "CycleNe4":
-        if length is None or length == 4 or length < 3:
-            raise ValueError(f"bad cycle length {length!r} for kind CycleNe4")
-        return patterns.cycle(length)
-    if kind == "CycleGe4":
-        if length is None or length < 4:
-            raise ValueError(f"bad cycle length {length!r} for kind CycleGe4")
-        return patterns.cycle(length, reflexive=True)
-    raise ValueError(f"unknown witness kind {kind!r}")
+    return patterns.recipe(kind, length).pattern
 
 
 @dataclass(frozen=True)
@@ -338,21 +323,30 @@ def find_chordless_cycle(h: ColourGraph, length: int):
     return None
 
 
+def _first_obstruction(h: ColourGraph, cycle_kind: str) -> ExcludedWitness | None:
+    """The first catalogue pattern of cycle_kind's class induced in h, in
+    table order, else the shortest chordless cycle of cycle_kind."""
+    reflexive = cycle_kind == "CycleGe4"
+    for row in patterns.RECIPES:
+        if row.reflexive == reflexive:
+            emb = find_induced_embedding(row.pattern, h)
+            if emb is not None:
+                return ExcludedWitness(row.kind, None, emb)
+    for length in range(3, h.n + 1):
+        if patterns.cycle_obstructs(cycle_kind, length):
+            cyc = find_chordless_cycle(h, length)
+            if cyc is not None:
+                return ExcludedWitness(cycle_kind, length, cyc)
+    return None
+
+
 def find_excluded_bp(h: ColourGraph) -> ExcludedWitness | None:
     """Witness that an irreflexive h is not a bipartite permutation graph:
     an induced X3, X2 or T2, or a chordless cycle of length other than 4.
     None exactly when h is a bipartite permutation graph."""
     if reflexivity_status(h) != "irreflexive":
         raise ValueError("bipartite-permutation witnesses require an irreflexive target")
-    for kind, pat in _BP_PATTERNS:
-        emb = find_induced_embedding(pat, h)
-        if emb is not None:
-            return ExcludedWitness(kind, None, emb)
-    for length in (3, *range(5, h.n + 1)):
-        cyc = find_chordless_cycle(h, length)
-        if cyc is not None:
-            return ExcludedWitness("CycleNe4", length, cyc)
-    return None
+    return _first_obstruction(h, "CycleNe4")
 
 
 def find_excluded_pi(h: ColourGraph) -> ExcludedWitness | None:
@@ -361,15 +355,7 @@ def find_excluded_pi(h: ColourGraph) -> ExcludedWitness | None:
     when h is a (reflexive) proper interval graph."""
     if reflexivity_status(h) != "reflexive":
         raise ValueError("proper-interval witnesses require a reflexive target")
-    for kind, pat in _PI_PATTERNS:
-        emb = find_induced_embedding(pat, h)
-        if emb is not None:
-            return ExcludedWitness(kind, None, emb)
-    for length in range(4, h.n + 1):
-        cyc = find_chordless_cycle(h, length)
-        if cyc is not None:
-            return ExcludedWitness("CycleGe4", length, cyc)
-    return None
+    return _first_obstruction(h, "CycleGe4")
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +380,8 @@ def is_complete_bipartite_irreflexive(h: ColourGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# hard-substructure extraction used by the classification
+# hard substructures: classify uses find_induced_k2prime; the induced P3*
+# and P4 finders are library calls that tests check
 
 def find_induced_k2prime(h: ColourGraph) -> tuple[int, int] | None:
     """An edge with exactly one looped endpoint, as (unlooped, looped).
@@ -540,31 +527,33 @@ def _obstruction(witness: ExcludedWitness | None) -> Excluded:
 
 
 def _classify_connected(hc: ColourGraph):
-    if is_complete_reflexive(hc):
-        return Hardness.POLYTIME, CompleteReflexive(), None
-    if is_complete_bipartite_irreflexive(hc):
-        return Hardness.POLYTIME, CompleteBipartiteIrreflexive(), None
     status = reflexivity_status(hc)
     if status == "mixed":
         pair = find_induced_k2prime(hc)
         return Hardness.SAT_EQUIVALENT, MixedLoops(*pair), 6
-    if status == "irreflexive":
-        if colour_bipartition(hc) is None:
-            # the shortest odd cycle is chordless, so search lengths upward
-            for length in range(3, hc.n + 1, 2):
-                cyc = find_chordless_cycle(hc, length)
-                if cyc is not None:
-                    witness = ExcludedWitness("CycleNe4", length, cyc)
-                    return Hardness.SAT_EQUIVALENT, Excluded(witness), 3
-            raise AssertionError("non-bipartite graph without an odd cycle")
-        form = find_staircase_biadjacency(hc)
+    if status == "reflexive":
+        if is_complete_reflexive(hc):
+            return Hardness.POLYTIME, CompleteReflexive(), None
+        form = find_staircase_adjacency(hc)
         if form is not None:
             return Hardness.BIS_EQUIVALENT, Staircase(form), 6
-        return Hardness.SAT_EQUIVALENT, _obstruction(find_excluded_bp(hc)), 3
-    form = find_staircase_adjacency(hc)
+        return Hardness.SAT_EQUIVALENT, _obstruction(find_excluded_pi(hc)), 3
+    sides = colour_bipartition(hc)
+    if sides is None:
+        # the shortest odd cycle is chordless, so search lengths upward
+        for length in range(3, hc.n + 1, 2):
+            cyc = find_chordless_cycle(hc, length)
+            if cyc is not None:
+                witness = ExcludedWitness("CycleNe4", length, cyc)
+                return Hardness.SAT_EQUIVALENT, Excluded(witness), 3
+        raise AssertionError("non-bipartite graph without an odd cycle")
+    # hc is connected, so it is complete bipartite iff every cross pair is an edge
+    if all(hc.adjacent(u, v) for u in sides[0] for v in sides[1]):
+        return Hardness.POLYTIME, CompleteBipartiteIrreflexive(), None
+    form = find_staircase_biadjacency(hc)
     if form is not None:
         return Hardness.BIS_EQUIVALENT, Staircase(form), 6
-    return Hardness.SAT_EQUIVALENT, _obstruction(find_excluded_pi(hc)), 3
+    return Hardness.SAT_EQUIVALENT, _obstruction(find_excluded_bp(hc)), 3
 
 
 def _translate_reason(reason, mapping: dict[int, int]):

@@ -97,12 +97,6 @@ class VariableMap:
             raise ValueError(f"no variable for vertex {u}, level {i}")
         return (u - 1) * (self.q + 1) + i + 1
 
-    def vertex_level(self, x: int) -> tuple[int, int]:
-        if not (1 <= x <= self.var_count):
-            raise ValueError(f"variable {x} out of range")
-        u, i = divmod(x - 1, self.q + 1)
-        return u + 1, i
-
 
 def reduce_listhcol_to_1p1n(
     enc: StaircaseEncoding, inst: Instance

@@ -217,6 +217,35 @@ def test_cmd_gadget_explicit_witness(tmp_path, capsys):
     assert data["dprime"] == [[1, 2], [1, 3]]
 
 
+SELECTOR_TARGETS = [
+    ("x3", patterns.X3), ("x2", patterns.X2), ("t2", patterns.T2),
+    ("claw", patterns.CLAW), ("net", patterns.NET), ("s3", patterns.S3),
+    ("cycle3", patterns.cycle(3)), ("cycle5", patterns.cycle(5)),
+    ("cycle6", patterns.cycle(6)), ("cycle8", patterns.cycle(8)),
+    ("cycle4", patterns.cycle(4, reflexive=True)),
+    ("cycle5", patterns.cycle(5, reflexive=True)),
+    ("cycle6", patterns.cycle(6, reflexive=True)),
+]
+
+
+@pytest.mark.parametrize("selector, target", SELECTOR_TARGETS)
+def test_cmd_gadget_witness_selectors(tmp_path, capsys, selector, target):
+    hfile = write(tmp_path, "h.h", serialise_h(target))
+    assert main(["gadget", hfile, "--witness", selector, "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["checks"] and all(data["checks"].values())
+
+
+@pytest.mark.parametrize("selector, named", [
+    ("cycle", "'cycle'"), ("cyclex", "'cyclex'"), ("x4", "'x4'"), ("cycle4", "length 4"),
+])
+def test_cmd_gadget_bad_witness_selectors(tmp_path, capsys, selector, named):
+    hfile = write(tmp_path, "c6.h", serialise_h(patterns.cycle(6)))
+    assert main(["gadget", hfile, "--witness", selector]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
 def test_cmd_reduce_sat_round_trip(tmp_path, capsys):
     h = write(tmp_path, "p3s.h", serialise_h(patterns.P3_STAR))
     inst = write(tmp_path, "k2.inst", "g 2\ne 1 2\n")
@@ -230,6 +259,23 @@ def test_cmd_reduce_sat_round_trip(tmp_path, capsys):
 
     claw = write(tmp_path, "claw.h", serialise_h(patterns.CLAW))
     assert main(["reduce-sat", claw, inst, "--out", str(tmp_path / "x.f")]) == 2
+
+
+def test_cmd_reduce_sat_complete_bipartite(tmp_path, capsys):
+    # classify certifies K_{2,3} as complete bipartite, which carries no
+    # staircase form; reduce-sat finds one itself
+    h = write(tmp_path, "k23.h", serialise_h(patterns.complete_bipartite(2, 3)))
+    inst = write(tmp_path, "k2.inst", "g 2\ne 1 2\n")
+    assert main(["classify", h, "--json"]) == 0
+    cert = json.loads(capsys.readouterr().out)["certificate"]
+    assert cert["type"] == "complete_bipartite_irreflexive"
+    out = tmp_path / "out.f"
+    assert main(["reduce-sat", h, inst, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["count-sat", str(out)]) == 0
+    assert capsys.readouterr().out.strip() == "12"
+    assert main(["count", h, inst]) == 0
+    assert capsys.readouterr().out.strip() == "12"
 
 
 def test_cmd_reduce_ising_round_trip(tmp_path, capsys):
@@ -289,6 +335,22 @@ def test_cmd_selftest(capsys):
     # determinism: run twice, identical output
     assert main(["selftest"]) == 0
     assert capsys.readouterr().out == out
+
+
+def test_cmd_selftest_runs_every_gadget_check_on_every_catalogue_case(capsys):
+    assert main(["selftest"]) == 0
+    lines = set(capsys.readouterr().out.splitlines())
+    labels = ["X3", "X2", "T2", "Claw", "Net", "S3"]
+    labels += [f"CycleNe4({q})" for q in (3, 5, 6, 7, 8)]
+    labels += [f"CycleGe4({q})" for q in (4, 5, 6)]
+    checks = ["D' matches catalog", "det D' = 1", "det D = -1",
+              "brute force agrees with D", "D* symmetric", "det D* < 0",
+              "brute force agrees with D*",
+              "thickened matrix is the entrywise 2^0 power",
+              "thickened matrix is the entrywise 2^1 power"]
+    missing = [f"{label}: {check}" for label in labels for check in checks
+               if f"ok catalog {label} {check}" not in lines]
+    assert missing == []
 
 
 def test_cmd_selftest_detects_corruption(capsys, monkeypatch):

@@ -312,6 +312,8 @@ def test_witness_pattern_rejects_bad_kinds():
         ExcludedWitness("CycleNe4", 4, (1, 2, 3, 4)).pattern()
     with pytest.raises(ValueError):
         ExcludedWitness("CycleGe4", 3, (1, 2, 3)).pattern()
+    with pytest.raises(ValueError, match="unknown witness kind 'Square'"):
+        ExcludedWitness("Square", None, (1, 2, 3, 4)).pattern()
 
 
 # --- beyond the exhaustive range ---
@@ -398,3 +400,21 @@ def test_classify_refuses_without_a_certificate(monkeypatch):
                         lambda h: None)
     with pytest.raises(RuntimeError, match="neither a staircase order nor an obstruction"):
         classify(patterns.P4)
+
+
+def test_classify_two_colours_an_irreflexive_component_once(monkeypatch):
+    import listhom.graphs
+
+    real = listhom.graphs._two_colouring
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(listhom.graphs, "_two_colouring", counted)
+    h = _relabel(patterns.path(12), random.Random(12))
+    res = classify(h)
+    assert res.klass is Hardness.BIS_EQUIVALENT and res.reason.form.certifies(h)
+    # once in classify, once inside find_staircase_biadjacency
+    assert len(calls) == 2
