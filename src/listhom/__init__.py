@@ -20,6 +20,7 @@ from .oracles import (
     count_list_hcol,
     implies,
     ising_partition,
+    list_hcol_table,
     unit_neg,
     unit_pos,
 )

@@ -88,14 +88,20 @@ def _certificate_json(reason) -> dict:
 
 
 def _result_json(res) -> dict:
-    out = {
-        "class": _CLASS_NAMES[res.klass],
-        "degree_threshold": res.degree_threshold,
-        "vertices": sorted(res.vertices),
-        "certificate": _certificate_json(res.reason),
-    }
+    """The classification as JSON; a disconnected target adds one entry per
+    component (components are connected, so their results have no
+    components of their own)."""
+    def fields(r) -> dict:
+        return {
+            "class": _CLASS_NAMES[r.klass],
+            "degree_threshold": r.degree_threshold,
+            "vertices": sorted(r.vertices),
+            "certificate": _certificate_json(r.reason),
+        }
+
+    out = fields(res)
     if res.per_component:
-        out["components"] = [_result_json(sub) for sub in res.per_component]
+        out["components"] = [fields(sub) for sub in res.per_component]
     return out
 
 
@@ -159,6 +165,9 @@ def _explicit_witness(h, selector: str) -> ExcludedWitness:
             kind = "CycleGe4"
         else:
             raise ValueError("cycle witnesses need a purely reflexive or irreflexive target")
+        if patterns.cycle_obstructs(kind, length) and length > h.n:
+            # answer before building the length-by-length pattern
+            raise ValueError(f"target contains no induced {kind} of length {length}")
     else:
         raise ValueError(f"unknown witness kind {selector!r}")
     pattern = witness_pattern(kind, length)

@@ -44,6 +44,7 @@ def _int_fields(line_no, fields, expected: int | None = None):
 def parse_h(text: str) -> ColourGraph:
     n = None
     edges = []
+    seen = set()  # the pairs in edges, for the duplicate check
     for line_no, fields in _meaningful_lines(text):
         tag = fields[0]
         if tag == "h":
@@ -59,8 +60,9 @@ def parse_h(text: str) -> ColourGraph:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(line_no, f"edge ({u},{v}) out of range 1..{n}")
             pair = (min(u, v), max(u, v))
-            if pair in edges:
+            if pair in seen:
                 raise ParseError(line_no, f"parallel edge ({u},{v})")
+            seen.add(pair)
             edges.append(pair)
         else:
             raise ParseError(line_no, f"unknown directive {tag!r} in target file")
@@ -78,6 +80,7 @@ def serialise_h(h: ColourGraph) -> str:
 def _parse_graph_lines(text: str, allow_lists: bool):
     m = None
     edges = []
+    seen = set()  # the pairs in edges, for the duplicate check
     lists: dict[int, tuple[int, list[int]]] = {}  # vertex -> (line, colours)
     for line_no, fields in _meaningful_lines(text):
         tag = fields[0]
@@ -96,8 +99,9 @@ def _parse_graph_lines(text: str, allow_lists: bool):
             if not (1 <= u <= m and 1 <= v <= m):
                 raise ParseError(line_no, f"edge ({u},{v}) out of range 1..{m}")
             pair = (min(u, v), max(u, v))
-            if pair in edges:
+            if pair in seen:
                 raise ParseError(line_no, f"parallel edge ({u},{v})")
+            seen.add(pair)
             edges.append(pair)
         elif tag == "l":
             if not allow_lists:

@@ -6,7 +6,9 @@ A path gadget assigns the k-th vertex of a path the two-colour list
 target, no step admits both crossings, and the terminal pairs swap.  The
 interaction matrix counting colourings per terminal-colour combination is
 then computable as an ordered product of 2x2 submatrices of the adjacency
-matrix, which the brute-force counter cross-checks.
+matrix.  The brute-force cross-check counts the gadget's list colourings
+in one elimination pass that keeps both terminals as free variables, so
+all four entries come from a single table instead of four pinned counts.
 
 Symmetrising a gadget against a terminal-transposing automorphism makes the
 matrix symmetric; thickening (parallel doubling behind fresh pendant
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import ColourGraph, Instance, InstanceGraph
-from .oracles import count_list_hcol
+from .oracles import list_hcol_table
 from .patterns import Recipe, recipe
 from .recognizer import ExcludedWitness
 
@@ -152,9 +154,6 @@ class GadgetGraph:
             InstanceGraph.from_edges(self.m, self.edges), self.lists, self.colour_count
         )
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
 
 def path_gadget_graph(h: ColourGraph, g: PathGadget) -> GadgetGraph:
     """Realise a path gadget as an explicit gadget graph; its matrix is D."""
@@ -166,19 +165,18 @@ def path_gadget_graph(h: ColourGraph, g: PathGadget) -> GadgetGraph:
 
 
 def interaction_matrix_bruteforce(h: ColourGraph, gg: GadgetGraph) -> Matrix2:
-    """Recompute the interaction matrix entry by entry with pinned terminals."""
-    r, s = gg.terminal_colours
-    graph = InstanceGraph.from_edges(gg.m, gg.edges)
-    out = []
-    for a in (r, s):
-        row = []
-        for b in (r, s):
-            lists = list(gg.lists)
-            lists[gg.terminal1 - 1] = frozenset((a,))
-            lists[gg.terminal2 - 1] = frozenset((b,))
-            row.append(count_list_hcol(h, Instance(graph, tuple(lists), h.n)))
-        out.append(tuple(row))
-    return tuple(out)
+    """Recompute the interaction matrix by exact counting, independently of
+    the matrix algebra.
+
+    One elimination pass over the gadget's instance keeps both terminals as
+    free variables and returns the count for every pair of terminal
+    colours; entry (a, b) is the count with terminal1 coloured by the a-th
+    and terminal2 by the b-th terminal colour (the terminal lists are
+    exactly that pair).
+    """
+    table = list_hcol_table(h, gg.instance(), (gg.terminal1, gg.terminal2))
+    pair = gg.terminal_colours
+    return tuple(tuple(table.get((a, b), 0) for b in pair) for a in pair)
 
 
 def find_transposing_automorphism(h: ColourGraph, r: int, s: int):

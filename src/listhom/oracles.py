@@ -14,6 +14,14 @@ scope plus the eliminated variable; above MAX_TABLE_SIZE it raises
 ValueError naming the induced width instead of running out of time or
 memory.
 
+The engine can also keep a tuple of variables free (the query form of
+bucket elimination): it sums out every other variable in the same order and
+returns one weight per assignment of the kept ones, all from one pass.
+list_hcol_table exposes this for list colourings; the gadget cross-check
+reads a whole interaction matrix from it with both terminals kept.  Every
+table that involves kept variables, the final one over them included, is
+size-checked like any other.
+
 Counts are exact Python ints; partition function values are exact Fractions.
 No floating point anywhere.  All counters are deterministic and independent
 of internal iteration order.
@@ -84,22 +92,36 @@ class ImplicationFormula:
                     raise ValueError(f"variable {v} out of range in {cl!r}")
 
 
-def _eliminate(domains: list, factors) -> int:
-    """Sum over all assignments of one domain value per variable of the
-    product of the factor weights, by iterative bucket elimination.
+def _eliminate(domains: list, factors, keep: tuple = ()) -> dict:
+    """Sum the product of the factor weights over all assignments of one
+    domain value per variable outside keep, by iterative bucket elimination.
 
     domains[v] lists the values of variable v (0-based).  Each factor is
     (u, v, table) with u != v, where table maps a value pair (a, b) for
     (u, v) to an int weight; a missing pair weighs 0.  Each step takes the
-    variable of least degree in the current interaction graph, multiplies
-    the factors on it and sums it out, leaving one factor over its
-    neighbours (keyed by value tuples, or by the bare value for a single
+    free variable of least degree in the current interaction graph,
+    multiplies the factors on it and sums it out, leaving one factor over
+    its neighbours (keyed by value tuples, or by the bare value for a single
     neighbour).  A step with no neighbours yields a scalar, so connected
-    components need no separate pass.
+    components need no separate pass.  The variables in keep (distinct) are
+    never eliminated: the factors left over at the end lie inside keep and
+    are multiplied out per assignment of keep.  Returns a dict mapping each
+    assignment of keep, as a tuple in keep's order, to its weight; zero
+    weights are left out, so with no kept variables the count is the ()
+    entry, or 0 if there is none.
     """
     if not all(domains):
-        return 0  # before the size check: a zero count needs no table
+        return {}  # before the size check: a zero count needs no table
     n = len(domains)
+    kept = frozenset(keep)
+    if len(kept) != len(keep):
+        raise ValueError(f"kept variables must be distinct, got {keep!r}")
+    size = prod(len(domains[v]) for v in keep)
+    if size > MAX_TABLE_SIZE:
+        raise ValueError(
+            f"a table over {len(keep)} kept variables needs {size} entries, "
+            f"above the limit of {MAX_TABLE_SIZE}"
+        )
     live: list[tuple | None] = []  # factor id -> (scope, table), None once used
     on_var: list[list[int]] = [[] for _ in range(n)]  # ids of factors on v
     adj: list[set[int] | None] = [set() for _ in range(n)]
@@ -109,7 +131,7 @@ def _eliminate(domains: list, factors) -> int:
         live.append(((u, v), table))
         adj[u].add(v)
         adj[v].add(u)
-    heap = [(len(nbrs), v) for v, nbrs in enumerate(adj)]
+    heap = [(len(nbrs), v) for v, nbrs in enumerate(adj) if v not in kept]
     heapify(heap)
     total = 1
     while heap:
@@ -146,7 +168,7 @@ def _eliminate(domains: list, factors) -> int:
             if s:
                 out[assign] = s
         if not out:
-            return 0
+            return {}
         adj[x] = None
         if not scope:
             total *= out[()]
@@ -158,9 +180,22 @@ def _eliminate(domains: list, factors) -> int:
             adj[v].discard(x)
             adj[v].update(scope)
             adj[v].discard(v)
-            heappush(heap, (len(adj[v]), v))
+            if v not in kept:
+                heappush(heap, (len(adj[v]), v))
         live.append((scope, out))
-    return total
+    pos = {v: i for i, v in enumerate(keep)}
+    rest = [(itemgetter(*[pos[v] for v in scope]), table)
+            for scope, table in filter(None, live)]
+    result = {}
+    for assign in product(*[domains[v] for v in keep]):
+        w = total
+        for get, table in rest:
+            w *= table.get(get(assign), 0)
+            if not w:
+                break
+        if w:
+            result[assign] = w
+    return result
 
 
 def count_list_hcol(h: ColourGraph, inst: Instance) -> int:
@@ -171,14 +206,32 @@ def count_list_hcol(h: ColourGraph, inst: Instance) -> int:
     variable over its list and each edge carries h's adjacency as a 0/1
     table.
     """
+    return list_hcol_table(h, inst, ()).get((), 0)
+
+
+def list_hcol_table(h: ColourGraph, inst: Instance, keep) -> dict:
+    """Exact number of list colourings of inst against h, per colouring of
+    the vertices in keep.
+
+    keep is a tuple of distinct 1-based vertices of inst.  Returns a dict
+    mapping each tuple of colours for keep (in keep's order) to the number
+    of list colourings that give those vertices those colours; tuples with
+    no colouring are left out.  One elimination pass sums out every other
+    vertex, so the table costs about as much as a single count.
+    """
     if inst.colour_count != h.n:
         raise ValueError(
             f"instance expects {inst.colour_count} colours, target has {h.n}"
         )
+    keep = tuple(keep)
+    for v in keep:
+        if not (1 <= v <= inst.g.m):
+            raise ValueError(f"kept vertex {v} out of range 1..{inst.g.m}")
     adjacent = {(a, b): 1 for a in h.colours for b in h.neighbours(a)}
     return _eliminate(
         [sorted(s) for s in inst.lists],
         [(u - 1, v - 1, adjacent) for u, v in inst.g.edges],
+        tuple(v - 1 for v in keep),
     )
 
 
@@ -198,7 +251,7 @@ def ising_partition(g: InstanceGraph, lam: Fraction) -> Fraction:
     table = {(0, 0): p, (0, 1): q, (1, 0): q, (1, 1): p}
     total = _eliminate(
         [(0, 1)] * g.m, [(u - 1, v - 1, table) for u, v in g.edges]
-    )
+    ).get((), 0)
     return Fraction(total, q ** len(g.edges))
 
 
@@ -222,4 +275,4 @@ def count_1p1n(f: ImplicationFormula) -> int:
         else:
             v, value = cl[1] - 1, int(cl[0] == UNIT_POS)
             domains[v] = tuple(b for b in domains[v] if b == value)
-    return _eliminate(domains, factors)
+    return _eliminate(domains, factors).get((), 0)

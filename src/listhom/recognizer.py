@@ -164,12 +164,19 @@ def find_staircase_biadjacency(h: ColourGraph) -> StaircaseForm | None:
     sides = colour_bipartition(h)
     if sides is None:
         return None
-    row_side = sides[0]
+    return _biadjacency_form(h, sides[0], connected_components(h))
+
+
+def _biadjacency_form(h: ColourGraph, row_side, components) -> StaircaseForm | None:
+    """find_staircase_biadjacency for an irreflexive bipartite h whose
+    2-colouring and components the caller already has: row_side holds the
+    side of each component's smallest colour, and components are ordered by
+    smallest colour."""
     row_order: list[int] = []
     col_order: list[int] = []
     isolated = []
     blocks = []
-    for comp in connected_components(h):
+    for comp in components:
         if len(comp) == 1:
             isolated.extend(comp)
             continue
@@ -550,7 +557,7 @@ def _classify_connected(hc: ColourGraph):
     # hc is connected, so it is complete bipartite iff every cross pair is an edge
     if all(hc.adjacent(u, v) for u in sides[0] for v in sides[1]):
         return Hardness.POLYTIME, CompleteBipartiteIrreflexive(), None
-    form = find_staircase_biadjacency(hc)
+    form = _biadjacency_form(hc, sides[0], [frozenset(hc.colours)])
     if form is not None:
         return Hardness.BIS_EQUIVALENT, Staircase(form), 6
     return Hardness.SAT_EQUIVALENT, _obstruction(find_excluded_bp(hc)), 3

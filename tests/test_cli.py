@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -113,6 +114,24 @@ def test_parse_errors_carry_line_numbers():
         parse_formula("f 1\np 2\n")
     with pytest.raises(ParseError):
         parse_h("h 2\nz 1\n")
+
+
+def test_parallel_edge_names_the_first_duplicate_line():
+    with pytest.raises(ParseError) as err:
+        parse_h("h 3\ne 1 2\ne 2 3\n# again\ne 2 1\ne 3 2\n")
+    assert err.value.line_no == 5 and "parallel edge (2,1)" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse_instance("g 3\ne 2 3\nl 1 1\ne 1 2\ne 3 2\ne 2 1\n", 2)
+    assert err.value.line_no == 5 and "parallel edge (3,2)" in str(err.value)
+
+
+def test_parse_is_linear_in_the_edge_count():
+    m = 50_001
+    text = f"g {m}\n" + "".join(f"e {v} {v + 1}\n" for v in range(1, m))
+    start = time.perf_counter()
+    inst = parse_instance(text, 2)
+    assert time.perf_counter() - start < 2.0
+    assert len(inst.g.edges) == 50_000
 
 
 def test_bad_list_colour_names_its_line():
@@ -246,6 +265,22 @@ def test_cmd_gadget_bad_witness_selectors(tmp_path, capsys, selector, named):
     assert err.startswith("error: ") and named in err
 
 
+@pytest.mark.parametrize("command", ["gadget", "reduce-ising"])
+def test_cmd_witness_cycle_longer_than_the_target_answers_at_once(
+        tmp_path, capsys, command):
+    hfile = write(tmp_path, "c6.h", serialise_h(patterns.cycle(6)))
+    argv = {
+        "gadget": ["gadget", hfile],
+        "reduce-ising": ["reduce-ising", write(tmp_path, "k2.g", "g 2\ne 1 2\n"),
+                         hfile, "--out", str(tmp_path / "out.inst")],
+    }[command]
+    start = time.perf_counter()
+    assert main(argv + ["--witness", "cycle100000"]) == 2
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err == "error: target contains no induced CycleNe4 of length 100000\n"
+
+
 def test_cmd_reduce_sat_round_trip(tmp_path, capsys):
     h = write(tmp_path, "p3s.h", serialise_h(patterns.P3_STAR))
     inst = write(tmp_path, "k2.inst", "g 2\ne 1 2\n")
@@ -374,8 +409,9 @@ def test_cmd_selftest_detects_corruption(capsys, monkeypatch):
 def test_cmd_classify_without_a_certificate_exits_3(tmp_path, capsys, monkeypatch):
     import listhom.recognizer
 
-    monkeypatch.setattr(listhom.recognizer, "find_staircase_biadjacency",
-                        lambda h: None)
+    # the staircase search classify runs on a connected bipartite component
+    monkeypatch.setattr(listhom.recognizer, "_biadjacency_form",
+                        lambda h, row_side, components: None)
     path = write(tmp_path, "p4.h", serialise_h(patterns.P4))
     assert main(["classify", path]) == 3
     err = capsys.readouterr().err

@@ -20,7 +20,7 @@ from listhom.gadgets import (
     thicken,
     validate_gadget,
 )
-from listhom.graphs import ColourGraph, InstanceGraph, max_degree
+from listhom.graphs import ColourGraph, Instance, InstanceGraph, max_degree
 from listhom.oracles import count_list_hcol, ising_partition
 from listhom.recognizer import ExcludedWitness, witness_pattern
 
@@ -136,6 +136,48 @@ def test_product_matches_bruteforce_on_random_gadgets():
     assert found >= 10  # the search must actually exercise the comparison
 
 
+def _pinned_recount(h, gg):
+    """The interaction matrix entry by entry: one count per pair of terminal
+    colours, with both terminals pinned to singleton lists."""
+    inst = gg.instance()
+    rows = []
+    for a in gg.terminal_colours:
+        row = []
+        for b in gg.terminal_colours:
+            lists = list(inst.lists)
+            lists[gg.terminal1 - 1] = frozenset((a,))
+            lists[gg.terminal2 - 1] = frozenset((b,))
+            row.append(count_list_hcol(h, Instance(inst.g, tuple(lists), h.n)))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_bruteforce_matches_pinned_counts_on_thickened_catalog():
+    for kind, length, h, _ in CATALOG_CASES:
+        entry = gadget_catalog(identity_witness(kind, length))
+        _, gg = build_symmetrized(h, identity_witness(kind, length))
+        for t in range(4):
+            gt = thicken(h, gg, entry.cond_pair, t)
+            bf = interaction_matrix_bruteforce(h, gt)
+            assert bf == _pinned_recount(h, gt) == gt.matrix, (kind, length, t)
+
+
+def test_bruteforce_runs_one_elimination(monkeypatch):
+    import listhom.oracles
+
+    real = listhom.oracles._eliminate
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(listhom.oracles, "_eliminate", counted)
+    _, gg = build_symmetrized(patterns.X3, identity_witness("X3"))
+    assert interaction_matrix_bruteforce(patterns.X3, gg) == gg.matrix
+    assert len(calls) == 1
+
+
 # --- automorphisms ---
 
 def test_find_transposing_automorphism():
@@ -224,7 +266,7 @@ def test_symmetrized_structure():
         assert det2(gg.matrix) < 0
         assert det2(gg.matrix) == (d[0][0] * d[1][1] + d[0][1] * d[1][0]) * det2(d)
         # parallel composition: every vertex has degree exactly 2
-        assert all(gg.degree(v) == 2 for v in range(1, gg.m + 1))
+        assert all(len(ns) == 2 for ns in gg.instance().g.neighbours)
 
 
 def test_catalog_literal_gadgets():
@@ -272,7 +314,7 @@ def test_thicken_structure_and_matrix():
     assert g1.matrix == ((81, 100), (100, 81))
     assert g1.lists[g1.terminal1 - 1] == frozenset({1, 2})
     assert interaction_matrix_bruteforce(patterns.X3, g1) == g1.matrix
-    assert g1.degree(g1.terminal1) == 1
+    assert len(g1.instance().g.neighbours[g1.terminal1 - 1]) == 1
 
 
 def test_thicken_rejects_bad_input():

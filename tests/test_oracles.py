@@ -15,11 +15,13 @@ from helpers import (
 from listhom import patterns
 from listhom.graphs import Instance, InstanceGraph, instance_components
 from listhom.oracles import (
+    MAX_TABLE_SIZE,
     ImplicationFormula,
     count_1p1n,
     count_list_hcol,
     implies,
     ising_partition,
+    list_hcol_table,
     unit_neg,
     unit_pos,
 )
@@ -116,6 +118,69 @@ def test_count_factorises_over_components():
             product *= count_list_hcol(
                 h, Instance(sub, tuple(lists[v - 1] for v in verts), h.n))
         assert count_list_hcol(h, inst) == product
+
+
+# --- counts per colouring of kept vertices ---
+
+def _kept_shapes(g, lists, keep):
+    """Which of the awkward kept-vertex cases an instance has."""
+    comp = {v: i for i, c in enumerate(instance_components(g)) for v in c}
+    shapes = {
+        "isolated kept vertex": any(not g.neighbours[v - 1] for v in keep),
+        "empty list elsewhere": any(
+            not lists[v - 1] for v in g.vertices if v not in keep),
+        "singleton kept list": any(len(lists[v - 1]) == 1 for v in keep),
+    }
+    if len(keep) == 2:
+        u, v = keep
+        shapes["kept pair adjacent"] = v in g.neighbours[u - 1]
+        shapes["kept pair non-adjacent"] = (
+            comp[u] == comp[v] and v not in g.neighbours[u - 1])
+        shapes["kept pair in different components"] = comp[u] != comp[v]
+    return shapes
+
+
+def test_list_hcol_table_matches_enumeration_grouped_by_kept_colours():
+    rng = random.Random(17)
+    targets = [patterns.K2_PRIME, patterns.P4, patterns.P3_STAR,
+               patterns.TWO_WRENCH, patterns.NET]
+    seen = Counter()
+    for _ in range(150):
+        h = rng.choice(targets)
+        g = _random_graph(rng, 9)
+        lists = list(random_lists(rng, g.m, h.n, min(0.6, 2.5 / h.n)))
+        keep = tuple(rng.sample(g.vertices, min(g.m, rng.choice((0, 1, 2, 2)))))
+        if keep and rng.random() < 0.3:
+            lists[keep[0] - 1] = frozenset((rng.randint(1, h.n),))
+        inst = Instance(g, tuple(lists), h.n)
+        seen.update(k for k, hit in _kept_shapes(g, inst.lists, keep).items() if hit)
+        want = Counter(tuple(c[v - 1] for v in keep)
+                       for c in enumerate_list_colourings(h, inst))
+        assert list_hcol_table(h, inst, keep) == dict(want)
+        seen["nothing kept"] += not keep
+    assert len(seen) == 7 and min(seen.values()) >= 3, seen
+
+
+def test_list_hcol_table_rejects_bad_kept_vertices():
+    inst = Instance.with_full_lists(K2, 2)
+    for keep in ((0,), (3,), (1, 1)):
+        with pytest.raises(ValueError):
+            list_hcol_table(patterns.K2_PRIME, inst, keep)
+
+
+def test_list_hcol_table_over_limit_raises_before_eliminating():
+    # 19 isolated kept vertices with two colours each: 2^19 table entries
+    g = InstanceGraph.from_edges(19, [])
+    with pytest.raises(ValueError, match=rf"{2**19} entries"):
+        list_hcol_table(patterns.K2_PRIME, Instance.with_full_lists(g, 2),
+                        tuple(g.vertices))
+    assert 2**19 > MAX_TABLE_SIZE
+    # a free hub joined to 18 kept leaves: summing it out needs a table over
+    # all of them, which the per-step check refuses
+    star = InstanceGraph.from_edges(19, [(1, v) for v in range(2, 20)])
+    with pytest.raises(ValueError, match="induced width 18"):
+        list_hcol_table(patterns.K2_PRIME, Instance.with_full_lists(star, 2),
+                        tuple(range(2, 20)))
 
 
 # --- two-spin partition function ---

@@ -396,8 +396,9 @@ def test_find_chordless_cycle_long():
 def test_classify_refuses_without_a_certificate(monkeypatch):
     import listhom.recognizer
 
-    monkeypatch.setattr(listhom.recognizer, "find_staircase_biadjacency",
-                        lambda h: None)
+    # the staircase search classify runs on a connected bipartite component
+    monkeypatch.setattr(listhom.recognizer, "_biadjacency_form",
+                        lambda h, row_side, components: None)
     with pytest.raises(RuntimeError, match="neither a staircase order nor an obstruction"):
         classify(patterns.P4)
 
@@ -405,16 +406,21 @@ def test_classify_refuses_without_a_certificate(monkeypatch):
 def test_classify_two_colours_an_irreflexive_component_once(monkeypatch):
     import listhom.graphs
 
-    real = listhom.graphs._two_colouring
-    calls = []
+    calls = {"_two_colouring": 0, "_bfs": 0}
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(name):
+        real = getattr(listhom.graphs, name)
 
-    monkeypatch.setattr(listhom.graphs, "_two_colouring", counted)
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(listhom.graphs, name, counted(name))
     h = _relabel(patterns.path(12), random.Random(12))
     res = classify(h)
     assert res.klass is Hardness.BIS_EQUIVALENT and res.reason.form.certifies(h)
-    # once in classify, once inside find_staircase_biadjacency
-    assert len(calls) == 2
+    # one 2-colouring, inside _classify_connected; two BFS trees, one for
+    # classify's components and one for that 2-colouring
+    assert calls == {"_two_colouring": 1, "_bfs": 2}
