@@ -78,6 +78,9 @@ def serialise_h(h: ColourGraph) -> str:
 
 
 def _parse_graph_lines(text: str, allow_lists: bool):
+    """(m, edges, lists) of a graph or instance file; each edge is a pair
+    (u, v) with u < v, in range, and seen once, so the callers build the
+    InstanceGraph from the sorted pairs directly."""
     m = None
     edges = []
     seen = set()  # the pairs in edges, for the duplicate check
@@ -126,7 +129,7 @@ def _parse_graph_lines(text: str, allow_lists: bool):
 
 def parse_graph(text: str) -> InstanceGraph:
     m, edges, _ = _parse_graph_lines(text, allow_lists=False)
-    return InstanceGraph.from_edges(m, edges)
+    return InstanceGraph(m, tuple(sorted(edges)))
 
 
 def parse_instance(text: str, colour_count: int) -> Instance:
@@ -138,7 +141,7 @@ def parse_instance(text: str, colour_count: int) -> Instance:
                 raise ParseError(
                     line_no, f"vertex {v}: colour {c} out of range 1..{colour_count}")
         assignment[v - 1] = frozenset(cols)
-    return Instance(InstanceGraph.from_edges(m, edges), tuple(assignment), colour_count)
+    return Instance(InstanceGraph(m, tuple(sorted(edges))), tuple(assignment), colour_count)
 
 
 def serialise_graph(g: InstanceGraph) -> str:

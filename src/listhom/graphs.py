@@ -64,15 +64,22 @@ class ColourGraph:
     def has_loop(self, v: int) -> bool:
         return self.adj[v - 1][v - 1] == 1
 
+    @cached_property
+    def _neighbour_rows(self) -> tuple[tuple[int, ...], ...]:
+        """_neighbour_rows[v-1] is the ascending tuple of colours adjacent to
+        v, read off the matrix once."""
+        return tuple(
+            tuple(u for u, e in enumerate(row, start=1) if e) for row in self.adj
+        )
+
     def neighbours(self, v: int) -> tuple[int, ...]:
-        """Colours adjacent to v, including v itself when v has a loop."""
-        row = self.adj[v - 1]
-        return tuple(u for u in self.colours if row[u - 1])
+        """Colours adjacent to v, ascending, including v itself when v has a
+        loop."""
+        return self._neighbour_rows[v - 1]
 
     def degree(self, v: int) -> int:
         """Number of neighbours other than v itself (loops do not count)."""
-        row = self.adj[v - 1]
-        return sum(row) - row[v - 1]
+        return len(self._neighbour_rows[v - 1]) - self.adj[v - 1][v - 1]
 
     def edge_list(self) -> list[tuple[int, int]]:
         """Sorted edges as (u, v) with u <= v; loops appear as (v, v)."""
@@ -164,16 +171,19 @@ class Instance:
         return cls(g, full_lists(g.m, n), n)
 
 
-def _bfs(start: int, neighbours) -> dict[int, tuple[int, int | None]]:
+def _bfs(start: int, neighbours, limit: int | None = None) -> dict[int, tuple[int, int | None]]:
     """Breadth-first search from start.
 
     Maps each vertex reached, in visiting order, to its distance from start
-    and the vertex it was reached from (None for start itself).
+    and the vertex it was reached from (None for start itself).  With a
+    limit, vertices at that distance are reached but not expanded.
     """
     tree: dict[int, tuple[int, int | None]] = {start: (0, None)}
     visit = [start]
     for v in visit:
         d = tree[v][0] + 1
+        if limit is not None and d > limit:
+            break
         for u in neighbours(v):
             if u not in tree:
                 tree[u] = (d, v)

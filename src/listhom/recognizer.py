@@ -16,8 +16,18 @@ order comes from three lexicographic breadth-first sweeps per component
 O(n^3) on the dense matrix, and is accepted only if the rearranged matrix
 is staircase.  When it is not, classification asks the obstruction search
 for a witness and raises RuntimeError if that finds none either, so a
-target is never put in a class without a certificate.  Every search here is
-iterative.
+target is never put in a class without a certificate.
+
+The obstruction search tries the catalogue patterns first.  Each is placed
+vertex by vertex in breadth-first order, every vertex drawn from the host
+neighbours of its parent's image, so a k-vertex pattern costs about
+n * D^(k-1) on n colours of largest degree D.  Cycles come from one pass,
+not one search per length: a shortest odd cycle from one BFS per colour
+(Itai and Rodeh 1978), and a shortest hole from one BFS per induced path
+a-b-c, from a to c around the closed neighbourhood of b; each BFS stops at
+the depth where it could no longer beat the best cycle so far.  On a
+relabelled even cycle with leaves that is O(n^2) where the per-length
+search was about O(n^4).  Every search here is iterative.
 """
 
 from __future__ import annotations
@@ -261,47 +271,75 @@ class ExcludedWitness:
 
 
 def find_induced_embedding(pattern: ColourGraph, host: ColourGraph):
-    """First induced embedding of pattern into host under ascending search
-    order, or None.  Loops must match exactly."""
+    """An induced embedding of pattern into host, or None exactly when there
+    is none.  Loops must match exactly.
+
+    The result lists the host colour of each pattern vertex in label order.
+    The search places the pattern vertices in breadth-first order from a
+    vertex of largest degree (one tree per pattern component), and each
+    vertex after a root draws its candidates, ascending, from the host
+    neighbours of its BFS parent's image.  A connected k-vertex pattern thus
+    costs about n * D^(k-1) on an n-colour host of largest degree D, not
+    n^k.  The embedding returned is the first one in that order.
+    """
     k, n = pattern.n, host.n
     if k > n:
         return None
     pdeg = [pattern.degree(v) for v in pattern.colours]
-    hdeg = [host.degree(v) for v in host.colours]
+    hdeg = [host.degree(c) for c in host.colours]
     if max(pdeg) > max(hdeg):
         return None
-    emb: list[int] = []
-    used = [False] * (n + 1)
-    # candidates[i] yields the host colours still to try for pattern vertex i+1
+    order: list[int] = []
+    parent: dict[int, int | None] = {}
+    for root in sorted(pattern.colours, key=lambda v: -pdeg[v - 1]):
+        if root not in parent:
+            for v, (_, p) in _bfs(root, pattern.neighbours).items():
+                order.append(v)
+                parent[v] = p
+    pos = {v: i for i, v in enumerate(order)}
+    # per position: where its candidates come from, its degree, its loop
+    # entry, and its matrix entries against every earlier position
+    source = [None if parent[v] is None else pos[parent[v]] for v in order]
+    need_deg = [pdeg[v - 1] for v in order]
+    loop = [pattern.adj[v - 1][v - 1] for v in order]
+    want = [tuple(pattern.adj[v - 1][u - 1] for u in order[:i]) for i, v in enumerate(order)]
+    adj = host.adj
+    emb: list[int] = []  # the 0-based host index of each placed position
+    used = [False] * n
+    # candidates[i] yields the host colours still to try for position i
     candidates = [iter(host.colours)]
     while candidates:
         i = len(emb)
-        if i == k:
-            return tuple(emb)
-        v = i + 1
         for c in candidates[-1]:
-            if used[c] or hdeg[c - 1] < pdeg[i]:
+            c -= 1
+            row = adj[c]
+            if used[c] or hdeg[c] < need_deg[i] or row[c] != loop[i]:
                 continue
-            if host.has_loop(c) != pattern.has_loop(v):
-                continue
-            if all(
-                host.adjacent(c, emb[j]) == pattern.adjacent(v, j + 1)
-                for j in range(i)
-            ):
+            if tuple(map(row.__getitem__, emb)) == want[i]:
                 used[c] = True
                 emb.append(c)
-                candidates.append(iter(host.colours))
                 break
         else:
             candidates.pop()
             if emb:
                 used[emb.pop()] = False
+            continue
+        if i + 1 == k:
+            out = [0] * k
+            for v, c in zip(order, emb):
+                out[v - 1] = c + 1
+            return tuple(out)
+        j = source[i + 1]
+        candidates.append(iter(host.colours if j is None else host.neighbours(emb[j] + 1)))
     return None
 
 
 def find_chordless_cycle(h: ColourGraph, length: int):
     """First chordless cycle of exactly the given length, as a vertex tuple
-    in cyclic order starting from its smallest vertex.  Loops are ignored."""
+    in cyclic order starting from its smallest vertex.  Loops are ignored.
+
+    This searches one length at a time; classification finds its shortest
+    cycles with _shortest_odd_cycle and _shortest_hole instead."""
     if length < 3 or length > h.n:
         return None
     for start in h.colours:
@@ -330,21 +368,116 @@ def find_chordless_cycle(h: ColourGraph, length: int):
     return None
 
 
+def _tree_path(tree, v) -> list[int]:
+    """The path from v back to the root of a _bfs tree."""
+    path = [v]
+    while tree[path[-1]][1] is not None:
+        path.append(tree[path[-1]][1])
+    return path
+
+
+def _shortest_odd_cycle(h: ColourGraph) -> tuple[int, ...] | None:
+    """A shortest odd cycle of h, loops ignored, in cyclic order from its
+    smallest vertex; None when h has no odd cycle.
+
+    One BFS per colour s over the colours from s on (Itai and Rodeh 1978): an
+    edge joining two vertices at distance d from s closes an odd walk of
+    length 2d + 1 through s, and from the smallest vertex of a shortest odd
+    cycle that walk is a shortest odd cycle.  A shortest odd cycle has no
+    chord, since a chord would split off a shorter odd cycle.  Each BFS stops
+    at the depth where it could no longer beat the best cycle so far.
+    """
+    best: tuple[int, ...] | None = None
+    for s in h.colours:
+        limit = None
+        if best is not None:
+            limit = (len(best) - 2) // 2
+            if limit < 1:
+                break
+
+        def step(v):
+            return [u for u in h.neighbours(v) if u > s]
+
+        tree = _bfs(s, step, limit)
+        edge = next(
+            ((v, u) for v, (d, _) in tree.items() for u in step(v)
+             if u != v and u in tree and tree[u][0] == d),
+            None,
+        )
+        if edge is not None:
+            v, u = edge
+            cyc = _tree_path(tree, v)[::-1] + _tree_path(tree, u)[:-1]
+            if best is None or len(cyc) < len(best):
+                best = tuple(cyc) if cyc[1] < cyc[-1] else (s, *cyc[:0:-1])
+    return best
+
+
+def _wedges(h: ColourGraph):
+    """Every path a-b-c (loops ignored) with b < a < c, as (b, a, c); a and
+    c may be adjacent."""
+    for b in h.colours:
+        up = [u for u in h.neighbours(b) if u > b]
+        for a, c in itertools.combinations(up, 2):
+            yield b, a, c
+
+
+def _shortest_hole(h: ColourGraph, cycle_kind: str) -> tuple[int, ...] | None:
+    """A shortest chordless cycle of h of a length that obstructs for
+    cycle_kind, loops ignored, in cyclic order from its smallest vertex; None
+    when there is none.
+
+    CycleGe4 asks for a hole (length at least 4).  CycleNe4 asks for length
+    3 or at least 5: a triangle if there is one, else a hole of length at
+    least 5.  A hole is found from its smallest vertex b and the induced path
+    a-b-c it has there: a shortest a-c path through colours above b that
+    avoids N[b] except a and c closes a hole, and the one through the
+    shortest hole is no longer than that hole's a-c arc.  For CycleNe4 the
+    path also avoids the common neighbours of a and c, which only a 4-hole
+    would use.  Each BFS stops at the depth where it could no longer beat
+    the best hole so far.
+    """
+    skip_four = cycle_kind == "CycleNe4"
+    if skip_four:
+        triangle = next((w for w in _wedges(h) if h.adjacent(w[1], w[2])), None)
+        if triangle is not None:
+            return triangle
+    best: tuple[int, ...] | None = None
+    for b, a, c in _wedges(h):
+        if h.adjacent(a, c):
+            continue
+        limit = None
+        if best is not None:
+            limit = len(best) - 3  # the longest a-c path that still beats best
+            if limit < (3 if skip_four else 2):
+                break
+        rb, ra, rc = h.adj[b - 1], h.adj[a - 1], h.adj[c - 1]
+
+        def step(v):
+            return [
+                u for u in h.neighbours(v)
+                if u > b and (u == c or not (
+                    rb[u - 1] or (skip_four and ra[u - 1] and rc[u - 1])))
+            ]
+
+        tree = _bfs(a, step, limit)
+        if c in tree:
+            best = (b, *_tree_path(tree, c)[::-1])
+    return best
+
+
 def _first_obstruction(h: ColourGraph, cycle_kind: str) -> ExcludedWitness | None:
     """The first catalogue pattern of cycle_kind's class induced in h, in
-    table order, else the shortest chordless cycle of cycle_kind."""
+    table order, else a shortest chordless cycle of cycle_kind."""
     reflexive = cycle_kind == "CycleGe4"
     for row in patterns.RECIPES:
         if row.reflexive == reflexive:
             emb = find_induced_embedding(row.pattern, h)
             if emb is not None:
                 return ExcludedWitness(row.kind, None, emb)
-    for length in range(3, h.n + 1):
-        if patterns.cycle_obstructs(cycle_kind, length):
-            cyc = find_chordless_cycle(h, length)
-            if cyc is not None:
-                return ExcludedWitness(cycle_kind, length, cyc)
-    return None
+    cyc = _shortest_hole(h, cycle_kind)
+    if cyc is None:
+        return None
+    return ExcludedWitness(cycle_kind, len(cyc), cyc)
 
 
 def find_excluded_bp(h: ColourGraph) -> ExcludedWitness | None:
@@ -458,11 +591,7 @@ def find_induced_p4(h: ColourGraph) -> tuple[int, int, int, int] | None:
     if d != 3:
         raise RuntimeError(
             f"minimum cross-side distance between non-adjacent vertices is {d}, not 3")
-    tree = _bfs(i, h.neighbours)
-    path = [j]
-    while path[-1] != i:
-        path.append(tree[path[-1]][1])
-    return tuple(reversed(path))
+    return tuple(_tree_path(_bfs(i, h.neighbours), j)[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -547,13 +676,9 @@ def _classify_connected(hc: ColourGraph):
         return Hardness.SAT_EQUIVALENT, _obstruction(find_excluded_pi(hc)), 3
     sides = colour_bipartition(hc)
     if sides is None:
-        # the shortest odd cycle is chordless, so search lengths upward
-        for length in range(3, hc.n + 1, 2):
-            cyc = find_chordless_cycle(hc, length)
-            if cyc is not None:
-                witness = ExcludedWitness("CycleNe4", length, cyc)
-                return Hardness.SAT_EQUIVALENT, Excluded(witness), 3
-        raise AssertionError("non-bipartite graph without an odd cycle")
+        cyc = _shortest_odd_cycle(hc)
+        witness = None if cyc is None else ExcludedWitness("CycleNe4", len(cyc), cyc)
+        return Hardness.SAT_EQUIVALENT, _obstruction(witness), 3
     # hc is connected, so it is complete bipartite iff every cross pair is an edge
     if all(hc.adjacent(u, v) for u in sides[0] for v in sides[1]):
         return Hardness.POLYTIME, CompleteBipartiteIrreflexive(), None

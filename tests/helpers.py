@@ -52,6 +52,29 @@ def count_models_enumeration(formula) -> int:
     return count
 
 
+def induced_embeddings(pattern: ColourGraph, host: ColourGraph) -> set[tuple[int, ...]]:
+    """Every induced embedding of pattern into host (entry i-1 hosts pattern
+    vertex i; loops, edges and non-edges all match), by trying every ordering
+    of every host subset whose sorted (loop, degree) profile is the
+    pattern's."""
+    def profile(g, verts):
+        return sorted(
+            (g.has_loop(v), sum(g.adjacent(v, u) for u in verts if u != v))
+            for v in verts
+        )
+
+    want = profile(pattern, pattern.colours)
+    out = set()
+    for subset in itertools.combinations(host.colours, pattern.n):
+        if profile(host, subset) != want:
+            continue
+        for emb in itertools.permutations(subset):
+            if all(host.adjacent(emb[i - 1], emb[j - 1]) == pattern.adjacent(i, j)
+                   for i in pattern.colours for j in pattern.colours):
+                out.add(emb)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # graphs up to isomorphism
 

@@ -2,8 +2,13 @@ import random
 
 import pytest
 
-from helpers import connected_bipartite_reps, connected_graph_reps, reflexive_closure
-from listhom import patterns
+from helpers import (
+    connected_bipartite_reps,
+    connected_graph_reps,
+    induced_embeddings,
+    reflexive_closure,
+)
+from listhom import patterns, recognizer
 from listhom.graphs import ColourGraph, induced_subgraph
 from listhom.recognizer import (
     Excluded,
@@ -24,6 +29,7 @@ from listhom.recognizer import (
     is_complete_bipartite_irreflexive,
     is_complete_reflexive,
     is_staircase,
+    witness_pattern,
 )
 
 
@@ -424,3 +430,110 @@ def test_classify_two_colours_an_irreflexive_component_once(monkeypatch):
     # one 2-colouring, inside _classify_connected; two BFS trees, one for
     # classify's components and one for that 2-colouring
     assert calls == {"_two_colouring": 1, "_bfs": 2}
+
+
+# --- the obstruction searches against simpler references ---
+
+def _planted(rng, pat, n):
+    """pat on colours 1..pat.n plus n - pat.n extra colours with random edges
+    and the pattern's loop convention, relabelled at random: pat embeds."""
+    loops = pat.has_loop(1)
+    edges = pat.edge_list() + [
+        (u, v) for v in range(pat.n + 1, n + 1) for u in range(1, v)
+        if rng.random() < 0.4
+    ] + [(v, v) for v in range(pat.n + 1, n + 1) if loops]
+    return _relabel(ColourGraph.from_edges(n, edges), rng)
+
+
+def test_find_induced_embedding_matches_brute_force():
+    """Seeded differential test at 10 colours or fewer against every
+    embedding helpers.induced_embeddings finds: the search answers None
+    exactly when there is no embedding, and otherwise returns one of them."""
+    rng = random.Random(41)
+    kinds = [(row.kind, None) for row in patterns.RECIPES] + [
+        ("CycleNe4", 3), ("CycleNe4", 5), ("CycleNe4", 6),
+        ("CycleGe4", 4), ("CycleGe4", 5)]
+    found = [0, 0]
+    for i in range(160):
+        if i % 4 == 3:
+            # small patterns with mixed loops, often disconnected
+            k = rng.randint(2, 5)
+            pat = ColourGraph.from_edges(k, [
+                (u, v) for u in range(1, k + 1) for v in range(u, k + 1)
+                if rng.random() < 0.4])
+        else:
+            kind, length = rng.choice(kinds)
+            pat = witness_pattern(kind, length)
+        n = rng.randint(pat.n, 10)
+        if i % 2 == 0:
+            host = _planted(rng, pat, n)
+            if i % 8 == 4:
+                # flip one pair, which may or may not destroy every copy
+                u, v = rng.sample(range(1, n + 1), 2)
+                edges = set(host.edge_list()) ^ {(min(u, v), max(u, v))}
+                host = ColourGraph.from_edges(n, sorted(edges))
+        else:
+            loops = rng.random() < 0.5 if i % 4 == 3 else pat.has_loop(1)
+            host = ColourGraph.from_edges(n, [
+                (u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                if rng.random() < rng.choice((0.3, 0.5, 0.7))
+            ] + [(v, v) for v in range(1, n + 1) if loops and rng.random() < 0.9])
+        every = induced_embeddings(pat, host)
+        emb = find_induced_embedding(pat, host)
+        assert (emb is None) == (not every), (pat.edge_list(), host.edge_list())
+        if emb is not None:
+            assert emb in every
+            if i % 4 != 3:
+                assert ExcludedWitness(kind, length, emb).verify(host)
+        found[emb is not None] += 1
+    assert min(found) >= 30, found
+
+
+def _per_length_cycle(h, lengths):
+    """The old search: find_chordless_cycle tried at each length in turn."""
+    for length in lengths:
+        cyc = find_chordless_cycle(h, length)
+        if cyc is not None:
+            return cyc
+    return None
+
+
+def test_cycle_searches_match_the_per_length_loop():
+    """Seeded differential test at 12 colours or fewer: the one-pass hole and
+    odd-cycle searches find a cycle exactly when the per-length loop does,
+    of the same length, and the cycle verifies as that witness."""
+    rng = random.Random(42)
+    lengths_seen = {"CycleNe4": set(), "CycleGe4": set(), "odd": set()}
+    for i in range(240):
+        n = rng.randint(3, 12)
+        reflexive = i % 2 == 1
+        if i % 3 == 0:
+            # a long cycle with a few chords has holes of many lengths
+            edges = {(v, v % n + 1) for v in range(1, n + 1)}
+            for _ in range(rng.randint(0, 3)):
+                edges.add(tuple(sorted(rng.sample(range(1, n + 1), 2))))
+            edges = [(u, v) if u < v else (v, u) for u, v in edges]
+        elif i % 3 == 1 and not reflexive:
+            edges = _random_bipartite(rng, n).edge_list()
+        else:
+            p = rng.choice((0.15, 0.25, 0.35, 0.5))
+            edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                     if rng.random() < p]
+        h = _relabel(ColourGraph.from_edges(
+            n, list(edges) + [(v, v) for v in range(1, n + 1) if reflexive]), rng)
+        kind = "CycleGe4" if reflexive else "CycleNe4"
+        searches = [(kind, recognizer._shortest_hole(h, kind),
+                     [L for L in range(3, n + 1) if patterns.cycle_obstructs(kind, L)])]
+        if not reflexive:
+            searches.append(("odd", recognizer._shortest_odd_cycle(h), range(3, n + 1, 2)))
+        for key, got, lengths in searches:
+            want = _per_length_cycle(h, lengths)
+            assert (got is None) == (want is None), h.edge_list()
+            if got is not None:
+                assert len(got) == len(want), h.edge_list()
+                assert ExcludedWitness("CycleNe4" if key == "odd" else key,
+                                       len(got), got).verify(h), h.edge_list()
+                lengths_seen[key].add(len(got))
+    assert lengths_seen["CycleNe4"] >= {3, 5, 6, 7}, lengths_seen
+    assert lengths_seen["CycleGe4"] >= {4, 5, 6, 7}, lengths_seen
+    assert lengths_seen["odd"] >= {3, 5, 7}, lengths_seen

@@ -1,0 +1,167 @@
+"""Size ladder for the recogniser: time `classify` on relabelled targets of
+30 to 480 colours and write the results as JSON.
+
+    python3 tools/ladder.py --run parent=../parent/src --run change=src --out BENCH_7.json
+
+Each ``--run LABEL=SRC`` imports listhom from the directory SRC (a checkout's
+``src``), so two commits can be compared in one file.  There are three
+families, each relabelled at random with a fixed seed:
+
+* ``even_cycle_leaves``: C_2k with a leaf on every other cycle colour (3k
+  colours); bipartite, certified by the hole CycleNe4(2k);
+* ``odd_cycle_leaves``: C_(2k+1) with k - 1 such leaves (3k colours);
+  certified by the odd cycle CycleNe4(2k+1);
+* ``reflexive_cycle_pendants``: the reflexive C_2k with a looped pendant on
+  every other cycle colour (3k colours); certified by a Claw.
+
+Every step runs in a fresh interpreter, builds its target, and times only
+the ``classify`` call.  It records the class, the witness kind and length,
+whether ``verify()`` accepts the witness, whether that is the expected
+witness, and the step's peak RSS.  A step that runs past the cap is recorded
+as "timeout" and ends its family.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import random
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SIZES = (30, 60, 120, 240, 480)
+CAP_S = 60
+RELABEL_SEED = 1
+
+
+def _cycle_with_leaves(q: int, leaves: int, reflexive: bool):
+    """(colours, edges, kind, length): C_q on colours 1..q with a pendant on
+    each of the cycle colours 1, 3, 5, ..., leaves of them in all."""
+    edges = [(v, v % q + 1) for v in range(1, q + 1)]
+    edges += [(2 * i - 1, q + i) for i in range(1, leaves + 1)]
+    n = q + leaves
+    if reflexive:
+        return n, edges + [(v, v) for v in range(1, n + 1)], "Claw", None
+    return n, edges, "CycleNe4", q
+
+
+FAMILIES = {
+    "even_cycle_leaves": lambda n: _cycle_with_leaves(2 * (n // 3), n // 3, False),
+    "odd_cycle_leaves": lambda n: _cycle_with_leaves(2 * (n // 3) + 1, n // 3 - 1, False),
+    "reflexive_cycle_pendants": lambda n: _cycle_with_leaves(2 * (n // 3), n // 3, True),
+}
+
+
+def step(src: str, family: str, size: int) -> dict:
+    """One ladder step in this interpreter, with listhom imported from src."""
+    sys.path.insert(0, src)
+    import resource
+
+    from listhom.graphs import ColourGraph
+    from listhom.recognizer import Excluded, classify
+
+    n, edges, kind, length = FAMILIES[family](size)
+    perm = list(range(1, n + 1))
+    random.Random(RELABEL_SEED).shuffle(perm)
+    h = ColourGraph.from_edges(n, [(perm[u - 1], perm[v - 1]) for u, v in edges])
+    start = time.perf_counter()
+    res = classify(h)
+    seconds = time.perf_counter() - start
+    out = {"colours": n, "seconds": round(seconds, 6), "class": res.klass.name.lower(),
+           "kind": None, "length": None, "verified": False}
+    if isinstance(res.reason, Excluded):
+        w = res.reason.witness
+        out.update(kind=w.kind, length=w.length, verified=w.verify(h))
+    out["expected"] = out["verified"] and (out["kind"], out["length"]) == (kind, length)
+    # ru_maxrss is in KiB on Linux
+    out["peak_rss_mib"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    return out
+
+
+def _git(src: Path, *args: str) -> str | None:
+    try:
+        proc = subprocess.run(["git", "-C", str(src), *args],
+                              capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def commit_of(src: Path) -> str | None:
+    """The commit checked out at src, with "+dirty" if its tree has edits."""
+    head = _git(src, "rev-parse", "HEAD")
+    if head is None:
+        return None
+    return head + ("+dirty" if _git(src, "status", "--porcelain", "--", ".") else "")
+
+
+def machine_note() -> str:
+    model = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo") as f:
+            model = next(
+                line.split(":", 1)[1].strip() for line in f if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    return f"{model}, {os.cpu_count()} CPUs, {platform.system()} {platform.release()}"
+
+
+def ladder(label: str, src: Path) -> dict:
+    families = {}
+    for family in FAMILIES:
+        steps = families[family] = []
+        for size in SIZES:
+            cmd = [sys.executable, str(Path(__file__).resolve()),
+                   "--step", str(src), family, str(size)]
+            try:
+                proc = subprocess.run(cmd, capture_output=True, text=True, timeout=CAP_S)
+            except subprocess.TimeoutExpired:
+                steps.append({"size": size, "seconds": "timeout"})
+                print(f"{label} {family} {size}: timeout", file=sys.stderr)
+                break
+            if proc.returncode != 0:
+                raise RuntimeError(f"step {family} {size} failed:\n{proc.stderr}")
+            steps.append({"size": size, **json.loads(proc.stdout)})
+            print(f"{label} {family} {size}: {steps[-1]['seconds']} s", file=sys.stderr)
+    return families
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--run", action="append", metavar="LABEL=SRC",
+                    help="a label and the src directory to import listhom from")
+    ap.add_argument("--out", type=Path, help="where to write the JSON results")
+    ap.add_argument("--step", nargs=3, help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.step:
+        src, family, size = args.step
+        print(json.dumps(step(src, family, int(size))))
+        return 0
+    if not args.run or args.out is None:
+        ap.error("--run and --out are required")
+    runs = {}
+    for spec in args.run:
+        label, sep, src = spec.partition("=")
+        src_path = Path(src).resolve()
+        if not sep or not (src_path / "listhom" / "recognizer.py").is_file():
+            ap.error(f"--run {spec}: expected LABEL=SRC with listhom under SRC")
+        runs[label] = {"commit": commit_of(src_path), "families": ladder(label, src_path)}
+    report = {
+        "what": "seconds of one classify call per step (target built outside the timing)",
+        "python": platform.python_version(),
+        "machine": machine_note(),
+        "cap_s": CAP_S,
+        "sizes": SIZES,
+        "relabel_seed": RELABEL_SEED,
+        "runs": runs,
+    }
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
