@@ -226,7 +226,7 @@ def connected_components(h: ColourGraph) -> list[frozenset[int]]:
 def induced_subgraph(h: ColourGraph, verts) -> ColourGraph:
     """Restrict h to a nonempty vertex set, relabelling 1..k in ascending order.
 
-    Loops are preserved.
+    Loops are preserved.  The whole of h is h itself, not a copy.
     """
     vs = sorted(set(verts))
     if not vs:
@@ -234,6 +234,8 @@ def induced_subgraph(h: ColourGraph, verts) -> ColourGraph:
     for v in vs:
         if not (1 <= v <= h.n):
             raise ValueError(f"vertex {v} out of range 1..{h.n}")
+    if len(vs) == h.n:
+        return h
     adj = tuple(tuple(h.adj[u - 1][v - 1] for v in vs) for u in vs)
     return ColourGraph(len(vs), adj)
 

@@ -14,9 +14,20 @@ forbidden-induced-subgraph form (an embedding certificate).  The staircase
 order comes from three lexicographic breadth-first sweeps per component
 (LBFS, then two LBFS+ sweeps; Corneil 2004, Hell and Huang 2005), about
 O(n^3) on the dense matrix, and is accepted only if the rearranged matrix
-is staircase.  When it is not, classification asks the obstruction search
-for a witness and raises RuntimeError if that finds none either, so a
-target is never put in a class without a certificate.
+is staircase.  Every staircase check, whether it builds a form or
+re-checks one (StaircaseForm.certifies), goes through one helper,
+_staircase_form, which arranges h's matrix under a row and a column order
+and runs is_staircase on it.  When the sweep order fails, classification
+asks the obstruction search for a witness and raises RuntimeError if that
+finds none either, so a target is never put in a class without a
+certificate.
+
+Every "is pattern P an induced subgraph of H?" question goes through
+find_induced_embedding: the catalogue obstructions, and the induced P4
+(irreflexive) and P3* (reflexive) that a lower bound from #BIS needs.  A
+connected bipartite irreflexive target has no induced P4 exactly when it
+is complete bipartite, and a connected reflexive one no induced P3*
+exactly when it is complete: the polynomial-time cases.
 
 The obstruction search tries the catalogue patterns first.  Each is placed
 vertex by vertex in breadth-first order, every vertex drawn from the host
@@ -67,12 +78,6 @@ class StaircaseForm:
     alpha: tuple[int | None, ...]
     beta: tuple[int | None, ...]
 
-    def matrix(self, h: ColourGraph) -> list[list[int]]:
-        return [
-            [1 if h.adjacent(r, c) else 0 for c in self.col_order]
-            for r in self.row_order
-        ]
-
     def certifies(self, h: ColourGraph) -> bool:
         """True iff this form really witnesses the class membership of h."""
         everything = set(h.colours)
@@ -97,8 +102,7 @@ class StaircaseForm:
                         return False
         else:
             return False
-        found = is_staircase(self.matrix(h))
-        return found is not None and found == (self.alpha, self.beta)
+        return _staircase_form(h, self.kind, self.row_order, self.col_order) == self
 
 
 def is_staircase(mat) -> tuple[tuple[int | None, ...], tuple[int | None, ...]] | None:
@@ -126,6 +130,15 @@ def is_staircase(mat) -> tuple[tuple[int | None, ...], tuple[int | None, ...]] |
         alpha.append(a)
         beta.append(b)
     return tuple(alpha), tuple(beta)
+
+
+def _staircase_form(h: ColourGraph, kind: str, rows, cols) -> StaircaseForm | None:
+    """The form of the given kind whose matrix is h's with rows and columns
+    in the given orders, or None when that matrix is not staircase."""
+    bounds = is_staircase([[h.adj[r - 1][c - 1] for c in cols] for r in rows])
+    if bounds is None:
+        return None
+    return StaircaseForm(kind, tuple(rows), tuple(cols), *bounds)
 
 
 def _lbfs(h: ColourGraph, verts, prev=None) -> list[int]:
@@ -182,32 +195,14 @@ def _biadjacency_form(h: ColourGraph, row_side, components) -> StaircaseForm | N
     2-colouring and components the caller already has: row_side holds the
     side of each component's smallest colour, and components are ordered by
     smallest colour."""
-    row_order: list[int] = []
+    row_order = sorted(v for comp in components if len(comp) == 1 for v in comp)
     col_order: list[int] = []
-    isolated = []
-    blocks = []
     for comp in components:
-        if len(comp) == 1:
-            isolated.extend(comp)
-            continue
-        order = _three_sweeps(h, comp)
-        blocks.append((
-            [v for v in order if v in row_side],
-            [v for v in order if v not in row_side],
-        ))
-    row_order.extend(sorted(isolated))
-    for rows, cols in blocks:
-        row_order.extend(rows)
-        col_order.extend(cols)
-    form_matrix = [
-        [1 if h.adjacent(r, c) else 0 for c in col_order] for r in row_order
-    ]
-    bounds = is_staircase(form_matrix)
-    if bounds is None:
-        return None
-    return StaircaseForm(
-        "biadjacency", tuple(row_order), tuple(col_order), bounds[0], bounds[1]
-    )
+        if len(comp) > 1:
+            order = _three_sweeps(h, comp)
+            row_order += [v for v in order if v in row_side]
+            col_order += [v for v in order if v not in row_side]
+    return _staircase_form(h, "biadjacency", row_order, col_order)
 
 
 def find_staircase_adjacency(h: ColourGraph) -> StaircaseForm | None:
@@ -222,11 +217,7 @@ def find_staircase_adjacency(h: ColourGraph) -> StaircaseForm | None:
     order: list[int] = []
     for comp in connected_components(h):
         order.extend(_three_sweeps(h, comp))
-    matrix = [[1 if h.adjacent(r, c) else 0 for c in order] for r in order]
-    bounds = is_staircase(matrix)
-    if bounds is None:
-        return None
-    return StaircaseForm("adjacency", tuple(order), tuple(order), bounds[0], bounds[1])
+    return _staircase_form(h, "adjacency", order, order)
 
 
 # ---------------------------------------------------------------------------
@@ -499,29 +490,11 @@ def find_excluded_pi(h: ColourGraph) -> ExcludedWitness | None:
 
 
 # ---------------------------------------------------------------------------
-# trivially easy targets
+# complete targets and the loop-on-one-end edge of mixed targets
 
 def is_complete_reflexive(h: ColourGraph) -> bool:
     return all(h.adjacent(u, v) for u in h.colours for v in h.colours)
 
-
-def is_complete_bipartite_irreflexive(h: ColourGraph) -> bool:
-    if reflexivity_status(h) != "irreflexive":
-        return False
-    sides = colour_bipartition(h)
-    if sides is None:
-        return False
-    if all(e == 0 for row in h.adj for e in row):
-        return True  # edgeless graphs are complete bipartite with an empty side
-    if len(connected_components(h)) != 1:
-        return False
-    v1, v2 = sides
-    return all(h.adjacent(u, v) for u in v1 for v in v2)
-
-
-# ---------------------------------------------------------------------------
-# hard substructures: classify uses find_induced_k2prime; the induced P3*
-# and P4 finders are library calls that tests check
 
 def find_induced_k2prime(h: ColourGraph) -> tuple[int, int] | None:
     """An edge with exactly one looped endpoint, as (unlooped, looped).
@@ -536,62 +509,6 @@ def find_induced_k2prime(h: ColourGraph) -> tuple[int, int] | None:
             if h.adjacent(u, v) and h.has_loop(u) != h.has_loop(v):
                 return (v, u) if h.has_loop(u) else (u, v)
     return None
-
-
-def find_induced_p3star(h: ColourGraph) -> tuple[int, int, int] | None:
-    """Induced looped 3-path in a connected, reflexive, non-complete target.
-
-    Among non-adjacent pairs the one at minimum graph distance is chosen
-    (that distance is necessarily 2); the middle vertex is their smallest
-    common neighbour.  None when the preconditions fail.
-    """
-    if reflexivity_status(h) != "reflexive" or len(connected_components(h)) != 1:
-        return None
-    if is_complete_reflexive(h):
-        return None
-    best = None
-    for i in h.colours:
-        tree = _bfs(i, h.neighbours)
-        for j in range(i + 1, h.n + 1):
-            if not h.adjacent(i, j):
-                cand = (tree[j][0], i, j)
-                if best is None or cand < best:
-                    best = cand
-    d, i, j = best
-    if d != 2:
-        raise RuntimeError(
-            f"minimum distance between non-adjacent vertices is {d}, not 2")
-    k = next(u for u in h.colours if h.adjacent(i, u) and h.adjacent(j, u))
-    return (i, k, j)
-
-
-def find_induced_p4(h: ColourGraph) -> tuple[int, int, int, int] | None:
-    """Induced 4-vertex path in a connected, irreflexive, bipartite target
-    that is not complete bipartite.
-
-    Among non-adjacent pairs on opposite sides, the minimum-distance pair is
-    chosen (the distance is necessarily 3); the path between them is the
-    witness.  None when the preconditions fail.
-    """
-    if reflexivity_status(h) != "irreflexive" or len(connected_components(h)) != 1:
-        return None
-    sides = colour_bipartition(h)
-    if sides is None or is_complete_bipartite_irreflexive(h):
-        return None
-    v1, _ = sides
-    best = None
-    for i in h.colours:
-        tree = _bfs(i, h.neighbours)
-        for j in range(i + 1, h.n + 1):
-            if ((i in v1) != (j in v1)) and not h.adjacent(i, j):
-                cand = (tree[j][0], i, j)
-                if best is None or cand < best:
-                    best = cand
-    d, i, j = best
-    if d != 3:
-        raise RuntimeError(
-            f"minimum cross-side distance between non-adjacent vertices is {d}, not 3")
-    return tuple(_tree_path(_bfs(i, h.neighbours), j)[::-1])
 
 
 # ---------------------------------------------------------------------------

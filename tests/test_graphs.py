@@ -52,6 +52,13 @@ def test_induced_subgraph():
     assert induced_subgraph(k3, {1, 2}) == patterns.complete(2, reflexive=True)
     with pytest.raises(ValueError):
         induced_subgraph(k3, set())
+    # the whole vertex set gives h itself, once every vertex is in range
+    assert induced_subgraph(patterns.X3, patterns.X3.colours) is patterns.X3
+    with pytest.raises(ValueError):
+        induced_subgraph(k3, {1, 2, 4})
+    # a proper subset still gives a relabelled copy
+    tail = induced_subgraph(patterns.P4, {2, 3, 4})
+    assert tail == patterns.path(3) and tail is not patterns.P4
 
 
 def test_induced_subgraph_idempotent():

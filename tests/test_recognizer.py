@@ -11,6 +11,7 @@ from helpers import (
 from listhom import patterns, recognizer
 from listhom.graphs import ColourGraph, induced_subgraph
 from listhom.recognizer import (
+    CompleteBipartiteIrreflexive,
     Excluded,
     ExcludedWitness,
     Hardness,
@@ -22,11 +23,8 @@ from listhom.recognizer import (
     find_excluded_pi,
     find_induced_embedding,
     find_induced_k2prime,
-    find_induced_p3star,
-    find_induced_p4,
     find_staircase_adjacency,
     find_staircase_biadjacency,
-    is_complete_bipartite_irreflexive,
     is_complete_reflexive,
     is_staircase,
     witness_pattern,
@@ -140,10 +138,6 @@ def test_find_induced_embedding_respects_loops():
 def test_complete_predicates():
     assert is_complete_reflexive(patterns.complete(3, reflexive=True))
     assert not is_complete_reflexive(patterns.P3_STAR)
-    assert is_complete_bipartite_irreflexive(patterns.cycle(4))
-    assert is_complete_bipartite_irreflexive(patterns.complete_bipartite(2, 3))
-    assert not is_complete_bipartite_irreflexive(patterns.P4)
-    assert not is_complete_bipartite_irreflexive(patterns.K2_PRIME)
     assert not is_complete_reflexive(patterns.K2_PRIME)
 
 
@@ -155,17 +149,18 @@ def test_find_induced_k2prime():
     assert find_induced_k2prime(patterns.complete(3, reflexive=True)) is None
 
 
-def test_find_induced_p3star():
-    assert find_induced_p3star(patterns.P3_STAR) == (1, 2, 3)
-    i, k, j = find_induced_p3star(patterns.CLAW)
+def test_induced_p3star_embedding():
+    p3star = patterns.P3_STAR
+    assert find_induced_embedding(p3star, p3star) == (1, 2, 3)
+    i, k, j = find_induced_embedding(p3star, patterns.CLAW)
     assert k == 4 and i != j and i in (1, 2, 3) and j in (1, 2, 3)
-    assert find_induced_p3star(patterns.complete(4, reflexive=True)) is None
+    assert find_induced_embedding(p3star, patterns.complete(4, reflexive=True)) is None
 
 
-def test_find_induced_p4():
-    assert find_induced_p4(patterns.P4) == (1, 2, 3, 4)
-    assert find_induced_p4(patterns.cycle(4)) is None  # complete bipartite
-    quad = find_induced_p4(patterns.cycle(6))
+def test_induced_p4_embedding():
+    assert find_induced_embedding(patterns.P4, patterns.P4) == (1, 2, 3, 4)
+    assert find_induced_embedding(patterns.P4, patterns.cycle(4)) is None  # complete bipartite
+    quad = find_induced_embedding(patterns.P4, patterns.cycle(6))
     a, b, c, d = quad
     h = patterns.cycle(6)
     assert h.adjacent(a, b) and h.adjacent(b, c) and h.adjacent(c, d)
@@ -182,6 +177,8 @@ def test_classification_fixtures():
         (patterns.P3_STAR, Hardness.BIS_EQUIVALENT, 6, Staircase),
         (patterns.complete(5, reflexive=True), Hardness.POLYTIME, None, None),
         (patterns.cycle(4), Hardness.POLYTIME, None, None),
+        (patterns.complete_bipartite(2, 3), Hardness.POLYTIME, None,
+         CompleteBipartiteIrreflexive),
         (patterns.cycle(6), Hardness.SAT_EQUIVALENT, 3, Excluded),
         (patterns.CLAW, Hardness.SAT_EQUIVALENT, 3, Excluded),
     ]
@@ -238,22 +235,45 @@ def test_classify_invariant_under_relabelling():
 
 def test_classify_certificates_revalidate():
     rng = random.Random(22)
-    for _ in range(30):
-        n = rng.randint(1, 6)
-        edges = [(u, v) for u in range(1, n + 1) for v in range(u, n + 1)
-                 if rng.random() < 0.45]
+    staircase_beside_others = []  # the kind of each such form
+    for i in range(150):
+        n = rng.randint(1, 10)
+        edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                 if rng.random() < 0.25]
+        loop_chance = (0.45, 0.0, 1.0)[i % 3]
+        edges += [(v, v) for v in range(1, n + 1) if rng.random() < loop_chance]
         h = ColourGraph.from_edges(n, edges)
-        for res in (classify(h),) + classify(h).per_component:
-            if isinstance(res.reason, Staircase):
-                sub = induced_subgraph(h, res.vertices) if res.vertices != frozenset(h.colours) else h
-                # certificates are in original labels; re-check orders directly
-                rows, cols = res.reason.form.row_order, res.reason.form.col_order
-                assert set(rows) | set(cols) <= set(h.colours)
-            elif isinstance(res.reason, Excluded):
-                assert res.reason.witness.verify(h)
-            elif isinstance(res.reason, MixedLoops):
-                u, v = res.reason.unlooped, res.reason.looped
+        res = classify(h)
+        parts = res.per_component or (res,)
+        # a disconnected target leads with the certificate of one component
+        assert res.reason in [part.reason for part in parts]
+        for part in parts:
+            reason = part.reason
+            if isinstance(reason, Staircase):
+                # certificates are in the target's labels: the orders cover
+                # exactly the part's colours and arrange h's matrix into the
+                # recorded staircase
+                form = reason.form
+                rows, cols = form.row_order, form.col_order
+                if form.kind == "adjacency":
+                    assert rows == cols
+                    cover = rows
+                else:
+                    cover = rows + cols
+                assert sorted(cover) == sorted(part.vertices)
+                matrix = [[1 if h.adjacent(r, c) else 0 for c in cols] for r in rows]
+                assert is_staircase(matrix) == (form.alpha, form.beta)
+                if part.vertices == frozenset(h.colours):
+                    assert form.certifies(h)
+                if len(parts) > 1:
+                    staircase_beside_others.append(form.kind)
+            elif isinstance(reason, Excluded):
+                assert reason.witness.verify(h)
+            elif isinstance(reason, MixedLoops):
+                u, v = reason.unlooped, reason.looped
                 assert h.adjacent(u, v) and not h.has_loop(u) and h.has_loop(v)
+    assert len(staircase_beside_others) >= 10
+    assert set(staircase_beside_others) == {"adjacency", "biadjacency"}
 
 
 def test_characterisations_agree_small():

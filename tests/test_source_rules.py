@@ -1,7 +1,10 @@
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "listhom"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "listhom"
 
 
 def test_no_assert_statements_in_src():
@@ -57,3 +60,25 @@ def test_nothing_in_src_recurses():
         for name, line in _self_calls(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert found == []
+
+
+def test_bench_traced_names_exist():
+    # bench/run.py --trace 1 wraps every name in bench/tracing.py FUNCTIONS
+    # and fails on the first one that is gone, so a deletion in src/ must
+    # not remove a traced name
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.FUNCTIONS
+    missing = []
+    for _, where, attr, _ in tracing.FUNCTIONS:
+        module, _, cls = where.partition(":")
+        owner = importlib.import_module(module)
+        if cls:
+            # the tracer reads methods from the class's own __dict__
+            found = attr in vars(getattr(owner, cls, object))
+        else:
+            found = hasattr(owner, attr)
+        if not found:
+            missing.append(f"{where}.{attr}")
+    assert missing == []

@@ -1,7 +1,8 @@
 """Seeded differential tests for everything built on the one breadth-first
-search in graphs.py: components, 2-colourings, and the induced 3- and
-4-paths the recogniser finds at minimum distance.  The oracles here use
-union-find and Floyd-Warshall, not a graph search."""
+search in graphs.py: components and 2-colourings, and the induced 3- and
+4-paths that the embedding search finds exactly when a connected target is
+not complete.  The oracles here use union-find and Floyd-Warshall, not a
+graph search."""
 
 import random
 
@@ -13,7 +14,8 @@ from listhom.graphs import (
     connected_components,
     instance_components,
 )
-from listhom.recognizer import find_induced_p3star, find_induced_p4
+from listhom import patterns
+from listhom.recognizer import find_induced_embedding
 
 
 def _find(parent, v):
@@ -107,12 +109,6 @@ def _distances(h):
     return lambda i, j: None if d[i - 1][j - 1] == inf else d[i - 1][j - 1]
 
 
-def _closest_pair(h, dist, pairs):
-    """The (distance, i, j) of the lexicographically first non-adjacent pair
-    at minimum distance."""
-    return min((dist(i, j), i, j) for i, j in pairs if not h.adjacent(i, j))
-
-
 def _assert_induced_path(h, path, loops):
     assert len(set(path)) == len(path)
     for a in range(len(path)):
@@ -155,7 +151,10 @@ def test_colour_components_and_bipartition_match_union_find():
     assert min(seen.values()) >= 20, seen
 
 
-def test_induced_paths_join_the_first_closest_non_adjacent_pair():
+def test_induced_paths_exist_iff_the_connected_target_is_not_complete():
+    # a connected reflexive target has an induced P3* unless it is complete,
+    # and a connected bipartite irreflexive one an induced P4 unless it is
+    # complete bipartite
     rng = random.Random(43)
     found = {"p3star": 0, "p4": 0, "none": 0}
     for i in range(400):
@@ -166,31 +165,19 @@ def test_induced_paths_join_the_first_closest_non_adjacent_pair():
         dist = _distances(h)
         connected = all(dist(1, v) is not None for v in h.colours)
         pairs = [(a, b) for a in h.colours for b in range(a + 1, n + 1)]
+        # joined: the pairs a complete target of the lemma's class joins;
+        # None when the lemma does not apply
         if loops == "reflexive":
-            got = find_induced_p3star(h)
-            complete = all(h.adjacent(a, b) for a, b in pairs)
-            if not connected or complete:
-                assert got is None, h.edge_list()
-                found["none"] += 1
-                continue
-            d, a, b = _closest_pair(h, dist, pairs)
-            assert d == 2
-            middle = min(c for c in h.colours if h.adjacent(a, c) and h.adjacent(b, c))
-            assert got == (a, middle, b), h.edge_list()
-            _assert_induced_path(h, got, loops=True)
-            found["p3star"] += 1
+            got = find_induced_embedding(patterns.P3_STAR, h)
+            joined = pairs if connected else None
         else:
-            got = find_induced_p4(h)
-            bipartite = _uf_two_colourable(n, h.edge_list())
-            cross = [(a, b) for a, b in pairs
-                     if connected and bipartite and dist(a, b) % 2 == 1]
-            if not connected or not bipartite or all(h.adjacent(a, b) for a, b in cross):
-                assert got is None, h.edge_list()
-                found["none"] += 1
-                continue
-            d, a, b = _closest_pair(h, dist, cross)
-            assert d == 3
-            assert got[0] == a and got[-1] == b, h.edge_list()
-            _assert_induced_path(h, got, loops=False)
-            found["p4"] += 1
+            got = find_induced_embedding(patterns.P4, h)
+            joined = None
+            if connected and _uf_two_colourable(n, h.edge_list()):
+                joined = [(a, b) for a, b in pairs if dist(a, b) % 2 == 1]
+        if got is not None:
+            _assert_induced_path(h, got, loops=loops == "reflexive")
+        if joined is not None:
+            assert (got is None) == all(h.adjacent(a, b) for a, b in joined), h.edge_list()
+            found["none" if got is None else "p3star" if loops == "reflexive" else "p4"] += 1
     assert min(found.values()) >= 25, found
