@@ -32,11 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import product
+from itertools import chain, product
 from math import prod
-from operator import itemgetter
+from operator import add, mul
 
-from .graphs import ColourGraph, Instance, InstanceGraph
+from .graphs import ColourGraph, Instance, InstanceGraph, _bfs, _forest
 
 UNIT_POS = "p"
 UNIT_NEG = "n"
@@ -92,23 +92,144 @@ class ImplicationFormula:
                     raise ValueError(f"variable {v} out of range in {cl!r}")
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """An elimination order worked out on the interaction graph alone.
+
+    steps lists (variable, scope) in elimination order; scope is the tuple
+    of the variable's neighbours when it is summed out.  width and
+    largest are the longest scope and the largest table (the product of the
+    domain sizes over scope plus the variable).  A plan stops at its first
+    step over MAX_TABLE_SIZE, and width and largest are then that step's.
+    """
+
+    rule: str
+    steps: list
+    width: int
+    largest: int
+
+
+def _plan(rule: str, adj: list, size: list, kept, order=None) -> _Plan:
+    """Eliminate symbolically on adj, which this uses up: adj[v] is the set
+    of v's neighbours, or None for a variable outside the graph.  Without an
+    order each step takes the free variable of least degree, the smaller one
+    on a tie; with one, the variables in that order.  Variables in kept are
+    never eliminated."""
+    free = [nbrs is not None and v not in kept for v, nbrs in enumerate(adj)]
+    if order is None:
+        heap = [(len(adj[v]), v) for v in range(len(adj)) if free[v]]
+        heapify(heap)
+    steps = []
+    width = largest = 0
+    while True:
+        if order is not None:
+            if len(steps) == len(order):
+                break
+            x = order[len(steps)]
+        else:
+            if not heap:
+                break
+            deg, x = heappop(heap)
+            if adj[x] is None or deg != len(adj[x]):
+                continue  # eliminated already, or a stale degree
+        scope = tuple(adj[x])
+        adj[x] = None
+        entries = size[x]
+        for v in scope:
+            entries *= size[v]
+            others = adj[v]
+            deg = len(others)
+            others.discard(x)
+            if len(scope) > 1:
+                others.update(scope)
+                others.discard(v)
+            if order is None and free[v] and len(others) != deg:
+                heappush(heap, (len(others), v))
+        steps.append((x, scope))
+        if entries > MAX_TABLE_SIZE:
+            return _Plan(rule, steps, len(scope), entries)
+        if entries > largest:
+            largest = entries
+        if len(scope) > width:
+            width = len(scope)
+    return _Plan(rule, steps, width, largest)
+
+
+def _profile_order(adj: list, kept) -> list:
+    """The free variables of the graph in BFS order, one component after
+    another, each from a peripheral vertex: the last vertex reached by a BFS
+    from the component's smallest vertex."""
+    def neighbours(v):
+        return sorted(adj[v])
+
+    order = []
+    for tree in _forest([v for v, nbrs in enumerate(adj) if nbrs is not None], neighbours):
+        far = next(reversed(tree))
+        order += [v for v in _bfs(far, neighbours) if v not in kept]
+    return order
+
+
+def _graph(factors, fixed: list) -> list:
+    """The interaction graph: v -> the set of variables sharing a factor
+    with v, or None for a variable to be conditioned out."""
+    adj: list[set | None] = [None if f else set() for f in fixed]
+    for u, v, _ in factors:
+        if not (fixed[u] or fixed[v]):
+            adj[u].add(v)
+            adj[v].add(u)
+    return adj
+
+
+def _insert_axis(table: list, outer: int, d: int, inner: int) -> list:
+    """A flat table laid out as (outer, inner), repeated along a new middle
+    axis of size d."""
+    if outer <= d * inner:
+        return list(chain.from_iterable(
+            table[o * inner:o * inner + inner] * d for o in range(outer)))
+    out = [0] * (len(table) * d)
+    span = d * inner
+    for k in range(d):
+        for j in range(inner):
+            out[k * inner + j::span] = table[j::inner]
+    return out
+
+
+def _broadcast(table: list, scope: tuple, joint: tuple, size: list) -> list:
+    """A flat table over scope as a flat table over joint, repeated along
+    the variables it lacks; scope lists its variables in joint's order."""
+    have = set(scope)
+    outer = 1
+    inner = len(table)
+    for v in joint:
+        d = size[v]
+        if v in have:
+            inner //= d
+        else:
+            table = _insert_axis(table, outer, d, inner)
+        outer *= d
+    return table
+
+
 def _eliminate(domains: list, factors, keep: tuple = ()) -> dict:
     """Sum the product of the factor weights over all assignments of one
     domain value per variable outside keep, by iterative bucket elimination.
 
-    domains[v] lists the values of variable v (0-based).  Each factor is
-    (u, v, table) with u != v, where table maps a value pair (a, b) for
-    (u, v) to an int weight; a missing pair weighs 0.  Each step takes the
-    free variable of least degree in the current interaction graph,
-    multiplies the factors on it and sums it out, leaving one factor over
-    its neighbours (keyed by value tuples, or by the bare value for a single
-    neighbour).  A step with no neighbours yields a scalar, so connected
-    components need no separate pass.  The variables in keep (distinct) are
-    never eliminated: the factors left over at the end lie inside keep and
-    are multiplied out per assignment of keep.  Returns a dict mapping each
-    assignment of keep, as a tuple in keep's order, to its weight; zero
-    weights are left out, so with no kept variables the count is the ()
-    entry, or 0 if there is none.
+    domains[v] lists the values of variable v (0-based).  factors is a
+    sequence of (u, v, table) with u != v, where table maps a value pair
+    (a, b) for (u, v) to an int weight; a missing pair weighs 0.  The
+    variables in keep (distinct) are never eliminated.  Returns a dict
+    mapping each assignment of keep, as a tuple in keep's order, to its
+    weight; zero weights are left out, so with no kept variables the count
+    is the () entry, or 0 if there is none.
+
+    A variable outside keep with a one-value domain is conditioned out: its
+    factors become weights on its neighbours.  The plan comes first (see the
+    module docstring); a count it refuses builds no table.  Then every
+    factor becomes a flat int table over domain positions, row-major with
+    the variable eliminated first as the row, parallel factors multiplying
+    into one table per pair, next to one weight vector per variable.  A
+    wider table lists its scope in elimination order, so the variable
+    summed out is always its first axis and each of its values a slice.
     """
     if not all(domains):
         return {}  # before the size check: a zero count needs no table
@@ -116,86 +237,158 @@ def _eliminate(domains: list, factors, keep: tuple = ()) -> dict:
     kept = frozenset(keep)
     if len(kept) != len(keep):
         raise ValueError(f"kept variables must be distinct, got {keep!r}")
-    size = prod(len(domains[v]) for v in keep)
-    if size > MAX_TABLE_SIZE:
+    size = [len(d) for d in domains]
+    ksize = prod([size[v] for v in keep])
+    if ksize > MAX_TABLE_SIZE:
         raise ValueError(
-            f"a table over {len(keep)} kept variables needs {size} entries, "
+            f"a table over {len(keep)} kept variables needs {ksize} entries, "
             f"above the limit of {MAX_TABLE_SIZE}"
         )
-    live: list[tuple | None] = []  # factor id -> (scope, table), None once used
-    on_var: list[list[int]] = [[] for _ in range(n)]  # ids of factors on v
-    adj: list[set[int] | None] = [set() for _ in range(n)]
-    for u, v, table in factors:
-        on_var[u].append(len(live))
-        on_var[v].append(len(live))
-        live.append(((u, v), table))
-        adj[u].add(v)
-        adj[v].add(u)
-    heap = [(len(nbrs), v) for v, nbrs in enumerate(adj) if v not in kept]
-    heapify(heap)
-    total = 1
-    while heap:
-        deg, x = heappop(heap)
-        nbrs = adj[x]
-        if nbrs is None or deg != len(nbrs):
-            continue  # eliminated already, or a stale degree
-        scope = tuple(sorted(nbrs))
-        size = len(domains[x]) * prod(len(domains[v]) for v in scope)
-        if size > MAX_TABLE_SIZE:
+    fixed = [d == 1 for d in size]
+    for v in keep:
+        fixed[v] = False
+
+    plan = _plan("min-degree", _graph(factors, fixed), size, kept)
+    if plan.largest > MAX_TABLE_SIZE:
+        adj = _graph(factors, fixed)
+        other = _plan("BFS profile", adj, size, kept, _profile_order(adj, kept))
+        if other.largest < plan.largest:
+            plan, other = other, plan
+        if plan.largest > MAX_TABLE_SIZE:
             raise ValueError(
-                f"exact count needs a table of {size} entries at induced width "
-                f"{len(scope)}, above the limit of {MAX_TABLE_SIZE}"
+                f"exact count needs a table of {plan.largest} entries at induced "
+                f"width {plan.width}, above the limit of {MAX_TABLE_SIZE} "
+                f"({plan.rule}; {other.rule}: width {other.width}, "
+                f"{other.largest} entries)"
             )
-        pos = {v: i for i, v in enumerate(scope)}
-        pos[x] = len(scope)
-        bucket = []
-        for f in on_var[x]:
-            if live[f] is not None:
-                fscope, table = live[f]
-                live[f] = None
-                bucket.append((itemgetter(*[pos[v] for v in fscope]), table))
-        out = {}
-        for assign in product(*[domains[v] for v in scope]):
-            s = 0
-            for a in domains[x]:
-                t = assign + (a,)
-                w = 1
-                for get, table in bucket:
-                    w *= table.get(get(t), 0)
-                    if not w:
-                        break
-                s += w
-            if s:
-                out[assign] = s
-        if not out:
-            return {}
-        adj[x] = None
-        if not scope:
-            total *= out[()]
+    pos = [0] * n  # elimination position; the kept variables come last
+    for i, (x, _) in enumerate(plan.steps):
+        pos[x] = i
+    for i, v in enumerate(keep, start=len(plan.steps)):
+        pos[v] = i
+
+    # flat tables; a flat table over a variable with a one-value domain is
+    # a vector over the other variable, which is all conditioning needs
+    unary: list[list | None] = [None] * n  # None: all ones
+    pairs: dict[tuple[int, int], list] = {}  # (row, column) variables
+    total = 1
+    interned: dict[tuple, int] = {}
+    dom_id = [interned.setdefault(tuple(d), len(interned)) for d in domains]
+    flat_of: dict[tuple, list] = {}
+    for u, v, table in factors:
+        swap = pos[u] > pos[v]
+        key = (id(table), dom_id[u], dom_id[v], swap)
+        flat = flat_of.get(key)
+        if flat is None:
+            if swap:
+                flat = [table.get((a, b), 0) for b in domains[v] for a in domains[u]]
+            else:
+                flat = [table.get((a, b), 0) for a in domains[u] for b in domains[v]]
+            flat_of[key] = flat
+        if fixed[u] or fixed[v]:
+            if fixed[u] and fixed[v]:
+                total *= flat[0]
+                continue
+            w = v if fixed[u] else u
+            old = unary[w]
+            unary[w] = flat if old is None else list(map(mul, old, flat))
             continue
+        if swap:
+            u, v = v, u
+        old = pairs.get((u, v))
+        pairs[u, v] = flat if old is None else list(map(mul, old, flat))
+    if not total:
+        return {}
+
+    # the numeric pass; tables over three or more variables live in wide,
+    # with the ids of those on each variable in wide_on
+    wide: list[tuple | None] = []
+    wide_on: list[list[int]] = [[] for _ in range(n)]
+    for x, scope in plan.steps:
+        dx = size[x]
+        ux = unary[x] or [1] * dx
+        live = [f for f in wide_on[x] if wide[f] is not None] if wide_on[x] else ()
+        if not scope:
+            s = sum(ux)
+            if not s:
+                return {}
+            total *= s
+            continue
+        if len(scope) == 2:
+            if pos[scope[0]] > pos[scope[1]]:
+                scope = scope[::-1]
+        elif len(scope) > 2:
+            scope = tuple(sorted(scope, key=pos.__getitem__))
+        out = None
         if len(scope) == 1:
-            out = {key[0]: w for key, w in out.items()}
-        for v in scope:
-            on_var[v].append(len(live))
-            adj[v].discard(x)
-            adj[v].update(scope)
-            adj[v].discard(v)
-            if v not in kept:
-                heappush(heap, (len(adj[v]), v))
-        live.append((scope, out))
-    pos = {v: i for i, v in enumerate(keep)}
-    rest = [(itemgetter(*[pos[v] for v in scope]), table)
-            for scope, table in filter(None, live)]
-    result = {}
-    for assign in product(*[domains[v] for v in keep]):
-        w = total
-        for get, table in rest:
-            w *= table.get(get(assign), 0)
-            if not w:
-                break
-        if w:
-            result[assign] = w
-    return result
+            # out[j] = sum_i ux[i] * t[i, j]
+            y = scope[0]
+            dy = size[y]
+            t = pairs.pop((x, y))
+            for i in range(dx):
+                u = ux[i]
+                if u:
+                    row = t[i * dy:i * dy + dy]
+                    if u != 1:
+                        row = [u * e for e in row]
+                    out = row if out is None else list(map(add, out, row))
+        elif len(scope) == 2 and not live:
+            # out[j, k] = sum_i ux[i] * t[i, j] * r[i, k]
+            y, z = scope
+            dy, dz = size[y], size[z]
+            t, r = pairs.pop((x, y)), pairs.pop((x, z))
+            for i in range(dx):
+                u = ux[i]
+                if u:
+                    zrow = r[i * dz:i * dz + dz]
+                    if u != 1:
+                        zrow = [u * e for e in zrow]
+                    o = [p * q for p in t[i * dy:i * dy + dy] for q in zrow]
+                    out = o if out is None else list(map(add, out, o))
+        else:
+            # every table on x, repeated out to (x,) + scope and multiplied
+            joint = (x,) + scope
+            acc = None
+            for w in scope:
+                t = pairs.pop((x, w), None)
+                if t is not None:
+                    t = _broadcast(t, (x, w), joint, size)
+                    acc = t if acc is None else list(map(mul, acc, t))
+            for f in live:
+                tscope, t = wide[f]
+                wide[f] = None
+                t = _broadcast(t, tscope, joint, size)
+                acc = t if acc is None else list(map(mul, acc, t))
+            span = len(acc) // dx
+            for i in range(dx):
+                u = ux[i]
+                if u:
+                    block = acc[i * span:i * span + span]
+                    if u != 1:
+                        block = [u * e for e in block]
+                    out = block if out is None else list(map(add, out, block))
+        if out is None or not any(out):
+            return {}
+        if len(scope) == 1:
+            old = unary[scope[0]]
+            unary[scope[0]] = out if old is None else list(map(mul, old, out))
+        elif len(scope) == 2:
+            old = pairs.get(scope)
+            pairs[scope] = out if old is None else list(map(mul, old, out))
+        else:
+            for v in scope:
+                wide_on[v].append(len(wide))
+            wide.append((scope, out))
+
+    if not keep:
+        return {(): total}
+    # what is left lies inside keep, each scope in keep's order
+    acc = [total] * ksize
+    rest = [((v,), unary[v]) for v in keep if unary[v] is not None]
+    rest += list(pairs.items()) + [t for t in wide if t is not None]
+    for tscope, t in rest:
+        acc = list(map(mul, acc, _broadcast(t, tscope, keep, size)))
+    return {key: w for key, w in zip(product(*[domains[v] for v in keep]), acc) if w}
 
 
 def count_list_hcol(h: ColourGraph, inst: Instance) -> int:
