@@ -5,18 +5,37 @@ antiferromagnetic two-spin partition function, and model counts for CNF
 formulas whose clauses carry at most one positive and one negative literal.
 
 All three are front ends over one engine: exact variable (bucket)
-elimination on a weighted binary constraint problem, eliminating variables
-in greedy min-degree order.  Its cost is linear in the number of variables
-and exponential only in the induced width of that order (1 on trees, 2 on
-ladders), never in the size of the input.  Before building each table the
-engine checks its size, the product of the domain sizes over the table's
-scope plus the eliminated variable; above MAX_TABLE_SIZE it raises
-ValueError naming the induced width instead of running out of time or
-memory.
+elimination on a weighted binary constraint problem.  Its cost is linear in
+the number of variables and exponential only in the induced width of the
+elimination order (1 on trees, 2 on ladders, the side of a square grid),
+never in the size of the input.  Each count runs in two parts.
+
+The plan is symbolic: it eliminates on the interaction graph alone and
+records each step's variable and scope, the order's induced width and its
+largest table (the product of the domain sizes over a step's scope plus the
+eliminated variable).  The order is greedy min-degree.  Only when that
+order needs a table over MAX_TABLE_SIZE does the plan also try a BFS
+profile order, each component swept breadth-first from a peripheral vertex
+(the far end of a BFS from its smallest vertex), and keep whichever of the
+two has the smaller largest table, min-degree on a tie.  On a k x k grid
+the profile order has width k, and min-degree's grows past it.  If even that
+order is over the limit, the engine raises ValueError naming the table
+size, the induced width and both orders before it builds a single table,
+instead of running out of time or memory.
+
+The numeric pass then runs the plan on flat int tables indexed by domain
+position: one weight vector per variable, one table per pair of variables
+(parallel factors multiply into it), and wider tables from the steps with
+three or more neighbours.  Variables with a one-value domain are
+conditioned out first.  A step with no neighbours multiplies the total by
+the sum of the variable's vector, so connected components need no separate
+pass; a step with one neighbour is a vector-matrix product, one with two a
+matrix product, and a wider step repeats each of its tables out to the
+step's full scope with list slicing and multiplies them entry by entry.
 
 The engine can also keep a tuple of variables free (the query form of
-bucket elimination): it sums out every other variable in the same order and
-returns one weight per assignment of the kept ones, all from one pass.
+bucket elimination): it sums out every other variable and returns one
+weight per assignment of the kept ones, all from one pass.
 list_hcol_table exposes this for list colourings; the gadget cross-check
 reads a whole interaction matrix from it with both terminals kept.  Every
 table that involves kept variables, the final one over them included, is
@@ -47,9 +66,10 @@ Clause = tuple  # ("p", v) | ("n", v) | ("i", a, b) meaning a implies b
 # Largest elimination table the counters build, counted as the product of
 # the domain sizes over its scope plus the eliminated variable.  Counting K2'
 # on K_18 with full lists, whose first table is exactly this size, takes
-# about 2 s and 60 MiB peak RSS on one core of an Intel Xeon VM (Python
-# 3.11); the largest table in the tests and the benchmark has a few thousand
-# entries.
+# about 0.5 s and 27 MiB peak RSS on one core of an Intel Xeon VM (Python
+# 3.11); K2' on the 16x16 grid, whose profile order needs tables of 2^17
+# entries, takes about 1.5 s.  The largest table in the benchmark has a few
+# thousand entries.
 MAX_TABLE_SIZE = 1 << 18
 
 

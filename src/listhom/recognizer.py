@@ -80,6 +80,14 @@ class StaircaseForm:
 
     def certifies(self, h: ColourGraph) -> bool:
         """True iff this form really witnesses the class membership of h."""
+        return self.arranges(h) and (
+            _staircase_form(h, self.kind, self.row_order, self.col_order) == self)
+
+    def arranges(self, h: ColourGraph) -> bool:
+        """True iff the orders fit h as the kind requires: a reflexive h with
+        one order of all its colours for an adjacency form; an irreflexive h
+        split into two independent sides that together hold every colour
+        once for a biadjacency form.  The matrix itself is not scanned."""
         everything = set(h.colours)
         if self.kind == "adjacency":
             if reflexivity_status(h) != "reflexive":
@@ -102,7 +110,7 @@ class StaircaseForm:
                         return False
         else:
             return False
-        return _staircase_form(h, self.kind, self.row_order, self.col_order) == self
+        return True
 
 
 def is_staircase(mat) -> tuple[tuple[int | None, ...], tuple[int | None, ...]] | None:

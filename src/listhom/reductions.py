@@ -48,8 +48,11 @@ def build_staircase_encoding(h: ColourGraph, sf: StaircaseForm) -> StaircaseEnco
 
     Biadjacency forms produce the block matrix spanning all q colours;
     adjacency forms are taken as-is.  Rejects forms that do not certify h.
+    The encoding matrix is scanned once: its top rows are the form's own
+    matrix (beside a zero block in bipartite mode), so it is staircase with
+    the form's alpha/beta there only if the form certifies h.
     """
-    if not sf.certifies(h):
+    if not sf.arranges(h):
         raise ValueError("staircase form does not certify this target")
     if sf.kind == "biadjacency":
         r_order = sf.row_order + sf.col_order
@@ -61,7 +64,10 @@ def build_staircase_encoding(h: ColourGraph, sf: StaircaseForm) -> StaircaseEnco
         tuple(1 if h.adjacent(r, c) else 0 for c in c_order) for r in r_order
     )
     bounds = is_staircase(matrix)
-    if bounds is None:
+    top = len(sf.row_order)
+    if bounds is None or (bounds[0][:top], bounds[1][:top]) != (sf.alpha, sf.beta):
+        if not sf.certifies(h):
+            raise ValueError("staircase form does not certify this target")
         raise AssertionError("certifying form produced a non-staircase matrix")
     return StaircaseEncoding(
         "bipartite" if sf.kind == "biadjacency" else "reflexive",

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import prod
 
 from listhom.graphs import ColourGraph, Instance, InstanceGraph
 
@@ -50,6 +51,54 @@ def count_models_enumeration(formula) -> int:
         if ok:
             count += 1
     return count
+
+
+def weighted_sum_enumeration(domains, factors, keep=()) -> dict:
+    """What oracles._eliminate computes, by trying every assignment: the sum
+    of the product of the factor weights, per assignment of keep (zero sums
+    left out)."""
+    out = {}
+    for values in itertools.product(*domains):
+        w = 1
+        for u, v, table in factors:
+            w *= table.get((values[u], values[v]), 0)
+        if w:
+            key = tuple(values[v] for v in keep)
+            out[key] = out.get(key, 0) + w
+    return {key: w for key, w in out.items() if w}
+
+
+def grid_edges(k: int) -> list[tuple[int, int]]:
+    """Edges of the k x k grid, vertex (r, c) numbered r * k + c + 1."""
+    edges = [(r * k + c + 1, r * k + c + 2) for r in range(k) for c in range(k - 1)]
+    return edges + [(r * k + c + 1, r * k + c + k + 1) for r in range(k - 1) for c in range(k)]
+
+
+def grid_transfer_count(k: int, w) -> int:
+    """Sum over all maps of the k x k grid's vertices to 0..n-1 of the
+    product of w[a][b] over the grid's edges (w symmetric, n x n), by a
+    row-by-row transfer matrix.  f holds one weight per colouring of the
+    rows so far, indexed by the last row's colours as base-n digits, the
+    first column lowest.  The vertical edges go in one column at a time:
+    mixing the lowest digit and then moving it to the top turns the digits
+    once round per row."""
+    n = len(w)
+    horizontal = []
+    for state in range(n ** k):
+        digits = [state // n ** c % n for c in range(k)]
+        horizontal.append(prod(w[a][b] for a, b in zip(digits, digits[1:])))
+    f = horizontal
+    for _ in range(k - 1):
+        for _ in range(k):
+            parts = [f[d::n] for d in range(n)]  # f by its lowest digit d
+            f = []
+            for e in range(n):  # the same column's digit in the new row
+                column = [0] * len(parts[0])
+                for d in range(n):
+                    column = [c + w[d][e] * y for c, y in zip(column, parts[d])]
+                f += column
+        f = [a * b for a, b in zip(f, horizontal)]
+    return sum(f)
 
 
 def induced_embeddings(pattern: ColourGraph, host: ColourGraph) -> set[tuple[int, ...]]:

@@ -2,17 +2,21 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from helpers import (
     count_models_enumeration,
     enumerate_list_colourings,
+    grid_edges,
+    grid_transfer_count,
     ising_direct,
     random_instance_graph,
     random_lists,
+    weighted_sum_enumeration,
 )
-from listhom import patterns
+from listhom import oracles, patterns
 from listhom.graphs import Instance, InstanceGraph, instance_components
 from listhom.oracles import (
     MAX_TABLE_SIZE,
@@ -101,6 +105,42 @@ def test_count_over_table_limit_raises_promptly():
     assert time.perf_counter() - start < 2
 
 
+def _grid(k):
+    return InstanceGraph.from_edges(k * k, grid_edges(k))
+
+
+def test_grid_too_wide_for_either_order_is_refused_at_once():
+    g = _grid(30)
+    inst = Instance.with_full_lists(g, 2)
+    for count in (lambda: count_list_hcol(patterns.K2_PRIME, inst),
+                  lambda: ising_partition(g, Fraction(1, 2))):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as err:
+            count()
+        assert time.perf_counter() - start < 0.05
+        # the plan stops each order at its first table over the limit
+        assert str(err.value) == (
+            f"exact count needs a table of {2**19} entries at induced width 18, "
+            f"above the limit of {MAX_TABLE_SIZE} "
+            f"(min-degree; BFS profile: width 18, {2**19} entries)")
+
+
+def test_grid_counts_take_the_profile_order_and_match_the_transfer_matrix(monkeypatch):
+    # min-degree needs a table over the limit on the 14 x 14 grid; the BFS
+    # profile order has width 14
+    profiles = []
+    real = oracles._profile_order
+    monkeypatch.setattr(oracles, "_profile_order",
+                        lambda *args: profiles.append(1) or real(*args))
+    g = _grid(14)
+    assert count_list_hcol(patterns.K2_PRIME, Instance.with_full_lists(g, 2)) == (
+        grid_transfer_count(14, patterns.K2_PRIME.adj))
+    # lam = 1/2: an agreeing edge weighs 1 and any other 2, over 2^|E|
+    assert ising_partition(g, Fraction(1, 2)) == Fraction(
+        grid_transfer_count(14, [[1, 2], [2, 1]]), 2 ** len(g.edges))
+    assert len(profiles) == 2
+
+
 def test_count_factorises_over_components():
     rng = random.Random(12)
     for _ in range(20):
@@ -181,6 +221,97 @@ def test_list_hcol_table_over_limit_raises_before_eliminating():
     with pytest.raises(ValueError, match="induced width 18"):
         list_hcol_table(patterns.K2_PRIME, Instance.with_full_lists(star, 2),
                         tuple(range(2, 20)))
+
+
+# --- the engine itself ---
+
+def _random_engine_input(rng, n):
+    """Domains of 0 to 3 arbitrary int values (a value is not its
+    position), factors with zero-heavy tables, some of them parallel or
+    reversed copies of another pair, and 0 to 2 kept variables."""
+    while True:
+        domains = [tuple(rng.sample(range(-3, 6), rng.choice((1, 2, 2, 2, 3))))
+                   for _ in range(n)]
+        if prod(map(len, domains)) <= 6000:
+            break
+    if rng.random() < 0.1:
+        domains[rng.randrange(n)] = ()
+    factors = []
+    values = [(a, b) for a in range(-3, 6) for b in range(-3, 6)]
+    for _ in range(rng.randint(n - 1, 2 * n)):
+        if factors and rng.random() < 0.15:
+            u, v, _ = rng.choice(factors)
+            if rng.random() < 0.5:
+                u, v = v, u
+        else:
+            u, v = rng.sample(range(n), 2)
+        if rng.random() < 0.15:  # zero-heavy: most pairs missing or 0
+            table = {ab: rng.choice((0, 1, 3)) for ab in values if rng.random() < 0.6}
+        else:
+            table = {ab: rng.choice((0, 1, 1, 2, 3, 5)) for ab in values}
+        factors.append((u, v, table))
+    keep = tuple(rng.sample(range(n), rng.choice((0, 1, 2))))
+    return domains, factors, keep
+
+
+def _engine_shapes(domains, factors, keep, result):
+    pairs = [frozenset((u, v)) for u, v, _ in factors]
+    return {
+        f"{len(keep)} kept": True,
+        "one-value domain": any(len(d) == 1 for d in domains),
+        "one-value kept domain": any(len(domains[v]) == 1 for v in keep),
+        "empty domain": not all(domains),
+        "parallel factors": len(set(pairs)) < len(pairs),
+        "reversed parallel factors": any(
+            (v, u) in {(a, b) for a, b, _ in factors} for u, v, _ in factors),
+        "zero-heavy table": any(sum(map(bool, t.values())) < 40 for _, _, t in factors),
+        "zero result": not result,
+        "nonzero result": bool(result),
+    }
+
+
+def test_engine_matches_enumeration_in_any_elimination_order(monkeypatch):
+    # the numeric pass must be exact whatever order the plan hands it: half
+    # the inputs run in a random order instead of min-degree
+    rng = random.Random(18)
+    widths = []
+    real = oracles._plan
+
+    def plan(rule, adj, size, kept, order=None):
+        if order is None and rng.random() < 0.5:
+            order = [v for v, nbrs in enumerate(adj) if nbrs is not None and v not in kept]
+            rng.shuffle(order)
+        result = real(rule, adj, size, kept, order)
+        widths.append(result.width)
+        return result
+
+    monkeypatch.setattr(oracles, "_plan", plan)
+    seen = Counter()
+    for _ in range(200):
+        domains, factors, keep = _random_engine_input(rng, rng.randint(8, 12))
+        want = weighted_sum_enumeration(domains, factors, keep)
+        assert oracles._eliminate(domains, factors, keep) == want
+        seen.update(k for k, hit in _engine_shapes(domains, factors, keep, want).items() if hit)
+    seen["wide step"] = sum(w >= 3 for w in widths)
+    assert len(seen) == 12 and min(seen.values()) >= 5, seen
+
+
+def test_grid_counts_under_a_lowered_limit_take_the_profile_order(monkeypatch):
+    # from 7 x 7 on, min-degree needs wider tables than the grid's profile
+    profiles = []
+    real = oracles._profile_order
+    monkeypatch.setattr(oracles, "_profile_order",
+                        lambda *args: profiles.append(1) or real(*args))
+    for k, h in ((7, patterns.K2_PRIME), (8, patterns.K2_PRIME), (7, patterns.P3_STAR)):
+        g = _grid(k)
+        inst = Instance.with_full_lists(g, h.n)
+        fits = h.n ** (k + 1)  # a frontier of k vertices plus the one summed out
+        monkeypatch.setattr(oracles, "MAX_TABLE_SIZE", fits)
+        assert count_list_hcol(h, inst) == grid_transfer_count(k, h.adj)
+        monkeypatch.setattr(oracles, "MAX_TABLE_SIZE", fits - 1)
+        with pytest.raises(ValueError, match=rf"\(min-degree; BFS profile: width {k}, {fits} entries\)"):
+            count_list_hcol(h, inst)
+    assert len(profiles) == 6
 
 
 # --- two-spin partition function ---
@@ -265,6 +396,24 @@ def test_1p1n_matches_enumeration():
         seen["12 variables"] += f.var_count == 12
         assert count_1p1n(f) == count_models_enumeration(f)
     assert len(seen) == 4 and min(seen.values()) >= 3, seen
+
+
+def test_1p1n_repeated_and_reversed_implications_match_enumeration():
+    rng = random.Random(20)
+    seen = Counter()
+    for _ in range(100):
+        f = _random_formula(rng, max_vars=12, max_clauses=14, min_vars=8)
+        imps = [cl for cl in f.clauses if cl[0] == "i"]
+        extra = []
+        for cl in rng.sample(imps, min(len(imps), 4)):
+            extra.append(cl if rng.random() < 0.5 else implies(cl[2], cl[1]))
+        f = ImplicationFormula(f.var_count, f.clauses + tuple(extra))
+        counts = Counter(cl for cl in f.clauses if cl[0] == "i")
+        seen["repeated"] += any(c > 1 for c in counts.values())
+        seen["reversed"] += any(("i", b, a) in counts for _, a, b in counts if a != b)
+        seen["units"] += any(cl[0] != "i" for cl in f.clauses)
+        assert count_1p1n(f) == count_models_enumeration(f)
+    assert len(seen) == 3 and min(seen.values()) >= 10, seen
 
 
 def test_1p1n_long_chain():

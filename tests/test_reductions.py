@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from listhom.recognizer import (
     StaircaseForm,
     find_staircase_adjacency,
     find_staircase_biadjacency,
+    is_staircase,
 )
 from listhom.reductions import (
     build_staircase_encoding,
@@ -62,6 +64,46 @@ def test_encoding_rejects_non_certifying_form():
     fake = StaircaseForm("adjacency", (1, 2, 3), (1, 2, 3), (1, 1, 2), (2, 3, 3))
     with pytest.raises(ValueError):
         build_staircase_encoding(patterns.CLAW, fake)
+
+
+def test_encoding_rejects_forms_that_fit_the_target_but_do_not_certify_it():
+    # the orders are the right shape for h, so only the matrix scan can
+    # reject these
+    for h in (patterns.path(12), patterns.P3_STAR, H6):
+        form = find_staircase_biadjacency(h) or find_staircase_adjacency(h)
+        rows = form.row_order
+        swapped = rows[1:2] + rows[:1] + rows[2:]
+        bad = [
+            replace(form, alpha=(None,) + form.alpha[1:]),
+            replace(form, beta=form.beta[:-1] + (form.beta[-1] + 1,)),
+        ]
+        if form.kind == "biadjacency":
+            bad.append(replace(form, row_order=swapped))
+        else:
+            bad.append(replace(form, row_order=swapped, col_order=swapped))
+        for fake in bad:
+            assert fake.arranges(h) and not fake.certifies(h)
+            with pytest.raises(ValueError, match="does not certify"):
+                build_staircase_encoding(h, fake)
+
+
+def test_encoding_scans_one_matrix(monkeypatch):
+    import listhom.recognizer
+    import listhom.reductions
+
+    h = patterns.path(12)
+    form = find_staircase_biadjacency(h)
+    scanned = []
+
+    def counted(mat):
+        scanned.append(len(mat))
+        return is_staircase(mat)
+
+    monkeypatch.setattr(listhom.recognizer, "is_staircase", counted)
+    monkeypatch.setattr(listhom.reductions, "is_staircase", counted)
+    enc = build_staircase_encoding(h, form)
+    assert scanned == [12]  # the 12 x 12 block matrix, not also the 6 x 6 form
+    assert (enc.alpha[:6], enc.beta[:6]) == (form.alpha, form.beta)
 
 
 # --- the formula compiler ---
