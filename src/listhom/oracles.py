@@ -200,6 +200,26 @@ def _graph(factors, fixed: list) -> list:
     return adj
 
 
+def _choose_plan(factors, fixed: list, size: list, kept) -> _Plan:
+    """The min-degree plan, or the BFS profile plan when min-degree needs a
+    table over MAX_TABLE_SIZE and the profile's largest table is smaller;
+    ValueError when the better of the two is still over the limit."""
+    plan = _plan("min-degree", _graph(factors, fixed), size, kept)
+    if plan.largest > MAX_TABLE_SIZE:
+        adj = _graph(factors, fixed)
+        other = _plan("BFS profile", adj, size, kept, _profile_order(adj, kept))
+        if other.largest < plan.largest:
+            plan, other = other, plan
+        if plan.largest > MAX_TABLE_SIZE:
+            raise ValueError(
+                f"exact count needs a table of {plan.largest} entries at induced "
+                f"width {plan.width}, above the limit of {MAX_TABLE_SIZE} "
+                f"({plan.rule}; {other.rule}: width {other.width}, "
+                f"{other.largest} entries)"
+            )
+    return plan
+
+
 def _insert_axis(table: list, outer: int, d: int, inner: int) -> list:
     """A flat table laid out as (outer, inner), repeated along a new middle
     axis of size d."""
@@ -268,19 +288,7 @@ def _eliminate(domains: list, factors, keep: tuple = ()) -> dict:
     for v in keep:
         fixed[v] = False
 
-    plan = _plan("min-degree", _graph(factors, fixed), size, kept)
-    if plan.largest > MAX_TABLE_SIZE:
-        adj = _graph(factors, fixed)
-        other = _plan("BFS profile", adj, size, kept, _profile_order(adj, kept))
-        if other.largest < plan.largest:
-            plan, other = other, plan
-        if plan.largest > MAX_TABLE_SIZE:
-            raise ValueError(
-                f"exact count needs a table of {plan.largest} entries at induced "
-                f"width {plan.width}, above the limit of {MAX_TABLE_SIZE} "
-                f"({plan.rule}; {other.rule}: width {other.width}, "
-                f"{other.largest} entries)"
-            )
+    plan = _choose_plan(factors, fixed, size, kept)
     pos = [0] * n  # elimination position; the kept variables come last
     for i, (x, _) in enumerate(plan.steps):
         pos[x] = i

@@ -15,9 +15,17 @@ def test_ladder_families_classify_at_120_colours_with_their_expected_witness():
     # relabelled cycles with leaves: the per-length cycle search took minutes
     # on the even family at this size
     ladder = _ladder()
-    for family in ladder.FAMILIES:
+    for family in ladder.CLASSIFY_FAMILIES:
         step = ladder.step(str(ROOT / "src"), family, 120)
         assert step["colours"] == 120
         assert step["class"] == "sat_equivalent"
         assert step["verified"] and step["expected"], (family, step)
         assert step["seconds"] < 5, (family, step)
+
+
+def test_ladder_grid_step_counts_by_plan_and_matches_the_transfer_matrix():
+    step = _ladder().step(str(ROOT / "src"), "k2prime_grid", 10)
+    assert step["expected"] and step["refused"] is None, step
+    # min-degree fits on the 10 x 10 grid, so it is the only plan drawn up
+    assert [plan["rule"] for plan in step["plans"]] == ["min-degree"]
+    assert step["plans"][0]["largest"] <= 1 << 18

@@ -1,11 +1,11 @@
-"""Size ladder for the recogniser: time `classify` on relabelled targets of
-30 to 480 colours and write the results as JSON.
+"""Size ladders: time `classify` on relabelled targets of 30 to 480 colours
+and exact counts on k x k grids, and write the results as JSON.
 
-    python3 tools/ladder.py --run parent=../parent/src --run change=src --out BENCH_7.json
+    python3 tools/ladder.py --run parent=../parent/src --run change=src --out BENCH_9.json
 
 Each ``--run LABEL=SRC`` imports listhom from the directory SRC (a checkout's
-``src``), so two commits can be compared in one file.  There are three
-families, each relabelled at random with a fixed seed:
+``src``), so two commits can be compared in one file.  The recogniser
+families are relabelled at random with a fixed seed:
 
 * ``even_cycle_leaves``: C_2k with a leaf on every other cycle colour (3k
   colours); bipartite, certified by the hole CycleNe4(2k);
@@ -14,16 +14,34 @@ families, each relabelled at random with a fixed seed:
 * ``reflexive_cycle_pendants``: the reflexive C_2k with a looped pendant on
   every other cycle colour (3k colours); certified by a Claw.
 
-Every step runs in a fresh interpreter, builds its target, and times only
-the ``classify`` call.  It records the class, the witness kind and length,
-whether ``verify()`` accepts the witness, whether that is the expected
-witness, and the step's peak RSS.  A step that runs past the cap is recorded
-as "timeout" and ends its family.  Standard library only.
+Each of their steps times only the ``classify`` call.  It records the class,
+the witness kind and length, whether ``verify()`` accepts the witness,
+whether that is the expected witness, and the step's peak RSS.
+
+The counting families run on the k x k grid, k = 8 to 16:
+
+* ``k2prime_grid``: K2' with full lists (``count_list_hcol``);
+* ``two_spin_grid``: the two-spin model at lambda = 1/2 (``ising_partition``);
+* ``k2prime_grid_refusal``: K2' on the 30 x 30 grid, for which every order
+  the engine knows needs a table over its limit, so the step times the
+  refusal.
+
+Each of their steps times only the count.  It records the answer or the
+refusal message, each elimination plan the engine drew up (its rule,
+induced width and largest table; null for an engine without a plan), the
+step's peak RSS, and whether the answer equals a row-by-row transfer-matrix
+count (``grid_transfer_count`` in ``tests/helpers.py``, run after the peak
+RSS is read).
+
+Every step runs in a fresh interpreter and builds its input outside the
+timing.  A step that runs past the cap is recorded as "timeout" and ends its
+family.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -33,7 +51,9 @@ import sys
 import time
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[1]
 SIZES = (30, 60, 120, 240, 480)
+GRID_SIZES = tuple(range(8, 17))
 CAP_S = 60
 RELABEL_SEED = 1
 
@@ -49,22 +69,32 @@ def _cycle_with_leaves(q: int, leaves: int, reflexive: bool):
     return n, edges, "CycleNe4", q
 
 
-FAMILIES = {
+CLASSIFY_FAMILIES = {
     "even_cycle_leaves": lambda n: _cycle_with_leaves(2 * (n // 3), n // 3, False),
     "odd_cycle_leaves": lambda n: _cycle_with_leaves(2 * (n // 3) + 1, n // 3 - 1, False),
     "reflexive_cycle_pendants": lambda n: _cycle_with_leaves(2 * (n // 3), n // 3, True),
 }
+GRID_FAMILIES = {"k2prime_grid": GRID_SIZES, "two_spin_grid": GRID_SIZES,
+                 "k2prime_grid_refusal": (30,)}
+FAMILIES = {**{family: SIZES for family in CLASSIFY_FAMILIES}, **GRID_FAMILIES}
+
+
+def _peak_rss_mib() -> float:
+    import resource
+
+    # ru_maxrss is in KiB on Linux
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
 def step(src: str, family: str, size: int) -> dict:
     """One ladder step in this interpreter, with listhom imported from src."""
     sys.path.insert(0, src)
-    import resource
-
+    if family in GRID_FAMILIES:
+        return _grid_step(family, size)
     from listhom.graphs import ColourGraph
     from listhom.recognizer import Excluded, classify
 
-    n, edges, kind, length = FAMILIES[family](size)
+    n, edges, kind, length = CLASSIFY_FAMILIES[family](size)
     perm = list(range(1, n + 1))
     random.Random(RELABEL_SEED).shuffle(perm)
     h = ColourGraph.from_edges(n, [(perm[u - 1], perm[v - 1]) for u, v in edges])
@@ -77,8 +107,55 @@ def step(src: str, family: str, size: int) -> dict:
         w = res.reason.witness
         out.update(kind=w.kind, length=w.length, verified=w.verify(h))
     out["expected"] = out["verified"] and (out["kind"], out["length"]) == (kind, length)
-    # ru_maxrss is in KiB on Linux
-    out["peak_rss_mib"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    out["peak_rss_mib"] = _peak_rss_mib()
+    return out
+
+
+def _grid_step(family: str, k: int) -> dict:
+    from fractions import Fraction
+
+    from listhom import oracles, patterns
+    from listhom.graphs import Instance, InstanceGraph
+
+    spec = importlib.util.spec_from_file_location("helpers", ROOT / "tests" / "helpers.py")
+    helpers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(helpers)
+    g = InstanceGraph.from_edges(k * k, helpers.grid_edges(k))
+    plans = None
+    if hasattr(oracles, "_plan"):
+        plans = []
+        real = oracles._plan
+
+        def recording(*args):
+            plan = real(*args)
+            plans.append({"rule": plan.rule, "width": plan.width, "largest": plan.largest})
+            return plan
+
+        oracles._plan = recording
+    if family == "two_spin_grid":
+        def count():
+            return oracles.ising_partition(g, Fraction(1, 2))
+    else:
+        inst = Instance.with_full_lists(g, 2)
+
+        def count():
+            return oracles.count_list_hcol(patterns.K2_PRIME, inst)
+    start = time.perf_counter()
+    try:
+        answer, refused = count(), None
+    except ValueError as err:
+        answer, refused = None, str(err)
+    out = {"vertices": k * k, "seconds": round(time.perf_counter() - start, 6),
+           "answer": None if answer is None else str(answer), "refused": refused,
+           "plans": plans, "peak_rss_mib": _peak_rss_mib()}
+    if answer is not None:
+        if family == "two_spin_grid":
+            # lam = 1/2: an agreeing edge weighs 1 and any other 2, over 2^|E|
+            want = Fraction(helpers.grid_transfer_count(k, [[1, 2], [2, 1]]),
+                            2 ** len(g.edges))
+        else:
+            want = helpers.grid_transfer_count(k, patterns.K2_PRIME.adj)
+        out["expected"] = answer == want
     return out
 
 
@@ -112,9 +189,9 @@ def machine_note() -> str:
 
 def ladder(label: str, src: Path) -> dict:
     families = {}
-    for family in FAMILIES:
+    for family, sizes in FAMILIES.items():
         steps = families[family] = []
-        for size in SIZES:
+        for size in sizes:
             cmd = [sys.executable, str(Path(__file__).resolve()),
                    "--step", str(src), family, str(size)]
             try:
@@ -151,11 +228,11 @@ def main(argv=None) -> int:
             ap.error(f"--run {spec}: expected LABEL=SRC with listhom under SRC")
         runs[label] = {"commit": commit_of(src_path), "families": ladder(label, src_path)}
     report = {
-        "what": "seconds of one classify call per step (target built outside the timing)",
+        "what": "seconds of one classify call or one count per step (input built outside the timing)",
         "python": platform.python_version(),
         "machine": machine_note(),
         "cap_s": CAP_S,
-        "sizes": SIZES,
+        "sizes": {family: sizes for family, sizes in FAMILIES.items()},
         "relabel_seed": RELABEL_SEED,
         "runs": runs,
     }
