@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+from listhom import oracles
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -24,8 +26,10 @@ def test_ladder_families_classify_at_120_colours_with_their_expected_witness():
 
 
 def test_ladder_grid_step_counts_by_plan_and_matches_the_transfer_matrix():
+    real = oracles._plan
     step = _ladder().step(str(ROOT / "src"), "k2prime_grid", 10)
     assert step["expected"] and step["refused"] is None, step
     # min-degree fits on the 10 x 10 grid, so it is the only plan drawn up
     assert [plan["rule"] for plan in step["plans"]] == ["min-degree"]
     assert step["plans"][0]["largest"] <= 1 << 18
+    assert oracles._plan is real  # the step puts the engine back as it was

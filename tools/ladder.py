@@ -121,17 +121,6 @@ def _grid_step(family: str, k: int) -> dict:
     helpers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(helpers)
     g = InstanceGraph.from_edges(k * k, helpers.grid_edges(k))
-    plans = None
-    if hasattr(oracles, "_plan"):
-        plans = []
-        real = oracles._plan
-
-        def recording(*args):
-            plan = real(*args)
-            plans.append({"rule": plan.rule, "width": plan.width, "largest": plan.largest})
-            return plan
-
-        oracles._plan = recording
     if family == "two_spin_grid":
         def count():
             return oracles.ising_partition(g, Fraction(1, 2))
@@ -140,11 +129,25 @@ def _grid_step(family: str, k: int) -> dict:
 
         def count():
             return oracles.count_list_hcol(patterns.K2_PRIME, inst)
+    plans = None
+    real = getattr(oracles, "_plan", None)
+    if real is not None:
+        plans = []
+
+        def recording(*args):
+            plan = real(*args)
+            plans.append({"rule": plan.rule, "width": plan.width, "largest": plan.largest})
+            return plan
+
+        oracles._plan = recording
     start = time.perf_counter()
     try:
         answer, refused = count(), None
     except ValueError as err:
         answer, refused = None, str(err)
+    finally:
+        if real is not None:
+            oracles._plan = real
     out = {"vertices": k * k, "seconds": round(time.perf_counter() - start, 6),
            "answer": None if answer is None else str(answer), "refused": refused,
            "plans": plans, "peak_rss_mib": _peak_rss_mib()}
