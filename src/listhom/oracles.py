@@ -222,7 +222,8 @@ def _choose_plan(factors, fixed: list, size: list, kept) -> _Plan:
 
 def _insert_axis(table: list, outer: int, d: int, inner: int) -> list:
     """A flat table laid out as (outer, inner), repeated along a new middle
-    axis of size d."""
+    axis of size d: by copying whole blocks when there are few of them, else
+    by one strided slice per position in the block."""
     if outer <= d * inner:
         return list(chain.from_iterable(
             table[o * inner:o * inner + inner] * d for o in range(outer)))
@@ -296,7 +297,9 @@ def _eliminate(domains: list, factors, keep: tuple = ()) -> dict:
         pos[v] = i
 
     # flat tables; a flat table over a variable with a one-value domain is
-    # a vector over the other variable, which is all conditioning needs
+    # a vector over the other variable, which is all conditioning needs.  No
+    # table is changed in place, so factors with the same table and domains
+    # share one flat copy.
     unary: list[list | None] = [None] * n  # None: all ones
     pairs: dict[tuple[int, int], list] = {}  # (row, column) variables
     total = 1
@@ -348,19 +351,7 @@ def _eliminate(domains: list, factors, keep: tuple = ()) -> dict:
         elif len(scope) > 2:
             scope = tuple(sorted(scope, key=pos.__getitem__))
         out = None
-        if len(scope) == 1:
-            # out[j] = sum_i ux[i] * t[i, j]
-            y = scope[0]
-            dy = size[y]
-            t = pairs.pop((x, y))
-            for i in range(dx):
-                u = ux[i]
-                if u:
-                    row = t[i * dy:i * dy + dy]
-                    if u != 1:
-                        row = [u * e for e in row]
-                    out = row if out is None else list(map(add, out, row))
-        elif len(scope) == 2 and not live:
+        if len(scope) == 2 and not live:
             # out[j, k] = sum_i ux[i] * t[i, j] * r[i, k]
             y, z = scope
             dy, dz = size[y], size[z]
@@ -374,19 +365,24 @@ def _eliminate(domains: list, factors, keep: tuple = ()) -> dict:
                     o = [p * q for p in t[i * dy:i * dy + dy] for q in zrow]
                     out = o if out is None else list(map(add, out, o))
         else:
-            # every table on x, repeated out to (x,) + scope and multiplied
-            joint = (x,) + scope
-            acc = None
-            for w in scope:
-                t = pairs.pop((x, w), None)
-                if t is not None:
-                    t = _broadcast(t, (x, w), joint, size)
+            # acc: the product of the tables on x over (x,) + scope, so that
+            # out = sum_i ux[i] * acc[i, ...]; with one neighbour that is a
+            # vector-matrix product
+            if len(scope) == 1:
+                acc = pairs.pop((x, scope[0]))
+            else:
+                joint = (x,) + scope
+                acc = None
+                for w in scope:
+                    t = pairs.pop((x, w), None)
+                    if t is not None:
+                        t = _broadcast(t, (x, w), joint, size)
+                        acc = t if acc is None else list(map(mul, acc, t))
+                for f in live:
+                    tscope, t = wide[f]
+                    wide[f] = None
+                    t = _broadcast(t, tscope, joint, size)
                     acc = t if acc is None else list(map(mul, acc, t))
-            for f in live:
-                tscope, t = wide[f]
-                wide[f] = None
-                t = _broadcast(t, tscope, joint, size)
-                acc = t if acc is None else list(map(mul, acc, t))
             span = len(acc) // dx
             for i in range(dx):
                 u = ux[i]
