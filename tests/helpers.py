@@ -1,5 +1,6 @@
 """Shared test utilities: independent brute-force oracles (deliberately
-dumber than the library code they check) and small-graph generators up to
+dumber than the library code they check), a row-by-row transfer-matrix
+count for grids too large to enumerate, and small-graph generators up to
 isomorphism for the exhaustive recogniser cross-checks."""
 
 from __future__ import annotations
