@@ -23,6 +23,7 @@ from .formats import (
     parse_h,
     parse_instance,
     serialise_formula,
+    serialise_h,
     serialise_instance,
 )
 from .gadgets import (
@@ -37,7 +38,14 @@ from .gadgets import (
     thicken,
 )
 from .graphs import Instance, InstanceGraph, reflexivity_status
-from .oracles import count_1p1n, count_list_hcol, ising_partition
+from .oracles import (
+    ImplicationFormula,
+    count_1p1n,
+    count_list_hcol,
+    implies,
+    ising_partition,
+    unit_pos,
+)
 from .recognizer import (
     CompleteBipartiteIrreflexive,
     CompleteReflexive,
@@ -52,7 +60,14 @@ from .recognizer import (
     find_staircase_biadjacency,
     witness_pattern,
 )
-from .reductions import build_staircase_encoding, reduce_listhcol_to_1p1n
+from .reductions import (
+    build_staircase_encoding,
+    reduce_listhcol_to_1p1n,
+    reduce_p4_to_p3star,
+)
+
+# the --witness selectors: a catalogue kind, or a cycle of length L
+_WITNESS_HELP = "|".join([row.kind.lower() for row in patterns.RECIPES] + ["cycle<L>"])
 
 _CLASS_NAMES = {
     Hardness.POLYTIME: "polytime",
@@ -339,7 +354,6 @@ def _selftest_checks(seed: int):
     yield ("oracle looped-3-path count", count_list_hcol(
         patterns.P3_STAR, Instance.with_full_lists(k2, 3)) == 7)
     yield ("oracle two-spin value", ising_partition(k2, Fraction(9, 10)) == Fraction(19, 5))
-    from .oracles import ImplicationFormula, implies, unit_pos
     yield ("oracle chain formula", count_1p1n(
         ImplicationFormula(2, (unit_pos(1), implies(2, 1)))) == 2)
 
@@ -382,7 +396,6 @@ def _selftest_checks(seed: int):
         ok = count_1p1n(formula) == count_list_hcol(patterns.P3_STAR, inst)
         yield (f"formula identity trial {trial + 1}", ok)
 
-    from .reductions import reduce_p4_to_p3star
     for trial in range(3):
         m = rng.randint(1, 6)
         sides = [rng.randint(0, 1) for _ in range(m)]
@@ -394,9 +407,8 @@ def _selftest_checks(seed: int):
         ok = lhs == mult * count_list_hcol(patterns.P3_STAR, inst)
         yield (f"4-path identity trial {trial + 1}", ok)
 
-    from .formats import parse_formula as pf, parse_h as ph, serialise_h
-    yield ("format round trip", ph(serialise_h(patterns.X3)) == patterns.X3
-           and pf("f 2\np 1\ni 2 1\n").clauses == (("p", 1), ("i", 2, 1)))
+    yield ("format round trip", parse_h(serialise_h(patterns.X3)) == patterns.X3
+           and parse_formula("f 2\np 1\ni 2 1\n").clauses == (("p", 1), ("i", 2, 1)))
 
 
 def cmd_selftest(args) -> int:
@@ -437,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gadget", help="build and verify the gadget for a target")
     p.add_argument("h_file")
-    p.add_argument("--witness", help="x3|x2|t2|claw|net|s3|cycle<L>")
+    p.add_argument("--witness", help=_WITNESS_HELP)
     p.add_argument("--t", type=int, help="thickening level to verify")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_gadget)
@@ -453,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="edge-replace a graph into a list instance")
     p.add_argument("g_file")
     p.add_argument("h_file")
-    p.add_argument("--witness", help="x3|x2|t2|claw|net|s3|cycle<L>")
+    p.add_argument("--witness", help=_WITNESS_HELP)
     p.add_argument("--t", type=int, help="thickening level")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reduce_ising)

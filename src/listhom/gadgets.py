@@ -13,7 +13,15 @@ all four entries come from a single table instead of four pinned counts.
 Symmetrising a gadget against a terminal-transposing automorphism makes the
 matrix symmetric; thickening (parallel doubling behind fresh pendant
 terminals) squares its entries while keeping every internal degree at most 3
-and terminal degrees exactly 1.
+and terminal degrees exactly 1.  Edge replacement puts one copy of a gadget
+on every edge of a two-spin instance.
+
+Every composed gadget graph is glued by _place, which appends one copy of a
+two-terminal gadget with its terminals on two given vertices and its other
+vertices numbered after the highest vertex so far, in the gadget's own
+order: the mirrored track's interior follows g's track, the second parallel
+copy follows the first, and each edge's copy follows the instance's
+vertices and the copies of the edges before it.
 
 The gadget for each forbidden pattern (its colour pairs, expected D',
 terminal pair and pendant pair) is not kept here: gadget_catalog and
@@ -23,7 +31,7 @@ relabel it through the witness embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .graphs import ColourGraph, Instance, InstanceGraph
@@ -155,13 +163,35 @@ class GadgetGraph:
         )
 
 
+def _track(pairs, d: Matrix2, colour_count: int) -> GadgetGraph:
+    """The path on vertices 1..len(pairs), vertex k with list pairs[k-1],
+    terminals at its ends and matrix d."""
+    length = len(pairs)
+    edges = tuple((k, k + 1) for k in range(1, length))
+    lists = tuple(frozenset(p) for p in pairs)
+    return GadgetGraph(length, edges, lists, 1, length, pairs[0], d, colour_count)
+
+
 def path_gadget_graph(h: ColourGraph, g: PathGadget) -> GadgetGraph:
     """Realise a path gadget as an explicit gadget graph; its matrix is D."""
     _, d = interaction_matrix(h, g)
-    length = g.length
-    edges = tuple((k, k + 1) for k in range(1, length))
-    lists = tuple(frozenset(p) for p in g.pairs)
-    return GadgetGraph(length, edges, lists, 1, length, g.pairs[0], d, h.n)
+    return _track(g.pairs, d, h.n)
+
+
+def _place(
+    gg: GadgetGraph, t1: int, t2: int, fresh: int, edges: list, lists: list
+) -> int:
+    """Append a copy of gg to edges and lists: its terminals on t1 and t2,
+    its other vertices numbered fresh + 1, fresh + 2, ... in gg's order.
+    Returns the last vertex used."""
+    remap = {gg.terminal1: t1, gg.terminal2: t2}
+    for w in range(1, gg.m + 1):
+        if w not in remap:
+            fresh += 1
+            remap[w] = fresh
+            lists.append(gg.lists[w - 1])
+    edges.extend(tuple(sorted((remap[x], remap[y]))) for x, y in gg.edges)
+    return fresh
 
 
 def interaction_matrix_bruteforce(h: ColourGraph, gg: GadgetGraph) -> Matrix2:
@@ -257,29 +287,18 @@ def symmetrize(h: ColourGraph, g: PathGadget, pi) -> tuple[GadgetGraph, Matrix2]
         (d[0][0] * d[1][1], d[0][1] * d[1][0]),
         (d[1][0] * d[0][1], d[1][1] * d[0][0]),
     )
-    length = g.length
-    # vertex 1 and vertex `length` are the shared terminals; the interiors of
-    # the two parallel tracks follow
-    edges = [(k, k + 1) for k in range(1, length)]
-    lists = [frozenset(p) for p in g.pairs]
-    prev = 1
-    for k in range(2, length):
-        w = length + k - 1
-        edges.append(tuple(sorted((prev, w))))
-        lists.append(frozenset(mirrored.pairs[k - 1]))
-        prev = w
-    edges.append(tuple(sorted((prev, length))))
-    gg = GadgetGraph(
-        2 * length - 2,
-        tuple(sorted(edges)),
-        tuple(lists),
-        1,
-        length,
-        (r, s),
-        dstar,
-        h.n,
-    )
+    # g's own track keeps vertices 1..length; the mirrored track, a path with
+    # the same edges, shares its terminals 1 and length, and its interior follows
+    track = _track(mirrored.pairs, d, h.n)
+    edges, lists = list(track.edges), [frozenset(p) for p in g.pairs]
+    m = _place(track, 1, track.m, track.m, edges, lists)
+    gg = GadgetGraph(m, tuple(sorted(edges)), tuple(lists), 1, track.m, (r, s), dstar, h.n)
     return gg, dstar
+
+
+def _splits(h: ColourGraph, r: int, s: int, c: int) -> bool:
+    """c is adjacent to r and not to s."""
+    return h.adjacent(r, c) and not h.adjacent(s, c)
 
 
 def check_condH(h: ColourGraph, r: int, s: int) -> tuple[int, int] | None:
@@ -288,12 +307,8 @@ def check_condH(h: ColourGraph, r: int, s: int) -> tuple[int, int] | None:
     no such pair exists."""
     if r == s:
         raise ValueError("need two distinct colours")
-    rp = next(
-        (c for c in h.colours if h.adjacent(r, c) and not h.adjacent(s, c)), None
-    )
-    sp = next(
-        (c for c in h.colours if h.adjacent(s, c) and not h.adjacent(r, c)), None
-    )
+    rp = next((c for c in h.colours if _splits(h, r, s, c)), None)
+    sp = next((c for c in h.colours if _splits(h, s, r, c)), None)
     if rp is None or sp is None:
         return None
     return rp, sp
@@ -301,52 +316,19 @@ def check_condH(h: ColourGraph, r: int, s: int) -> tuple[int, int] | None:
 
 def _append_pendants(gg: GadgetGraph, pair: tuple[int, int]) -> GadgetGraph:
     u0, v0 = gg.m + 1, gg.m + 2
-    edges = gg.edges + (
-        tuple(sorted((gg.terminal1, u0))),
-        tuple(sorted((gg.terminal2, v0))),
-    )
+    edges = tuple(sorted(gg.edges + ((gg.terminal1, u0), (gg.terminal2, v0))))
     lists = gg.lists + (frozenset(pair), frozenset(pair))
-    return GadgetGraph(
-        gg.m + 2,
-        tuple(sorted(edges)),
-        lists,
-        u0,
-        v0,
-        pair,
-        gg.matrix,
-        gg.colour_count,
-    )
+    return replace(gg, m=v0, edges=edges, lists=lists, terminal1=u0, terminal2=v0,
+                   terminal_colours=pair)
 
 
 def _parallel_double(gg: GadgetGraph) -> GadgetGraph:
     """Two copies of gg sharing both terminals; entrywise-squared matrix."""
-    remap = {gg.terminal1: gg.terminal1, gg.terminal2: gg.terminal2}
-    fresh = gg.m
-    for v in range(1, gg.m + 1):
-        if v not in remap:
-            fresh += 1
-            remap[v] = fresh
-    edges = set(gg.edges)
-    for u, v in gg.edges:
-        edges.add(tuple(sorted((remap[u], remap[v]))))
-    lists = list(gg.lists)
-    for v in range(1, gg.m + 1):
-        if v not in (gg.terminal1, gg.terminal2):
-            lists.append(gg.lists[v - 1])
-    squared = (
-        (gg.matrix[0][0] ** 2, gg.matrix[0][1] ** 2),
-        (gg.matrix[1][0] ** 2, gg.matrix[1][1] ** 2),
-    )
-    return GadgetGraph(
-        2 * gg.m - 2,
-        tuple(sorted(edges)),
-        tuple(lists),
-        gg.terminal1,
-        gg.terminal2,
-        gg.terminal_colours,
-        squared,
-        gg.colour_count,
-    )
+    edges, lists = list(gg.edges), list(gg.lists)
+    m = _place(gg, gg.terminal1, gg.terminal2, gg.m, edges, lists)
+    # an edge between the terminals is shared by both copies, so it is kept once
+    return replace(gg, m=m, edges=tuple(sorted(set(edges))), lists=tuple(lists),
+                   matrix=entrywise_pow(gg.matrix, 2))
 
 
 def thicken(
@@ -376,13 +358,7 @@ def thicken(
         raise ValueError("thickening needs a strictly positive interaction matrix")
     r, s = base.terminal_colours
     rp, sp = rp_sp
-    cond = (
-        h.adjacent(r, rp)
-        and not h.adjacent(s, rp)
-        and h.adjacent(s, sp)
-        and not h.adjacent(r, sp)
-    )
-    if not cond:
+    if not (_splits(h, r, s, rp) and _splits(h, s, r, sp)):
         raise ValueError(f"({rp},{sp}) does not split the terminal colours ({r},{s})")
 
     gg = _append_pendants(base, (rp, sp))
@@ -433,14 +409,7 @@ def reduce_ising_to_listhcol(
     edges: list[tuple[int, int]] = []
     fresh = g.m
     for u, v in g.edges:
-        remap = {gg.terminal1: u, gg.terminal2: v}
-        for w in range(1, gg.m + 1):
-            if w not in remap:
-                fresh += 1
-                remap[w] = fresh
-                lists.append(gg.lists[w - 1])
-        for x, y in gg.edges:
-            edges.append(tuple(sorted((remap[x], remap[y]))))
+        fresh = _place(gg, u, v, fresh, edges, lists)
     inst = Instance(
         InstanceGraph.from_edges(fresh, edges), tuple(lists), gg.colour_count
     )

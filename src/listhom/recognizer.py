@@ -142,9 +142,15 @@ def is_staircase(mat) -> tuple[tuple[int | None, ...], tuple[int | None, ...]] |
 
 def _staircase_form(h: ColourGraph, kind: str, rows, cols) -> StaircaseForm | None:
     """The form of the given kind whose matrix is h's with rows and columns
-    in the given orders, or None when that matrix is not staircase."""
+    in the given orders, or None when that matrix is not staircase.  A
+    biadjacency matrix B must also be staircase transposed: the encoding
+    arranges all colours as [[B, 0], [0, B^T]], which is staircase exactly
+    when B and B^T both are."""
     bounds = is_staircase([[h.adj[r - 1][c - 1] for c in cols] for r in rows])
     if bounds is None:
+        return None
+    if kind == "biadjacency" and is_staircase(
+            [[h.adj[r - 1][c - 1] for r in rows] for c in cols]) is None:
         return None
     return StaircaseForm(kind, tuple(rows), tuple(cols), *bounds)
 

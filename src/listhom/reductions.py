@@ -50,7 +50,7 @@ def build_staircase_encoding(h: ColourGraph, sf: StaircaseForm) -> StaircaseEnco
     adjacency forms are taken as-is.  Rejects forms that do not certify h.
     The encoding matrix is scanned once: its top rows are the form's own
     matrix (beside a zero block in bipartite mode), so it is staircase with
-    the form's alpha/beta there only if the form certifies h.
+    the form's alpha/beta there exactly when the form certifies h.
     """
     if not sf.arranges(h):
         raise ValueError("staircase form does not certify this target")
@@ -66,9 +66,7 @@ def build_staircase_encoding(h: ColourGraph, sf: StaircaseForm) -> StaircaseEnco
     bounds = is_staircase(matrix)
     top = len(sf.row_order)
     if bounds is None or (bounds[0][:top], bounds[1][:top]) != (sf.alpha, sf.beta):
-        if not sf.certifies(h):
-            raise ValueError("staircase form does not certify this target")
-        raise AssertionError("certifying form produced a non-staircase matrix")
+        raise ValueError("staircase form does not certify this target")
     return StaircaseEncoding(
         "bipartite" if sf.kind == "biadjacency" else "reflexive",
         h.n,

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from listhom import patterns
+from listhom.formats import serialise_instance
 from listhom.gadgets import (
     PathGadget,
     build_symmetrized,
@@ -347,6 +348,28 @@ def test_reduce_ising_examples():
     inst, lam, scale = reduce_ising_to_listhcol(twopath, gg)
     assert scale == 100
     assert count_list_hcol(patterns.X3, inst) == scale * ising_partition(twopath, lam)
+
+
+def test_composed_gadget_numbering_is_pinned():
+    # the mirrored track's interior follows g's own track (vertices 6..8);
+    # level 0 adds pendants 9 and 10; each edge's copy follows the instance
+    entry, gg = build_symmetrized(patterns.X3, identity_witness("X3"))
+    assert gg.edges == ((1, 2), (1, 6), (2, 3), (3, 4), (4, 5), (5, 8), (6, 7), (7, 8))
+    assert gg.lists == tuple(frozenset(p) for p in (
+        (1, 2), (4, 7), (3, 6), (4, 5), (1, 2), (4, 5), (3, 6), (4, 7)))
+    thick = thicken(patterns.X3, gg, entry.cond_pair, 0)
+    twopath = InstanceGraph.from_edges(3, [(1, 2), (2, 3)])
+    inst, lam, scale = reduce_ising_to_listhcol(twopath, thick)
+    assert (lam, scale) == (Fraction(9, 10), 100)
+    assert serialise_instance(inst) == (
+        "g 19\n"
+        "e 1 4\ne 2 8\ne 2 12\ne 3 16\ne 4 5\ne 4 9\ne 5 6\ne 6 7\ne 7 8\n"
+        "e 8 11\ne 9 10\ne 10 11\ne 12 13\ne 12 17\ne 13 14\ne 14 15\n"
+        "e 15 16\ne 16 19\ne 17 18\ne 18 19\n"
+        "l 1 5 7\nl 2 5 7\nl 3 5 7\nl 4 1 2\nl 5 4 7\nl 6 3 6\nl 7 4 5\n"
+        "l 8 1 2\nl 9 4 5\nl 10 3 6\nl 11 4 7\nl 12 1 2\nl 13 4 7\n"
+        "l 14 3 6\nl 15 4 5\nl 16 1 2\nl 17 4 5\nl 18 3 6\nl 19 4 7\n"
+    )
 
 
 def test_reduce_ising_rejects_asymmetric_gadget():

@@ -87,6 +87,48 @@ def test_encoding_rejects_forms_that_fit_the_target_but_do_not_certify_it():
                 build_staircase_encoding(h, fake)
 
 
+def test_biadjacency_form_with_a_non_staircase_transpose_does_not_certify():
+    # B = [[1], [0], [1]] is staircase, but its transpose [1 0 1] has a gap,
+    # so the block matrix [[B, 0], [0, B^T]] is not
+    h = ColourGraph.from_edges(4, [(1, 4), (3, 4)])
+    form = StaircaseForm("biadjacency", (1, 2, 3), (4,), (1, None, 1), (1, None, 1))
+    assert form.arranges(h) and not form.certifies(h)
+    with pytest.raises(ValueError, match="does not certify"):
+        build_staircase_encoding(h, form)
+
+
+def test_biadjacency_certifies_exactly_when_encodable():
+    """Every row and column arrangement of small bipartite targets whose
+    biadjacency matrix is staircase: certifies agrees with the encoder."""
+    rng = random.Random(1010)
+    checked = certified = 0
+    for _ in range(120):
+        n = rng.randint(2, 7)
+        rows = [v for v in range(1, n + 1) if rng.random() < 0.5] or [1]
+        cols = [v for v in range(1, n + 1) if v not in rows]
+        if not cols:
+            continue
+        p = rng.random()
+        edges = [(r, c) for r in rows for c in cols if rng.random() < p]
+        h = ColourGraph.from_edges(n, edges)
+        for r_order in itertools.permutations(rows):
+            for c_order in itertools.permutations(cols):
+                bounds = is_staircase([[h.adj[r - 1][c - 1] for c in c_order]
+                                       for r in r_order])
+                if bounds is None:
+                    continue
+                form = StaircaseForm("biadjacency", r_order, c_order, *bounds)
+                try:
+                    build_staircase_encoding(h, form)
+                    encoded = True
+                except ValueError:
+                    encoded = False
+                assert form.certifies(h) == encoded, (edges, form)
+                checked += 1
+                certified += encoded
+    assert checked > 1000 and 0 < certified < checked
+
+
 def test_encoding_scans_one_matrix(monkeypatch):
     import listhom.recognizer
     import listhom.reductions
