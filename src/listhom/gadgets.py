@@ -10,7 +10,7 @@ matrix.  The brute-force cross-check counts the gadget's list colourings
 in one elimination pass that keeps both terminals as free variables, so
 all four entries come from a single table instead of four pinned counts.
 
-Symmetrising a gadget against a terminal-transposing automorphism makes the
+Symmetrising a gadget against a terminal-transposing involution makes the
 matrix symmetric; thickening (parallel doubling behind fresh pendant
 terminals) squares its entries while keeping every internal degree at most 3
 and terminal degrees exactly 1.  Edge replacement puts one copy of a gadget
@@ -24,9 +24,9 @@ copy follows the first, and each edge's copy follows the instance's
 vertices and the copies of the edges before it.
 
 The gadget for each forbidden pattern (its colour pairs, expected D',
-terminal pair and pendant pair) is not kept here: gadget_catalog and
-build_symmetrized read it from the witness catalogue in patterns.py and
-relabel it through the witness embedding.
+terminal pair, pendant pair and mirror) is read from the witness catalogue
+in patterns.py and relabelled through the witness embedding; the search
+find_transposing_automorphism is only the tests' reference for the mirrors.
 """
 
 from __future__ import annotations
@@ -79,10 +79,6 @@ class PathGadget:
     pairs: tuple[tuple[int, int], ...]
 
     @property
-    def length(self) -> int:
-        return len(self.pairs)
-
-    @property
     def terminal_colours(self) -> tuple[int, int]:
         return self.pairs[0]
 
@@ -119,14 +115,20 @@ def interaction_matrix(h: ColourGraph, g: PathGadget) -> tuple[Matrix2, Matrix2]
     """
     if not validate_gadget(h, g):
         raise ValueError("invalid path gadget for this target")
+    dprime = _product(h, g.pairs)
+    return dprime, swap_cols(dprime)
+
+
+def _product(h: ColourGraph, pairs) -> Matrix2:
+    """The ordered product of the 2x2 adjacency submatrices along pairs."""
     dprime = IDENTITY2
-    for (i1, j1), (i2, j2) in zip(g.pairs, g.pairs[1:]):
+    for (i1, j1), (i2, j2) in zip(pairs, pairs[1:]):
         step = (
             (h.adj[i1 - 1][i2 - 1], h.adj[i1 - 1][j2 - 1]),
             (h.adj[j1 - 1][i2 - 1], h.adj[j1 - 1][j2 - 1]),
         )
         dprime = mat_mul(dprime, step)
-    return dprime, swap_cols(dprime)
+    return dprime
 
 
 @dataclass(frozen=True)
@@ -265,7 +267,7 @@ def symmetrize(h: ColourGraph, g: PathGadget, pi) -> tuple[GadgetGraph, Matrix2]
     Returns the composite gadget graph and its symmetric matrix
     [[D11*D22, D12*D21], [D21*D12, D22*D11]].
     """
-    _, d = interaction_matrix(h, g)
+    dprime, d = interaction_matrix(h, g)
     if not _positive(d):
         raise ValueError("symmetrisation needs a strictly positive interaction matrix")
     pi = tuple(pi)
@@ -277,10 +279,7 @@ def symmetrize(h: ColourGraph, g: PathGadget, pi) -> tuple[GadgetGraph, Matrix2]
     if pi[r - 1] != s or pi[s - 1] != r:
         raise ValueError("pi must transpose the terminal colours")
     mirrored = PathGadget(tuple((pi[i - 1], pi[j - 1]) for i, j in g.pairs))
-    if not validate_gadget(h, mirrored):
-        raise ValueError("pi does not act as an automorphism on the gadget")
-    _, d_mirror = interaction_matrix(h, mirrored)
-    if d_mirror != d:
+    if not validate_gadget(h, mirrored) or _product(h, mirrored.pairs) != dprime:
         raise ValueError("pi does not act as an automorphism on the gadget")
 
     dstar: Matrix2 = (
@@ -453,18 +452,13 @@ def build_symmetrized(
 ) -> tuple[CatalogEntry, GadgetGraph]:
     """Catalog gadget for the witness, symmetrised inside h.
 
-    The terminal-transposing automorphism is found on the pattern itself and
-    carried through the embedding, so it need not extend to all of h.
+    The involution is the catalogue row's mirror carried through the
+    embedding and fixing every other colour of h, so it need not be an
+    automorphism of all of h; symmetrize checks it (ValueError if wrong).
     """
     row = recipe(witness.kind, witness.length)
     emb = witness.embedding
     entry = _embedded_entry(row, emb)
-    pattern = row.pattern
-    pat_pi = find_transposing_automorphism(pattern, *row.terminals)
-    if pat_pi is None:
-        raise AssertionError(f"pattern {witness.kind} lost its terminal symmetry")
-    lifted = list(range(1, h.n + 1))
-    for x in range(1, pattern.n + 1):
-        lifted[emb[x - 1] - 1] = emb[pat_pi[x - 1] - 1]
-    gg, _ = symmetrize(h, entry.gadget, tuple(lifted))
+    image = {x: emb[y - 1] for x, y in zip(emb, row.mirror, strict=True)}
+    gg, _ = symmetrize(h, entry.gadget, tuple(image.get(c, c) for c in h.colours))
     return entry, gg

@@ -7,9 +7,10 @@ net, S3 and cycles of length at least four) are reflexive.
 
 This module also holds the witness catalogue, the one place that lists the
 witness kinds: RECIPES has a row per fixed-shape pattern with the path
-gadget the hardness proof builds on it, and cycle_recipe builds the row of
-a cycle kind from its length.  The recogniser's obstruction searches, the
-gadget catalogue and the CLI's --witness selector all read it.
+gadget the hardness proof builds on it and its terminal-swapping mirror,
+and cycle_recipe builds the row of a cycle kind from its length.  The
+recogniser's obstruction searches, the gadget catalogue and the CLI's
+--witness selector all read it.
 """
 
 from __future__ import annotations
@@ -98,7 +99,9 @@ S3 = _with_loops(
 class Recipe:
     """A forbidden pattern and the path gadget built on it, in the pattern's
     own labels: the gadget's colour pairs, its expected D', the terminal
-    colour pair, and the pendant pair (r', s') that thickening appends."""
+    colour pair, the pendant pair (r', s') that thickening appends, and the
+    mirror: an automorphism of order two swapping the terminals, as an image
+    tuple, against which build_symmetrized symmetrises the gadget."""
 
     kind: str
     length: int | None
@@ -107,6 +110,7 @@ class Recipe:
     dprime: tuple[tuple[int, int], tuple[int, int]]
     terminals: tuple[int, int]
     pendants: tuple[int, int]
+    mirror: tuple[int, ...]
 
     @property
     def reflexive(self) -> bool:
@@ -119,17 +123,17 @@ class Recipe:
 # searches try the rows of their class in this order.
 RECIPES = (
     Recipe("X3", None, X3, ((1, 2), (4, 7), (3, 6), (4, 5), (2, 1)),
-           ((2, 3), (3, 5)), (1, 2), (5, 7)),
+           ((2, 3), (3, 5)), (1, 2), (5, 7), (2, 1, 3, 4, 7, 6, 5)),
     Recipe("X2", None, X2, ((1, 2), (4, 7), (3, 2), (4, 6), (3, 1), (4, 5), (2, 1)),
-           ((5, 8), (8, 13)), (1, 2), (5, 7)),
+           ((5, 8), (8, 13)), (1, 2), (5, 7), (2, 1, 3, 4, 7, 6, 5)),
     Recipe("T2", None, T2, ((1, 2), (5, 7), (4, 2), (3, 5), (4, 1), (5, 6), (2, 1)),
-           ((5, 7), (7, 10)), (1, 2), (6, 7)),
+           ((5, 7), (7, 10)), (1, 2), (6, 7), (2, 1, 3, 4, 5, 7, 6)),
     Recipe("Claw", None, CLAW, ((1, 2), (4, 2), (3, 4), (4, 1), (2, 1)),
-           ((2, 3), (3, 5)), (1, 2), (1, 2)),
+           ((2, 3), (3, 5)), (1, 2), (1, 2), (2, 1, 3, 4)),
     Recipe("Net", None, NET, ((1, 2), (4, 6), (3, 2), (3, 1), (4, 5), (2, 1)),
-           ((2, 3), (3, 5)), (1, 2), (5, 6)),
+           ((2, 3), (3, 5)), (1, 2), (5, 6), (2, 1, 3, 4, 6, 5)),
     Recipe("S3", None, S3, ((1, 2), (3, 6), (3, 5), (3, 4), (2, 1)),
-           ((1, 1), (1, 2)), (1, 2), (4, 6)),
+           ((1, 1), (1, 2)), (1, 2), (4, 6), (2, 1, 3, 6, 5, 4)),
 )
 
 # The cycle kinds, each with the one length at which its cycle is complete
@@ -154,15 +158,17 @@ def cycle_recipe(kind: str, length: int | None) -> Recipe:
     if kind == "CycleNe4" and q % 2 == 1:
         j_track = [*range(2, q + 1), *range(q - 1, 1, -1), 1]
         pairs = tuple((1 if k % 2 == 0 else 2, j) for k, j in enumerate(j_track))
-        return Recipe(kind, q, cycle(q), pairs, ((2, 1), (1, 1)), (1, 2), (2, 1))
-    if kind == "CycleNe4":
+        dprime, terminals, pendants = ((2, 1), (1, 1)), (1, 2), (2, 1)
+    elif kind == "CycleNe4":
         pairs = tuple((1 if k % 2 == 1 else 2, k + 2) for k in range(1, q - 1)) + ((3, 1),)
-        terminals, pendants = (1, 3), (q, 4)
+        dprime, terminals, pendants = ((1, 2), (1, 3)), (1, 3), (q, 4)
     else:
         pairs = tuple((1, k + 1) for k in range(1, q)) + ((2, 1),)
-        terminals, pendants = (1, 2), (q, 3)
+        dprime, terminals, pendants = ((1, 2), (1, 3)), (1, 2), (q, 3)
+    # the reflection x -> r + s - x (mod q) of the cycle swaps the terminals r, s
+    mirror = tuple((sum(terminals) - x - 1) % q + 1 for x in range(1, q + 1))
     pattern = cycle(q, reflexive=kind == "CycleGe4")
-    return Recipe(kind, q, pattern, pairs, ((1, 2), (1, 3)), terminals, pendants)
+    return Recipe(kind, q, pattern, pairs, dprime, terminals, pendants, mirror)
 
 
 def recipe(kind: str, length: int | None = None) -> Recipe:

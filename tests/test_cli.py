@@ -1,11 +1,14 @@
+import argparse
 import json
 import random
+import re
 import time
+from pathlib import Path
 
 import pytest
 
 from listhom import patterns
-from listhom.cli import main
+from listhom.cli import _WITNESS_HELP, build_parser, main
 from listhom.formats import (
     ParseError,
     parse_formula,
@@ -416,3 +419,20 @@ def test_cmd_classify_without_a_certificate_exits_3(tmp_path, capsys, monkeypatc
     assert main(["classify", path]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: RuntimeError: recognition failed")
+
+
+def test_readme_usage_lines_name_every_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\nCommands (", 1)[1].split("```")[1]
+    usage = {line.split()[1]: line.split("#")[0]
+             for line in block.splitlines() if line.startswith("listhom ")}
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) <= set(usage)
+    missing = []
+    for name, sub in commands.choices.items():
+        named = set(re.findall(r"--[\w-]+", usage[name]))
+        missing += [f"{name} {opt}" for action in sub._actions for opt in action.option_strings
+                    if opt not in ("-h", "--help") and opt not in named]
+    assert missing == []
+    assert f"--witness {_WITNESS_HELP}]" in usage["gadget"]

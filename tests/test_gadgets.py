@@ -1,10 +1,14 @@
 import itertools
 import random
+import sys
+import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from listhom import patterns
+from listhom import gadgets, patterns
+from listhom.cli import main
 from listhom.formats import serialise_instance
 from listhom.gadgets import (
     PathGadget,
@@ -226,6 +230,71 @@ def test_find_transposing_automorphism_many_colours():
     # one search level per colour: deeper than the default recursion limit
     h = ColourGraph.from_edges(1200, [(1, 2)])
     assert find_transposing_automorphism(h, 1, 2) == (2, 1, *range(3, 1201))
+
+
+# every catalogue row with a stored mirror, cycles well past the 14 cases
+MIRROR_ROWS = (
+    [(row.kind, None) for row in patterns.RECIPES]
+    + [("CycleNe4", q) for q in (3, *range(5, 17))]
+    + [("CycleGe4", q) for q in range(4, 17)]
+)
+
+
+def test_stored_mirror_is_the_searched_automorphism():
+    for kind, length in MIRROR_ROWS:
+        row = patterns.recipe(kind, length)
+        want = find_transposing_automorphism(row.pattern, *row.terminals)
+        assert row.mirror == want, (kind, length)
+
+
+@pytest.mark.parametrize("kind, length, mirror", [
+    ("X3", None, (1, 2, 3, 4, 5, 6, 7)),  # fixes the terminals
+    ("X3", None, (2, 1, 4, 3, 5, 6, 7)),  # swaps them, breaks the gadget
+    ("X3", None, (2, 1, 5, 3, 4, 6, 7)),  # a permutation, not an involution
+    ("X3", None, (2, 1, 3, 4, 7, 7, 5)),  # not a permutation
+    ("X3", None, (2, 1)),  # too short
+    ("Claw", None, (2, 1, 4, 3)),  # swaps a leaf with the centre
+    ("CycleNe4", 6, (3, 2, 1, 4, 5, 6)),  # swaps the terminals alone
+    ("CycleGe4", 5, (2, 1, 4, 3, 5)),  # an involution, not an automorphism
+])
+def test_build_symmetrized_rejects_a_corrupted_mirror(monkeypatch, kind, length, mirror):
+    row = patterns.recipe(kind, length)
+    monkeypatch.setattr(gadgets, "recipe", lambda *_: replace(row, mirror=mirror))
+    with pytest.raises(ValueError):
+        build_symmetrized(row.pattern, identity_witness(kind, length))
+
+
+def test_selftest_never_runs_the_automorphism_search(monkeypatch, capsys):
+    def forbidden(*args):
+        raise RuntimeError("the automorphism search ran")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "listhom" and hasattr(module, "find_transposing_automorphism"):
+            monkeypatch.setattr(module, "find_transposing_automorphism", forbidden)
+    assert main(["selftest"]) == 0
+    assert "selftest: pass" in capsys.readouterr().out
+
+
+def test_build_symmetrized_validates_the_gadget_and_its_mirror_once(monkeypatch):
+    real = gadgets.validate_gadget
+    checked = []
+
+    def counted(h, g):
+        checked.append(g.pairs)
+        return real(h, g)
+
+    monkeypatch.setattr(gadgets, "validate_gadget", counted)
+    build_symmetrized(patterns.X3, identity_witness("X3"))
+    assert checked == [X3_GADGET.pairs, ((2, 1), (4, 5), (3, 6), (4, 7), (1, 2))]
+
+
+def test_build_symmetrized_on_a_long_cycle_answers_at_once():
+    # an exhaustive automorphism search of the 480-cycle takes seconds
+    h = witness_pattern("CycleNe4", 480)
+    start = time.perf_counter()
+    _, gg = build_symmetrized(h, identity_witness("CycleNe4", 480))
+    assert time.perf_counter() - start < 1
+    assert gg.matrix == ((2, 3), (3, 2))
 
 
 def test_symmetrize_catalog_matrices():

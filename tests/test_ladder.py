@@ -25,6 +25,14 @@ def test_ladder_families_classify_at_120_colours_with_their_expected_witness():
         assert step["seconds"] < 5, (family, step)
 
 
+def test_ladder_gadget_step_passes_every_check_at_120_colours():
+    step = _ladder().step(str(ROOT / "src"), "gadget_even_cycle", 120)
+    assert step["colours"] == 120
+    assert (step["kind"], step["length"]) == ("CycleNe4", 80) and step["expected"], step
+    assert step["checks_pass"], step
+    assert step["seconds"] < 5, step
+
+
 def test_ladder_grid_step_counts_by_plan_and_matches_the_transfer_matrix():
     real = oracles._plan
     step = _ladder().step(str(ROOT / "src"), "k2prime_grid", 10)

@@ -1,5 +1,6 @@
-"""Size ladders: time `classify` on relabelled targets of 30 to 480 colours
-and exact counts on k x k grids, and write the results as JSON.
+"""Size ladders: time `classify` and the gadget report on relabelled targets
+of 30 to 480 colours and exact counts on k x k grids, and write the results
+as JSON.
 
     python3 tools/ladder.py --run parent=../parent/src --run change=src --out BENCH_9.json
 
@@ -17,6 +18,15 @@ families are relabelled at random with a fixed seed:
 Each of their steps times only the ``classify`` call.  It records the class,
 the witness kind and length, whether ``verify()`` accepts the witness,
 whether that is the expected witness, and the step's peak RSS.
+
+The gadget family runs on the same relabelled hosts:
+
+* ``gadget_even_cycle``: the ``even_cycle_leaves`` hosts; each step takes
+  the witness from ``classify`` outside the timing and times only
+  ``cli._gadget_report(h, witness, (0,))`` (the symmetrised gadget, its
+  brute-force checks and thickening at level 0).  It records the witness,
+  whether it is the expected one, whether every check of the report
+  passes, the thickened gadget's vertex count and the step's peak RSS.
 
 The counting families run on the k x k grid, k = 8 to 16:
 
@@ -74,9 +84,12 @@ CLASSIFY_FAMILIES = {
     "odd_cycle_leaves": lambda n: _cycle_with_leaves(2 * (n // 3) + 1, n // 3 - 1, False),
     "reflexive_cycle_pendants": lambda n: _cycle_with_leaves(2 * (n // 3), n // 3, True),
 }
+# each gadget family and the classify family whose hosts it uses
+GADGET_FAMILIES = {"gadget_even_cycle": "even_cycle_leaves"}
 GRID_FAMILIES = {"k2prime_grid": GRID_SIZES, "two_spin_grid": GRID_SIZES,
                  "k2prime_grid_refusal": (30,)}
-FAMILIES = {**{family: SIZES for family in CLASSIFY_FAMILIES}, **GRID_FAMILIES}
+FAMILIES = {**{family: SIZES for family in (*CLASSIFY_FAMILIES, *GADGET_FAMILIES)},
+            **GRID_FAMILIES}
 
 
 def _peak_rss_mib() -> float:
@@ -94,10 +107,12 @@ def step(src: str, family: str, size: int) -> dict:
     from listhom.graphs import ColourGraph
     from listhom.recognizer import Excluded, classify
 
-    n, edges, kind, length = CLASSIFY_FAMILIES[family](size)
+    n, edges, kind, length = CLASSIFY_FAMILIES[GADGET_FAMILIES.get(family, family)](size)
     perm = list(range(1, n + 1))
     random.Random(RELABEL_SEED).shuffle(perm)
     h = ColourGraph.from_edges(n, [(perm[u - 1], perm[v - 1]) for u, v in edges])
+    if family in GADGET_FAMILIES:
+        return _gadget_step(h, (kind, length))
     start = time.perf_counter()
     res = classify(h)
     seconds = time.perf_counter() - start
@@ -109,6 +124,21 @@ def step(src: str, family: str, size: int) -> dict:
     out["expected"] = out["verified"] and (out["kind"], out["length"]) == (kind, length)
     out["peak_rss_mib"] = _peak_rss_mib()
     return out
+
+
+def _gadget_step(h, expected: tuple) -> dict:
+    from listhom import cli
+    from listhom.recognizer import classify
+
+    witness = classify(h).reason.witness
+    start = time.perf_counter()
+    report = cli._gadget_report(h, witness, (0,))
+    seconds = time.perf_counter() - start
+    return {"colours": h.n, "seconds": round(seconds, 6), "kind": witness.kind,
+            "length": witness.length, "expected": (witness.kind, witness.length) == expected,
+            "checks_pass": all(report["checks"].values()),
+            "thickened_vertices": report["thickened_vertices"],
+            "peak_rss_mib": _peak_rss_mib()}
 
 
 def _grid_step(family: str, k: int) -> dict:
@@ -231,7 +261,8 @@ def main(argv=None) -> int:
             ap.error(f"--run {spec}: expected LABEL=SRC with listhom under SRC")
         runs[label] = {"commit": commit_of(src_path), "families": ladder(label, src_path)}
     report = {
-        "what": "seconds of one classify call or one count per step (input built outside the timing)",
+        "what": "seconds of one classify call, one gadget report or one count per step"
+                " (input built outside the timing)",
         "python": platform.python_version(),
         "machine": machine_note(),
         "cap_s": CAP_S,
