@@ -4,6 +4,8 @@ Commands: classify, count, ising, count-sat, gadget, reduce-sat,
 reduce-ising, selftest.  Exit codes: 0 success, 1 verification mismatch,
 2 usage or parse error (including an exact count above the oracles' table
 limit), 3 internal error (any other exception, reported on one line).
+
+Certificates are written by recognizer.certificate_json, their one format.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .gadgets import (
     build_symmetrized,
     det2,
     entrywise_pow,
-    gadget_catalog,
     interaction_matrix,
     interaction_matrix_bruteforce,
     path_gadget_graph,
@@ -47,13 +48,10 @@ from .oracles import (
     unit_pos,
 )
 from .recognizer import (
-    CompleteBipartiteIrreflexive,
-    CompleteReflexive,
-    Excluded,
     ExcludedWitness,
     Hardness,
-    MixedLoops,
-    Staircase,
+    certificate_fields,
+    certificate_json,
     classify,
     find_induced_embedding,
     find_staircase_adjacency,
@@ -69,38 +67,6 @@ from .reductions import (
 # the --witness selectors: a catalogue kind, or a cycle of length L
 _WITNESS_HELP = "|".join([row.kind.lower() for row in patterns.RECIPES] + ["cycle<L>"])
 
-_CLASS_NAMES = {
-    Hardness.POLYTIME: "polytime",
-    Hardness.BIS_EQUIVALENT: "bis_equivalent",
-    Hardness.SAT_EQUIVALENT: "sat_equivalent",
-}
-
-
-def _witness_json(w: ExcludedWitness) -> dict:
-    return {"kind": w.kind, "length": w.length, "embedding": list(w.embedding)}
-
-
-def _certificate_json(reason) -> dict:
-    if isinstance(reason, CompleteReflexive):
-        return {"type": "complete_reflexive"}
-    if isinstance(reason, CompleteBipartiteIrreflexive):
-        return {"type": "complete_bipartite_irreflexive"}
-    if isinstance(reason, MixedLoops):
-        return {"type": "loop_edge", "unlooped": reason.unlooped, "looped": reason.looped}
-    if isinstance(reason, Staircase):
-        f = reason.form
-        return {
-            "type": "staircase",
-            "kind": f.kind,
-            "row_order": list(f.row_order),
-            "col_order": list(f.col_order),
-            "alpha": list(f.alpha),
-            "beta": list(f.beta),
-        }
-    if isinstance(reason, Excluded):
-        return {"type": "excluded_subgraph", **_witness_json(reason.witness)}
-    raise AssertionError(f"unknown certificate {reason!r}")
-
 
 def _result_json(res) -> dict:
     """The classification as JSON; a disconnected target adds one entry per
@@ -108,10 +74,10 @@ def _result_json(res) -> dict:
     components of their own)."""
     def fields(r) -> dict:
         return {
-            "class": _CLASS_NAMES[r.klass],
+            "class": r.klass.name.lower(),
             "degree_threshold": r.degree_threshold,
             "vertices": sorted(r.vertices),
-            "certificate": _certificate_json(r.reason),
+            "certificate": certificate_json(r.reason),
         }
 
     out = fields(res)
@@ -121,7 +87,7 @@ def _result_json(res) -> dict:
 
 
 def _print_certificate(reason, indent: str = "") -> None:
-    cert = _certificate_json(reason)
+    cert = certificate_json(reason)
     parts = [f"{k}={v}" for k, v in cert.items() if k != "type"]
     print(f"{indent}certificate: {cert['type']}" + ("  " + " ".join(parts) if parts else ""))
 
@@ -132,11 +98,11 @@ def cmd_classify(args) -> int:
     if args.json:
         print(json.dumps(_result_json(res), indent=2))
         return 0
-    print(f"class: {_CLASS_NAMES[res.klass]}")
+    print(f"class: {res.klass.name.lower()}")
     print(f"degree_threshold: {res.degree_threshold}")
     _print_certificate(res.reason)
     for sub in res.per_component:
-        print(f"component {sorted(sub.vertices)}: {_CLASS_NAMES[sub.klass]}"
+        print(f"component {sorted(sub.vertices)}: {sub.klass.name.lower()}"
               f" threshold={sub.degree_threshold}")
         _print_certificate(sub.reason, indent="  ")
     return 0
@@ -198,14 +164,12 @@ def _gadget_witness(h, selector: str | None) -> ExcludedWitness:
         return _explicit_witness(h, selector)
     res = classify(h)
     if res.klass is not Hardness.SAT_EQUIVALENT:
-        raise ValueError(f"no witness: target classifies as {_CLASS_NAMES[res.klass]}")
-    reason = res.reason
-    if not isinstance(reason, Excluded):
+        raise ValueError(f"no witness: target classifies as {res.klass.name.lower()}")
+    if not isinstance(res.reason, ExcludedWitness):
         raise ValueError(
             "no path-gadget witness: the hard core is a loop edge; "
-            "pass --witness to pick a pattern inside a homogeneous part"
-        )
-    return reason.witness
+            "pass --witness to pick a pattern inside a homogeneous part")
+    return res.reason
 
 
 def _fmt_matrix(m) -> str:
@@ -217,10 +181,9 @@ def _gadget_report(h, witness: ExcludedWitness, levels) -> dict:
     catalogue's D', the determinants, brute force on D and on the
     symmetrised D*, and the thickened matrix at each level in levels (the
     report's thickening fields describe the last level)."""
-    entry = gadget_catalog(witness)
+    entry, gg = build_symmetrized(h, witness)
     dprime, d = interaction_matrix(h, entry.gadget)
     bf = interaction_matrix_bruteforce(h, path_gadget_graph(h, entry.gadget))
-    _, gg = build_symmetrized(h, witness)
     dstar = gg.matrix
     checks = {
         "D' matches catalog": dprime == entry.expected_dprime,
@@ -232,7 +195,7 @@ def _gadget_report(h, witness: ExcludedWitness, levels) -> dict:
         "brute force agrees with D*": interaction_matrix_bruteforce(h, gg) == dstar,
     }
     report = {
-        "witness": _witness_json(witness),
+        "witness": certificate_fields(witness),
         "gadget": [list(p) for p in entry.gadget.pairs],
         "terminals": list(entry.terminals),
         "dprime": [list(r) for r in dprime],
@@ -318,7 +281,7 @@ def cmd_reduce_ising(args) -> int:
         "scale": str(scale),
         "original_vertices": g.m,
         "original_edges": len(g.edges),
-        "witness": _witness_json(witness),
+        "witness": certificate_fields(witness),
         "gadget_matrix": [list(r) for r in gg.matrix],
         "t": args.t,
         "identity": "count(instance) = scale * Z_lambda(g)",

@@ -421,13 +421,16 @@ def reduce_ising_to_listhcol(
 @dataclass(frozen=True)
 class CatalogEntry:
     """A known-good gadget for a forbidden pattern, expressed in the colour
-    labels of a concrete witness embedding, together with the expected D',
-    the terminal colour pair, and the pendant pair for thickening."""
+    labels of a concrete witness embedding, together with the expected D'
+    and the pendant pair for thickening."""
 
     gadget: PathGadget
     expected_dprime: Matrix2
-    terminals: tuple[int, int]
     cond_pair: tuple[int, int]
+
+    @property
+    def terminals(self) -> tuple[int, int]:
+        return self.gadget.terminal_colours
 
 
 def _embedded_entry(row: Recipe, emb: tuple[int, ...]) -> CatalogEntry:
@@ -437,7 +440,6 @@ def _embedded_entry(row: Recipe, emb: tuple[int, ...]) -> CatalogEntry:
     return CatalogEntry(
         PathGadget(tuple((f(i), f(j)) for i, j in row.pairs)),
         row.dprime,
-        (f(row.terminals[0]), f(row.terminals[1])),
         (f(row.pendants[0]), f(row.pendants[1])),
     )
 

@@ -98,19 +98,22 @@ S3 = _with_loops(
 @dataclass(frozen=True)
 class Recipe:
     """A forbidden pattern and the path gadget built on it, in the pattern's
-    own labels: the gadget's colour pairs, its expected D', the terminal
-    colour pair, the pendant pair (r', s') that thickening appends, and the
-    mirror: an automorphism of order two swapping the terminals, as an image
-    tuple, against which build_symmetrized symmetrises the gadget."""
+    own labels: the gadget's colour pairs (the first is the terminal pair),
+    its expected D', the pendant pair (r', s') that thickening appends, and
+    the mirror: an automorphism of order two swapping the terminals, as an
+    image tuple, against which build_symmetrized symmetrises the gadget."""
 
     kind: str
     length: int | None
     pattern: ColourGraph
     pairs: tuple[tuple[int, int], ...]
     dprime: tuple[tuple[int, int], tuple[int, int]]
-    terminals: tuple[int, int]
     pendants: tuple[int, int]
     mirror: tuple[int, ...]
+
+    @property
+    def terminals(self) -> tuple[int, int]:
+        return self.pairs[0]
 
     @property
     def reflexive(self) -> bool:
@@ -123,17 +126,17 @@ class Recipe:
 # searches try the rows of their class in this order.
 RECIPES = (
     Recipe("X3", None, X3, ((1, 2), (4, 7), (3, 6), (4, 5), (2, 1)),
-           ((2, 3), (3, 5)), (1, 2), (5, 7), (2, 1, 3, 4, 7, 6, 5)),
+           ((2, 3), (3, 5)), (5, 7), (2, 1, 3, 4, 7, 6, 5)),
     Recipe("X2", None, X2, ((1, 2), (4, 7), (3, 2), (4, 6), (3, 1), (4, 5), (2, 1)),
-           ((5, 8), (8, 13)), (1, 2), (5, 7), (2, 1, 3, 4, 7, 6, 5)),
+           ((5, 8), (8, 13)), (5, 7), (2, 1, 3, 4, 7, 6, 5)),
     Recipe("T2", None, T2, ((1, 2), (5, 7), (4, 2), (3, 5), (4, 1), (5, 6), (2, 1)),
-           ((5, 7), (7, 10)), (1, 2), (6, 7), (2, 1, 3, 4, 5, 7, 6)),
+           ((5, 7), (7, 10)), (6, 7), (2, 1, 3, 4, 5, 7, 6)),
     Recipe("Claw", None, CLAW, ((1, 2), (4, 2), (3, 4), (4, 1), (2, 1)),
-           ((2, 3), (3, 5)), (1, 2), (1, 2), (2, 1, 3, 4)),
+           ((2, 3), (3, 5)), (1, 2), (2, 1, 3, 4)),
     Recipe("Net", None, NET, ((1, 2), (4, 6), (3, 2), (3, 1), (4, 5), (2, 1)),
-           ((2, 3), (3, 5)), (1, 2), (5, 6), (2, 1, 3, 4, 6, 5)),
+           ((2, 3), (3, 5)), (5, 6), (2, 1, 3, 4, 6, 5)),
     Recipe("S3", None, S3, ((1, 2), (3, 6), (3, 5), (3, 4), (2, 1)),
-           ((1, 1), (1, 2)), (1, 2), (4, 6), (2, 1, 3, 6, 5, 4)),
+           ((1, 1), (1, 2)), (4, 6), (2, 1, 3, 6, 5, 4)),
 )
 
 # The cycle kinds, each with the one length at which its cycle is complete
@@ -158,17 +161,17 @@ def cycle_recipe(kind: str, length: int | None) -> Recipe:
     if kind == "CycleNe4" and q % 2 == 1:
         j_track = [*range(2, q + 1), *range(q - 1, 1, -1), 1]
         pairs = tuple((1 if k % 2 == 0 else 2, j) for k, j in enumerate(j_track))
-        dprime, terminals, pendants = ((2, 1), (1, 1)), (1, 2), (2, 1)
+        dprime, pendants = ((2, 1), (1, 1)), (2, 1)
     elif kind == "CycleNe4":
         pairs = tuple((1 if k % 2 == 1 else 2, k + 2) for k in range(1, q - 1)) + ((3, 1),)
-        dprime, terminals, pendants = ((1, 2), (1, 3)), (1, 3), (q, 4)
+        dprime, pendants = ((1, 2), (1, 3)), (q, 4)
     else:
         pairs = tuple((1, k + 1) for k in range(1, q)) + ((2, 1),)
-        dprime, terminals, pendants = ((1, 2), (1, 3)), (1, 2), (q, 3)
+        dprime, pendants = ((1, 2), (1, 3)), (q, 3)
     # the reflection x -> r + s - x (mod q) of the cycle swaps the terminals r, s
-    mirror = tuple((sum(terminals) - x - 1) % q + 1 for x in range(1, q + 1))
+    mirror = tuple((sum(pairs[0]) - x - 1) % q + 1 for x in range(1, q + 1))
     pattern = cycle(q, reflexive=kind == "CycleGe4")
-    return Recipe(kind, q, pattern, pairs, dprime, terminals, pendants, mirror)
+    return Recipe(kind, q, pattern, pairs, dprime, pendants, mirror)
 
 
 def recipe(kind: str, length: int | None = None) -> Recipe:

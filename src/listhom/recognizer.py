@@ -39,12 +39,16 @@ a-b-c, from a to c around the closed neighbourhood of b; each BFS stops at
 the depth where it could no longer beat the best cycle so far.  On a
 relabelled even cycle with leaves that is O(n^2) where the per-length
 search was about O(n^4).  Every search here is iterative.
+
+The certificate format lives here too: a result's reason is the certificate
+object itself, CERTIFICATE_TYPES names each type's JSON tag, and
+certificate_json writes any certificate from its dataclass fields.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from enum import IntEnum
 
 from . import patterns
@@ -554,14 +558,25 @@ class MixedLoops:
     looped: int
 
 
-@dataclass(frozen=True)
-class Staircase:
-    form: StaircaseForm
+# The JSON type tag of each certificate type, named nowhere else.
+CERTIFICATE_TYPES = {
+    CompleteReflexive: "complete_reflexive",
+    CompleteBipartiteIrreflexive: "complete_bipartite_irreflexive",
+    MixedLoops: "loop_edge",
+    StaircaseForm: "staircase",
+    ExcludedWitness: "excluded_subgraph",
+}
 
 
-@dataclass(frozen=True)
-class Excluded:
-    witness: ExcludedWitness
+def certificate_fields(cert) -> dict:
+    """A certificate's fields in declaration order, tuples as lists."""
+    return {f.name: list(v) if isinstance(v, tuple) else v
+            for f in fields(cert) for v in (getattr(cert, f.name),)}
+
+
+def certificate_json(cert) -> dict:
+    """A certificate as JSON: its type tag, then its fields."""
+    return {"type": CERTIFICATE_TYPES[type(cert)], **certificate_fields(cert)}
 
 
 @dataclass(frozen=True)
@@ -571,6 +586,7 @@ class TrichotomyResult:
     degree_threshold is the smallest instance degree bound at which the
     hardness is established (6 in general, 3 when the component is purely
     reflexive or purely irreflexive); None for polynomial-time targets.
+    reason is the certificate itself, an object of a CERTIFICATE_TYPES type.
     per_component holds sub-results when the target is disconnected, with
     certificates expressed in the original colour labels.
     """
@@ -582,7 +598,7 @@ class TrichotomyResult:
     per_component: tuple["TrichotomyResult", ...] = ()
 
 
-def _obstruction(witness: ExcludedWitness | None) -> Excluded:
+def _obstruction(witness: ExcludedWitness | None) -> ExcludedWitness:
     """The SAT-side certificate once the staircase search has failed.  The
     two characterisations are complementary, so a missing witness means one
     of the two searches is wrong; refuse to classify rather than guess."""
@@ -590,7 +606,7 @@ def _obstruction(witness: ExcludedWitness | None) -> Excluded:
         raise RuntimeError(
             "recognition failed: neither a staircase order nor an "
             "obstruction was found")
-    return Excluded(witness)
+    return witness
 
 
 def _classify_connected(hc: ColourGraph):
@@ -603,7 +619,7 @@ def _classify_connected(hc: ColourGraph):
             return Hardness.POLYTIME, CompleteReflexive(), None
         form = find_staircase_adjacency(hc)
         if form is not None:
-            return Hardness.BIS_EQUIVALENT, Staircase(form), 6
+            return Hardness.BIS_EQUIVALENT, form, 6
         return Hardness.SAT_EQUIVALENT, _obstruction(find_excluded_pi(hc)), 3
     sides = colour_bipartition(hc)
     if sides is None:
@@ -615,22 +631,21 @@ def _classify_connected(hc: ColourGraph):
         return Hardness.POLYTIME, CompleteBipartiteIrreflexive(), None
     form = _biadjacency_form(hc, sides[0], [frozenset(hc.colours)])
     if form is not None:
-        return Hardness.BIS_EQUIVALENT, Staircase(form), 6
+        return Hardness.BIS_EQUIVALENT, form, 6
     return Hardness.SAT_EQUIVALENT, _obstruction(find_excluded_bp(hc)), 3
 
 
 def _translate_reason(reason, mapping: dict[int, int]):
+    """The certificate with its colour labels mapped through mapping."""
+    relabel = mapping.__getitem__
     if isinstance(reason, MixedLoops):
-        return MixedLoops(mapping[reason.unlooped], mapping[reason.looped])
-    if isinstance(reason, Excluded):
-        w = reason.witness
-        emb = tuple(mapping[c] for c in w.embedding)
-        return Excluded(ExcludedWitness(w.kind, w.length, emb))
-    if isinstance(reason, Staircase):
-        f = reason.form
-        rows = tuple(mapping[c] for c in f.row_order)
-        cols = tuple(mapping[c] for c in f.col_order)
-        return Staircase(StaircaseForm(f.kind, rows, cols, f.alpha, f.beta))
+        return replace(reason, unlooped=relabel(reason.unlooped),
+                       looped=relabel(reason.looped))
+    if isinstance(reason, ExcludedWitness):
+        return replace(reason, embedding=tuple(map(relabel, reason.embedding)))
+    if isinstance(reason, StaircaseForm):
+        return replace(reason, row_order=tuple(map(relabel, reason.row_order)),
+                       col_order=tuple(map(relabel, reason.col_order)))
     return reason
 
 

@@ -26,11 +26,12 @@ from .recognizer import StaircaseForm, is_staircase
 class StaircaseEncoding:
     """A staircase arrangement of the target's full adjacency structure.
 
-    In bipartite mode the q x q matrix is the block arrangement
-    [[B, 0], [0, B^T]] of a staircase biadjacency matrix B, so both component
-    orientations stay representable; in reflexive mode it is the permuted
-    adjacency matrix itself.  r_order/c_order attach a colour to every row
-    and column; alpha/beta are the per-row 1-blocks (None for all-zero rows).
+    q is the target's colour count.  In bipartite mode the q x q matrix is
+    the block arrangement [[B, 0], [0, B^T]] of a staircase biadjacency
+    matrix B, so both component orientations stay representable; in
+    reflexive mode it is the permuted adjacency matrix itself.
+    r_order/c_order attach a colour to every row and column; alpha/beta are
+    the per-row 1-blocks (None for all-zero rows).
     """
 
     mode: str
@@ -40,7 +41,6 @@ class StaircaseEncoding:
     alpha: tuple[int | None, ...]
     beta: tuple[int | None, ...]
     matrix: tuple[tuple[int, ...], ...]
-    colour_count: int
 
 
 def build_staircase_encoding(h: ColourGraph, sf: StaircaseForm) -> StaircaseEncoding:
@@ -67,16 +67,8 @@ def build_staircase_encoding(h: ColourGraph, sf: StaircaseForm) -> StaircaseEnco
     top = len(sf.row_order)
     if bounds is None or (bounds[0][:top], bounds[1][:top]) != (sf.alpha, sf.beta):
         raise ValueError("staircase form does not certify this target")
-    return StaircaseEncoding(
-        "bipartite" if sf.kind == "biadjacency" else "reflexive",
-        h.n,
-        r_order,
-        c_order,
-        bounds[0],
-        bounds[1],
-        matrix,
-        h.n,
-    )
+    mode = "bipartite" if sf.kind == "biadjacency" else "reflexive"
+    return StaircaseEncoding(mode, h.n, r_order, c_order, *bounds, matrix)
 
 
 @dataclass(frozen=True)
@@ -117,7 +109,7 @@ def reduce_listhcol_to_1p1n(
     In bipartite mode a non-bipartite instance has no colourings; the formula
     then carries a contradictory unit pair.
     """
-    if inst.colour_count != enc.colour_count:
+    if inst.colour_count != enc.q:
         raise ValueError("encoding and instance disagree on the colour count")
     q = enc.q
     g = inst.g

@@ -34,11 +34,10 @@ from listhom.oracles import (
     unit_pos,
 )
 from listhom.recognizer import (
-    Excluded,
     ExcludedWitness,
     Hardness,
     MixedLoops,
-    Staircase,
+    StaircaseForm,
     classify,
     find_excluded_bp,
     find_excluded_pi,
@@ -239,14 +238,14 @@ def test_criterion_08_classification_fixtures():
     cases = [
         ("K2'", patterns.K2_PRIME, Hardness.SAT_EQUIVALENT, 6, MixedLoops),
         ("2-wrench", patterns.TWO_WRENCH, Hardness.SAT_EQUIVALENT, 6, MixedLoops),
-        ("4-path", patterns.P4, Hardness.BIS_EQUIVALENT, 6, Staircase),
-        ("looped 3-path", patterns.P3_STAR, Hardness.BIS_EQUIVALENT, 6, Staircase),
+        ("4-path", patterns.P4, Hardness.BIS_EQUIVALENT, 6, StaircaseForm),
+        ("looped 3-path", patterns.P3_STAR, Hardness.BIS_EQUIVALENT, 6, StaircaseForm),
         ("reflexive K5", patterns.complete(5, reflexive=True),
          Hardness.POLYTIME, None, None),
         ("irreflexive C4", patterns.cycle(4), Hardness.POLYTIME, None, None),
-        ("irreflexive C6", patterns.cycle(6), Hardness.SAT_EQUIVALENT, 3, Excluded),
-        ("reflexive claw", patterns.CLAW, Hardness.SAT_EQUIVALENT, 3, Excluded),
-        ("reflexive K3 + 4-path", union, Hardness.BIS_EQUIVALENT, 6, Staircase),
+        ("irreflexive C6", patterns.cycle(6), Hardness.SAT_EQUIVALENT, 3, ExcludedWitness),
+        ("reflexive claw", patterns.CLAW, Hardness.SAT_EQUIVALENT, 3, ExcludedWitness),
+        ("reflexive K3 + 4-path", union, Hardness.BIS_EQUIVALENT, 6, StaircaseForm),
     ]
     for name, h, klass, thr, reason_type in cases:
         res = classify(h)

@@ -3,6 +3,7 @@ import json
 import random
 import re
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -392,18 +393,17 @@ def test_cmd_selftest_runs_every_gadget_check_on_every_catalogue_case(capsys):
 
 
 def test_cmd_selftest_detects_corruption(capsys, monkeypatch):
-    import listhom.cli as cli_mod
-    real = cli_mod.gadget_catalog
+    import listhom.gadgets as gadgets_mod
+    real = gadgets_mod.recipe
 
-    def corrupted(witness):
-        entry = real(witness)
-        if witness.kind == "X3":
-            broken = ((entry.expected_dprime[0][0] + 1, entry.expected_dprime[0][1]),
-                      entry.expected_dprime[1])
-            entry = type(entry)(entry.gadget, broken, entry.terminals, entry.cond_pair)
-        return entry
+    def corrupted(kind, length=None):
+        row = real(kind, length)
+        if kind == "X3":
+            broken = ((row.dprime[0][0] + 1, row.dprime[0][1]), row.dprime[1])
+            row = replace(row, dprime=broken)
+        return row
 
-    monkeypatch.setattr(cli_mod, "gadget_catalog", corrupted)
+    monkeypatch.setattr(gadgets_mod, "recipe", corrupted)
     assert main(["selftest"]) == 1
     out = capsys.readouterr().out
     assert "FAIL catalog X3 D'" in out

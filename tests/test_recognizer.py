@@ -12,11 +12,10 @@ from listhom import patterns, recognizer
 from listhom.graphs import ColourGraph, induced_subgraph
 from listhom.recognizer import (
     CompleteBipartiteIrreflexive,
-    Excluded,
     ExcludedWitness,
     Hardness,
     MixedLoops,
-    Staircase,
+    StaircaseForm,
     classify,
     find_chordless_cycle,
     find_excluded_bp,
@@ -173,14 +172,14 @@ def test_classification_fixtures():
     cases = [
         (patterns.K2_PRIME, Hardness.SAT_EQUIVALENT, 6, MixedLoops),
         (patterns.TWO_WRENCH, Hardness.SAT_EQUIVALENT, 6, MixedLoops),
-        (patterns.P4, Hardness.BIS_EQUIVALENT, 6, Staircase),
-        (patterns.P3_STAR, Hardness.BIS_EQUIVALENT, 6, Staircase),
+        (patterns.P4, Hardness.BIS_EQUIVALENT, 6, StaircaseForm),
+        (patterns.P3_STAR, Hardness.BIS_EQUIVALENT, 6, StaircaseForm),
         (patterns.complete(5, reflexive=True), Hardness.POLYTIME, None, None),
         (patterns.cycle(4), Hardness.POLYTIME, None, None),
         (patterns.complete_bipartite(2, 3), Hardness.POLYTIME, None,
          CompleteBipartiteIrreflexive),
-        (patterns.cycle(6), Hardness.SAT_EQUIVALENT, 3, Excluded),
-        (patterns.CLAW, Hardness.SAT_EQUIVALENT, 3, Excluded),
+        (patterns.cycle(6), Hardness.SAT_EQUIVALENT, 3, ExcludedWitness),
+        (patterns.CLAW, Hardness.SAT_EQUIVALENT, 3, ExcludedWitness),
     ]
     for h, klass, thr, reason_type in cases:
         res = classify(h)
@@ -199,8 +198,8 @@ def test_classify_disconnected_takes_max():
     assert [sub.klass for sub in res.per_component] == [
         Hardness.POLYTIME, Hardness.BIS_EQUIVALENT]
     # the leading certificate lives in the original labels
-    assert isinstance(res.reason, Staircase)
-    assert set(res.reason.form.row_order) | set(res.reason.form.col_order) == {4, 5, 6, 7}
+    assert isinstance(res.reason, StaircaseForm)
+    assert set(res.reason.row_order) | set(res.reason.col_order) == {4, 5, 6, 7}
 
 
 def test_classify_disconnected_takes_min_threshold_among_max():
@@ -210,7 +209,7 @@ def test_classify_disconnected_takes_min_threshold_among_max():
     res = classify(h)
     assert res.klass is Hardness.SAT_EQUIVALENT
     assert res.degree_threshold == 3
-    assert isinstance(res.reason, Excluded)
+    assert isinstance(res.reason, ExcludedWitness)
 
 
 def test_classify_invariant_under_relabelling():
@@ -249,11 +248,11 @@ def test_classify_certificates_revalidate():
         assert res.reason in [part.reason for part in parts]
         for part in parts:
             reason = part.reason
-            if isinstance(reason, Staircase):
+            if isinstance(reason, StaircaseForm):
                 # certificates are in the target's labels: the orders cover
                 # exactly the part's colours and arrange h's matrix into the
                 # recorded staircase
-                form = reason.form
+                form = reason
                 rows, cols = form.row_order, form.col_order
                 if form.kind == "adjacency":
                     assert rows == cols
@@ -267,8 +266,8 @@ def test_classify_certificates_revalidate():
                     assert form.certifies(h)
                 if len(parts) > 1:
                     staircase_beside_others.append(form.kind)
-            elif isinstance(reason, Excluded):
-                assert reason.witness.verify(h)
+            elif isinstance(reason, ExcludedWitness):
+                assert reason.verify(h)
             elif isinstance(reason, MixedLoops):
                 u, v = reason.unlooped, reason.looped
                 assert h.adjacent(u, v) and not h.has_loop(u) and h.has_loop(v)
@@ -321,8 +320,8 @@ def test_classify_every_small_target():
             res = classify(h)
             results = res.per_component or (res,)
             for sub in results:
-                if isinstance(sub.reason, Excluded):
-                    assert sub.reason.witness.verify(h)
+                if isinstance(sub.reason, ExcludedWitness):
+                    assert sub.reason.verify(h)
                 elif isinstance(sub.reason, MixedLoops):
                     u, v = sub.reason.unlooped, sub.reason.looped
                     assert h.adjacent(u, v)
@@ -405,13 +404,13 @@ def test_classify_scales_to_long_paths_and_cycles():
         h = _relabel(h, rng)
         res = classify(h)
         assert res.klass is Hardness.BIS_EQUIVALENT and res.degree_threshold == 6
-        assert isinstance(res.reason, Staircase) and res.reason.form.certifies(h)
+        assert isinstance(res.reason, StaircaseForm) and res.reason.certifies(h)
     for h in (patterns.cycle(40), patterns.cycle(40, reflexive=True)):
         h = _relabel(h, rng)
         res = classify(h)
         assert res.klass is Hardness.SAT_EQUIVALENT and res.degree_threshold == 3
-        assert isinstance(res.reason, Excluded) and res.reason.witness.verify(h)
-        assert res.reason.witness.length == 40
+        assert isinstance(res.reason, ExcludedWitness) and res.reason.verify(h)
+        assert res.reason.length == 40
 
 
 def test_find_chordless_cycle_long():
@@ -446,7 +445,7 @@ def test_classify_two_colours_an_irreflexive_component_once(monkeypatch):
         monkeypatch.setattr(listhom.graphs, name, counted(name))
     h = _relabel(patterns.path(12), random.Random(12))
     res = classify(h)
-    assert res.klass is Hardness.BIS_EQUIVALENT and res.reason.form.certifies(h)
+    assert res.klass is Hardness.BIS_EQUIVALENT and res.reason.certifies(h)
     # one 2-colouring, inside _classify_connected; two BFS trees, one for
     # classify's components and one for that 2-colouring
     assert calls == {"_two_colouring": 1, "_bfs": 2}

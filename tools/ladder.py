@@ -43,9 +43,10 @@ step's peak RSS, and whether the answer equals a row-by-row transfer-matrix
 count (``grid_transfer_count`` in ``tests/helpers.py``, run after the peak
 RSS is read).
 
-Every step runs in a fresh interpreter and builds its input outside the
-timing.  A step that runs past the cap is recorded as "timeout" and ends its
-family.  Standard library only.
+Every step runs in REPEATS fresh interpreters and builds its input outside
+the timing.  It records the median run and, under "times", the seconds of
+every run in the order they ran.  A step with a run past the cap is
+recorded as "timeout" and ends its family.  Standard library only.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SIZES = (30, 60, 120, 240, 480)
 GRID_SIZES = tuple(range(8, 17))
 CAP_S = 60
+# fresh interpreters per step: one run carries the machine's noise
+REPEATS = 3
 RELABEL_SEED = 1
 
 
@@ -105,7 +108,7 @@ def step(src: str, family: str, size: int) -> dict:
     if family in GRID_FAMILIES:
         return _grid_step(family, size)
     from listhom.graphs import ColourGraph
-    from listhom.recognizer import Excluded, classify
+    from listhom.recognizer import ExcludedWitness, classify
 
     n, edges, kind, length = CLASSIFY_FAMILIES[GADGET_FAMILIES.get(family, family)](size)
     perm = list(range(1, n + 1))
@@ -118,8 +121,9 @@ def step(src: str, family: str, size: int) -> dict:
     seconds = time.perf_counter() - start
     out = {"colours": n, "seconds": round(seconds, 6), "class": res.klass.name.lower(),
            "kind": None, "length": None, "verified": False}
-    if isinstance(res.reason, Excluded):
-        w = res.reason.witness
+    # the certificate itself; older checkouts wrap it in a witness field
+    w = getattr(res.reason, "witness", res.reason)
+    if isinstance(w, ExcludedWitness):
         out.update(kind=w.kind, length=w.length, verified=w.verify(h))
     out["expected"] = out["verified"] and (out["kind"], out["length"]) == (kind, length)
     out["peak_rss_mib"] = _peak_rss_mib()
@@ -130,7 +134,8 @@ def _gadget_step(h, expected: tuple) -> dict:
     from listhom import cli
     from listhom.recognizer import classify
 
-    witness = classify(h).reason.witness
+    reason = classify(h).reason
+    witness = getattr(reason, "witness", reason)
     start = time.perf_counter()
     report = cli._gadget_report(h, witness, (0,))
     seconds = time.perf_counter() - start
@@ -227,16 +232,22 @@ def ladder(label: str, src: Path) -> dict:
         for size in sizes:
             cmd = [sys.executable, str(Path(__file__).resolve()),
                    "--step", str(src), family, str(size)]
-            try:
-                proc = subprocess.run(cmd, capture_output=True, text=True, timeout=CAP_S)
-            except subprocess.TimeoutExpired:
+            runs = []
+            for _ in range(REPEATS):
+                try:
+                    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=CAP_S)
+                except subprocess.TimeoutExpired:
+                    break
+                if proc.returncode != 0:
+                    raise RuntimeError(f"step {family} {size} failed:\n{proc.stderr}")
+                runs.append(json.loads(proc.stdout))
+            if len(runs) < REPEATS:
                 steps.append({"size": size, "seconds": "timeout"})
                 print(f"{label} {family} {size}: timeout", file=sys.stderr)
                 break
-            if proc.returncode != 0:
-                raise RuntimeError(f"step {family} {size} failed:\n{proc.stderr}")
-            steps.append({"size": size, **json.loads(proc.stdout)})
-            print(f"{label} {family} {size}: {steps[-1]['seconds']} s", file=sys.stderr)
+            median = sorted(runs, key=lambda run: run["seconds"])[REPEATS // 2]
+            steps.append({"size": size, **median, "times": [run["seconds"] for run in runs]})
+            print(f"{label} {family} {size}: {steps[-1]['times']} s", file=sys.stderr)
     return families
 
 
@@ -262,10 +273,12 @@ def main(argv=None) -> int:
         runs[label] = {"commit": commit_of(src_path), "families": ladder(label, src_path)}
     report = {
         "what": "seconds of one classify call, one gadget report or one count per step"
-                " (input built outside the timing)",
+                " (input built outside the timing): the median run, and every run"
+                " under times",
         "python": platform.python_version(),
         "machine": machine_note(),
         "cap_s": CAP_S,
+        "repeats": REPEATS,
         "sizes": {family: sizes for family, sizes in FAMILIES.items()},
         "relabel_seed": RELABEL_SEED,
         "runs": runs,
