@@ -392,6 +392,23 @@ def test_cmd_selftest_runs_every_gadget_check_on_every_catalogue_case(capsys):
     assert missing == []
 
 
+def test_gadget_report_resolves_the_catalogue_row_once(tmp_path, capsys, monkeypatch):
+    # a cycle row builds its dense q x q pattern, so each lookup costs O(q^2)
+    import listhom.gadgets as gadgets_mod
+    real = gadgets_mod.recipe
+    looked_up = []
+
+    def counted(kind, length=None):
+        looked_up.append((kind, length))
+        return real(kind, length)
+
+    monkeypatch.setattr(gadgets_mod, "recipe", counted)
+    path = write(tmp_path, "c8.h", serialise_h(patterns.cycle(8)))
+    assert main(["gadget", path, "--witness", "cycle8", "--json", "--t", "1"]) == 0
+    capsys.readouterr()
+    assert looked_up == [("CycleNe4", 8)]
+
+
 def test_cmd_selftest_detects_corruption(capsys, monkeypatch):
     import listhom.gadgets as gadgets_mod
     real = gadgets_mod.recipe

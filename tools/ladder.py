@@ -43,10 +43,12 @@ step's peak RSS, and whether the answer equals a row-by-row transfer-matrix
 count (``grid_transfer_count`` in ``tests/helpers.py``, run after the peak
 RSS is read).
 
-Every step runs in REPEATS fresh interpreters and builds its input outside
-the timing.  It records the median run and, under "times", the seconds of
-every run in the order they ran.  A step with a run past the cap is
-recorded as "timeout" and ends its family.  Standard library only.
+Every step runs REPEATS times per ``--run``, each time in a fresh
+interpreter, the runs of the labels taking turns, and builds its input
+outside the timing.  It records the median run and, under "times", the
+seconds of every run in the order they ran.  A step with a run past the
+cap is recorded as "timeout" and ends its family for that label.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -225,29 +227,40 @@ def machine_note() -> str:
     return f"{model}, {os.cpu_count()} CPUs, {platform.system()} {platform.release()}"
 
 
-def ladder(label: str, src: Path) -> dict:
-    families = {}
+def _run(src: Path, family: str, size: int) -> dict | None:
+    """One run of a step in a fresh interpreter; None past the cap."""
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--step", str(src), family, str(size)]
+    try:
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=CAP_S)
+    except subprocess.TimeoutExpired:
+        return None
+    if proc.returncode != 0:
+        raise RuntimeError(f"step {family} {size} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def ladder(srcs: dict[str, Path]) -> dict:
+    """The families of each label.  The labels take turns on every run of
+    every step, so a drift in the machine's load falls on all of them."""
+    families = {label: {family: [] for family in FAMILIES} for label in srcs}
     for family, sizes in FAMILIES.items():
-        steps = families[family] = []
+        live = dict(srcs)  # the labels whose family has not timed out
         for size in sizes:
-            cmd = [sys.executable, str(Path(__file__).resolve()),
-                   "--step", str(src), family, str(size)]
-            runs = []
+            runs = {label: [] for label in live}
             for _ in range(REPEATS):
-                try:
-                    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=CAP_S)
-                except subprocess.TimeoutExpired:
-                    break
-                if proc.returncode != 0:
-                    raise RuntimeError(f"step {family} {size} failed:\n{proc.stderr}")
-                runs.append(json.loads(proc.stdout))
-            if len(runs) < REPEATS:
-                steps.append({"size": size, "seconds": "timeout"})
-                print(f"{label} {family} {size}: timeout", file=sys.stderr)
-                break
-            median = sorted(runs, key=lambda run: run["seconds"])[REPEATS // 2]
-            steps.append({"size": size, **median, "times": [run["seconds"] for run in runs]})
-            print(f"{label} {family} {size}: {steps[-1]['times']} s", file=sys.stderr)
+                for label, src in live.items():
+                    if None not in runs[label]:
+                        runs[label].append(_run(src, family, size))
+            for label, done in runs.items():
+                steps = families[label][family]
+                if None in done:
+                    steps.append({"size": size, "seconds": "timeout"})
+                    print(f"{label} {family} {size}: timeout", file=sys.stderr)
+                    del live[label]
+                    continue
+                median = sorted(done, key=lambda run: run["seconds"])[REPEATS // 2]
+                steps.append({"size": size, **median, "times": [run["seconds"] for run in done]})
+                print(f"{label} {family} {size}: {steps[-1]['times']} s", file=sys.stderr)
     return families
 
 
@@ -264,13 +277,14 @@ def main(argv=None) -> int:
         return 0
     if not args.run or args.out is None:
         ap.error("--run and --out are required")
-    runs = {}
+    srcs = {}
     for spec in args.run:
         label, sep, src = spec.partition("=")
-        src_path = Path(src).resolve()
-        if not sep or not (src_path / "listhom" / "recognizer.py").is_file():
+        srcs[label] = Path(src).resolve()
+        if not sep or not (srcs[label] / "listhom" / "recognizer.py").is_file():
             ap.error(f"--run {spec}: expected LABEL=SRC with listhom under SRC")
-        runs[label] = {"commit": commit_of(src_path), "families": ladder(label, src_path)}
+    runs = {label: {"commit": commit_of(src), "families": families}
+            for (label, src), families in zip(srcs.items(), ladder(srcs).values())}
     report = {
         "what": "seconds of one classify call, one gadget report or one count per step"
                 " (input built outside the timing): the median run, and every run"
