@@ -570,8 +570,8 @@ CERTIFICATE_TYPES = {
 
 def certificate_fields(cert) -> dict:
     """A certificate's fields in declaration order, tuples as lists."""
-    return {f.name: list(v) if isinstance(v, tuple) else v
-            for f in fields(cert) for v in (getattr(cert, f.name),)}
+    values = {f.name: getattr(cert, f.name) for f in fields(cert)}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
 
 def certificate_json(cert) -> dict:

@@ -283,8 +283,9 @@ def main(argv=None) -> int:
         srcs[label] = Path(src).resolve()
         if not sep or not (srcs[label] / "listhom" / "recognizer.py").is_file():
             ap.error(f"--run {spec}: expected LABEL=SRC with listhom under SRC")
-    runs = {label: {"commit": commit_of(src), "families": families}
-            for (label, src), families in zip(srcs.items(), ladder(srcs).values())}
+    families = ladder(srcs)
+    runs = {label: {"commit": commit_of(src), "families": families[label]}
+            for label, src in srcs.items()}
     report = {
         "what": "seconds of one classify call, one gadget report or one count per step"
                 " (input built outside the timing): the median run, and every run"
