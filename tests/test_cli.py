@@ -105,19 +105,61 @@ def test_graph_round_trip_and_list_rejection():
         parse_graph("g 2\nl 1 1\n")
 
 
+def _instance3(text):
+    return parse_instance(text, 3)
+
+
+# (parser, text, line, message): every ParseError message of the three formats
+PARSE_ERRORS = (
+    (parse_h, "h 2\nh 3\n", 2, "duplicate header"),
+    (parse_h, "e 1 2\nh 2\n", 1, "edge before 'h' header"),
+    (parse_h, "h 2\nz 1\n", 2, "unknown directive 'z' in target file"),
+    (parse_h, "h 2 3\n", 1, "'h' takes 1 argument(s)"),
+    (parse_h, "h 2\ne 1\n", 2, "'e' takes 2 argument(s)"),
+    (parse_h, "h two\n", 1, "non-integer field: invalid literal for int() with base 10: 'two'"),
+    (parse_h, "# only a comment\n", 1, "missing 'h <n>' header"),
+    (parse_h, "h 0\n", 1, "need at least one colour"),
+    (parse_h, "h 2\ne 1 3\n", 2, "edge (1,3) out of range 1..2"),
+    (parse_h, "h 3\ne 1 2\n\ne 2 1\n", 4, "parallel edge (2,1)"),
+    (parse_graph, "g 2\n# twice\ng 2\n", 3, "duplicate header"),
+    (parse_graph, "e 1 2\ng 2\n", 1, "edge before 'g' header"),
+    (parse_graph, "g -1\n", 1, "vertex count must be non-negative"),
+    (parse_graph, "g\n", 1, "'g' takes 1 argument(s)"),
+    (parse_graph, "g 2\ne 1 1\n", 2, "loop on vertex 1 not allowed"),
+    (parse_graph, "g 2\ne 0 1\n", 2, "edge (0,1) out of range 1..2"),
+    (parse_graph, "g 2\ne 1 2\ne 1 2\n", 3, "parallel edge (1,2)"),
+    (parse_graph, "\n", 1, "missing 'g <m>' header"),
+    (parse_graph, "g 2\nq\n", 2, "unknown directive 'q' in graph file"),
+    (parse_graph, "g 2\nl 1 1\n", 2, "'l' lines are not allowed in a plain graph file"),
+    (_instance3, "l 1 1\ng 2\n", 1, "list before 'g' header"),
+    (_instance3, "g 2\ne 1 1\n", 2, "loop on vertex 1 not allowed"),
+    (_instance3, "g 2\ne 1 2 3\n", 2, "'e' takes 2 argument(s)"),
+    (_instance3, "g 2\nl\n", 2, "'l' needs a vertex"),
+    (_instance3, "g 2\nl 3 1\n", 2, "vertex 3 out of range 1..2"),
+    (_instance3, "g 2\nl 1 1\nl 1 2\n", 3, "duplicate list for vertex 1"),
+    (_instance3, "g 2\nl 1 4\n", 2, "vertex 1: colour 4 out of range 1..3"),
+    (_instance3, "g 2\nl 1 x\n", 2, "non-integer field: invalid literal for int() with base 10: 'x'"),
+    (_instance3, "g 2\nz\n", 2, "unknown directive 'z' in graph file"),
+    (_instance3, "", 1, "missing 'g <m>' header"),
+    (parse_formula, "f 1\nf 1\n", 2, "duplicate header"),
+    (parse_formula, "p 1\nf 1\n", 1, "clause before 'f' header"),
+    (parse_formula, "i 1 2\nf 2\n", 1, "clause before 'f' header"),
+    (parse_formula, "f -1\n", 1, "variable count must be non-negative"),
+    (parse_formula, "f 1\np 2\n", 2, "variable 2 out of range 1..1"),
+    (parse_formula, "f 2\ni 1 0\n", 2, "variable 0 out of range 1..2"),
+    (parse_formula, "f 2\nn 1 2\n", 2, "'n' takes 1 argument(s)"),
+    (parse_formula, "f 2\ni 1\n", 2, "'i' takes 2 argument(s)"),
+    (parse_formula, "f 1\np 1.5\n", 2, "non-integer field: invalid literal for int() with base 10: '1.5'"),
+    (parse_formula, "f 2\nx 1\n", 2, "unknown directive 'x' in formula file"),
+    (parse_formula, "", 1, "missing 'f <nvars>' header"),
+)
+
+
 def test_parse_errors_carry_line_numbers():
-    with pytest.raises(ParseError) as err:
-        parse_h("h 2\ne 1 3\n")
-    assert err.value.line_no == 2
-    with pytest.raises(ParseError) as err:
-        parse_instance("g 2\ne 1 1\n", 3)
-    assert err.value.line_no == 2
-    with pytest.raises(ParseError):
-        parse_h("e 1 2\n")  # edge before header
-    with pytest.raises(ParseError):
-        parse_formula("f 1\np 2\n")
-    with pytest.raises(ParseError):
-        parse_h("h 2\nz 1\n")
+    for parse, text, line_no, message in PARSE_ERRORS:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line_no, str(err.value)) == (line_no, f"line {line_no}: {message}"), text
 
 
 def test_parallel_edge_names_the_first_duplicate_line():
