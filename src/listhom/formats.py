@@ -3,12 +3,19 @@
 Target file:    header "h <n>", then "e <u> <v>" per edge ("e v v" is a loop).
 Instance file:  header "g <m>", then "e <u> <v>" edges and "l <v> <c1> ...
                 <ck>" list lines; a vertex without an l line gets the full
-                list, and "l <v>" alone empties it.
+                list, and "l <v>" alone empties it.  A plain graph file is
+                an instance file without l lines.
 Formula file:   header "f <nvars>", then "p <v>" (positive unit), "n <v>"
                 (negative unit) and "i <a> <b>" (a implies b).
 
-Blank lines and lines starting with "#" are ignored.  Serialisers emit
-canonical order, and parse(serialise(x)) == x for every in-range value.
+Blank lines and lines starting with "#" are ignored.  One reader,
+_directives, reads all three formats and checks their shared rules: the
+header comes first and only once, and every other line is a directive of
+the format with its number of integer arguments.  Each parser adds only
+the checks of its own format.  Every line is checked as it is read, so a
+ParseError names the first bad line; the CLI exits with code 2 on one.
+Serialisers emit canonical order, and parse(serialise(x)) == x for every
+in-range value.
 """
 
 from __future__ import annotations
@@ -25,49 +32,91 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-def _meaningful_lines(text: str):
+# each format's directives after the header: tag -> (noun, argument count),
+# None for any count
+_EDGES = {"e": ("edge", 2)}
+_INSTANCE = {**_EDGES, "l": ("list", None)}
+_CLAUSES = {UNIT_POS: ("clause", 1), UNIT_NEG: ("clause", 1), IMP: ("clause", 2)}
+
+
+def _directives(text: str, what: str, header: str, tags: dict):
+    """(line_no, tag, ints) for each meaningful line of a `what` file, the
+    header line first; header is its usage, such as "h <n>"."""
+    head = header[0]
+    seen_header = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield line_no, line.split()
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
+            continue
+        tag = fields[0]
+        if tag == head:
+            if seen_header:
+                raise ParseError(line_no, "duplicate header")
+            seen_header = True
+            count = 1
+        elif tag in tags:
+            noun, count = tags[tag]
+            if not seen_header:
+                raise ParseError(line_no, f"{noun} before {head!r} header")
+        else:
+            raise ParseError(line_no, f"unknown directive {tag!r} in {what} file")
+        if count is not None and len(fields) - 1 != count:
+            raise ParseError(line_no, f"{tag!r} takes {count} argument(s)")
+        try:
+            ints = [int(x) for x in fields[1:]]
+        except ValueError as exc:
+            raise ParseError(line_no, f"non-integer field: {exc}") from None
+        yield line_no, tag, ints
+    if not seen_header:
+        raise ParseError(1, f"missing {header!r} header")
 
 
-def _int_fields(line_no, fields, expected: int | None = None):
-    if expected is not None and len(fields) - 1 != expected:
-        raise ParseError(line_no, f"'{fields[0]}' takes {expected} argument(s)")
-    try:
-        return [int(x) for x in fields[1:]]
-    except ValueError as exc:
-        raise ParseError(line_no, f"non-integer field: {exc}") from None
+def _header(lines, least: int, message: str) -> int:
+    line_no, _, (n,) = next(lines)
+    if n < least:
+        raise ParseError(line_no, message)
+    return n
 
 
-def parse_h(text: str) -> ColourGraph:
-    n = None
+def _graph_body(lines, n: int, loops: bool, colour_count: int | None = None):
+    """(edges, lists) from the lines after a target or graph header; each
+    edge is a pair (u, v) with u <= v, in range and seen once, and lists
+    maps each listed vertex to its colours, in range 1..colour_count."""
     edges = []
     seen = set()  # the pairs in edges, for the duplicate check
-    for line_no, fields in _meaningful_lines(text):
-        tag = fields[0]
-        if tag == "h":
-            if n is not None:
-                raise ParseError(line_no, "duplicate header")
-            (n,) = _int_fields(line_no, fields, 1)
-            if n < 1:
-                raise ParseError(line_no, "need at least one colour")
-        elif tag == "e":
-            if n is None:
-                raise ParseError(line_no, "edge before 'h' header")
-            u, v = _int_fields(line_no, fields, 2)
+    lists = {}
+    for line_no, tag, ints in lines:
+        if tag == "e":
+            u, v = ints
+            if u == v and not loops:
+                raise ParseError(line_no, f"loop on vertex {u} not allowed")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(line_no, f"edge ({u},{v}) out of range 1..{n}")
-            pair = (min(u, v), max(u, v))
+            pair = (u, v) if u <= v else (v, u)
             if pair in seen:
                 raise ParseError(line_no, f"parallel edge ({u},{v})")
             seen.add(pair)
             edges.append(pair)
-        else:
-            raise ParseError(line_no, f"unknown directive {tag!r} in target file")
-    if n is None:
-        raise ParseError(1, "missing 'h <n>' header")
+            continue
+        if not ints:
+            raise ParseError(line_no, "'l' needs a vertex")
+        v, *cols = ints
+        if not (1 <= v <= n):
+            raise ParseError(line_no, f"vertex {v} out of range 1..{n}")
+        if v in lists:
+            raise ParseError(line_no, f"duplicate list for vertex {v}")
+        for c in cols:
+            if not (1 <= c <= colour_count):
+                raise ParseError(
+                    line_no, f"vertex {v}: colour {c} out of range 1..{colour_count}")
+        lists[v] = frozenset(cols)
+    return edges, lists
+
+
+def parse_h(text: str) -> ColourGraph:
+    lines = _directives(text, "target", "h <n>", _EDGES)
+    n = _header(lines, 1, "need at least one colour")
+    edges, _ = _graph_body(lines, n, loops=True)
     return ColourGraph.from_edges(n, edges)
 
 
@@ -77,71 +126,25 @@ def serialise_h(h: ColourGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_graph_lines(text: str, allow_lists: bool):
-    """(m, edges, lists) of a graph or instance file; each edge is a pair
-    (u, v) with u < v, in range, and seen once, so the callers build the
-    InstanceGraph from the sorted pairs directly."""
-    m = None
-    edges = []
-    seen = set()  # the pairs in edges, for the duplicate check
-    lists: dict[int, tuple[int, list[int]]] = {}  # vertex -> (line, colours)
-    for line_no, fields in _meaningful_lines(text):
-        tag = fields[0]
-        if tag == "g":
-            if m is not None:
-                raise ParseError(line_no, "duplicate header")
-            (m,) = _int_fields(line_no, fields, 1)
-            if m < 0:
-                raise ParseError(line_no, "vertex count must be non-negative")
-        elif tag == "e":
-            if m is None:
-                raise ParseError(line_no, "edge before 'g' header")
-            u, v = _int_fields(line_no, fields, 2)
-            if u == v:
-                raise ParseError(line_no, f"loop on vertex {u} not allowed")
-            if not (1 <= u <= m and 1 <= v <= m):
-                raise ParseError(line_no, f"edge ({u},{v}) out of range 1..{m}")
-            pair = (min(u, v), max(u, v))
-            if pair in seen:
-                raise ParseError(line_no, f"parallel edge ({u},{v})")
-            seen.add(pair)
-            edges.append(pair)
-        elif tag == "l":
-            if not allow_lists:
-                raise ParseError(line_no, "'l' lines are not allowed in a plain graph file")
-            if m is None:
-                raise ParseError(line_no, "list before 'g' header")
-            vals = _int_fields(line_no, fields)
-            if not vals:
-                raise ParseError(line_no, "'l' needs a vertex")
-            v, cols = vals[0], vals[1:]
-            if not (1 <= v <= m):
-                raise ParseError(line_no, f"vertex {v} out of range 1..{m}")
-            if v in lists:
-                raise ParseError(line_no, f"duplicate list for vertex {v}")
-            lists[v] = (line_no, cols)
-        else:
-            raise ParseError(line_no, f"unknown directive {tag!r} in graph file")
-    if m is None:
-        raise ParseError(1, "missing 'g <m>' header")
-    return m, edges, lists
+def _parse_graph(text: str, colour_count: int | None = None):
+    """(graph, lists) of an instance file, or of a plain graph file when
+    there is no colour count."""
+    lines = _directives(text, "graph", "g <m>", _EDGES if colour_count is None else _INSTANCE)
+    m = _header(lines, 0, "vertex count must be non-negative")
+    edges, lists = _graph_body(lines, m, False, colour_count)
+    return InstanceGraph(m, tuple(sorted(edges))), lists
 
 
 def parse_graph(text: str) -> InstanceGraph:
-    m, edges, _ = _parse_graph_lines(text, allow_lists=False)
-    return InstanceGraph(m, tuple(sorted(edges)))
+    return _parse_graph(text)[0]
 
 
 def parse_instance(text: str, colour_count: int) -> Instance:
-    m, edges, lists = _parse_graph_lines(text, allow_lists=True)
-    assignment = list(full_lists(m, colour_count))
-    for v, (line_no, cols) in lists.items():
-        for c in cols:
-            if not (1 <= c <= colour_count):
-                raise ParseError(
-                    line_no, f"vertex {v}: colour {c} out of range 1..{colour_count}")
-        assignment[v - 1] = frozenset(cols)
-    return Instance(InstanceGraph(m, tuple(sorted(edges))), tuple(assignment), colour_count)
+    g, lists = _parse_graph(text, colour_count)
+    assignment = list(full_lists(g.m, colour_count))
+    for v, cols in lists.items():
+        assignment[v - 1] = cols
+    return Instance(g, tuple(assignment), colour_count)
 
 
 def serialise_graph(g: InstanceGraph) -> str:
@@ -162,35 +165,14 @@ def serialise_instance(inst: Instance) -> str:
 
 
 def parse_formula(text: str) -> ImplicationFormula:
-    nvars = None
+    lines = _directives(text, "formula", "f <nvars>", _CLAUSES)
+    nvars = _header(lines, 0, "variable count must be non-negative")
     clauses = []
-    for line_no, fields in _meaningful_lines(text):
-        tag = fields[0]
-        if tag == "f":
-            if nvars is not None:
-                raise ParseError(line_no, "duplicate header")
-            (nvars,) = _int_fields(line_no, fields, 1)
-            if nvars < 0:
-                raise ParseError(line_no, "variable count must be non-negative")
-        elif tag in (UNIT_POS, UNIT_NEG):
-            if nvars is None:
-                raise ParseError(line_no, "clause before 'f' header")
-            (v,) = _int_fields(line_no, fields, 1)
+    for line_no, tag, ints in lines:
+        for v in ints:
             if not (1 <= v <= nvars):
                 raise ParseError(line_no, f"variable {v} out of range 1..{nvars}")
-            clauses.append((tag, v))
-        elif tag == IMP:
-            if nvars is None:
-                raise ParseError(line_no, "clause before 'f' header")
-            a, b = _int_fields(line_no, fields, 2)
-            for v in (a, b):
-                if not (1 <= v <= nvars):
-                    raise ParseError(line_no, f"variable {v} out of range 1..{nvars}")
-            clauses.append((IMP, a, b))
-        else:
-            raise ParseError(line_no, f"unknown directive {tag!r} in formula file")
-    if nvars is None:
-        raise ParseError(1, "missing 'f <nvars>' header")
+        clauses.append((tag, *ints))
     return ImplicationFormula(nvars, tuple(clauses))
 
 

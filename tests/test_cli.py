@@ -130,7 +130,7 @@ PARSE_ERRORS = (
     (parse_graph, "g 2\ne 1 2\ne 1 2\n", 3, "parallel edge (1,2)"),
     (parse_graph, "\n", 1, "missing 'g <m>' header"),
     (parse_graph, "g 2\nq\n", 2, "unknown directive 'q' in graph file"),
-    (parse_graph, "g 2\nl 1 1\n", 2, "'l' lines are not allowed in a plain graph file"),
+    (parse_graph, "g 2\nl 1 1\n", 2, "unknown directive 'l' in graph file"),
     (_instance3, "l 1 1\ng 2\n", 1, "list before 'g' header"),
     (_instance3, "g 2\ne 1 1\n", 2, "loop on vertex 1 not allowed"),
     (_instance3, "g 2\ne 1 2 3\n", 2, "'e' takes 2 argument(s)"),
@@ -140,6 +140,9 @@ PARSE_ERRORS = (
     (_instance3, "g 2\nl 1 4\n", 2, "vertex 1: colour 4 out of range 1..3"),
     (_instance3, "g 2\nl 1 x\n", 2, "non-integer field: invalid literal for int() with base 10: 'x'"),
     (_instance3, "g 2\nz\n", 2, "unknown directive 'z' in graph file"),
+    # a bad list colour is reported on its own line, before a later error
+    (lambda text: parse_instance(text, 2), "g 3\nl 1 5\ne 1 2\ne 1 2\n", 2,
+     "vertex 1: colour 5 out of range 1..2"),
     (_instance3, "", 1, "missing 'g <m>' header"),
     (parse_formula, "f 1\nf 1\n", 2, "duplicate header"),
     (parse_formula, "p 1\nf 1\n", 1, "clause before 'f' header"),
