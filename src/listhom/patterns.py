@@ -16,6 +16,7 @@ recogniser's obstruction searches, the gadget catalogue and the CLI's
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import ColourGraph
 
@@ -101,15 +102,21 @@ class Recipe:
     own labels: the gadget's colour pairs (the first is the terminal pair),
     its expected D', the pendant pair (r', s') that thickening appends, and
     the mirror: an automorphism of order two swapping the terminals, as an
-    image tuple, against which build_symmetrized symmetrises the gadget."""
+    image tuple, against which build_symmetrized symmetrises the gadget.
+    A cycle row builds its pattern only when something reads it."""
 
     kind: str
     length: int | None
-    pattern: ColourGraph
     pairs: tuple[tuple[int, int], ...]
     dprime: tuple[tuple[int, int], tuple[int, int]]
     pendants: tuple[int, int]
     mirror: tuple[int, ...]
+
+    @cached_property
+    def pattern(self) -> ColourGraph:
+        if self.length is None:
+            return FIXED_PATTERNS[self.kind]
+        return cycle(self.length, reflexive=self.kind == "CycleGe4")
 
     @property
     def terminals(self) -> tuple[int, int]:
@@ -122,20 +129,23 @@ class Recipe:
         return self.pattern.has_loop(1)
 
 
+# The pattern of each fixed-shape kind.
+FIXED_PATTERNS = {"X3": X3, "X2": X2, "T2": T2, "Claw": CLAW, "Net": NET, "S3": S3}
+
 # The fixed-shape kinds, bipartite-permutation ones first; the obstruction
 # searches try the rows of their class in this order.
 RECIPES = (
-    Recipe("X3", None, X3, ((1, 2), (4, 7), (3, 6), (4, 5), (2, 1)),
+    Recipe("X3", None, ((1, 2), (4, 7), (3, 6), (4, 5), (2, 1)),
            ((2, 3), (3, 5)), (5, 7), (2, 1, 3, 4, 7, 6, 5)),
-    Recipe("X2", None, X2, ((1, 2), (4, 7), (3, 2), (4, 6), (3, 1), (4, 5), (2, 1)),
+    Recipe("X2", None, ((1, 2), (4, 7), (3, 2), (4, 6), (3, 1), (4, 5), (2, 1)),
            ((5, 8), (8, 13)), (5, 7), (2, 1, 3, 4, 7, 6, 5)),
-    Recipe("T2", None, T2, ((1, 2), (5, 7), (4, 2), (3, 5), (4, 1), (5, 6), (2, 1)),
+    Recipe("T2", None, ((1, 2), (5, 7), (4, 2), (3, 5), (4, 1), (5, 6), (2, 1)),
            ((5, 7), (7, 10)), (6, 7), (2, 1, 3, 4, 5, 7, 6)),
-    Recipe("Claw", None, CLAW, ((1, 2), (4, 2), (3, 4), (4, 1), (2, 1)),
+    Recipe("Claw", None, ((1, 2), (4, 2), (3, 4), (4, 1), (2, 1)),
            ((2, 3), (3, 5)), (1, 2), (2, 1, 3, 4)),
-    Recipe("Net", None, NET, ((1, 2), (4, 6), (3, 2), (3, 1), (4, 5), (2, 1)),
+    Recipe("Net", None, ((1, 2), (4, 6), (3, 2), (3, 1), (4, 5), (2, 1)),
            ((2, 3), (3, 5)), (5, 6), (2, 1, 3, 4, 6, 5)),
-    Recipe("S3", None, S3, ((1, 2), (3, 6), (3, 5), (3, 4), (2, 1)),
+    Recipe("S3", None, ((1, 2), (3, 6), (3, 5), (3, 4), (2, 1)),
            ((1, 1), (1, 2)), (4, 6), (2, 1, 3, 6, 5, 4)),
 )
 
@@ -170,13 +180,15 @@ def cycle_recipe(kind: str, length: int | None) -> Recipe:
         dprime, pendants = ((1, 2), (1, 3)), (q, 3)
     # the reflection x -> r + s - x (mod q) of the cycle swaps the terminals r, s
     mirror = tuple((sum(pairs[0]) - x - 1) % q + 1 for x in range(1, q + 1))
-    pattern = cycle(q, reflexive=kind == "CycleGe4")
-    return Recipe(kind, q, pattern, pairs, dprime, pendants, mirror)
+    return Recipe(kind, q, pairs, dprime, pendants, mirror)
 
 
 def recipe(kind: str, length: int | None = None) -> Recipe:
-    """The catalogue row of a witness kind; a cycle kind needs its length."""
+    """The catalogue row of a witness kind; a cycle kind needs its length,
+    and a fixed-shape kind takes none."""
     for row in RECIPES:
         if row.kind == kind:
+            if length is not None:
+                raise ValueError(f"witness kind {kind} takes no length, got {length!r}")
             return row
     return cycle_recipe(kind, length)

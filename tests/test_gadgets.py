@@ -9,7 +9,7 @@ import pytest
 
 from listhom import gadgets, patterns
 from listhom.cli import main
-from listhom.formats import serialise_instance
+from listhom.formats import serialise_h, serialise_instance
 from listhom.gadgets import (
     PathGadget,
     build_symmetrized,
@@ -295,6 +295,26 @@ def test_build_symmetrized_on_a_long_cycle_answers_at_once():
     _, gg = build_symmetrized(h, identity_witness("CycleNe4", 480))
     assert time.perf_counter() - start < 1
     assert gg.matrix == ((2, 3), (3, 2))
+
+
+def test_cycle_rows_build_their_pattern_only_when_read(monkeypatch, tmp_path, capsys):
+    # the dense q x q cycle costs about 7 ms at q = 320
+    h = patterns.cycle(320)
+    (tmp_path / "c6.h").write_text(serialise_h(patterns.cycle(6)))
+    built = []
+    real = patterns.cycle
+
+    def counted(length, **kw):
+        built.append(length)
+        return real(length, **kw)
+
+    monkeypatch.setattr(patterns, "cycle", counted)
+    build_symmetrized(h, ExcludedWitness("CycleNe4", 320, tuple(range(1, 321))))
+    assert built == []
+    # the explicit witness search reads the pattern, the gadget report does not
+    assert main(["gadget", str(tmp_path / "c6.h"), "--witness", "cycle6"]) == 0
+    capsys.readouterr()
+    assert built == [6]
 
 
 def test_symmetrize_catalog_matrices():

@@ -339,6 +339,8 @@ def test_witness_pattern_rejects_bad_kinds():
         ExcludedWitness("CycleGe4", 3, (1, 2, 3)).pattern()
     with pytest.raises(ValueError, match="unknown witness kind 'Square'"):
         ExcludedWitness("Square", None, (1, 2, 3, 4)).pattern()
+    with pytest.raises(ValueError, match="takes no length"):
+        ExcludedWitness("X3", 5, (1, 2, 3, 4, 5, 6, 7)).verify(patterns.X3)
 
 
 # --- beyond the exhaustive range ---
