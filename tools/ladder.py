@@ -44,11 +44,14 @@ count (``grid_transfer_count`` in ``tests/helpers.py``, run after the peak
 RSS is read).
 
 Every step runs REPEATS times per ``--run``, each time in a fresh
-interpreter, the runs of the labels taking turns, and builds its input
-outside the timing.  It records the median run and, under "times", the
-seconds of every run in the order they ran.  A step with a run past the
-cap is recorded as "timeout" and ends its family for that label.  Standard
-library only.
+interpreter, the runs of the labels taking turns.  A run makes the timed
+call up to CALLS times, fewer once its calls add up to BUDGET_S seconds,
+and builds the input of each call anew outside the timing; the answer and
+the plans are those of its first call.  A step records its fastest run,
+with that run's fastest call as "seconds", and under "times" the seconds
+of every call, run by run, in the order they ran.  A step with a run past
+the cap is recorded as "timeout" and ends its family for that label.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -70,6 +73,9 @@ GRID_SIZES = tuple(range(8, 17))
 CAP_S = 60
 # fresh interpreters per step: one run carries the machine's noise
 REPEATS = 3
+# timed calls per run, at most, and the seconds of calls after which a run stops
+CALLS = 7
+BUDGET_S = 1.0
 RELABEL_SEED = 1
 
 
@@ -104,6 +110,21 @@ def _peak_rss_mib() -> float:
     return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
+def _timed(build, call):
+    """(first input, first result, seconds of each call) of call(build())
+    made up to CALLS times, fewer once the calls add up to BUDGET_S; each
+    input is built outside the timing."""
+    times = []
+    while len(times) < CALLS and sum(times) < BUDGET_S:
+        arg = build()
+        start = time.perf_counter()
+        out = call(arg)
+        times.append(round(time.perf_counter() - start, 6))
+        if len(times) == 1:
+            first = arg, out
+    return *first, times
+
+
 def step(src: str, family: str, size: int) -> dict:
     """One ladder step in this interpreter, with listhom imported from src."""
     sys.path.insert(0, src)
@@ -115,33 +136,30 @@ def step(src: str, family: str, size: int) -> dict:
     n, edges, kind, length = CLASSIFY_FAMILIES[GADGET_FAMILIES.get(family, family)](size)
     perm = list(range(1, n + 1))
     random.Random(RELABEL_SEED).shuffle(perm)
-    h = ColourGraph.from_edges(n, [(perm[u - 1], perm[v - 1]) for u, v in edges])
+
+    def host():
+        return ColourGraph.from_edges(n, [(perm[u - 1], perm[v - 1]) for u, v in edges])
+
     if family in GADGET_FAMILIES:
-        return _gadget_step(h, (kind, length))
-    start = time.perf_counter()
-    res = classify(h)
-    seconds = time.perf_counter() - start
-    out = {"colours": n, "seconds": round(seconds, 6), "class": res.klass.name.lower(),
-           "kind": None, "length": None, "verified": False}
-    # the certificate itself; older checkouts wrap it in a witness field
-    w = getattr(res.reason, "witness", res.reason)
-    if isinstance(w, ExcludedWitness):
+        return _gadget_step(host, (kind, length))
+    h, res, times = _timed(host, classify)
+    out = {"colours": n, "seconds": min(times), "times": times,
+           "class": res.klass.name.lower(), "kind": None, "length": None, "verified": False}
+    if isinstance(res.reason, ExcludedWitness):
+        w = res.reason
         out.update(kind=w.kind, length=w.length, verified=w.verify(h))
     out["expected"] = out["verified"] and (out["kind"], out["length"]) == (kind, length)
     out["peak_rss_mib"] = _peak_rss_mib()
     return out
 
 
-def _gadget_step(h, expected: tuple) -> dict:
+def _gadget_step(host, expected: tuple) -> dict:
     from listhom import cli
     from listhom.recognizer import classify
 
-    reason = classify(h).reason
-    witness = getattr(reason, "witness", reason)
-    start = time.perf_counter()
-    report = cli._gadget_report(h, witness, (0,))
-    seconds = time.perf_counter() - start
-    return {"colours": h.n, "seconds": round(seconds, 6), "kind": witness.kind,
+    witness = classify(host()).reason
+    h, report, times = _timed(host, lambda h: cli._gadget_report(h, witness, (0,)))
+    return {"colours": h.n, "seconds": min(times), "times": times, "kind": witness.kind,
             "length": witness.length, "expected": (witness.kind, witness.length) == expected,
             "checks_pass": all(report["checks"].values()),
             "thickened_vertices": report["thickened_vertices"],
@@ -157,42 +175,43 @@ def _grid_step(family: str, k: int) -> dict:
     spec = importlib.util.spec_from_file_location("helpers", ROOT / "tests" / "helpers.py")
     helpers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(helpers)
-    g = InstanceGraph.from_edges(k * k, helpers.grid_edges(k))
-    if family == "two_spin_grid":
-        def count():
-            return oracles.ising_partition(g, Fraction(1, 2))
-    else:
-        inst = Instance.with_full_lists(g, 2)
+    two_spin = family == "two_spin_grid"
 
-        def count():
-            return oracles.count_list_hcol(patterns.K2_PRIME, inst)
-    plans = None
-    real = getattr(oracles, "_plan", None)
-    if real is not None:
-        plans = []
+    def build():
+        g = InstanceGraph.from_edges(k * k, helpers.grid_edges(k))
+        return g if two_spin else Instance.with_full_lists(g, 2)
 
-        def recording(*args):
-            plan = real(*args)
-            plans.append({"rule": plan.rule, "width": plan.width, "largest": plan.largest})
-            return plan
+    plans = []
+    real = oracles._plan
 
-        oracles._plan = recording
-    start = time.perf_counter()
+    def recording(*args):
+        plan = real(*args)
+        plans.append({"rule": plan.rule, "width": plan.width, "largest": plan.largest})
+        return plan
+
+    def count(arg):
+        try:
+            if two_spin:
+                return oracles.ising_partition(arg, Fraction(1, 2)), None
+            return oracles.count_list_hcol(patterns.K2_PRIME, arg), None
+        except ValueError as err:
+            return None, str(err)
+        finally:
+            oracles._plan = real  # only the first call's plans are recorded
+
+    oracles._plan = recording
     try:
-        answer, refused = count(), None
-    except ValueError as err:
-        answer, refused = None, str(err)
+        _, (answer, refused), times = _timed(build, count)
     finally:
-        if real is not None:
-            oracles._plan = real
-    out = {"vertices": k * k, "seconds": round(time.perf_counter() - start, 6),
+        oracles._plan = real
+    out = {"vertices": k * k, "seconds": min(times), "times": times,
            "answer": None if answer is None else str(answer), "refused": refused,
            "plans": plans, "peak_rss_mib": _peak_rss_mib()}
     if answer is not None:
-        if family == "two_spin_grid":
+        if two_spin:
             # lam = 1/2: an agreeing edge weighs 1 and any other 2, over 2^|E|
             want = Fraction(helpers.grid_transfer_count(k, [[1, 2], [2, 1]]),
-                            2 ** len(g.edges))
+                            2 ** len(helpers.grid_edges(k)))
         else:
             want = helpers.grid_transfer_count(k, patterns.K2_PRIME.adj)
         out["expected"] = answer == want
@@ -258,8 +277,8 @@ def ladder(srcs: dict[str, Path]) -> dict:
                     print(f"{label} {family} {size}: timeout", file=sys.stderr)
                     del live[label]
                     continue
-                median = sorted(done, key=lambda run: run["seconds"])[REPEATS // 2]
-                steps.append({"size": size, **median, "times": [run["seconds"] for run in done]})
+                best = min(done, key=lambda run: run["seconds"])
+                steps.append({"size": size, **best, "times": [run["times"] for run in done]})
                 print(f"{label} {family} {size}: {steps[-1]['times']} s", file=sys.stderr)
     return families
 
@@ -288,12 +307,14 @@ def main(argv=None) -> int:
             for label, src in srcs.items()}
     report = {
         "what": "seconds of one classify call, one gadget report or one count per step"
-                " (input built outside the timing): the median run, and every run"
-                " under times",
+                " (each input built outside the timing): the fastest call of the"
+                " fastest run, and every call of every run under times",
         "python": platform.python_version(),
         "machine": machine_note(),
         "cap_s": CAP_S,
         "repeats": REPEATS,
+        "calls": CALLS,
+        "budget_s": BUDGET_S,
         "sizes": {family: sizes for family, sizes in FAMILIES.items()},
         "relabel_seed": RELABEL_SEED,
         "runs": runs,
