@@ -47,9 +47,9 @@ Every step runs REPEATS times per ``--run``, each time in a fresh
 interpreter, the runs of the labels taking turns.  A run makes the timed
 call up to CALLS times, fewer once its calls add up to BUDGET_S seconds,
 and builds the input of each call anew outside the timing; the answer and
-the plans are those of its first call.  A step records its fastest run,
-with that run's fastest call as "seconds", and under "times" the seconds
-of every call, run by run, in the order they ran.  A step with a run past
+the plans are those of its first call.  A run's "seconds" is its fastest
+call.  A step records its median run by that figure, and under "times"
+the seconds of every call, run by run, in the order they ran.  A step with a run past
 the cap is recorded as "timeout" and ends its family for that label.
 Standard library only.
 """
@@ -277,8 +277,8 @@ def ladder(srcs: dict[str, Path]) -> dict:
                     print(f"{label} {family} {size}: timeout", file=sys.stderr)
                     del live[label]
                     continue
-                best = min(done, key=lambda run: run["seconds"])
-                steps.append({"size": size, **best, "times": [run["times"] for run in done]})
+                median = sorted(done, key=lambda run: run["seconds"])[REPEATS // 2]
+                steps.append({"size": size, **median, "times": [run["times"] for run in done]})
                 print(f"{label} {family} {size}: {steps[-1]['times']} s", file=sys.stderr)
     return families
 
@@ -308,7 +308,7 @@ def main(argv=None) -> int:
     report = {
         "what": "seconds of one classify call, one gadget report or one count per step"
                 " (each input built outside the timing): the fastest call of the"
-                " fastest run, and every call of every run under times",
+                " median run, and every call of every run under times",
         "python": platform.python_version(),
         "machine": machine_note(),
         "cap_s": CAP_S,
