@@ -131,7 +131,7 @@ def _parse_graph(text: str, colour_count: int | None = None):
     there is no colour count."""
     lines = _directives(text, "graph", "g <m>", _EDGES if colour_count is None else _INSTANCE)
     m = _header(lines, 0, "vertex count must be non-negative")
-    edges, lists = _graph_body(lines, m, False, colour_count)
+    edges, lists = _graph_body(lines, m, loops=False, colour_count=colour_count)
     return InstanceGraph(m, tuple(sorted(edges))), lists
 
 

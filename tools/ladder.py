@@ -48,10 +48,10 @@ interpreter, the runs of the labels taking turns.  A run makes the timed
 call up to CALLS times, fewer once its calls add up to BUDGET_S seconds,
 and builds the input of each call anew outside the timing; the answer and
 the plans are those of its first call.  A run's "seconds" is its fastest
-call.  A step records its median run by that figure, and under "times"
-the seconds of every call, run by run, in the order they ran.  A step with a run past
-the cap is recorded as "timeout" and ends its family for that label.
-Standard library only.
+call.  A step records its median run by that figure and, under "times",
+the seconds of every call, run by run, in the order they ran.  A step with
+a run past the cap is recorded as "timeout" and ends its family for that
+label.  Standard library only.
 """
 
 from __future__ import annotations
