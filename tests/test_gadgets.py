@@ -298,7 +298,7 @@ def test_build_symmetrized_on_a_long_cycle_answers_at_once():
 
 
 def test_cycle_rows_build_their_pattern_only_when_read(monkeypatch, tmp_path, capsys):
-    # the dense q x q cycle costs about 7 ms at q = 320
+    # the dense q x q cycle is built and validated cell by cell
     h = patterns.cycle(320)
     (tmp_path / "c6.h").write_text(serialise_h(patterns.cycle(6)))
     built = []
