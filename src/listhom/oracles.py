@@ -24,14 +24,17 @@ size, the induced width and both orders before it builds a single table,
 instead of running out of time or memory.
 
 The numeric pass then runs the plan on flat int tables indexed by domain
-position: one weight vector per variable, one table per pair of variables
-(parallel factors multiply into it), and wider tables from the steps with
-three or more neighbours.  Variables with a one-value domain are
-conditioned out first.  A step with no neighbours multiplies the total by
-the sum of the variable's vector, so connected components need no separate
-pass; a step with one neighbour is a vector-matrix product, one with two a
-matrix product, and a wider step repeats each of its tables out to the
-step's full scope with list slicing and multiplies them entry by entry.
+position, kept in one store: each table is filed under the first variable
+of its scope in elimination order, parallel factors multiply into one
+table per scope, and a variable's weight vector is its table over itself
+alone.  A variable with a one-value domain drops out of every scope.  A
+step takes the tables filed under its variable.  With no neighbours it
+multiplies the total by the sum of the variable's vector, so connected
+components need no separate pass; with two neighbours and a table to each
+it is a matrix product; otherwise it repeats each table out to the step's
+full scope with list slicing and multiplies them entry by entry (with one
+neighbour, a vector-matrix product).  The result is filed like any other
+table.
 
 The engine can also keep a tuple of variables free (the query form of
 bucket elimination): it sums out every other variable and returns one
@@ -263,14 +266,17 @@ def _eliminate(domains: list, factors, keep: tuple = ()) -> dict:
     weight; zero weights are left out, so with no kept variables the count
     is the () entry, or 0 if there is none.
 
-    A variable outside keep with a one-value domain is conditioned out: its
-    factors become weights on its neighbours.  The plan comes first (see the
-    module docstring); a count it refuses builds no table.  Then every
-    factor becomes a flat int table over domain positions, row-major with
-    the variable eliminated first as the row, parallel factors multiplying
-    into one table per pair, next to one weight vector per variable.  A
-    wider table lists its scope in elimination order, so the variable
-    summed out is always its first axis and each of its values a slice.
+    The plan comes first (see the module docstring); a count it refuses
+    builds no table.  Then every factor becomes a flat int table over
+    domain positions, row-major over its scope: its variables in elimination
+    order, so the variable summed out is always the first axis and each of
+    its values a slice.  A variable outside keep with a one-value domain
+    drops out of every scope, and a factor with two such ends is a scalar
+    on the total.  There is one store: tables[v] maps each scope whose first
+    variable is v to its table, parallel tables multiplying into one, and
+    v's weight vector is the entry over (v,).  A step pops what is filed
+    under its variable, sums that variable out and files the result under
+    the first variable of what is left.
     """
     if not all(domains):
         return {}  # before the size check: a zero count needs no table
@@ -296,12 +302,10 @@ def _eliminate(domains: list, factors, keep: tuple = ()) -> dict:
     for i, v in enumerate(keep, start=len(plan.steps)):
         pos[v] = i
 
-    # flat tables; a flat table over a variable with a one-value domain is
-    # a vector over the other variable, which is all conditioning needs.  No
-    # table is changed in place, so factors with the same table and domains
-    # share one flat copy.
-    unary: list[list | None] = [None] * n  # None: all ones
-    pairs: dict[tuple[int, int], list] = {}  # (row, column) variables
+    # a flat table over a variable with a one-value domain is one over the
+    # rest of its scope.  No table is changed in place, so factors with the
+    # same table and domains share one flat copy.
+    tables: list[dict[tuple, list]] = [{} for _ in range(n)]
     total = 1
     interned: dict[tuple, int] = {}
     dom_id = [interned.setdefault(tuple(d), len(interned)) for d in domains]
@@ -320,25 +324,19 @@ def _eliminate(domains: list, factors, keep: tuple = ()) -> dict:
             if fixed[u] and fixed[v]:
                 total *= flat[0]
                 continue
-            w = v if fixed[u] else u
-            old = unary[w]
-            unary[w] = flat if old is None else list(map(mul, old, flat))
-            continue
-        if swap:
-            u, v = v, u
-        old = pairs.get((u, v))
-        pairs[u, v] = flat if old is None else list(map(mul, old, flat))
+            scope = (v,) if fixed[u] else (u,)
+        else:
+            scope = (v, u) if swap else (u, v)
+        mine = tables[scope[0]]
+        old = mine.get(scope)
+        mine[scope] = flat if old is None else list(map(mul, old, flat))
     if not total:
         return {}
 
-    # the numeric pass; tables over three or more variables live in wide,
-    # with the ids of those on each variable in wide_on
-    wide: list[tuple | None] = []
-    wide_on: list[list[int]] = [[] for _ in range(n)]
     for x, scope in plan.steps:
         dx = size[x]
-        ux = unary[x] or [1] * dx
-        live = [f for f in wide_on[x] if wide[f] is not None] if wide_on[x] else ()
+        mine = tables[x]
+        ux = mine.pop((x,), None) or [1] * dx
         if not scope:
             s = sum(ux)
             if not s:
@@ -350,12 +348,13 @@ def _eliminate(domains: list, factors, keep: tuple = ()) -> dict:
                 scope = scope[::-1]
         elif len(scope) > 2:
             scope = tuple(sorted(scope, key=pos.__getitem__))
+        joint = (x,) + scope
         out = None
-        if len(scope) == 2 and not live:
+        if len(scope) == 2 and joint not in mine:
             # out[j, k] = sum_i ux[i] * t[i, j] * r[i, k]
             y, z = scope
             dy, dz = size[y], size[z]
-            t, r = pairs.pop((x, y)), pairs.pop((x, z))
+            t, r = mine[x, y], mine[x, z]
             for i in range(dx):
                 u = ux[i]
                 if u:
@@ -365,24 +364,14 @@ def _eliminate(domains: list, factors, keep: tuple = ()) -> dict:
                     o = [p * q for p in t[i * dy:i * dy + dy] for q in zrow]
                     out = o if out is None else list(map(add, out, o))
         else:
-            # acc: the product of the tables on x over (x,) + scope, so that
+            # acc: the product of the tables on x over joint, so that
             # out = sum_i ux[i] * acc[i, ...]; with one neighbour that is a
             # vector-matrix product
-            if len(scope) == 1:
-                acc = pairs.pop((x, scope[0]))
-            else:
-                joint = (x,) + scope
-                acc = None
-                for w in scope:
-                    t = pairs.pop((x, w), None)
-                    if t is not None:
-                        t = _broadcast(t, (x, w), joint, size)
-                        acc = t if acc is None else list(map(mul, acc, t))
-                for f in live:
-                    tscope, t = wide[f]
-                    wide[f] = None
+            acc = None
+            for tscope, t in mine.items():
+                if tscope != joint:
                     t = _broadcast(t, tscope, joint, size)
-                    acc = t if acc is None else list(map(mul, acc, t))
+                acc = t if acc is None else list(map(mul, acc, t))
             span = len(acc) // dx
             for i in range(dx):
                 u = ux[i]
@@ -393,25 +382,17 @@ def _eliminate(domains: list, factors, keep: tuple = ()) -> dict:
                     out = block if out is None else list(map(add, out, block))
         if out is None or not any(out):
             return {}
-        if len(scope) == 1:
-            old = unary[scope[0]]
-            unary[scope[0]] = out if old is None else list(map(mul, old, out))
-        elif len(scope) == 2:
-            old = pairs.get(scope)
-            pairs[scope] = out if old is None else list(map(mul, old, out))
-        else:
-            for v in scope:
-                wide_on[v].append(len(wide))
-            wide.append((scope, out))
+        mine = tables[scope[0]]
+        old = mine.get(scope)
+        mine[scope] = out if old is None else list(map(mul, old, out))
 
     if not keep:
         return {(): total}
-    # what is left lies inside keep, each scope in keep's order
+    # what is left is filed under keep, each scope in keep's order
     acc = [total] * ksize
-    rest = [((v,), unary[v]) for v in keep if unary[v] is not None]
-    rest += list(pairs.items()) + [t for t in wide if t is not None]
-    for tscope, t in rest:
-        acc = list(map(mul, acc, _broadcast(t, tscope, keep, size)))
+    for v in keep:
+        for tscope, t in tables[v].items():
+            acc = list(map(mul, acc, _broadcast(t, tscope, keep, size)))
     return {key: w for key, w in zip(product(*[domains[v] for v in keep]), acc) if w}
 
 
