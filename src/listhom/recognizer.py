@@ -23,13 +23,18 @@ finds none either, so a target is never put in a class without a
 certificate.
 
 Every "is pattern P an induced subgraph of H?" question goes through
-find_induced_embedding: the catalogue obstructions, and the induced P4
-(irreflexive) and P3* (reflexive) that a lower bound from #BIS needs.  A
-connected bipartite irreflexive target has no induced P4 exactly when it
-is complete bipartite, and a connected reflexive one no induced P3*
-exactly when it is complete: the polynomial-time cases.
+find_induced_embedding: the catalogue obstructions, the loop-on-one-end
+edge K2' of a mixed target, and the induced P4 (irreflexive) and P3*
+(reflexive) that a lower bound from #BIS needs.  A connected bipartite
+irreflexive target has no induced P4 exactly when it is complete
+bipartite, and a connected reflexive one no induced P3* exactly when it is
+complete: the polynomial-time cases.
 
-The obstruction search tries the catalogue patterns first.  Each is placed
+The obstruction search answers an irreflexive target that is not
+bipartite with a shortest odd cycle at once, since every catalogue pattern
+of the bipartite class is itself bipartite.  That shortcut lives in
+find_excluded_bp, which ends every SAT case of classify's irreflexive path.
+Otherwise the search tries the catalogue patterns first.  Each is placed
 vertex by vertex in breadth-first order, every vertex drawn from the host
 neighbours of its parent's image, so a k-vertex pattern costs about
 n * D^(k-1) on n colours of largest degree D.  Cycles come from one pass,
@@ -475,15 +480,22 @@ def _shortest_hole(h: ColourGraph, cycle_kind: str) -> tuple[int, ...] | None:
 
 
 def _first_obstruction(h: ColourGraph, cycle_kind: str) -> ExcludedWitness | None:
-    """The first catalogue pattern of cycle_kind's class induced in h, in
-    table order, else a shortest chordless cycle of cycle_kind."""
-    reflexive = cycle_kind == "CycleGe4"
-    for row in patterns.RECIPES:
-        if row.reflexive == reflexive:
-            emb = find_induced_embedding(row.pattern, h)
-            if emb is not None:
-                return ExcludedWitness(row.kind, None, emb)
-    cyc = _shortest_hole(h, cycle_kind)
+    """A shortest odd cycle when cycle_kind is CycleNe4 and h is not
+    bipartite; else the first catalogue pattern of cycle_kind's class
+    induced in h, in table order, else a shortest chordless cycle of
+    cycle_kind.  Every catalogue pattern of the bipartite class is itself
+    bipartite, and an odd cycle is found in one pass where the catalogue
+    search on a dense host is polynomial of high degree."""
+    if cycle_kind == "CycleNe4" and colour_bipartition(h) is None:
+        cyc = _shortest_odd_cycle(h)
+    else:
+        reflexive = cycle_kind == "CycleGe4"
+        for row in patterns.RECIPES:
+            if row.reflexive == reflexive:
+                emb = find_induced_embedding(row.pattern, h)
+                if emb is not None:
+                    return ExcludedWitness(row.kind, None, emb)
+        cyc = _shortest_hole(h, cycle_kind)
     if cyc is None:
         return None
     return ExcludedWitness(cycle_kind, len(cyc), cyc)
@@ -508,25 +520,10 @@ def find_excluded_pi(h: ColourGraph) -> ExcludedWitness | None:
 
 
 # ---------------------------------------------------------------------------
-# complete targets and the loop-on-one-end edge of mixed targets
+# complete targets
 
 def is_complete_reflexive(h: ColourGraph) -> bool:
     return all(h.adjacent(u, v) for u in h.colours for v in h.colours)
-
-
-def find_induced_k2prime(h: ColourGraph) -> tuple[int, int] | None:
-    """An edge with exactly one looped endpoint, as (unlooped, looped).
-
-    Requires h connected with mixed loop status; such an edge always exists
-    then.  None when the requirement fails.
-    """
-    if reflexivity_status(h) != "mixed" or len(connected_components(h)) != 1:
-        return None
-    for u in h.colours:
-        for v in range(u + 1, h.n + 1):
-            if h.adjacent(u, v) and h.has_loop(u) != h.has_loop(v):
-                return (v, u) if h.has_loop(u) else (u, v)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +609,8 @@ def _obstruction(witness: ExcludedWitness | None) -> ExcludedWitness:
 def _classify_connected(hc: ColourGraph):
     status = reflexivity_status(hc)
     if status == "mixed":
-        pair = find_induced_k2prime(hc)
+        # a connected mixed target has an edge with one looped end
+        pair = find_induced_embedding(patterns.K2_PRIME, hc)
         return Hardness.SAT_EQUIVALENT, MixedLoops(*pair), 6
     if status == "reflexive":
         if is_complete_reflexive(hc):
@@ -622,16 +620,13 @@ def _classify_connected(hc: ColourGraph):
             return Hardness.BIS_EQUIVALENT, form, 6
         return Hardness.SAT_EQUIVALENT, _obstruction(find_excluded_pi(hc)), 3
     sides = colour_bipartition(hc)
-    if sides is None:
-        cyc = _shortest_odd_cycle(hc)
-        witness = None if cyc is None else ExcludedWitness("CycleNe4", len(cyc), cyc)
-        return Hardness.SAT_EQUIVALENT, _obstruction(witness), 3
-    # hc is connected, so it is complete bipartite iff every cross pair is an edge
-    if all(hc.adjacent(u, v) for u in sides[0] for v in sides[1]):
-        return Hardness.POLYTIME, CompleteBipartiteIrreflexive(), None
-    form = _biadjacency_form(hc, sides[0], [frozenset(hc.colours)])
-    if form is not None:
-        return Hardness.BIS_EQUIVALENT, form, 6
+    if sides is not None:
+        # hc is connected, so it is complete bipartite iff every cross pair is an edge
+        if all(hc.adjacent(u, v) for u in sides[0] for v in sides[1]):
+            return Hardness.POLYTIME, CompleteBipartiteIrreflexive(), None
+        form = _biadjacency_form(hc, sides[0], [frozenset(hc.colours)])
+        if form is not None:
+            return Hardness.BIS_EQUIVALENT, form, 6
     return Hardness.SAT_EQUIVALENT, _obstruction(find_excluded_bp(hc)), 3
 
 

@@ -21,7 +21,6 @@ from listhom.recognizer import (
     find_excluded_bp,
     find_excluded_pi,
     find_induced_embedding,
-    find_induced_k2prime,
     find_staircase_adjacency,
     find_staircase_biadjacency,
     is_complete_reflexive,
@@ -100,6 +99,19 @@ def test_excluded_pi_examples():
         find_excluded_pi(patterns.P4)
 
 
+def test_excluded_bp_takes_an_odd_cycle_without_the_catalogue(monkeypatch):
+    # the catalogue search on the dense K_60 took most of a second; a target
+    # that is not bipartite needs only its shortest odd cycle
+    h = patterns.complete(60, reflexive=False)
+    calls = []
+    real = recognizer.find_induced_embedding
+    monkeypatch.setattr(recognizer, "find_induced_embedding",
+                        lambda *args: calls.append(1) or real(*args))
+    w = find_excluded_bp(h)
+    assert calls == []
+    assert w == classify(h).reason == ExcludedWitness("CycleNe4", 3, (1, 2, 3))
+
+
 def test_witnesses_revalidate():
     hosts = [
         patterns.cycle(7),
@@ -143,9 +155,10 @@ def test_complete_predicates():
 # --- hard-substructure extraction ---
 
 def test_find_induced_k2prime():
-    assert find_induced_k2prime(patterns.TWO_WRENCH) == (1, 2)
-    assert find_induced_k2prime(patterns.K2_PRIME) == (1, 2)
-    assert find_induced_k2prime(patterns.complete(3, reflexive=True)) is None
+    k2prime = patterns.K2_PRIME
+    assert find_induced_embedding(k2prime, patterns.TWO_WRENCH) == (1, 2)
+    assert find_induced_embedding(k2prime, k2prime) == (1, 2)
+    assert find_induced_embedding(k2prime, patterns.complete(3, reflexive=True)) is None
 
 
 def test_induced_p3star_embedding():
