@@ -41,3 +41,13 @@ def test_ladder_grid_step_counts_by_plan_and_matches_the_transfer_matrix():
     assert [plan["rule"] for plan in step["plans"]] == ["min-degree"]
     assert step["plans"][0]["largest"] <= 1 << 18
     assert oracles._plan is real  # the step puts the engine back as it was
+
+
+def test_ladder_records_a_failed_step_and_ends_its_family(monkeypatch):
+    # a step that exits non-zero, as one calling what an older checkout
+    # lacks would, is recorded instead of aborting the whole ladder
+    ladder = _ladder()
+    monkeypatch.setattr(ladder, "FAMILIES", {"no_such_family": (30, 60)})
+    families = ladder.ladder({"change": ROOT / "src"})
+    assert families == {"change": {"no_such_family": [
+        {"size": 30, "seconds": "failed", "error": "KeyError: 'no_such_family'"}]}}

@@ -50,8 +50,10 @@ and builds the input of each call anew outside the timing; the answer and
 the plans are those of its first call.  A run's "seconds" is its fastest
 call.  A step records its median run by that figure and, under "times",
 the seconds of every call, run by run, in the order they ran.  A step with
-a run past the cap is recorded as "timeout" and ends its family for that
-label.  Standard library only.
+a run past the cap is recorded as "timeout", and a step with a run that
+exits non-zero (say, a family calling what an older checkout lacks) as
+"failed" with the last line of its stderr under "error"; either ends its
+family for that label.  Standard library only.
 """
 
 from __future__ import annotations
@@ -246,16 +248,22 @@ def machine_note() -> str:
     return f"{model}, {os.cpu_count()} CPUs, {platform.system()} {platform.release()}"
 
 
-def _run(src: Path, family: str, size: int) -> dict | None:
-    """One run of a step in a fresh interpreter; None past the cap."""
+def _run(src: Path, family: str, size: int) -> dict:
+    """One run of a step in a fresh interpreter.  Its "seconds" are
+    "timeout" past the cap, and "failed" on a non-zero exit."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--step", str(src), family, str(size)]
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=CAP_S)
     except subprocess.TimeoutExpired:
-        return None
+        return {"seconds": "timeout"}
     if proc.returncode != 0:
-        raise RuntimeError(f"step {family} {size} failed:\n{proc.stderr}")
+        lines = proc.stderr.strip().splitlines() or [f"exit code {proc.returncode}"]
+        return {"seconds": "failed", "error": lines[-1]}
     return json.loads(proc.stdout)
+
+
+def _ended(run: dict) -> bool:
+    return isinstance(run["seconds"], str)
 
 
 def ladder(srcs: dict[str, Path]) -> dict:
@@ -263,18 +271,18 @@ def ladder(srcs: dict[str, Path]) -> dict:
     every step, so a drift in the machine's load falls on all of them."""
     families = {label: {family: [] for family in FAMILIES} for label in srcs}
     for family, sizes in FAMILIES.items():
-        live = dict(srcs)  # the labels whose family has not timed out
+        live = dict(srcs)  # the labels whose family has not ended
         for size in sizes:
             runs = {label: [] for label in live}
             for _ in range(REPEATS):
                 for label, src in live.items():
-                    if None not in runs[label]:
+                    if not any(map(_ended, runs[label])):
                         runs[label].append(_run(src, family, size))
             for label, done in runs.items():
                 steps = families[label][family]
-                if None in done:
-                    steps.append({"size": size, "seconds": "timeout"})
-                    print(f"{label} {family} {size}: timeout", file=sys.stderr)
+                if _ended(done[-1]):
+                    steps.append({"size": size, **done[-1]})
+                    print(f"{label} {family} {size}: {done[-1]}", file=sys.stderr)
                     del live[label]
                     continue
                 median = sorted(done, key=lambda run: run["seconds"])[REPEATS // 2]
