@@ -305,7 +305,7 @@ def _eliminate(domains: list, factors, keep: tuple = ()) -> dict:
     # a flat table over a variable with a one-value domain is one over the
     # rest of its scope.  No table is changed in place, so factors with the
     # same table and domains share one flat copy.
-    tables: list[dict[tuple, list]] = [{} for _ in range(n)]
+    tables: list[dict[tuple, list] | None] = [{} for _ in range(n)]
     total = 1
     interned: dict[tuple, int] = {}
     dom_id = [interned.setdefault(tuple(d), len(interned)) for d in domains]
@@ -336,6 +336,7 @@ def _eliminate(domains: list, factors, keep: tuple = ()) -> dict:
     for x, scope in plan.steps:
         dx = size[x]
         mine = tables[x]
+        tables[x] = None  # nothing is filed under x after its step
         ux = mine.pop((x,), None) or [1] * dx
         if not scope:
             s = sum(ux)

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import prod
@@ -312,6 +313,24 @@ def test_grid_counts_under_a_lowered_limit_take_the_profile_order(monkeypatch):
         with pytest.raises(ValueError, match=rf"\(min-degree; BFS profile: width {k}, {fits} entries\)"):
             count_list_hcol(h, inst)
     assert len(profiles) == 6
+
+
+def test_engine_holds_only_the_tables_still_to_be_used(monkeypatch):
+    # the profile order on the 9 x 9 grid builds 81 tables of up to 2^10
+    # entries; holding every one of them to the end peaks near 0.6 MiB
+    # (traced by Python 3.11), dropping each once its step has used it near
+    # 0.11 MiB
+    k = 9
+    monkeypatch.setattr(oracles, "MAX_TABLE_SIZE", 2 ** (k + 1))
+    inst = Instance.with_full_lists(_grid(k), 2)
+    tracemalloc.start()
+    try:
+        count = count_list_hcol(patterns.K2_PRIME, inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == grid_transfer_count(k, patterns.K2_PRIME.adj)
+    assert peak < 1 << 18, peak
 
 
 # --- two-spin partition function ---
