@@ -336,7 +336,7 @@ def _eliminate(domains: list, factors, keep: tuple = ()) -> dict:
     for x, scope in plan.steps:
         dx = size[x]
         mine = tables[x]
-        tables[x] = None  # nothing is filed under x after its step
+        tables[x] = None  # frees them after this step; nothing is filed under x again
         ux = mine.pop((x,), None) or [1] * dx
         if not scope:
             s = sum(ux)
