@@ -154,14 +154,10 @@ def serialise_graph(g: InstanceGraph) -> str:
 
 
 def serialise_instance(inst: Instance) -> str:
-    lines = [f"g {inst.g.m}"]
-    lines += [f"e {u} {v}" for u, v in inst.g.edges]
     everything = frozenset(range(1, inst.colour_count + 1))
-    for v in inst.g.vertices:
-        s = inst.lists[v - 1]
-        if s != everything:
-            lines.append(" ".join(["l", str(v), *map(str, sorted(s))]))
-    return "\n".join(lines) + "\n"
+    lines = [" ".join(["l", str(v), *map(str, sorted(s))])
+             for v, s in enumerate(inst.lists, start=1) if s != everything]
+    return serialise_graph(inst.g) + "".join(line + "\n" for line in lines)
 
 
 def parse_formula(text: str) -> ImplicationFormula:

@@ -10,17 +10,24 @@ their components.
 
 Both known characterisations of the two middle classes are implemented: the
 staircase-matrix form (a permutation certificate) and the
-forbidden-induced-subgraph form (an embedding certificate).  The staircase
-order comes from three lexicographic breadth-first sweeps per component
-(LBFS, then two LBFS+ sweeps; Corneil 2004, Hell and Huang 2005), about
-O(n^3) on the dense matrix, and is accepted only if the rearranged matrix
-is staircase.  Every staircase check, whether it builds a form or
-re-checks one (StaircaseForm.certifies), goes through one helper,
-_staircase_form, which arranges h's matrix under a row and a column order
-and runs is_staircase on it.  When the sweep order fails, classification
-asks the obstruction search for a witness and raises RuntimeError if that
-finds none either, so a target is never put in a class without a
-certificate.
+forbidden-induced-subgraph form (an embedding certificate).  Each has one
+worker: _sweep_form builds the staircase form of either kind, and
+_first_obstruction finds the obstruction.  The four public finders are
+guards over them, and classification takes one route per connected
+component: it reads the loop status once and, for an irreflexive
+component, the 2-colouring once, then runs the completeness test over the
+component's sides (a reflexive component takes all its colours as both),
+the staircase worker and, when that fails, the obstruction worker.  If the
+obstruction worker finds no witness either it raises RuntimeError, so a
+target is never put in a class without a certificate.
+
+The staircase order comes from three lexicographic breadth-first sweeps
+per component (LBFS, then two LBFS+ sweeps; Corneil 2004, Hell and Huang
+2005), about O(n^3) on the dense matrix, and is accepted only if the
+rearranged matrix is staircase.  Every staircase check, whether it builds
+a form or re-checks one (StaircaseForm.certifies), goes through one
+helper, _staircase_form, which arranges h's matrix under a row and a
+column order and runs is_staircase on it.
 
 Every "is pattern P an induced subgraph of H?" question goes through
 find_induced_embedding: the catalogue obstructions, the loop-on-one-end
@@ -30,20 +37,21 @@ irreflexive target has no induced P4 exactly when it is complete
 bipartite, and a connected reflexive one no induced P3* exactly when it is
 complete: the polynomial-time cases.
 
-The obstruction search answers an irreflexive target that is not
-bipartite with a shortest odd cycle at once, since every catalogue pattern
-of the bipartite class is itself bipartite.  That shortcut lives in
-find_excluded_bp, which ends every SAT case of classify's irreflexive path.
-Otherwise the search tries the catalogue patterns first.  Each is placed
-vertex by vertex in breadth-first order, every vertex drawn from the host
-neighbours of its parent's image, so a k-vertex pattern costs about
-n * D^(k-1) on n colours of largest degree D.  Cycles come from one pass,
-not one search per length: a shortest odd cycle from one BFS per colour
-(Itai and Rodeh 1978), and a shortest hole from one BFS per induced path
-a-b-c, from a to c around the closed neighbourhood of b; each BFS stops at
-the depth where it could no longer beat the best cycle so far.  On a
-relabelled even cycle with leaves that is O(n^2) where the per-length
-search was about O(n^4).  Every search here is iterative.
+The obstruction worker answers a target that its caller's 2-colouring
+shows is not bipartite with a shortest odd cycle at once, since every
+catalogue pattern of the bipartite class is itself bipartite.  Otherwise
+it tries the catalogue patterns first.  Each is placed vertex by vertex in
+breadth-first order, every vertex drawn from the host neighbours of its
+parent's image, so a k-vertex pattern costs about n * D^(k-1) on n colours
+of largest degree D.  Cycles come from one pass, not one search per
+length: a shortest odd cycle from one BFS per colour (Itai and Rodeh
+1978), and a shortest hole from one BFS per induced path a-b-c, from a to
+c around the closed neighbourhood of b; each BFS stops at the depth where
+it could no longer beat the best cycle so far.  On a relabelled even
+cycle with leaves that is O(n^2) where the per-length search was about
+O(n^4).  The hole search of the bipartite class only ever sees bipartite
+hosts, which have no triangle, so it looks for holes of length 6 or more
+and has no triangle shortcut.  Every search here is iterative.
 
 The certificate format lives here too: a result's reason is the certificate
 object itself, CERTIFICATE_TYPES names each type's JSON tag, and
@@ -195,6 +203,26 @@ def _three_sweeps(h: ColourGraph, verts) -> list[int]:
     return order
 
 
+def _sweep_form(h: ColourGraph, components, row_side=None) -> StaircaseForm | None:
+    """The staircase form built from three sweeps of each component, the
+    components given in order of smallest colour, or None when the
+    rearranged matrix is not staircase.
+
+    With no row_side it is an adjacency form: the components' orders
+    concatenated, on rows and columns alike.  Otherwise it is a biadjacency
+    form: the rows are the colours of row_side (which holds every isolated
+    colour), isolated colours first and then each component's in its order,
+    and the columns are the other colours in the same order.
+    """
+    orders = [_three_sweeps(h, comp) for comp in components]
+    if row_side is None:
+        order = [v for o in orders for v in o]
+        return _staircase_form(h, "adjacency", order, order)
+    order = [v for o in sorted(orders, key=lambda o: len(o) > 1) for v in o]
+    return _staircase_form(h, "biadjacency", [v for v in order if v in row_side],
+                           [v for v in order if v not in row_side])
+
+
 def find_staircase_biadjacency(h: ColourGraph) -> StaircaseForm | None:
     """Permutation certificate that h is a bipartite permutation graph.
 
@@ -205,27 +233,10 @@ def find_staircase_biadjacency(h: ColourGraph) -> StaircaseForm | None:
     loop or an odd cycle, or when the resulting biadjacency matrix is not
     staircase.
     """
-    if reflexivity_status(h) != "irreflexive":
-        return None
-    sides = colour_bipartition(h)
+    sides = colour_bipartition(h)  # None too when h has a loop
     if sides is None:
         return None
-    return _biadjacency_form(h, sides[0], connected_components(h))
-
-
-def _biadjacency_form(h: ColourGraph, row_side, components) -> StaircaseForm | None:
-    """find_staircase_biadjacency for an irreflexive bipartite h whose
-    2-colouring and components the caller already has: row_side holds the
-    side of each component's smallest colour, and components are ordered by
-    smallest colour."""
-    row_order = sorted(v for comp in components if len(comp) == 1 for v in comp)
-    col_order: list[int] = []
-    for comp in components:
-        if len(comp) > 1:
-            order = _three_sweeps(h, comp)
-            row_order += [v for v in order if v in row_side]
-            col_order += [v for v in order if v not in row_side]
-    return _staircase_form(h, "biadjacency", row_order, col_order)
+    return _sweep_form(h, connected_components(h), sides[0])
 
 
 def find_staircase_adjacency(h: ColourGraph) -> StaircaseForm | None:
@@ -237,10 +248,7 @@ def find_staircase_adjacency(h: ColourGraph) -> StaircaseForm | None:
     """
     if reflexivity_status(h) != "reflexive":
         return None
-    order: list[int] = []
-    for comp in connected_components(h):
-        order.extend(_three_sweeps(h, comp))
-    return _staircase_form(h, "adjacency", order, order)
+    return _sweep_form(h, connected_components(h))
 
 
 # ---------------------------------------------------------------------------
@@ -441,20 +449,16 @@ def _shortest_hole(h: ColourGraph, cycle_kind: str) -> tuple[int, ...] | None:
     when there is none.
 
     CycleGe4 asks for a hole (length at least 4).  CycleNe4 asks for length
-    3 or at least 5: a triangle if there is one, else a hole of length at
-    least 5.  A hole is found from its smallest vertex b and the induced path
-    a-b-c it has there: a shortest a-c path through colours above b that
-    avoids N[b] except a and c closes a hole, and the one through the
-    shortest hole is no longer than that hole's a-c arc.  For CycleNe4 the
-    path also avoids the common neighbours of a and c, which only a 4-hole
-    would use.  Each BFS stops at the depth where it could no longer beat
-    the best hole so far.
+    3 or at least 5, and is asked only of a bipartite h, which has no
+    triangle: it asks for a hole of length at least 6.  A hole is found from
+    its smallest vertex b and the induced path a-b-c it has there: a
+    shortest a-c path through colours above b that avoids N[b] except a and
+    c closes a hole, and the one through the shortest hole is no longer than
+    that hole's a-c arc.  For CycleNe4 the path also avoids the common
+    neighbours of a and c, which only a 4-hole would use.  Each BFS stops at
+    the depth where it could no longer beat the best hole so far.
     """
     skip_four = cycle_kind == "CycleNe4"
-    if skip_four:
-        triangle = next((w for w in _wedges(h) if h.adjacent(w[1], w[2])), None)
-        if triangle is not None:
-            return triangle
     best: tuple[int, ...] | None = None
     for b, a, c in _wedges(h):
         if h.adjacent(a, c):
@@ -462,7 +466,7 @@ def _shortest_hole(h: ColourGraph, cycle_kind: str) -> tuple[int, ...] | None:
         limit = None
         if best is not None:
             limit = len(best) - 3  # the longest a-c path that still beats best
-            if limit < (3 if skip_four else 2):
+            if limit < 2:  # best is a 4-hole, the shortest there is
                 break
         rb, ra, rc = h.adj[b - 1], h.adj[a - 1], h.adj[c - 1]
 
@@ -479,14 +483,15 @@ def _shortest_hole(h: ColourGraph, cycle_kind: str) -> tuple[int, ...] | None:
     return best
 
 
-def _first_obstruction(h: ColourGraph, cycle_kind: str) -> ExcludedWitness | None:
-    """A shortest odd cycle when cycle_kind is CycleNe4 and h is not
-    bipartite; else the first catalogue pattern of cycle_kind's class
-    induced in h, in table order, else a shortest chordless cycle of
-    cycle_kind.  Every catalogue pattern of the bipartite class is itself
+def _first_obstruction(h: ColourGraph, cycle_kind: str, sides) -> ExcludedWitness | None:
+    """A shortest odd cycle when h has no 2-colouring (sides is None); else
+    the first catalogue pattern of cycle_kind's class induced in h, in table
+    order, else a shortest chordless cycle of cycle_kind.  sides is the
+    caller's colour_bipartition of an irreflexive h, or any pair for a
+    reflexive one.  Every catalogue pattern of the bipartite class is itself
     bipartite, and an odd cycle is found in one pass where the catalogue
     search on a dense host is polynomial of high degree."""
-    if cycle_kind == "CycleNe4" and colour_bipartition(h) is None:
+    if sides is None:
         cyc = _shortest_odd_cycle(h)
     else:
         reflexive = cycle_kind == "CycleGe4"
@@ -507,7 +512,7 @@ def find_excluded_bp(h: ColourGraph) -> ExcludedWitness | None:
     None exactly when h is a bipartite permutation graph."""
     if reflexivity_status(h) != "irreflexive":
         raise ValueError("bipartite-permutation witnesses require an irreflexive target")
-    return _first_obstruction(h, "CycleNe4")
+    return _first_obstruction(h, "CycleNe4", colour_bipartition(h))
 
 
 def find_excluded_pi(h: ColourGraph) -> ExcludedWitness | None:
@@ -516,14 +521,7 @@ def find_excluded_pi(h: ColourGraph) -> ExcludedWitness | None:
     when h is a (reflexive) proper interval graph."""
     if reflexivity_status(h) != "reflexive":
         raise ValueError("proper-interval witnesses require a reflexive target")
-    return _first_obstruction(h, "CycleGe4")
-
-
-# ---------------------------------------------------------------------------
-# complete targets
-
-def is_complete_reflexive(h: ColourGraph) -> bool:
-    return all(h.adjacent(u, v) for u in h.colours for v in h.colours)
+    return _first_obstruction(h, "CycleGe4", (h.colours, h.colours))
 
 
 # ---------------------------------------------------------------------------
@@ -595,39 +593,35 @@ class TrichotomyResult:
     per_component: tuple["TrichotomyResult", ...] = ()
 
 
-def _obstruction(witness: ExcludedWitness | None) -> ExcludedWitness:
-    """The SAT-side certificate once the staircase search has failed.  The
-    two characterisations are complementary, so a missing witness means one
-    of the two searches is wrong; refuse to classify rather than guess."""
-    if witness is None:
-        raise RuntimeError(
-            "recognition failed: neither a staircase order nor an "
-            "obstruction was found")
-    return witness
-
-
 def _classify_connected(hc: ColourGraph):
+    """Class, certificate and degree threshold of a connected target.  Its
+    loop status is read once and, when irreflexive, its 2-colouring once; a
+    reflexive target takes all its colours as both sides.  The staircase and
+    obstruction workers get them from here."""
     status = reflexivity_status(hc)
     if status == "mixed":
         # a connected mixed target has an edge with one looped end
         pair = find_induced_embedding(patterns.K2_PRIME, hc)
         return Hardness.SAT_EQUIVALENT, MixedLoops(*pair), 6
-    if status == "reflexive":
-        if is_complete_reflexive(hc):
-            return Hardness.POLYTIME, CompleteReflexive(), None
-        form = find_staircase_adjacency(hc)
-        if form is not None:
-            return Hardness.BIS_EQUIVALENT, form, 6
-        return Hardness.SAT_EQUIVALENT, _obstruction(find_excluded_pi(hc)), 3
-    sides = colour_bipartition(hc)
+    reflexive = status == "reflexive"
+    sides = (hc.colours, hc.colours) if reflexive else colour_bipartition(hc)
     if sides is not None:
-        # hc is connected, so it is complete bipartite iff every cross pair is an edge
+        # hc is connected, so it is complete iff every pair across its sides
+        # is an edge (loops included, when both sides are all of hc)
         if all(hc.adjacent(u, v) for u in sides[0] for v in sides[1]):
-            return Hardness.POLYTIME, CompleteBipartiteIrreflexive(), None
-        form = _biadjacency_form(hc, sides[0], [frozenset(hc.colours)])
+            complete = CompleteReflexive() if reflexive else CompleteBipartiteIrreflexive()
+            return Hardness.POLYTIME, complete, None
+        form = _sweep_form(hc, [hc.colours], None if reflexive else sides[0])
         if form is not None:
             return Hardness.BIS_EQUIVALENT, form, 6
-    return Hardness.SAT_EQUIVALENT, _obstruction(find_excluded_bp(hc)), 3
+    witness = _first_obstruction(hc, "CycleGe4" if reflexive else "CycleNe4", sides)
+    if witness is None:
+        # the two characterisations are complementary, so one of the two
+        # searches is wrong; refuse to classify rather than guess
+        raise RuntimeError(
+            "recognition failed: neither a staircase order nor an "
+            "obstruction was found")
+    return Hardness.SAT_EQUIVALENT, witness, 3
 
 
 def _translate_reason(reason, mapping: dict[int, int]):

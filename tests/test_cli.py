@@ -474,9 +474,9 @@ def test_cmd_selftest_detects_corruption(capsys, monkeypatch):
 def test_cmd_classify_without_a_certificate_exits_3(tmp_path, capsys, monkeypatch):
     import listhom.recognizer
 
-    # the staircase search classify runs on a connected bipartite component
-    monkeypatch.setattr(listhom.recognizer, "_biadjacency_form",
-                        lambda h, row_side, components: None)
+    # the staircase worker classify runs on every connected component
+    monkeypatch.setattr(listhom.recognizer, "_sweep_form",
+                        lambda h, components, row_side=None: None)
     path = write(tmp_path, "p4.h", serialise_h(patterns.P4))
     assert main(["classify", path]) == 3
     err = capsys.readouterr().err

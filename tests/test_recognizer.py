@@ -9,9 +9,10 @@ from helpers import (
     reflexive_closure,
 )
 from listhom import patterns, recognizer
-from listhom.graphs import ColourGraph, induced_subgraph
+from listhom.graphs import ColourGraph, colour_bipartition, induced_subgraph
 from listhom.recognizer import (
     CompleteBipartiteIrreflexive,
+    CompleteReflexive,
     ExcludedWitness,
     Hardness,
     MixedLoops,
@@ -23,7 +24,6 @@ from listhom.recognizer import (
     find_induced_embedding,
     find_staircase_adjacency,
     find_staircase_biadjacency,
-    is_complete_reflexive,
     is_staircase,
     witness_pattern,
 )
@@ -147,9 +147,9 @@ def test_find_induced_embedding_respects_loops():
 # --- complete targets ---
 
 def test_complete_predicates():
-    assert is_complete_reflexive(patterns.complete(3, reflexive=True))
-    assert not is_complete_reflexive(patterns.P3_STAR)
-    assert not is_complete_reflexive(patterns.K2_PRIME)
+    assert classify(patterns.complete(3, reflexive=True)).reason == CompleteReflexive()
+    assert classify(patterns.P3_STAR).klass is Hardness.BIS_EQUIVALENT
+    assert classify(patterns.K2_PRIME).klass is Hardness.SAT_EQUIVALENT
 
 
 # --- hard-substructure extraction ---
@@ -436,9 +436,9 @@ def test_find_chordless_cycle_long():
 def test_classify_refuses_without_a_certificate(monkeypatch):
     import listhom.recognizer
 
-    # the staircase search classify runs on a connected bipartite component
-    monkeypatch.setattr(listhom.recognizer, "_biadjacency_form",
-                        lambda h, row_side, components: None)
+    # the staircase worker classify runs on every connected component
+    monkeypatch.setattr(listhom.recognizer, "_sweep_form",
+                        lambda h, components, row_side=None: None)
     with pytest.raises(RuntimeError, match="neither a staircase order nor an obstruction"):
         classify(patterns.P4)
 
@@ -458,12 +458,26 @@ def test_classify_two_colours_an_irreflexive_component_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(listhom.graphs, name, counted(name))
-    h = _relabel(patterns.path(12), random.Random(12))
-    res = classify(h)
-    assert res.klass is Hardness.BIS_EQUIVALENT and res.reason.certifies(h)
-    # one 2-colouring, inside _classify_connected; two BFS trees, one for
-    # classify's components and one for that 2-colouring
-    assert calls == {"_two_colouring": 1, "_bfs": 2}
+    rng = random.Random(12)
+    # (target, class, its 2-colourings and BFS trees): one BFS tree for
+    # classify's components, and for an irreflexive target one 2-colouring
+    # inside _classify_connected with one BFS tree of its own
+    cases = [
+        (patterns.path(12), Hardness.BIS_EQUIVALENT, 1, 2),
+        (patterns.cycle(12), Hardness.SAT_EQUIVALENT, 1, 2),
+        (patterns.cycle(13), Hardness.SAT_EQUIVALENT, 1, 2),
+        (patterns.path(12, reflexive=True), Hardness.BIS_EQUIVALENT, 0, 1),
+        (patterns.cycle(12, reflexive=True), Hardness.SAT_EQUIVALENT, 0, 1),
+    ]
+    for base, klass, colourings, trees in cases:
+        h = _relabel(base, rng)
+        for name in calls:
+            calls[name] = 0
+        res = classify(h)
+        assert res.klass is klass, base.edge_list()
+        reason = res.reason
+        assert reason.certifies(h) if klass is Hardness.BIS_EQUIVALENT else reason.verify(h)
+        assert calls == {"_two_colouring": colourings, "_bfs": trees}, base.edge_list()
 
 
 # --- the obstruction searches against simpler references ---
@@ -556,8 +570,11 @@ def test_cycle_searches_match_the_per_length_loop():
         h = _relabel(ColourGraph.from_edges(
             n, list(edges) + [(v, v) for v in range(1, n + 1) if reflexive]), rng)
         kind = "CycleGe4" if reflexive else "CycleNe4"
-        searches = [(kind, recognizer._shortest_hole(h, kind),
-                     [L for L in range(3, n + 1) if patterns.cycle_obstructs(kind, L)])]
+        searches = []
+        # the bipartite class's hole search is asked only of bipartite hosts
+        if reflexive or colour_bipartition(h) is not None:
+            searches.append((kind, recognizer._shortest_hole(h, kind),
+                             [L for L in range(3, n + 1) if patterns.cycle_obstructs(kind, L)]))
         if not reflexive:
             searches.append(("odd", recognizer._shortest_odd_cycle(h), range(3, n + 1, 2)))
         for key, got, lengths in searches:
@@ -568,6 +585,6 @@ def test_cycle_searches_match_the_per_length_loop():
                 assert ExcludedWitness("CycleNe4" if key == "odd" else key,
                                        len(got), got).verify(h), h.edge_list()
                 lengths_seen[key].add(len(got))
-    assert lengths_seen["CycleNe4"] >= {3, 5, 6, 7}, lengths_seen
+    assert lengths_seen["CycleNe4"] >= {6, 8}, lengths_seen
     assert lengths_seen["CycleGe4"] >= {4, 5, 6, 7}, lengths_seen
     assert lengths_seen["odd"] >= {3, 5, 7}, lengths_seen

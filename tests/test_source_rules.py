@@ -105,3 +105,29 @@ def test_bench_traced_names_exist():
         if not found:
             missing.append(f"{where}.{attr}")
     assert missing == []
+
+
+def test_private_helpers_are_used():
+    # a module-level _helper that nothing in the package names any more is
+    # a leftover of a refactor; tests alone do not keep it alive
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    assert trees
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and node.name not in used
+    ]
+    assert unused == []
