@@ -14,6 +14,7 @@ import argparse
 import json
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -68,6 +69,15 @@ from .reductions import (
 _WITNESS_HELP = "|".join([row.kind.lower() for row in patterns.RECIPES] + ["cycle<L>"])
 
 
+def _exact(x) -> str:
+    """An int or a Fraction in decimal, at any size.  str() of an int stops
+    at the interpreter's digit limit (4,300 digits by default); str() of a
+    Decimal, which holds an int exactly, does not."""
+    x = Fraction(x)
+    num = str(Decimal(x.numerator))
+    return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+
+
 def _result_json(res) -> dict:
     """The classification as JSON; a disconnected target adds one entry per
     component (components are connected, so their results have no
@@ -111,20 +121,20 @@ def cmd_classify(args) -> int:
 def cmd_count(args) -> int:
     h = parse_h(Path(args.h_file).read_text())
     inst = parse_instance(Path(args.instance_file).read_text(), h.n)
-    print(count_list_hcol(h, inst))
+    print(_exact(count_list_hcol(h, inst)))
     return 0
 
 
 def cmd_ising(args) -> int:
     g = parse_graph(Path(args.g_file).read_text())
     lam = parse_fraction(args.lam)
-    print(ising_partition(g, lam))
+    print(_exact(ising_partition(g, lam)))
     return 0
 
 
 def cmd_count_sat(args) -> int:
     f = parse_formula(Path(args.formula_file).read_text())
-    print(count_1p1n(f))
+    print(_exact(count_1p1n(f)))
     return 0
 
 
@@ -239,6 +249,14 @@ def cmd_gadget(args) -> int:
     return 0 if all(report["checks"].values()) else 1
 
 
+def _write_both(out: Path, text: str, sidecar: dict) -> None:
+    """Write text to out and the sidecar as JSON beside it (out plus
+    ".json"), both worked out before either file is written."""
+    meta = json.dumps(sidecar, indent=2) + "\n"
+    out.write_text(text)
+    out.with_suffix(out.suffix + ".json").write_text(meta)
+
+
 def cmd_reduce_sat(args) -> int:
     h = parse_h(Path(args.h_file).read_text())
     inst = parse_instance(Path(args.instance_file).read_text(), h.n)
@@ -247,8 +265,7 @@ def cmd_reduce_sat(args) -> int:
         raise ValueError("target has no staircase certificate; reduction unavailable")
     enc = build_staircase_encoding(h, form)
     formula, vmap = reduce_listhcol_to_1p1n(enc, inst)
-    out = Path(args.out)
-    out.write_text(serialise_formula(formula))
+    text = serialise_formula(formula)
     sidecar = {
         "mode": enc.mode,
         "q": enc.q,
@@ -261,7 +278,8 @@ def cmd_reduce_sat(args) -> int:
         "variables": vmap.var_count,
         "clauses": len(formula.clauses),
     }
-    out.with_suffix(out.suffix + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    out = Path(args.out)
+    _write_both(out, text, sidecar)
     print(f"wrote {out} ({vmap.var_count} variables, {len(formula.clauses)} clauses)")
     return 0
 
@@ -274,11 +292,11 @@ def cmd_reduce_ising(args) -> int:
     if args.t is not None:
         gg = thicken(h, gg, entry.cond_pair, args.t)
     inst, lam, scale = reduce_ising_to_listhcol(g, gg)
-    out = Path(args.out)
-    out.write_text(serialise_instance(inst))
+    text = serialise_instance(inst)
+    lam, scale = _exact(lam), _exact(scale)
     sidecar = {
-        "lambda": str(lam),
-        "scale": str(scale),
+        "lambda": lam,
+        "scale": scale,
         "original_vertices": g.m,
         "original_edges": len(g.edges),
         "witness": certificate_fields(witness),
@@ -286,7 +304,8 @@ def cmd_reduce_ising(args) -> int:
         "t": args.t,
         "identity": "count(instance) = scale * Z_lambda(g)",
     }
-    out.with_suffix(out.suffix + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    out = Path(args.out)
+    _write_both(out, text, sidecar)
     print(f"wrote {out} (lambda={lam}, scale={scale})")
     return 0
 

@@ -44,6 +44,26 @@ reads a whole interaction matrix from it with both terminals kept.  Every
 table that involves kept variables, the final one over them included, is
 size-checked like any other.
 
+The model counter does not hand the engine one variable per bit.  A
+formula from reduce-sat numbers each vertex's chain x_{u,q} -> ... -> x_{u,0}
+consecutively, and eliminating those bits one at a time makes min-degree see
+several times the instance's width.  So count_1p1n covers the variables
+with maximal runs of v + 1 -> v implications.  A run of L variables becomes
+one variable over its L + 1 monotone levels, level k meaning its first k
+variables hold.  Unit clauses and implications inside a run filter its
+levels.  All implications from one run to another become one 0/1 table over
+their levels: (x, y) is allowed exactly when y exceeds every offset j of an
+implication i -> j with i < x.  On a reduce-sat formula the levels are the
+vertex's colours, so the count runs at the instance's own width.  Grouping
+can also cost more than bits: two long chains joined rung by rung make one
+table over both chains' levels, quadratic in their length, where the bits
+form a ladder of width 2.  So the grouped problem is planned first, before
+any table is built.  Only when that plan is over the limit, or its total
+table entries exceed the least a bit-level pass can cost (2 per variable
+and 4 per implication), is the bit-level problem planned too.  The cheaper
+plan within the limit runs, and when neither is within it the error names
+both.
+
 Counts are exact Python ints; partition function values are exact Fractions.
 No floating point anywhere.  All counters are deterministic and independent
 of internal iteration order.
@@ -51,10 +71,10 @@ of internal iteration order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import chain, product
+from itertools import accumulate, chain, product
 from math import prod
 from operator import add, mul
 
@@ -124,12 +144,15 @@ class _Plan:
     largest are the longest scope and the largest table (the product of the
     domain sizes over scope plus the variable).  A plan stops at its first
     step over MAX_TABLE_SIZE, and width and largest are then that step's.
+    total is the sum of the steps' table entries, the one over the limit
+    included.
     """
 
     rule: str
     steps: list
     width: int
     largest: int
+    total: int
 
 
 def _plan(rule: str, adj: list, size: list, kept, order=None) -> _Plan:
@@ -143,7 +166,7 @@ def _plan(rule: str, adj: list, size: list, kept, order=None) -> _Plan:
         heap = [(len(adj[v]), v) for v in range(len(adj)) if free[v]]
         heapify(heap)
     steps = []
-    width = largest = 0
+    width = largest = total = 0
     while True:
         if order is not None:
             if len(steps) == len(order):
@@ -169,13 +192,14 @@ def _plan(rule: str, adj: list, size: list, kept, order=None) -> _Plan:
             if order is None and free[v] and len(others) != deg:
                 heappush(heap, (len(others), v))
         steps.append((x, scope))
+        total += entries
         if entries > MAX_TABLE_SIZE:
-            return _Plan(rule, steps, len(scope), entries)
+            return _Plan(rule, steps, len(scope), entries, total)
         if entries > largest:
             largest = entries
         if len(scope) > width:
             width = len(scope)
-    return _Plan(rule, steps, width, largest)
+    return _Plan(rule, steps, width, largest, total)
 
 
 def _profile_order(adj: list, kept) -> list:
@@ -203,24 +227,28 @@ def _graph(factors, fixed: list) -> list:
     return adj
 
 
-def _choose_plan(factors, fixed: list, size: list, kept) -> _Plan:
+def _best_plan(factors, fixed: list, size: list, kept) -> tuple[_Plan, _Plan | None]:
     """The min-degree plan, or the BFS profile plan when min-degree needs a
     table over MAX_TABLE_SIZE and the profile's largest table is smaller;
-    ValueError when the better of the two is still over the limit."""
+    with the other plan drawn up, or None when min-degree fits.  Only the
+    ends of each factor are read."""
     plan = _plan("min-degree", _graph(factors, fixed), size, kept)
-    if plan.largest > MAX_TABLE_SIZE:
-        adj = _graph(factors, fixed)
-        other = _plan("BFS profile", adj, size, kept, _profile_order(adj, kept))
-        if other.largest < plan.largest:
-            plan, other = other, plan
-        if plan.largest > MAX_TABLE_SIZE:
-            raise ValueError(
-                f"exact count needs a table of {plan.largest} entries at induced "
-                f"width {plan.width}, above the limit of {MAX_TABLE_SIZE} "
-                f"({plan.rule}; {other.rule}: width {other.width}, "
-                f"{other.largest} entries)"
-            )
-    return plan
+    if plan.largest <= MAX_TABLE_SIZE:
+        return plan, None
+    adj = _graph(factors, fixed)
+    other = _plan("BFS profile", adj, size, kept, _profile_order(adj, kept))
+    return (other, plan) if other.largest < plan.largest else (plan, other)
+
+
+def _refusal(plan: _Plan, other: _Plan) -> ValueError:
+    """The error for a count whose best plan, plan, is over MAX_TABLE_SIZE;
+    other is the next best."""
+    return ValueError(
+        f"exact count needs a table of {plan.largest} entries at induced "
+        f"width {plan.width}, above the limit of {MAX_TABLE_SIZE} "
+        f"({plan.rule}; {other.rule}: width {other.width}, "
+        f"{other.largest} entries)"
+    )
 
 
 def _insert_axis(table: list, outer: int, d: int, inner: int) -> list:
@@ -254,7 +282,7 @@ def _broadcast(table: list, scope: tuple, joint: tuple, size: list) -> list:
     return table
 
 
-def _eliminate(domains: list, factors, keep: tuple = ()) -> dict:
+def _eliminate(domains: list, factors, keep: tuple = (), plan: _Plan | None = None) -> dict:
     """Sum the product of the factor weights over all assignments of one
     domain value per variable outside keep, by iterative bucket elimination.
 
@@ -267,7 +295,8 @@ def _eliminate(domains: list, factors, keep: tuple = ()) -> dict:
     is the () entry, or 0 if there is none.
 
     The plan comes first (see the module docstring); a count it refuses
-    builds no table.  Then every factor becomes a flat int table over
+    builds no table.  A caller that has drawn up a plan for exactly these
+    domains and factors, with nothing kept, may pass it in.  Then every factor becomes a flat int table over
     domain positions, row-major over its scope: its variables in elimination
     order, so the variable summed out is always the first axis and each of
     its values a slice.  A variable outside keep with a one-value domain
@@ -295,7 +324,10 @@ def _eliminate(domains: list, factors, keep: tuple = ()) -> dict:
     for v in keep:
         fixed[v] = False
 
-    plan = _choose_plan(factors, fixed, size, kept)
+    if plan is None:
+        plan, other = _best_plan(factors, fixed, size, kept)
+        if plan.largest > MAX_TABLE_SIZE:
+            raise _refusal(plan, other)
     pos = [0] * n  # elimination position; the kept variables come last
     for i, (x, _) in enumerate(plan.steps):
         pos[x] = i
@@ -460,18 +492,117 @@ _IMPLIES_TABLE = {(0, 0): 1, (0, 1): 1, (1, 1): 1}
 def count_1p1n(f: ImplicationFormula) -> int:
     """Exact number of satisfying 0/1 assignments of an implication formula.
 
-    Unit clauses shrink the variables' {0, 1} domains (a contradictory pair
-    empties one) and each implication a -> b with a != b is a 0/1 table;
-    "a -> a" is a tautology.  Variables touched by no clause double the
-    count.
+    A unit clause fixes its variable, "a -> a" always holds, and a variable
+    touched by no clause doubles the count.  The formula is counted at the
+    width of its chains rather than of its bits:
+
+    * a run is a maximal range of consecutive variables v, v + 1, ..., each
+      implying the one before it, as reduce-sat numbers each vertex's chain;
+      a variable in no such implication is a run of one.  A run of L
+      variables becomes one engine variable over its L + 1 levels, level k
+      meaning that its first k variables hold and the rest do not;
+    * a unit clause keeps the levels above or at most the variable's offset,
+      and an implication from offset i to a later offset j of the same run
+      drops the levels i + 1..j (one to an earlier offset always holds);
+    * the implications from run A to run B, offset i to offset j each,
+      become one 0/1 table over the two runs' levels: it allows (x, y)
+      exactly when y > max{j : i < x}.  Runs with no level left give 0.
+
+    The grouped problem is planned before any table is built.  When its
+    plan is over MAX_TABLE_SIZE, or its total entries exceed the least a
+    bit-level pass can cost (2 per variable plus 4 per implication), the
+    bit-level problem, one variable per bit and one table per implication,
+    is planned too, and the cheaper of the two plans within the limit runs,
+    the grouped one on a tie.  When neither is within the limit, the
+    ValueError names both before any table is built.
     """
-    domains = [(0, 1)] * f.var_count
-    factors = []
+    n = f.var_count
+    imps = []
+    units = []
+    linked = [False] * n  # linked[v]: v + 1 implies v
     for cl in f.clauses:
         if cl[0] == IMP:
-            if cl[1] != cl[2]:
-                factors.append((cl[1] - 1, cl[2] - 1, _IMPLIES_TABLE))
+            a, b = cl[1] - 1, cl[2] - 1
+            if a != b:
+                imps.append((a, b))
+                if a == b + 1:
+                    linked[b] = True
         else:
-            v, value = cl[1] - 1, int(cl[0] == UNIT_POS)
-            domains[v] = tuple(b for b in domains[v] if b == value)
-    return _eliminate(domains, factors).get((), 0)
+            units.append((cl[1] - 1, cl[0] == UNIT_POS))
+
+    start = [v for v in range(n) if not v or not linked[v - 1]]  # each run's first variable
+    length = [b - a for a, b in zip(start, start[1:] + [n])]
+    run = []
+    for r, size in enumerate(length):
+        run += [r] * size
+    lo = [0] * len(start)
+    hi = list(length)
+    for v, value in units:
+        r = run[v]
+        i = v - start[r]
+        if value:
+            if lo[r] <= i:
+                lo[r] = i + 1
+        elif hi[r] > i:
+            hi[r] = i
+    cuts: dict[int, list] = {}  # run -> its changes in how many cuts cover a level
+    after: dict[tuple, dict] = {}  # (run A, run B) -> {offset i in A: largest j in B}
+    for a, b in imps:
+        ra, rb = run[a], run[b]
+        i, j = a - start[ra], b - start[rb]
+        if ra == rb:
+            if j > i:
+                diff = cuts.get(ra)
+                if diff is None:
+                    diff = cuts[ra] = [0] * (length[ra] + 2)
+                diff[i + 1] += 1
+                diff[j + 1] -= 1
+        else:
+            most = after.get((ra, rb))
+            if most is None:
+                after[ra, rb] = {i: j}
+            elif most.get(i, -1) < j:
+                most[i] = j
+    domains = []
+    for r in range(len(start)):
+        levels = range(lo[r], hi[r] + 1)
+        if r in cuts:
+            covered = list(accumulate(cuts[r]))
+            levels = [x for x in levels if not covered[x]]
+        if not levels:
+            return 0
+        domains.append(tuple(levels))
+
+    size = [len(d) for d in domains]
+    pairs = [(ra, rb, None) for ra, rb in after]
+    plan, _ = _best_plan(pairs, [d == 1 for d in size], size, ())
+    if plan.largest > MAX_TABLE_SIZE or plan.total > 2 * n + 4 * len(imps):
+        bits = [(0, 1)] * n
+        for v, value in units:
+            bits[v] = tuple(b for b in bits[v] if b == value)
+        factors = [(a, b, _IMPLIES_TABLE) for a, b in imps]
+        bsize = [len(d) for d in bits]
+        bplan, _ = _best_plan(factors, [d == 1 for d in bsize], bsize, ())
+        if bplan.largest <= MAX_TABLE_SIZE and (
+                plan.largest > MAX_TABLE_SIZE or bplan.total < plan.total):
+            return _eliminate(bits, factors, plan=bplan).get((), 0)
+        if plan.largest > MAX_TABLE_SIZE:
+            a = replace(plan, rule=f"chain levels, {plan.rule}")
+            b = replace(bplan, rule=f"bits, {bplan.rule}")
+            raise _refusal(*((a, b) if a.largest <= b.largest else (b, a)))
+
+    factors = []
+    interned: dict[tuple, dict] = {}
+    for (ra, rb), most in after.items():
+        bound = [-1] * (length[ra] + 1)  # bound[x] = max{j : i < x}
+        for i, j in most.items():
+            bound[i + 1] = j
+        bound = list(accumulate(bound, max))
+        da, db = domains[ra], domains[rb]
+        key = (da, db, tuple(bound[x] for x in da))
+        table = interned.get(key)
+        if table is None:
+            table = interned[key] = {
+                (x, y): 1 for x in da for y in db if y > bound[x]}
+        factors.append((ra, rb, table))
+    return _eliminate(domains, factors, plan=plan).get((), 0)

@@ -69,6 +69,51 @@ def weighted_sum_enumeration(domains, factors, keep=()) -> dict:
     return {key: w for key, w in out.items() if w}
 
 
+def tree_list_count(h: ColourGraph, inst: Instance) -> int:
+    """Number of list colourings of a forest instance against h, by a DP
+    from the leaves up (as in bench/reference.py): each vertex keeps, per
+    colour in its list, the colourings of its subtree that give it that
+    colour, and a root's total multiplies into the answer."""
+    g = inst.g
+    total, seen = 1, set()
+    for root in g.vertices:
+        if root in seen:
+            continue
+        order, parent, stack = [], {root: 0}, [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for u in g.neighbours[v - 1]:
+                if u not in parent:
+                    parent[u] = v
+                    stack.append(u)
+        seen.update(order)
+        table = {}
+        for v in reversed(order):
+            vec = {}
+            for c in inst.lists[v - 1]:
+                x = 1
+                for u in g.neighbours[v - 1]:
+                    if parent[u] == v:
+                        x *= sum(n for d, n in table[u].items() if h.adjacent(c, d))
+                vec[c] = x
+            table[v] = vec
+        total *= sum(table[root].values())
+    return total
+
+
+def decimal_text(n: int) -> str:
+    """n >= 0 in decimal, 100 digits at a time, so that no conversion meets
+    the interpreter's limit on the digits of str(int)."""
+    chunks = []
+    while True:
+        n, low = divmod(n, 10 ** 100)
+        chunks.append(low)
+        if not n:
+            break
+    return str(chunks[-1]) + "".join(str(c).zfill(100) for c in reversed(chunks[:-1]))
+
+
 def grid_edges(k: int) -> list[tuple[int, int]]:
     """Edges of the k x k grid, vertex (r, c) numbered r * k + c + 1."""
     edges = [(r * k + c + 1, r * k + c + 2) for r in range(k) for c in range(k - 1)]

@@ -4,12 +4,14 @@ import random
 import re
 import time
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from listhom import patterns
-from listhom.cli import _WITNESS_HELP, build_parser, main
+from helpers import decimal_text
+from listhom import cli, patterns
+from listhom.cli import _WITNESS_HELP, _exact, build_parser, main
 from listhom.formats import (
     ParseError,
     parse_formula,
@@ -390,6 +392,46 @@ def test_cmd_count_sat_long_chain(tmp_path, capsys):
     text = "f 3000\n" + "".join(f"i {v + 1} {v}\n" for v in range(1, 3000))
     assert main(["count-sat", write(tmp_path, "chain.f", text)]) == 0
     assert capsys.readouterr().out.strip() == "3001"
+
+
+def test_answers_past_the_interpreters_digit_limit_print_in_full(tmp_path, capsys):
+    # 2^15000 has 4,516 digits and 3^12000 5,726, both past the 4,300 that
+    # str(int) allows by default
+    assert main(["count-sat", write(tmp_path, "free.f", "f 15000\n")]) == 0
+    assert capsys.readouterr().out == decimal_text(2 ** 15000) + "\n"
+
+    k3 = write(tmp_path, "k3.h", serialise_h(patterns.complete(3, reflexive=True)))
+    edges = "".join(f"e {v} {v + 1}\n" for v in range(1, 12000))
+    path = write(tmp_path, "path.inst", "g 12000\n" + edges)
+    assert main(["count", k3, path]) == 0
+    assert capsys.readouterr().out == decimal_text(3 ** 12000) + "\n"
+
+
+def test_exact_writes_ints_and_fractions_of_any_size():
+    assert _exact(0) == "0" and _exact(12) == "12"
+    assert _exact(Fraction(19, 5)) == "19/5" and _exact(Fraction(4, 2)) == "2"
+    big = Fraction(3 ** 9001, 2 ** 15000)
+    assert _exact(big) == f"{decimal_text(3 ** 9001)}/{decimal_text(2 ** 15000)}"
+
+
+@pytest.mark.parametrize("command", ["reduce-sat", "reduce-ising"])
+def test_cmd_reduce_writes_nothing_when_the_sidecar_fails(tmp_path, capsys, monkeypatch, command):
+    g = write(tmp_path, "k2.g", "g 2\ne 1 2\n")
+    out = tmp_path / "out"
+    argv = {
+        "reduce-sat": ["reduce-sat", write(tmp_path, "p3s.h", serialise_h(patterns.P3_STAR)),
+                       g, "--out", str(out)],
+        "reduce-ising": ["reduce-ising", g, write(tmp_path, "x3.h", serialise_h(patterns.X3)),
+                         "--out", str(out)],
+    }[command]
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("no sidecar")
+
+    monkeypatch.setattr(cli.json, "dumps", fail)
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: no sidecar\n"
+    assert not out.exists() and not out.with_suffix(".json").exists()
 
 
 def test_cmd_count_over_table_limit_exits_2(tmp_path, capsys):

@@ -51,3 +51,16 @@ def test_ladder_records_a_failed_step_and_ends_its_family(monkeypatch):
     families = ladder.ladder({"change": ROOT / "src"})
     assert families == {"change": {"no_such_family": [
         {"size": 30, "seconds": "failed", "error": "KeyError: 'no_such_family'"}]}}
+
+
+def test_ladder_reduce_sat_step_counts_the_formula_and_the_instance_alike():
+    # P6 on the 4 x 4 grid: the bit-level engine refused the formula (width
+    # 18); its chains of levels have the instance's width
+    real = oracles._plan
+    step = _ladder().step(str(ROOT / "src"), "reduce_sat_grid_p6", 4)
+    assert (step["vertices"], step["colours"]) == (16, 6)
+    assert step["refused"] is None and step["count_refused"] is None, step
+    assert step["answer"] == step["count_answer"] == "7612"
+    assert step["expected"] and step["count_expected"], step
+    assert step["plans"][0]["width"] == 4 and step["plans"][0]["largest"] <= 1 << 18
+    assert oracles._plan is real

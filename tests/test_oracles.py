@@ -15,10 +15,13 @@ from helpers import (
     ising_direct,
     random_instance_graph,
     random_lists,
+    tree_list_count,
     weighted_sum_enumeration,
 )
 from listhom import oracles, patterns
 from listhom.graphs import Instance, InstanceGraph, instance_components
+from listhom.recognizer import find_staircase_adjacency, find_staircase_biadjacency
+from listhom.reductions import build_staircase_encoding, reduce_listhcol_to_1p1n
 from listhom.oracles import (
     MAX_TABLE_SIZE,
     ImplicationFormula,
@@ -440,6 +443,164 @@ def test_1p1n_long_chain():
     n = 3000
     f = ImplicationFormula(n, tuple(implies(v + 1, v) for v in range(1, n)))
     assert count_1p1n(f) == n + 1
+
+
+def _runs(f):
+    """Each variable's run: the first variable of the longest range of
+    consecutive variables, each implying the one before, that holds it."""
+    linked = {b for tag, *ends in f.clauses if tag == "i" for a, b in [ends] if a == b + 1}
+    first = {}
+    for v in range(1, f.var_count + 1):
+        first[v] = first[v - 1] if v - 1 in linked else v
+    return first
+
+
+def _chain_shapes(f):
+    """Which of the awkward chain shapes the formula f has."""
+    first = _runs(f)
+    size = Counter(first.values())
+    imps = [(a, b) for tag, *ends in f.clauses if tag == "i" for a, b in [ends]]
+    pos = {cl[1] for cl in f.clauses if cl[0] == "p"}
+    neg = {cl[1] for cl in f.clauses if cl[0] == "n"}
+    across = {(first[a], first[b]) for a, b in imps if first[a] != first[b]}
+    return {
+        "chain cut by a unit clause": any(size[first[v]] > 1 for v in pos | neg),
+        "contradictory units on one chain": any(
+            first[p] == first[q] and q <= p for p in pos for q in neg),
+        "reversed in-chain implication": any(
+            b == a + 1 and first[a] == first[b] for a, b in imps),
+        "same-chain implication between non-adjacent variables": any(
+            abs(a - b) > 1 and first[a] == first[b] for a, b in imps),
+        "implications between two chains both ways": any(
+            (b, a) in across and size[a] > 1 and size[b] > 1 for a, b in across),
+        "i v v": any(a == b for a, b in imps),
+        "no chain": max(size.values(), default=1) == 1,
+    }
+
+
+def _chain_formula(rng):
+    """Up to 14 variables, mostly in chains of v + 1 -> v, with unit
+    clauses and implications inside and across the chains; about one in
+    eight has no chain at all.  About one in four is dense: chains of 2 to
+    7 variables and only implications between two of them, which is where
+    the bit-level plan can be the cheaper one."""
+    dense = rng.random() < 0.25
+    n = rng.randint(8 if dense else 1, 14)
+    chained = dense or rng.random() > 0.17
+    clauses = []
+    runs = []
+    v = 1
+    while v <= n:
+        length = rng.randint(2, 7) if dense else rng.randint(1, 6) if chained else 1
+        runs.append(range(v, min(n + 1, v + length)))
+        clauses += [implies(w + 1, w) for w in runs[-1][:-1]]
+        v = runs[-1].stop
+    for _ in range(rng.randint(0, 2 * n + 4)):
+        kind = rng.random()
+        run = rng.choice(runs)
+        if dense:
+            if len(runs) > 1:
+                a, b = rng.sample(runs, 2)
+                clauses.append(implies(rng.choice(a), rng.choice(b)))
+        elif kind < 0.2:
+            clauses.append(rng.choice((unit_pos, unit_neg))(rng.choice(run)))
+        elif kind < 0.35 and len(run) > 1:
+            a, b = sorted(rng.sample(run, 2))
+            clauses.append(implies(a, b) if rng.random() < 0.6 else implies(b, a))
+        elif kind < 0.4:
+            a = rng.randint(1, n)
+            clauses.append(implies(a, a))
+        else:
+            a, b = rng.randint(1, n), rng.randint(1, n)
+            if chained or a != b + 1:
+                clauses.append(implies(a, b))
+    rng.shuffle(clauses)
+    return ImplicationFormula(n, tuple(clauses))
+
+
+def test_1p1n_grouped_count_matches_enumeration(monkeypatch):
+    # the levels of each chain, the tables between chains and the
+    # bit-level fallback against trying every assignment
+    bit_level = []
+    real = oracles._eliminate
+
+    def spy(domains, factors, keep=(), plan=None):
+        bit_level.append(any(t is oracles._IMPLIES_TABLE for _, _, t in factors))
+        return real(domains, factors, keep, plan)
+
+    monkeypatch.setattr(oracles, "_eliminate", spy)
+    rng = random.Random(21)
+    seen = Counter()
+    for _ in range(300):
+        f = _chain_formula(rng)
+        bit_level.clear()
+        assert count_1p1n(f) == count_models_enumeration(f), f
+        seen.update(k for k, hit in _chain_shapes(f).items() if hit)
+        seen["bit-level fallback"] += any(bit_level)
+    assert len(seen) == 8 and min(seen.values()) >= 5, seen
+
+
+def _rungs(n):
+    """Two chains of n variables, the k-th of the first implying the k-th
+    of the second."""
+    clauses = [implies(v + 1, v) for v in range(1, n)]
+    clauses += [implies(v + 1, v) for v in range(n + 1, 2 * n)]
+    clauses += [implies(k, n + k) for k in range(1, n + 1)]
+    return ImplicationFormula(2 * n, tuple(clauses))
+
+
+def test_1p1n_rung_joined_chains_take_the_bit_level_plan():
+    # grouped, the two 600-variable chains need one table of 601^2 entries,
+    # over the limit; the bit-level ladder has width 2.  The models are the
+    # level pairs (x, y) with y >= x: 601 * 602 / 2 of them
+    f = _rungs(600)
+    start = time.perf_counter()
+    assert count_1p1n(f) == 180_901
+    assert time.perf_counter() - start < 0.5
+
+
+def test_1p1n_refusal_names_both_plans():
+    # 20 variables implying each other in one direction, with no chain:
+    # both encodings need a table over all of them
+    clauses = tuple(implies(a, b) for a in range(1, 21) for b in range(a + 1, 21))
+    with pytest.raises(ValueError) as err:
+        count_1p1n(ImplicationFormula(20, clauses))
+    assert str(err.value) == (
+        f"exact count needs a table of {2**20} entries at induced width 19, "
+        f"above the limit of {MAX_TABLE_SIZE} (chain levels, min-degree; "
+        f"bits, min-degree: width 19, {2**20} entries)")
+
+
+def _formula_of(h, inst):
+    form = find_staircase_biadjacency(h) or find_staircase_adjacency(h)
+    return reduce_listhcol_to_1p1n(build_staircase_encoding(h, form), inst)[0]
+
+
+def test_1p1n_counts_reduce_sat_formulas_on_grids_that_count_handles():
+    # the bit-level engine refused both: width 18 on P6's 4 x 4 grid and 19
+    # on the reflexive P4's 8 x 8 one
+    for h, k in ((patterns.path(6), 4), (patterns.path(4, reflexive=True), 8)):
+        inst = Instance.with_full_lists(_grid(k), h.n)
+        assert count_1p1n(_formula_of(h, inst)) == count_list_hcol(h, inst)
+
+
+def test_1p1n_reduce_sat_identity_on_large_random_trees():
+    rng = random.Random(22)
+    targets = (patterns.P3_STAR, patterns.P4, patterns.path(6),
+               patterns.path(4, reflexive=True))
+    seen = Counter()
+    for trial in range(24):
+        h = targets[trial % 4]
+        m = rng.randint(20, 200)
+        perm = list(range(1, m + 1))
+        rng.shuffle(perm)
+        edges = [(perm[rng.randint(1, v - 1) - 1], perm[v - 1]) for v in range(2, m + 1)]
+        g = InstanceGraph.from_edges(m, edges)
+        inst = Instance(g, random_lists(rng, m, h.n, rng.choice((0.8, 0.9, 0.97))), h.n)
+        want = tree_list_count(h, inst)
+        assert count_1p1n(_formula_of(h, inst)) == want, (h, m)
+        seen["zero" if not want else "nonzero"] += 1
+    assert seen["nonzero"] >= 10, seen
 
 
 def test_1p1n_monotone_under_adding_clauses():

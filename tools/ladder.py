@@ -1,5 +1,6 @@
 """Size ladders: time `classify` and the gadget report on relabelled targets
-of 30 to 480 colours and exact counts on k x k grids, and write the results
+of 30 to 480 colours and exact counts on k x k grids, of list colourings
+and of the formulas reduce-sat compiles from them, and write the results
 as JSON.
 
     python3 tools/ladder.py --run parent=../parent/src --run change=src --out BENCH_9.json
@@ -38,10 +39,25 @@ The counting families run on the k x k grid, k = 8 to 16:
 
 Each of their steps times only the count.  It records the answer or the
 refusal message, each elimination plan the engine drew up (its rule,
-induced width and largest table; null for an engine without a plan), the
-step's peak RSS, and whether the answer equals a row-by-row transfer-matrix
-count (``grid_transfer_count`` in ``tests/helpers.py``, run after the peak
-RSS is read).
+induced width, largest table and total table entries, where the engine
+reports them), the step's peak RSS, and whether the answer equals a
+row-by-row transfer-matrix count (``grid_transfer_count`` in
+``tests/helpers.py``, run after the peak RSS is read).
+
+The reduce-sat families compile full-list instances on the k x k grid with
+``reduce_listhcol_to_1p1n`` and count them both ways:
+
+* ``reduce_sat_grid_p6`` and ``reduce_sat_grid_p8``: the irreflexive 6-
+  and 8-vertex paths, k = 3 to 6;
+* ``reduce_sat_grid_p3star`` and ``reduce_sat_grid_p4star``: the reflexive
+  3- and 4-vertex paths, k = 6 to 11 and 5 to 9.
+
+Each of their steps times ``count_1p1n`` on the formula ("seconds", with
+the formula built outside the timing) and ``count_list_hcol`` on the
+instance ("count_seconds").  It records both answers or refusals, the plans
+``count_1p1n`` drew up, the peak RSS, and whether each answer equals the
+transfer-matrix count.  The largest k of each family is past what either
+counter takes, so the step shows where both refuse.
 
 Every step runs REPEATS times per ``--run``, each time in a fresh
 interpreter, the runs of the labels taking turns.  A run makes the timed
@@ -101,8 +117,16 @@ CLASSIFY_FAMILIES = {
 GADGET_FAMILIES = {"gadget_even_cycle": "even_cycle_leaves"}
 GRID_FAMILIES = {"k2prime_grid": GRID_SIZES, "two_spin_grid": GRID_SIZES,
                  "k2prime_grid_refusal": (30,)}
+# each reduce-sat family: (colours of its path target, reflexive) and its k
+REDUCE_SAT_FAMILIES = {
+    "reduce_sat_grid_p6": ((6, False), (3, 4, 5, 6)),
+    "reduce_sat_grid_p8": ((8, False), (3, 4, 5, 6)),
+    "reduce_sat_grid_p3star": ((3, True), tuple(range(6, 12))),
+    "reduce_sat_grid_p4star": ((4, True), tuple(range(5, 10))),
+}
 FAMILIES = {**{family: SIZES for family in (*CLASSIFY_FAMILIES, *GADGET_FAMILIES)},
-            **GRID_FAMILIES}
+            **GRID_FAMILIES,
+            **{family: sizes for family, (_, sizes) in REDUCE_SAT_FAMILIES.items()}}
 
 
 def _peak_rss_mib() -> float:
@@ -132,6 +156,8 @@ def step(src: str, family: str, size: int) -> dict:
     sys.path.insert(0, src)
     if family in GRID_FAMILIES:
         return _grid_step(family, size)
+    if family in REDUCE_SAT_FAMILIES:
+        return _reduce_sat_step(family, size)
     from listhom.graphs import ColourGraph
     from listhom.recognizer import ExcludedWitness, classify
 
@@ -168,34 +194,32 @@ def _gadget_step(host, expected: tuple) -> dict:
             "peak_rss_mib": _peak_rss_mib()}
 
 
-def _grid_step(family: str, k: int) -> dict:
-    from fractions import Fraction
-
-    from listhom import oracles, patterns
-    from listhom.graphs import Instance, InstanceGraph
-
+def _helpers():
     spec = importlib.util.spec_from_file_location("helpers", ROOT / "tests" / "helpers.py")
     helpers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(helpers)
-    two_spin = family == "two_spin_grid"
+    return helpers
 
-    def build():
-        g = InstanceGraph.from_edges(k * k, helpers.grid_edges(k))
-        return g if two_spin else Instance.with_full_lists(g, 2)
+
+def _timed_count(build, count):
+    """(answer, refusal, plans, seconds of each call) of count(build()), made
+    as _timed makes its calls.  The answer is None on a refusal (a
+    ValueError), whose message is the refusal; the plans are those the
+    engine drew up on the first call."""
+    from listhom import oracles
 
     plans = []
     real = oracles._plan
 
     def recording(*args):
         plan = real(*args)
-        plans.append({"rule": plan.rule, "width": plan.width, "largest": plan.largest})
+        plans.append({"rule": plan.rule, "width": plan.width, "largest": plan.largest,
+                      "total": getattr(plan, "total", None)})
         return plan
 
-    def count(arg):
+    def call(arg):
         try:
-            if two_spin:
-                return oracles.ising_partition(arg, Fraction(1, 2)), None
-            return oracles.count_list_hcol(patterns.K2_PRIME, arg), None
+            return count(arg), None
         except ValueError as err:
             return None, str(err)
         finally:
@@ -203,9 +227,31 @@ def _grid_step(family: str, k: int) -> dict:
 
     oracles._plan = recording
     try:
-        _, (answer, refused), times = _timed(build, count)
+        _, (answer, refused), times = _timed(build, call)
     finally:
         oracles._plan = real
+    return answer, refused, plans, times
+
+
+def _grid_step(family: str, k: int) -> dict:
+    from fractions import Fraction
+
+    from listhom import oracles, patterns
+    from listhom.graphs import Instance, InstanceGraph
+
+    helpers = _helpers()
+    two_spin = family == "two_spin_grid"
+
+    def build():
+        g = InstanceGraph.from_edges(k * k, helpers.grid_edges(k))
+        return g if two_spin else Instance.with_full_lists(g, 2)
+
+    def count(arg):
+        if two_spin:
+            return oracles.ising_partition(arg, Fraction(1, 2))
+        return oracles.count_list_hcol(patterns.K2_PRIME, arg)
+
+    answer, refused, plans, times = _timed_count(build, count)
     out = {"vertices": k * k, "seconds": min(times), "times": times,
            "answer": None if answer is None else str(answer), "refused": refused,
            "plans": plans, "peak_rss_mib": _peak_rss_mib()}
@@ -217,6 +263,37 @@ def _grid_step(family: str, k: int) -> dict:
         else:
             want = helpers.grid_transfer_count(k, patterns.K2_PRIME.adj)
         out["expected"] = answer == want
+    return out
+
+
+def _reduce_sat_step(family: str, k: int) -> dict:
+    from listhom import oracles, patterns
+    from listhom.graphs import Instance, InstanceGraph
+    from listhom.recognizer import find_staircase_adjacency, find_staircase_biadjacency
+    from listhom.reductions import build_staircase_encoding, reduce_listhcol_to_1p1n
+
+    helpers = _helpers()
+    colours, reflexive = REDUCE_SAT_FAMILIES[family][0]
+    h = patterns.path(colours, reflexive=reflexive)
+    enc = build_staircase_encoding(
+        h, find_staircase_biadjacency(h) or find_staircase_adjacency(h))
+
+    def instance():
+        return Instance.with_full_lists(InstanceGraph.from_edges(k * k, helpers.grid_edges(k)), h.n)
+
+    answer, refused, plans, times = _timed_count(
+        lambda: reduce_listhcol_to_1p1n(enc, instance())[0], oracles.count_1p1n)
+    count, count_refused, _, count_times = _timed_count(
+        instance, lambda inst: oracles.count_list_hcol(h, inst))
+    out = {"vertices": k * k, "colours": h.n, "seconds": min(times), "times": times,
+           "answer": None if answer is None else str(answer), "refused": refused,
+           "plans": plans, "count_seconds": min(count_times), "count_times": count_times,
+           "count_answer": None if count is None else str(count),
+           "count_refused": count_refused, "peak_rss_mib": _peak_rss_mib()}
+    if answer is not None or count is not None:
+        want = helpers.grid_transfer_count(k, h.adj)
+        out["expected"] = answer == want
+        out["count_expected"] = count == want
     return out
 
 
@@ -316,7 +393,8 @@ def main(argv=None) -> int:
     report = {
         "what": "seconds of one classify call, one gadget report or one count per step"
                 " (each input built outside the timing): the fastest call of the"
-                " median run, and every call of every run under times",
+                " median run, and every call of every run under times; a reduce-sat"
+                " step times count_1p1n there and count_list_hcol under count_seconds",
         "python": platform.python_version(),
         "machine": machine_note(),
         "cap_s": CAP_S,
