@@ -56,7 +56,7 @@ Each of their steps times ``count_1p1n`` on the formula ("seconds", with
 the formula built outside the timing) and ``count_list_hcol`` on the
 instance ("count_seconds").  It records both answers or refusals, the plans
 ``count_1p1n`` drew up, the peak RSS, and whether each answer equals the
-transfer-matrix count.  The largest k of each family is past what either
+transfer-matrix count (null for a refusal).  The largest k of each family is past what either
 counter takes, so the step shows where both refuse.
 
 Every step runs REPEATS times per ``--run``, each time in a fresh
@@ -292,8 +292,8 @@ def _reduce_sat_step(family: str, k: int) -> dict:
            "count_refused": count_refused, "peak_rss_mib": _peak_rss_mib()}
     if answer is not None or count is not None:
         want = helpers.grid_transfer_count(k, h.adj)
-        out["expected"] = answer == want
-        out["count_expected"] = count == want
+        out["expected"] = None if answer is None else answer == want
+        out["count_expected"] = None if count is None else count == want
     return out
 
 
