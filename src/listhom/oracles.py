@@ -296,16 +296,17 @@ def _eliminate(domains: list, factors, keep: tuple = (), plan: _Plan | None = No
 
     The plan comes first (see the module docstring); a count it refuses
     builds no table.  A caller that has drawn up a plan for exactly these
-    domains and factors, with nothing kept, may pass it in.  Then every factor becomes a flat int table over
-    domain positions, row-major over its scope: its variables in elimination
-    order, so the variable summed out is always the first axis and each of
-    its values a slice.  A variable outside keep with a one-value domain
-    drops out of every scope, and a factor with two such ends is a scalar
-    on the total.  There is one store: tables[v] maps each scope whose first
-    variable is v to its table, parallel tables multiplying into one, and
-    v's weight vector is the entry over (v,).  A step pops what is filed
-    under its variable, sums that variable out and files the result under
-    the first variable of what is left.
+    domains and factors, with nothing kept, may pass it in.  Then every
+    factor becomes a flat int table over domain positions, row-major over
+    its scope: its variables in elimination order, so the variable summed
+    out is always the first axis and each of its values a slice.  A
+    variable outside keep with a one-value domain drops out of every scope,
+    and a factor with two such ends is a scalar on the total.  There is one
+    store: tables[v] maps each scope whose first variable is v to its
+    table, parallel tables multiplying into one, and v's weight vector is
+    the entry over (v,).  A step pops what is filed under its variable,
+    sums that variable out and files the result under the first variable of
+    what is left.
     """
     if not all(domains):
         return {}  # before the size check: a zero count needs no table
@@ -533,8 +534,8 @@ def count_1p1n(f: ImplicationFormula) -> int:
     start = [v for v in range(n) if not v or not linked[v - 1]]  # each run's first variable
     length = [b - a for a, b in zip(start, start[1:] + [n])]
     run = []
-    for r, size in enumerate(length):
-        run += [r] * size
+    for r, span in enumerate(length):
+        run += [r] * span
     lo = [0] * len(start)
     hi = list(length)
     for v, value in units:
