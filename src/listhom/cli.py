@@ -2,8 +2,9 @@
 
 Commands: classify, count, ising, count-sat, gadget, reduce-sat,
 reduce-ising, selftest.  Exit codes: 0 success, 1 verification mismatch,
-2 usage or parse error (including an exact count above the oracles' table
-limit), 3 internal error (any other exception, reported on one line).
+2 usage or parse error (a Refusal, such as an exact count above the
+oracles' table limit, an unreadable file or one that is not UTF-8 text),
+3 internal error (any other exception, reported on one line).
 
 Certificates are written by recognizer.certificate_json, their one format.
 """
@@ -39,7 +40,7 @@ from .gadgets import (
     reduce_ising_to_listhcol,
     thicken,
 )
-from .graphs import Instance, InstanceGraph, reflexivity_status
+from .graphs import Instance, InstanceGraph, Refusal, reflexivity_status
 from .oracles import (
     ImplicationFormula,
     count_1p1n,
@@ -148,23 +149,23 @@ def _explicit_witness(h, selector: str) -> ExcludedWitness:
         try:
             length = int(selector[len("cycle"):])
         except ValueError:
-            raise ValueError(f"unknown witness kind {selector!r}") from None
+            raise Refusal(f"unknown witness kind {selector!r}") from None
         status = reflexivity_status(h)
         if status == "irreflexive":
             kind = "CycleNe4"
         elif status == "reflexive":
             kind = "CycleGe4"
         else:
-            raise ValueError("cycle witnesses need a purely reflexive or irreflexive target")
+            raise Refusal("cycle witnesses need a purely reflexive or irreflexive target")
         if patterns.cycle_obstructs(kind, length) and length > h.n:
             # answer before building the length-by-length pattern
-            raise ValueError(f"target contains no induced {kind} of length {length}")
+            raise Refusal(f"target contains no induced {kind} of length {length}")
     else:
-        raise ValueError(f"unknown witness kind {selector!r}")
+        raise Refusal(f"unknown witness kind {selector!r}")
     pattern = witness_pattern(kind, length)
     emb = find_induced_embedding(pattern, h)
     if emb is None:
-        raise ValueError(f"target contains no induced {kind}"
+        raise Refusal(f"target contains no induced {kind}"
                          + (f" of length {length}" if length else ""))
     return ExcludedWitness(kind, length, emb)
 
@@ -174,9 +175,9 @@ def _gadget_witness(h, selector: str | None) -> ExcludedWitness:
         return _explicit_witness(h, selector)
     res = classify(h)
     if res.klass is not Hardness.SAT_EQUIVALENT:
-        raise ValueError(f"no witness: target classifies as {res.klass.name.lower()}")
+        raise Refusal(f"no witness: target classifies as {res.klass.name.lower()}")
     if not isinstance(res.reason, ExcludedWitness):
-        raise ValueError(
+        raise Refusal(
             "no path-gadget witness: the hard core is a loop edge; "
             "pass --witness to pick a pattern inside a homogeneous part")
     return res.reason
@@ -262,7 +263,7 @@ def cmd_reduce_sat(args) -> int:
     inst = parse_instance(Path(args.instance_file).read_text(), h.n)
     form = find_staircase_biadjacency(h) or find_staircase_adjacency(h)
     if form is None:
-        raise ValueError("target has no staircase certificate; reduction unavailable")
+        raise Refusal("target has no staircase certificate; reduction unavailable")
     enc = build_staircase_encoding(h, form)
     formula, vmap = reduce_listhcol_to_1p1n(enc, inst)
     text = serialise_formula(formula)
@@ -464,7 +465,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (Refusal, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

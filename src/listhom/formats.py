@@ -13,7 +13,8 @@ _directives, reads all three formats and checks their shared rules: the
 header comes first and only once, and every other line is a directive of
 the format with its number of integer arguments.  Each parser adds only
 the checks of its own format.  Every line is checked as it is read, so a
-ParseError names the first bad line; the CLI exits with code 2 on one.
+ParseError (a Refusal) names the first bad line; the CLI exits with code 2
+on one.
 Serialisers emit canonical order, and parse(serialise(x)) == x for every
 in-range value.
 """
@@ -22,11 +23,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graphs import ColourGraph, Instance, InstanceGraph, full_lists
+from .graphs import ColourGraph, Instance, InstanceGraph, Refusal, full_lists
 from .oracles import IMP, UNIT_NEG, UNIT_POS, ImplicationFormula
 
 
-class ParseError(ValueError):
+class ParseError(Refusal):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
@@ -186,4 +187,4 @@ def parse_fraction(text: str) -> Fraction:
             return Fraction(int(num), int(den))
         return Fraction(int(text))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational {text!r}: {exc}") from None
+        raise Refusal(f"bad rational {text!r}: {exc}") from None

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .graphs import ColourGraph, Instance, InstanceGraph
+from .graphs import ColourGraph, Instance, InstanceGraph, Refusal
 from .oracles import list_hcol_table
 from .patterns import Recipe, recipe
 from .recognizer import ExcludedWitness
@@ -124,8 +124,8 @@ def _product(h: ColourGraph, pairs) -> Matrix2:
     dprime = IDENTITY2
     for (i1, j1), (i2, j2) in zip(pairs, pairs[1:]):
         step = (
-            (h.adj[i1 - 1][i2 - 1], h.adj[i1 - 1][j2 - 1]),
-            (h.adj[j1 - 1][i2 - 1], h.adj[j1 - 1][j2 - 1]),
+            (int(h.adjacent(i1, i2)), int(h.adjacent(i1, j2))),
+            (int(h.adjacent(j1, i2)), int(h.adjacent(j1, j2))),
         )
         dprime = mat_mul(dprime, step)
     return dprime
@@ -349,9 +349,9 @@ def thicken(
     MAX_THICKENING_LEVEL.
     """
     if t < 0:
-        raise ValueError("thickening level must be non-negative")
+        raise Refusal("thickening level must be non-negative")
     if t > MAX_THICKENING_LEVEL:
-        raise ValueError(
+        raise Refusal(
             f"thickening level {t} exceeds the size cap {MAX_THICKENING_LEVEL}")
     if not _positive(base.matrix):
         raise ValueError("thickening needs a strictly positive interaction matrix")

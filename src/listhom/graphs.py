@@ -1,10 +1,12 @@
 """Core graph types and structural utilities.
 
-Two kinds of graph live here.  A ColourGraph is the (small) target graph
-whose vertices play the role of colours; it may carry loops but never
-parallel edges.  An InstanceGraph is the (possibly large) loop-free input
-graph whose vertices receive colours, optionally constrained by per-vertex
-colour lists.
+Two kinds of graph live here.  A ColourGraph is the target graph whose
+vertices play the role of colours; it may carry loops but never parallel
+edges.  It is stored as one ascending neighbour row per colour, and this
+module is the only one that reads that format; building one costs
+O(n + m).  An InstanceGraph is the (possibly large) loop-free input graph
+whose vertices receive colours, optionally constrained by per-vertex colour
+lists.
 
 Vertices and colours are 1-indexed everywhere.  All values are immutable
 after construction and every function in this module is pure.
@@ -13,6 +15,10 @@ Every walk over either kind of graph (components, 2-colourings, and the
 distances and shortest paths the recogniser reads) goes through the one
 breadth-first search _bfs, which takes a start vertex and a neighbour
 function.
+
+Refusal is the error for input that a user can correct (a bad file, an
+option out of range, a count above a stated limit); the CLI exits 2 on it
+and 3 on any other exception.
 """
 
 from __future__ import annotations
@@ -21,74 +27,82 @@ from dataclasses import dataclass
 from functools import cached_property
 
 
+class Refusal(ValueError):
+    """An input the program declines, with the reason a user can act on."""
+
+
 @dataclass(frozen=True)
 class ColourGraph:
-    """Target graph over colours {1..n}, stored as a dense symmetric 0/1 matrix.
+    """Target graph over colours {1..n}, stored as neighbour rows.
 
-    adj[i-1][i-1] == 1 encodes a loop on colour i.
+    rows[v-1] is the strictly ascending tuple of colours adjacent to v, v
+    itself included when v has a loop.  Building and validating a graph
+    costs O(n + m).  Only this module reads rows and the set of each colour
+    cached beside them; other modules ask adjacent, has_loop, neighbours,
+    degree and neighbour_set.
     """
 
     n: int
-    adj: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("a colour graph needs at least one colour")
-        if len(self.adj) != self.n or any(len(row) != self.n for row in self.adj):
-            raise ValueError("adjacency matrix must be n x n")
-        for i in range(self.n):
-            for j in range(i, self.n):
-                if self.adj[i][j] not in (0, 1):
-                    raise ValueError("adjacency entries must be 0 or 1")
-                if self.adj[i][j] != self.adj[j][i]:
-                    raise ValueError("adjacency matrix must be symmetric")
+        if len(self.rows) != self.n:
+            raise ValueError(f"need {self.n} neighbour rows, got {len(self.rows)}")
+        # the rows are symmetric iff each equals the column read off all of them
+        cols: list[list[int]] = [[] for _ in range(self.n)]
+        for v, row in enumerate(self.rows, start=1):
+            if any(a >= b for a, b in zip(row, row[1:])):
+                raise ValueError(f"neighbour row of {v} is not strictly ascending")
+            if row and not (1 <= row[0] and row[-1] <= self.n):
+                raise ValueError(f"neighbour row of {v} leaves the range 1..{self.n}")
+            for u in row:
+                cols[u - 1].append(v)
+        if tuple(map(tuple, cols)) != self.rows:
+            raise ValueError("neighbour rows must be symmetric")
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "ColourGraph":
         """Build from an iterable of pairs; the pair (v, v) is a loop on v."""
-        adj = [[0] * n for _ in range(n)]
+        rows: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"edge ({u},{v}) out of range 1..{n}")
-            adj[u - 1][v - 1] = 1
-            adj[v - 1][u - 1] = 1
-        return cls(n, tuple(tuple(row) for row in adj))
+            rows[u - 1].add(v)
+            rows[v - 1].add(u)
+        return cls(n, tuple(tuple(sorted(row)) for row in rows))
 
     @property
     def colours(self) -> range:
         return range(1, self.n + 1)
 
+    @cached_property
+    def _sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(map(frozenset, self.rows))
+
+    def neighbour_set(self, v: int) -> frozenset[int]:
+        """The colours adjacent to v as a set, v itself when v has a loop."""
+        return self._sets[v - 1]
+
     def adjacent(self, u: int, v: int) -> bool:
-        return self.adj[u - 1][v - 1] == 1
+        return v in self._sets[u - 1]
 
     def has_loop(self, v: int) -> bool:
-        return self.adj[v - 1][v - 1] == 1
-
-    @cached_property
-    def _neighbour_rows(self) -> tuple[tuple[int, ...], ...]:
-        """_neighbour_rows[v-1] is the ascending tuple of colours adjacent to
-        v, read off the matrix once."""
-        return tuple(
-            tuple(u for u, e in enumerate(row, start=1) if e) for row in self.adj
-        )
+        return v in self._sets[v - 1]
 
     def neighbours(self, v: int) -> tuple[int, ...]:
         """Colours adjacent to v, ascending, including v itself when v has a
         loop."""
-        return self._neighbour_rows[v - 1]
+        return self.rows[v - 1]
 
     def degree(self, v: int) -> int:
         """Number of neighbours other than v itself (loops do not count)."""
-        return len(self._neighbour_rows[v - 1]) - self.adj[v - 1][v - 1]
+        return len(self.rows[v - 1]) - self.has_loop(v)
 
     def edge_list(self) -> list[tuple[int, int]]:
         """Sorted edges as (u, v) with u <= v; loops appear as (v, v)."""
-        out = []
-        for u in self.colours:
-            for v in range(u, self.n + 1):
-                if self.adj[u - 1][v - 1]:
-                    out.append((u, v))
-        return out
+        return [(u, v) for u, row in enumerate(self.rows, start=1) for v in row if v >= u]
 
 
 @dataclass(frozen=True)
@@ -236,13 +250,14 @@ def induced_subgraph(h: ColourGraph, verts) -> ColourGraph:
             raise ValueError(f"vertex {v} out of range 1..{h.n}")
     if len(vs) == h.n:
         return h
-    adj = tuple(tuple(h.adj[u - 1][v - 1] for v in vs) for u in vs)
-    return ColourGraph(len(vs), adj)
+    label = {v: i for i, v in enumerate(vs, start=1)}
+    return ColourGraph(len(vs), tuple(
+        tuple(label[u] for u in h.rows[v - 1] if u in label) for v in vs))
 
 
 def reflexivity_status(h: ColourGraph) -> str:
     """One of "reflexive", "irreflexive" or "mixed"."""
-    loops = sum(h.adj[v - 1][v - 1] for v in h.colours)
+    loops = sum(v in row for v, row in enumerate(h.rows, start=1))
     if loops == h.n:
         return "reflexive"
     if loops == 0:

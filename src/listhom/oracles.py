@@ -19,7 +19,7 @@ profile order, each component swept breadth-first from a peripheral vertex
 (the far end of a BFS from its smallest vertex), and keep whichever of the
 two has the smaller largest table, min-degree on a tie.  On a k x k grid
 the profile order has width k, and min-degree's grows past it.  If even that
-order is over the limit, the engine raises ValueError naming the table
+order is over the limit, the engine raises a Refusal naming the table
 size, the induced width and both orders before it builds a single table,
 instead of running out of time or memory.
 
@@ -78,7 +78,7 @@ from itertools import accumulate, chain, product
 from math import prod
 from operator import add, mul
 
-from .graphs import ColourGraph, Instance, InstanceGraph, _bfs, _forest
+from .graphs import ColourGraph, Instance, InstanceGraph, Refusal, _bfs, _forest
 
 UNIT_POS = "p"
 UNIT_NEG = "n"
@@ -240,10 +240,10 @@ def _best_plan(factors, fixed: list, size: list, kept) -> tuple[_Plan, _Plan | N
     return (other, plan) if other.largest < plan.largest else (plan, other)
 
 
-def _refusal(plan: _Plan, other: _Plan) -> ValueError:
+def _refusal(plan: _Plan, other: _Plan) -> Refusal:
     """The error for a count whose best plan, plan, is over MAX_TABLE_SIZE;
     other is the next best."""
-    return ValueError(
+    return Refusal(
         f"exact count needs a table of {plan.largest} entries at induced "
         f"width {plan.width}, above the limit of {MAX_TABLE_SIZE} "
         f"({plan.rule}; {other.rule}: width {other.width}, "
@@ -317,7 +317,7 @@ def _eliminate(domains: list, factors, keep: tuple = (), plan: _Plan | None = No
     size = [len(d) for d in domains]
     ksize = prod([size[v] for v in keep])
     if ksize > MAX_TABLE_SIZE:
-        raise ValueError(
+        raise Refusal(
             f"a table over {len(keep)} kept variables needs {ksize} entries, "
             f"above the limit of {MAX_TABLE_SIZE}"
         )
@@ -478,7 +478,7 @@ def ising_partition(g: InstanceGraph, lam: Fraction) -> Fraction:
     """
     lam = Fraction(lam)
     if not (0 < lam < 1):
-        raise ValueError(f"weight must satisfy 0 < lam < 1, got {lam}")
+        raise Refusal(f"weight must satisfy 0 < lam < 1, got {lam}")
     p, q = lam.numerator, lam.denominator
     table = {(0, 0): p, (0, 1): q, (1, 0): q, (1, 1): p}
     total = _eliminate(
@@ -515,7 +515,7 @@ def count_1p1n(f: ImplicationFormula) -> int:
     bit-level problem, one variable per bit and one table per implication,
     is planned too, and the cheaper of the two plans within the limit runs,
     the grouped one on a tie.  When neither is within the limit, the
-    ValueError names both before any table is built.
+    Refusal names both before any table is built.
     """
     n = f.var_count
     imps = []

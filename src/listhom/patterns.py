@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import ColourGraph
+from .graphs import ColourGraph, Refusal
 
 
 def _with_loops(n: int, edges: list[tuple[int, int]]) -> ColourGraph:
@@ -166,7 +166,7 @@ def cycle_recipe(kind: str, length: int | None) -> Recipe:
     if kind not in CYCLE_KINDS:
         raise ValueError(f"unknown witness kind {kind!r}")
     if not cycle_obstructs(kind, length):
-        raise ValueError(f"bad cycle length {length!r} for kind {kind}")
+        raise Refusal(f"bad cycle length {length!r} for kind {kind}")
     q = length
     if kind == "CycleNe4" and q % 2 == 1:
         j_track = [*range(2, q + 1), *range(q - 1, 1, -1), 1]

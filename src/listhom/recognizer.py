@@ -23,11 +23,13 @@ target is never put in a class without a certificate.
 
 The staircase order comes from three lexicographic breadth-first sweeps
 per component (LBFS, then two LBFS+ sweeps; Corneil 2004, Hell and Huang
-2005), about O(n^3) on the dense matrix, and is accepted only if the
-rearranged matrix is staircase.  Every staircase check, whether it builds
-a form or re-checks one (StaircaseForm.certifies), goes through one
-helper, _staircase_form, which arranges h's matrix under a row and a
-column order and runs is_staircase on it.
+2005), and is accepted only if the rearranged matrix is staircase.  No
+matrix is built for that: staircase_bounds reads each row's neighbours as
+positions in the column order, which costs O(n + m).  It and is_staircase,
+which takes a 0/1 matrix, are front ends over one row check, _row_bounds.
+Every staircase check of a target, whether it builds a form or re-checks
+one (StaircaseForm.certifies), goes through _staircase_form, and the
+encoder in reductions calls staircase_bounds itself.
 
 Every "is pattern P an induced subgraph of H?" question goes through
 find_induced_embedding: the catalogue obstructions, the loop-on-one-end
@@ -104,7 +106,8 @@ class StaircaseForm:
         """True iff the orders fit h as the kind requires: a reflexive h with
         one order of all its colours for an adjacency form; an irreflexive h
         split into two independent sides that together hold every colour
-        once for a biadjacency form.  The matrix itself is not scanned."""
+        once for a biadjacency form.  Only the sides' edges are read, not
+        the staircase shape."""
         everything = set(h.colours)
         if self.kind == "adjacency":
             if reflexivity_status(h) != "reflexive":
@@ -121,40 +124,56 @@ class StaircaseForm:
                 return False
             if len(self.row_order) + len(self.col_order) != h.n:
                 return False
-            for side in (self.row_order, self.col_order):
-                for u, v in itertools.combinations(side, 2):
-                    if h.adjacent(u, v):
-                        return False
+            # independent sides: no colour has a neighbour on its own side
+            for order, side in ((self.row_order, rows), (self.col_order, cols)):
+                if any(not side.isdisjoint(h.neighbours(v)) for v in order):
+                    return False
         else:
             return False
         return True
 
 
-def is_staircase(mat) -> tuple[tuple[int | None, ...], tuple[int | None, ...]] | None:
-    """alpha/beta per row when the matrix is staircase as given, else None.
+Bounds = tuple[tuple[int | None, ...], tuple[int | None, ...]]
+
+
+def _row_bounds(rows) -> Bounds | None:
+    """alpha/beta per row of a 0/1 matrix given row by row as the distinct
+    columns (1-based, in any order) of its 1s, or None when it is not
+    staircase.
 
     Staircase: the 1s of each row are contiguous and the first-1 and last-1
-    column indices are non-decreasing down the rows.  All-zero rows are
-    skipped by the monotonicity check and get alpha = beta = None.
+    columns are non-decreasing down the rows.  All-zero rows are skipped by
+    the monotonicity check and get alpha = beta = None.
     """
     alpha: list[int | None] = []
     beta: list[int | None] = []
     prev_a = prev_b = 0
-    for row in mat:
-        ones = [j for j, e in enumerate(row, start=1) if e]
+    for ones in rows:
         if not ones:
             alpha.append(None)
             beta.append(None)
             continue
-        a, b = ones[0], ones[-1]
-        if b - a + 1 != len(ones):
-            return None
-        if a < prev_a or b < prev_b:
+        a, b = min(ones), max(ones)
+        if b - a + 1 != len(ones) or a < prev_a or b < prev_b:
             return None
         prev_a, prev_b = a, b
         alpha.append(a)
         beta.append(b)
     return tuple(alpha), tuple(beta)
+
+
+def is_staircase(mat) -> Bounds | None:
+    """alpha/beta per row when the 0/1 matrix is staircase as given, else
+    None (see _row_bounds)."""
+    return _row_bounds([j for j, e in enumerate(row, start=1) if e] for row in mat)
+
+
+def staircase_bounds(h: ColourGraph, rows, cols) -> Bounds | None:
+    """is_staircase of h's matrix with rows and columns in the given orders,
+    read off the neighbour lists in O(n + m) without building the matrix."""
+    position = {c: j for j, c in enumerate(cols, start=1)}
+    return _row_bounds(
+        [position[u] for u in h.neighbours(r) if u in position] for r in rows)
 
 
 def _staircase_form(h: ColourGraph, kind: str, rows, cols) -> StaircaseForm | None:
@@ -163,11 +182,10 @@ def _staircase_form(h: ColourGraph, kind: str, rows, cols) -> StaircaseForm | No
     biadjacency matrix B must also be staircase transposed: the encoding
     arranges all colours as [[B, 0], [0, B^T]], which is staircase exactly
     when B and B^T both are."""
-    bounds = is_staircase([[h.adj[r - 1][c - 1] for c in cols] for r in rows])
+    bounds = staircase_bounds(h, rows, cols)
     if bounds is None:
         return None
-    if kind == "biadjacency" and is_staircase(
-            [[h.adj[r - 1][c - 1] for r in rows] for c in cols]) is None:
+    if kind == "biadjacency" and staircase_bounds(h, cols, rows) is None:
         return None
     return StaircaseForm(kind, tuple(rows), tuple(cols), *bounds)
 
@@ -308,7 +326,7 @@ def find_induced_embedding(pattern: ColourGraph, host: ColourGraph):
     if k > n:
         return None
     pdeg = [pattern.degree(v) for v in pattern.colours]
-    hdeg = [host.degree(c) for c in host.colours]
+    hdeg = [0, *map(host.degree, host.colours)]  # indexed by colour
     if max(pdeg) > max(hdeg):
         return None
     order: list[int] = []
@@ -319,25 +337,24 @@ def find_induced_embedding(pattern: ColourGraph, host: ColourGraph):
                 order.append(v)
                 parent[v] = p
     pos = {v: i for i, v in enumerate(order)}
-    # per position: where its candidates come from, its degree, its loop
-    # entry, and its matrix entries against every earlier position
+    # per position: where its candidates come from, its degree, its loop,
+    # and its adjacency to every earlier position
     source = [None if parent[v] is None else pos[parent[v]] for v in order]
     need_deg = [pdeg[v - 1] for v in order]
-    loop = [pattern.adj[v - 1][v - 1] for v in order]
-    want = [tuple(pattern.adj[v - 1][u - 1] for u in order[:i]) for i, v in enumerate(order)]
-    adj = host.adj
-    emb: list[int] = []  # the 0-based host index of each placed position
-    used = [False] * n
+    loop = [pattern.has_loop(v) for v in order]
+    want = [tuple(pattern.adjacent(v, u) for u in order[:i]) for i, v in enumerate(order)]
+    nbrs = [frozenset(), *map(host.neighbour_set, host.colours)]
+    emb: list[int] = []  # the host colour of each placed position
+    used = [False] * (n + 1)
     # candidates[i] yields the host colours still to try for position i
     candidates = [iter(host.colours)]
     while candidates:
         i = len(emb)
         for c in candidates[-1]:
-            c -= 1
-            row = adj[c]
-            if used[c] or hdeg[c] < need_deg[i] or row[c] != loop[i]:
+            row = nbrs[c]
+            if used[c] or hdeg[c] < need_deg[i] or (c in row) != loop[i]:
                 continue
-            if tuple(map(row.__getitem__, emb)) == want[i]:
+            if tuple(map(row.__contains__, emb)) == want[i]:
                 used[c] = True
                 emb.append(c)
                 break
@@ -349,10 +366,10 @@ def find_induced_embedding(pattern: ColourGraph, host: ColourGraph):
         if i + 1 == k:
             out = [0] * k
             for v, c in zip(order, emb):
-                out[v - 1] = c + 1
+                out[v - 1] = c
             return tuple(out)
         j = source[i + 1]
-        candidates.append(iter(host.colours if j is None else host.neighbours(emb[j] + 1)))
+        candidates.append(iter(host.colours if j is None else host.neighbours(emb[j])))
     return None
 
 
@@ -468,13 +485,13 @@ def _shortest_hole(h: ColourGraph, cycle_kind: str) -> tuple[int, ...] | None:
             limit = len(best) - 3  # the longest a-c path that still beats best
             if limit < 2:  # best is a 4-hole, the shortest there is
                 break
-        rb, ra, rc = h.adj[b - 1], h.adj[a - 1], h.adj[c - 1]
+        nb, na, nc = h.neighbour_set(b), h.neighbour_set(a), h.neighbour_set(c)
 
         def step(v):
             return [
                 u for u in h.neighbours(v)
                 if u > b and (u == c or not (
-                    rb[u - 1] or (skip_four and ra[u - 1] and rc[u - 1])))
+                    u in nb or (skip_four and u in na and u in nc)))
             ]
 
         tree = _bfs(a, step, limit)

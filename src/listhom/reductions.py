@@ -19,19 +19,19 @@ from .graphs import (
     instance_components,
 )
 from .oracles import ImplicationFormula, implies, unit_neg, unit_pos
-from .recognizer import StaircaseForm, is_staircase
+from .recognizer import StaircaseForm, staircase_bounds
 
 
 @dataclass(frozen=True)
 class StaircaseEncoding:
     """A staircase arrangement of the target's full adjacency structure.
 
-    q is the target's colour count.  In bipartite mode the q x q matrix is
-    the block arrangement [[B, 0], [0, B^T]] of a staircase biadjacency
-    matrix B, so both component orientations stay representable; in
-    reflexive mode it is the permuted adjacency matrix itself.
-    r_order/c_order attach a colour to every row and column; alpha/beta are
-    the per-row 1-blocks (None for all-zero rows).
+    q is the target's colour count.  In bipartite mode the arranged q x q
+    matrix is the block matrix [[B, 0], [0, B^T]] of a staircase
+    biadjacency matrix B, so both component orientations stay
+    representable; in reflexive mode it is the permuted adjacency matrix
+    itself.  r_order/c_order attach a colour to every row and column;
+    alpha/beta are the per-row 1-blocks (None for all-zero rows).
     """
 
     mode: str
@@ -40,17 +40,17 @@ class StaircaseEncoding:
     c_order: tuple[int, ...]
     alpha: tuple[int | None, ...]
     beta: tuple[int | None, ...]
-    matrix: tuple[tuple[int, ...], ...]
 
 
 def build_staircase_encoding(h: ColourGraph, sf: StaircaseForm) -> StaircaseEncoding:
-    """Assemble the encoding matrix from a certifying staircase form.
+    """The encoding of h under a certifying staircase form.
 
-    Biadjacency forms produce the block matrix spanning all q colours;
-    adjacency forms are taken as-is.  Rejects forms that do not certify h.
-    The encoding matrix is scanned once: its top rows are the form's own
-    matrix (beside a zero block in bipartite mode), so it is staircase with
-    the form's alpha/beta there exactly when the form certifies h.
+    Biadjacency forms arrange all q colours as the block matrix; adjacency
+    forms are taken as they are.  Rejects forms that do not certify h.  The
+    arrangement is checked once, by staircase_bounds on h's neighbour lists,
+    and no matrix is built: its top rows are the form's own matrix (beside
+    a zero block in bipartite mode), so it is staircase with the form's
+    alpha/beta there exactly when the form certifies h.
     """
     if not sf.arranges(h):
         raise ValueError("staircase form does not certify this target")
@@ -60,15 +60,12 @@ def build_staircase_encoding(h: ColourGraph, sf: StaircaseForm) -> StaircaseEnco
     else:
         r_order = sf.row_order
         c_order = sf.row_order
-    matrix = tuple(
-        tuple(1 if h.adjacent(r, c) else 0 for c in c_order) for r in r_order
-    )
-    bounds = is_staircase(matrix)
+    bounds = staircase_bounds(h, r_order, c_order)
     top = len(sf.row_order)
     if bounds is None or (bounds[0][:top], bounds[1][:top]) != (sf.alpha, sf.beta):
         raise ValueError("staircase form does not certify this target")
     mode = "bipartite" if sf.kind == "biadjacency" else "reflexive"
-    return StaircaseEncoding(mode, h.n, r_order, c_order, *bounds, matrix)
+    return StaircaseEncoding(mode, h.n, r_order, c_order, *bounds)
 
 
 @dataclass(frozen=True)

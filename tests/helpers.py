@@ -12,6 +12,14 @@ from math import prod
 from listhom.graphs import ColourGraph, Instance, InstanceGraph
 
 
+def dense(h: ColourGraph, rows=None, cols=None) -> tuple[tuple[int, ...], ...]:
+    """h's 0/1 matrix with rows and columns in the given colour orders, each
+    all colours ascending by default; an entry on the diagonal is a loop."""
+    rows = h.colours if rows is None else rows
+    cols = h.colours if cols is None else cols
+    return tuple(tuple(int(h.adjacent(r, c)) for c in cols) for r in rows)
+
+
 def enumerate_list_colourings(h: ColourGraph, inst: Instance):
     """Every valid colouring, by plain product enumeration."""
     out = []

@@ -388,6 +388,36 @@ def test_cmd_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["ising", "k2.g", "--lambda", "1/0"], "bad rational"),
+    (["gadget", "c6.h", "--witness", "cycle2"], "bad cycle length 2"),
+    (["gadget", "wrench.h", "--witness", "cycle5"], "purely reflexive or irreflexive"),
+    (["gadget", "c6.h", "--t", "-1"], "non-negative"),
+    (["gadget", "c6.h", "--t", "99"], "size cap"),
+    (["classify", "binary.h"], "can't decode"),
+])
+def test_cmd_refusals_exit_2(tmp_path, capsys, argv, named):
+    write(tmp_path, "k2.g", "g 2\ne 1 2\n")
+    write(tmp_path, "c6.h", serialise_h(patterns.cycle(6)))
+    write(tmp_path, "wrench.h", WRENCH_TEXT)
+    (tmp_path / "binary.h").write_bytes(b"h 2\n\xff\xfe\n")
+    argv = [str(tmp_path / a) if a.endswith((".g", ".h")) else a for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err, err
+
+
+def test_cmd_internal_value_error_exits_3(tmp_path, capsys, monkeypatch):
+    # a ValueError that is not a Refusal is a fault inside, not the user's
+    def crash(h, inst):
+        raise ValueError("inconsistent table")
+
+    monkeypatch.setattr(cli, "count_list_hcol", crash)
+    h = write(tmp_path, "p4.h", serialise_h(patterns.P4))
+    assert main(["count", h, write(tmp_path, "k2.inst", "g 2\ne 1 2\n")]) == 3
+    assert capsys.readouterr().err == "internal error: ValueError: inconsistent table\n"
+
+
 def test_cmd_count_sat_long_chain(tmp_path, capsys):
     text = "f 3000\n" + "".join(f"i {v + 1} {v}\n" for v in range(1, 3000))
     assert main(["count-sat", write(tmp_path, "chain.f", text)]) == 0

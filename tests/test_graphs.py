@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -21,9 +22,49 @@ def test_colour_graph_validation():
     with pytest.raises(ValueError):
         ColourGraph(0, ())
     with pytest.raises(ValueError):
-        ColourGraph(2, ((0, 1), (0, 0)))  # asymmetric
+        ColourGraph(2, ((2,), ()))  # asymmetric
     with pytest.raises(ValueError):
         ColourGraph.from_edges(2, [(1, 3)])
+
+
+@pytest.mark.parametrize("rows, message", [
+    (((3, 2), (1,), (1,)), "not strictly ascending"),  # unsorted
+    (((2, 2), (1,)), "not strictly ascending"),  # a repeat
+    (((2,), (1, 3)), "range"),
+    (((0,), ()), "range"),
+    (((2,), (1, 3), ()), "symmetric"),
+    (((2,), (1,)), "need 3 neighbour rows"),
+])
+def test_colour_graph_rejects_each_bad_row(rows, message):
+    with pytest.raises(ValueError, match=message):
+        ColourGraph(3 if message.startswith("need") else len(rows), rows)
+
+
+def test_colour_graph_rows_round_trip():
+    h = ColourGraph.from_edges(4, [(2, 1), (1, 2), (3, 3), (4, 1)])
+    assert [h.neighbours(v) for v in h.colours] == [(2, 4), (1,), (3,), (1,)]
+    assert h.edge_list() == [(1, 2), (1, 4), (3, 3)]
+    assert [h.degree(v) for v in h.colours] == [2, 1, 0, 1]
+    assert h.has_loop(3) and not h.has_loop(1)
+    assert h.adjacent(4, 1) and not h.adjacent(2, 4)
+    assert h.neighbour_set(1) == {2, 4}
+
+
+def test_from_edges_builds_a_large_sparse_target_in_linear_memory():
+    # neighbour rows hold O(n) entries here, where an n x n matrix held 25
+    # million
+    n = 5000
+    perm = list(range(1, n + 1))
+    random.Random(5).shuffle(perm)
+    edges = [(perm[v - 1], perm[v]) for v in range(1, n)]
+    tracemalloc.start()
+    try:
+        h = ColourGraph.from_edges(n, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+    assert sorted(h.degree(v) for v in h.colours)[:3] == [1, 1, 2]
 
 
 def test_instance_graph_validation():

@@ -23,6 +23,9 @@ def test_ladder_families_classify_at_120_colours_with_their_expected_witness():
         assert step["class"] == "sat_equivalent"
         assert step["verified"] and step["expected"], (family, step)
         assert step["seconds"] < 5, (family, step)
+        # building the 120-colour target: neighbour rows, not a 120 x 120 matrix
+        assert 0 < step["build_seconds"] < 0.1, (family, step)
+        assert 0 < step["build_peak_mib"] < 0.1, (family, step)
 
 
 def test_ladder_gadget_step_passes_every_check_at_120_colours():

@@ -9,6 +9,7 @@ import pytest
 
 from helpers import (
     count_models_enumeration,
+    dense,
     enumerate_list_colourings,
     grid_edges,
     grid_transfer_count,
@@ -90,7 +91,7 @@ def test_count_matches_enumeration():
 
 def test_count_long_path_matches_transfer_matrix():
     # colourings of the m-vertex path with full lists: 1^T A^(m-1) 1
-    a = patterns.P3_STAR.adj
+    a = dense(patterns.P3_STAR)
     power = [[int(i == j) for j in range(3)] for i in range(3)]
     for _ in range(199):
         power = [[sum(power[i][k] * a[k][j] for k in range(3)) for j in range(3)]
@@ -138,7 +139,7 @@ def test_grid_counts_take_the_profile_order_and_match_the_transfer_matrix(monkey
                         lambda *args: profiles.append(1) or real(*args))
     g = _grid(14)
     assert count_list_hcol(patterns.K2_PRIME, Instance.with_full_lists(g, 2)) == (
-        grid_transfer_count(14, patterns.K2_PRIME.adj))
+        grid_transfer_count(14, dense(patterns.K2_PRIME)))
     # lam = 1/2: an agreeing edge weighs 1 and any other 2, over 2^|E|
     assert ising_partition(g, Fraction(1, 2)) == Fraction(
         grid_transfer_count(14, [[1, 2], [2, 1]]), 2 ** len(g.edges))
@@ -311,7 +312,7 @@ def test_grid_counts_under_a_lowered_limit_take_the_profile_order(monkeypatch):
         inst = Instance.with_full_lists(g, h.n)
         fits = h.n ** (k + 1)  # a frontier of k vertices plus the one summed out
         monkeypatch.setattr(oracles, "MAX_TABLE_SIZE", fits)
-        assert count_list_hcol(h, inst) == grid_transfer_count(k, h.adj)
+        assert count_list_hcol(h, inst) == grid_transfer_count(k, dense(h))
         monkeypatch.setattr(oracles, "MAX_TABLE_SIZE", fits - 1)
         with pytest.raises(ValueError, match=rf"\(min-degree; BFS profile: width {k}, {fits} entries\)"):
             count_list_hcol(h, inst)
@@ -332,7 +333,7 @@ def test_engine_holds_only_the_tables_still_to_be_used(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert count == grid_transfer_count(k, patterns.K2_PRIME.adj)
+    assert count == grid_transfer_count(k, dense(patterns.K2_PRIME))
     assert peak < 1 << 18, peak
 
 

@@ -5,6 +5,7 @@ import pytest
 from helpers import (
     connected_bipartite_reps,
     connected_graph_reps,
+    dense,
     induced_embeddings,
     reflexive_closure,
 )
@@ -25,6 +26,7 @@ from listhom.recognizer import (
     find_staircase_adjacency,
     find_staircase_biadjacency,
     is_staircase,
+    staircase_bounds,
     witness_pattern,
 )
 
@@ -36,6 +38,33 @@ def test_is_staircase_examples():
     assert is_staircase([[1, 0], [1, 1]]) == ((1, 1), (1, 2))
     assert is_staircase([[0, 1], [1, 0]]) is None
     assert is_staircase([[1, 0, 1]]) is None  # gap in a row
+
+
+def test_staircase_bounds_equals_the_matrix_check():
+    """The neighbour-list check against the dense one on random targets and
+    orders: the rows and columns are any two lists of distinct colours, so
+    they may overlap, miss colours or meet no neighbour (an empty row)."""
+    rng = random.Random(1717)
+    outcomes = {"staircase": 0, "not staircase": 0, "empty row": 0}
+    for trial in range(2400):
+        n = rng.randint(1, 9)
+        p = rng.choice((0.15, 0.3, 0.6))
+        edges = [(u, v) for u in range(1, n + 1) for v in range(u, n + 1)
+                 if rng.random() < p]
+        h = ColourGraph.from_edges(n, edges)
+        colours = list(h.colours)
+        if trial % 3 == 0:
+            # one order of every colour on both, as an adjacency form has
+            rows = cols = rng.sample(colours, n)
+        else:
+            rows = rng.sample(colours, rng.randint(0, n))
+            cols = rng.sample(colours, rng.randint(0, n))
+        mat = dense(h, rows, cols)
+        bounds = staircase_bounds(h, rows, cols)
+        assert bounds == is_staircase(mat), (edges, rows, cols)
+        outcomes["staircase" if bounds else "not staircase"] += 1
+        outcomes["empty row"] += bounds is not None and None in bounds[0]
+    assert min(outcomes.values()) >= 200, outcomes
 
 
 def test_find_staircase_biadjacency_examples():

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import enumerate_list_colourings, random_lists
+from helpers import dense, enumerate_list_colourings, random_lists
 from listhom import patterns
 from listhom.graphs import ColourGraph, Instance, InstanceGraph
 from listhom.oracles import count_1p1n, count_list_hcol
@@ -43,7 +43,8 @@ def test_encoding_p4_block_matrix():
     assert enc.mode == "bipartite" and enc.q == 4
     assert enc.r_order == (1, 3, 2, 4)
     assert enc.c_order == (2, 4, 1, 3)
-    assert enc.matrix == ((1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1))
+    assert dense(patterns.P4, enc.r_order, enc.c_order) == (
+        (1, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1))
 
 
 def test_encoding_reflexive_path():
@@ -56,7 +57,7 @@ def test_encoding_reflexive_path():
 def test_encoding_single_edge():
     enc = encoding_for(patterns.path(2))
     assert enc.q == 2
-    assert enc.matrix == ((1, 0), (0, 1))
+    assert dense(patterns.path(2), enc.r_order, enc.c_order) == ((1, 0), (0, 1))
     assert enc.alpha == (1, 2) and enc.beta == (1, 2)
 
 
@@ -113,8 +114,7 @@ def test_biadjacency_certifies_exactly_when_encodable():
         h = ColourGraph.from_edges(n, edges)
         for r_order in itertools.permutations(rows):
             for c_order in itertools.permutations(cols):
-                bounds = is_staircase([[h.adj[r - 1][c - 1] for c in c_order]
-                                       for r in r_order])
+                bounds = is_staircase(dense(h, r_order, c_order))
                 if bounds is None:
                     continue
                 form = StaircaseForm("biadjacency", r_order, c_order, *bounds)
@@ -131,18 +131,19 @@ def test_biadjacency_certifies_exactly_when_encodable():
 
 def test_encoding_scans_one_matrix(monkeypatch):
     import listhom.recognizer
-    import listhom.reductions
 
     h = patterns.path(12)
     form = find_staircase_biadjacency(h)
     scanned = []
+    real = listhom.recognizer._row_bounds
 
-    def counted(mat):
-        scanned.append(len(mat))
-        return is_staircase(mat)
+    def counted(rows):
+        rows = list(rows)
+        scanned.append(len(rows))
+        return real(rows)
 
-    monkeypatch.setattr(listhom.recognizer, "is_staircase", counted)
-    monkeypatch.setattr(listhom.reductions, "is_staircase", counted)
+    # every staircase check, of a matrix or of a target, runs this row check
+    monkeypatch.setattr(listhom.recognizer, "_row_bounds", counted)
     enc = build_staircase_encoding(h, form)
     assert scanned == [12]  # the 12 x 12 block matrix, not also the 6 x 6 form
     assert (enc.alpha[:6], enc.beta[:6]) == (form.alpha, form.beta)

@@ -131,3 +131,36 @@ def test_private_helpers_are_used():
         and node.name not in used
     ]
     assert unused == []
+
+
+# ColourGraph's neighbour rows and the sets cached beside them
+STORE = ("rows", "_sets")
+
+
+def _store_reads(tree, module: str):
+    """(attribute, line) for every read of the dense matrix attribute adj,
+    and, outside graphs.py, of the target store."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (
+                node.attr == "adj" or (node.attr in STORE and module != "graphs.py")):
+            yield node.attr, node.lineno
+
+
+def test_store_read_detector():
+    tree = ast.parse("h.adj[0]\nh.rows[0]\nh._sets\nh.neighbours(1)\nrows = 1\n")
+    found = sorted(_store_reads(tree, "recognizer.py"), key=lambda read: read[1])
+    assert found == [("adj", 1), ("rows", 2), ("_sets", 3)]
+    assert list(_store_reads(tree, "graphs.py")) == [("adj", 1)]
+
+
+def test_only_graphs_reads_the_target_store():
+    # the adjacency format lives in graphs.py alone; every other module asks
+    # ColourGraph's methods, so the store can change in one place
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = [
+        f"{path.name}:{line} .{attr}"
+        for path in files
+        for attr, line in _store_reads(ast.parse(path.read_text(), filename=str(path)), path.name)
+    ]
+    assert found == []

@@ -1,5 +1,6 @@
-"""Size ladders: time `classify` and the gadget report on relabelled targets
-of 30 to 480 colours and exact counts on k x k grids, of list colourings
+"""Size ladders: time `classify` on relabelled targets of 30 to 3,840
+colours, the gadget report on those of 30 to 480, and exact counts on k x k
+grids, of list colourings
 and of the formulas reduce-sat compiles from them, and write the results
 as JSON.
 
@@ -18,7 +19,11 @@ families are relabelled at random with a fixed seed:
 
 Each of their steps times only the ``classify`` call.  It records the class,
 the witness kind and length, whether ``verify()`` accepts the witness,
-whether that is the expected witness, and the step's peak RSS.
+whether that is the expected witness, and the step's peak RSS.  It also
+times building the target, ``ColourGraph.from_edges`` on the relabelled
+edges, as ``_timed`` times a call ("build_seconds", the fastest), and
+records the peak memory that tracemalloc traces in one more build
+("build_peak_mib", taken after the peak RSS).
 
 The gadget family runs on the same relabelled hosts:
 
@@ -83,10 +88,13 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIZES = (30, 60, 120, 240, 480)
+# the classify families also run at these sizes, where a quadratic step shows
+LARGE_SIZES = (960, 1920, 3840)
 GRID_SIZES = tuple(range(8, 17))
 CAP_S = 60
 # fresh interpreters per step: one run carries the machine's noise
@@ -124,7 +132,8 @@ REDUCE_SAT_FAMILIES = {
     "reduce_sat_grid_p3star": ((3, True), tuple(range(6, 12))),
     "reduce_sat_grid_p4star": ((4, True), tuple(range(5, 10))),
 }
-FAMILIES = {**{family: SIZES for family in (*CLASSIFY_FAMILIES, *GADGET_FAMILIES)},
+FAMILIES = {**{family: SIZES + LARGE_SIZES for family in CLASSIFY_FAMILIES},
+            **{family: SIZES for family in GADGET_FAMILIES},
             **GRID_FAMILIES,
             **{family: sizes for family, (_, sizes) in REDUCE_SAT_FAMILIES.items()}}
 
@@ -164,9 +173,10 @@ def step(src: str, family: str, size: int) -> dict:
     n, edges, kind, length = CLASSIFY_FAMILIES[GADGET_FAMILIES.get(family, family)](size)
     perm = list(range(1, n + 1))
     random.Random(RELABEL_SEED).shuffle(perm)
+    edges = [(perm[u - 1], perm[v - 1]) for u, v in edges]
 
     def host():
-        return ColourGraph.from_edges(n, [(perm[u - 1], perm[v - 1]) for u, v in edges])
+        return ColourGraph.from_edges(n, edges)
 
     if family in GADGET_FAMILIES:
         return _gadget_step(host, (kind, length))
@@ -177,7 +187,14 @@ def step(src: str, family: str, size: int) -> dict:
         w = res.reason
         out.update(kind=w.kind, length=w.length, verified=w.verify(h))
     out["expected"] = out["verified"] and (out["kind"], out["length"]) == (kind, length)
+    out["build_seconds"] = min(_timed(lambda: None, lambda _: host())[2])
     out["peak_rss_mib"] = _peak_rss_mib()
+    tracemalloc.start()
+    try:
+        host()
+        out["build_peak_mib"] = round(tracemalloc.get_traced_memory()[1] / 2 ** 20, 3)
+    finally:
+        tracemalloc.stop()
     return out
 
 
@@ -261,7 +278,7 @@ def _grid_step(family: str, k: int) -> dict:
             want = Fraction(helpers.grid_transfer_count(k, [[1, 2], [2, 1]]),
                             2 ** len(helpers.grid_edges(k)))
         else:
-            want = helpers.grid_transfer_count(k, patterns.K2_PRIME.adj)
+            want = helpers.grid_transfer_count(k, helpers.dense(patterns.K2_PRIME))
         out["expected"] = answer == want
     return out
 
@@ -291,7 +308,7 @@ def _reduce_sat_step(family: str, k: int) -> dict:
            "count_answer": None if count is None else str(count),
            "count_refused": count_refused, "peak_rss_mib": _peak_rss_mib()}
     if answer is not None or count is not None:
-        want = helpers.grid_transfer_count(k, h.adj)
+        want = helpers.grid_transfer_count(k, helpers.dense(h))
         out["expected"] = None if answer is None else answer == want
         out["count_expected"] = None if count is None else count == want
     return out
