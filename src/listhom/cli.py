@@ -166,7 +166,7 @@ def _explicit_witness(h, selector: str) -> ExcludedWitness:
     emb = find_induced_embedding(pattern, h)
     if emb is None:
         raise Refusal(f"target contains no induced {kind}"
-                         + (f" of length {length}" if length else ""))
+                      + (f" of length {length}" if length else ""))
     return ExcludedWitness(kind, length, emb)
 
 

@@ -1,8 +1,7 @@
 """Size ladders: time `classify` on relabelled targets of 30 to 3,840
 colours, the gadget report on those of 30 to 480, and exact counts on k x k
-grids, of list colourings
-and of the formulas reduce-sat compiles from them, and write the results
-as JSON.
+grids, of list colourings and of the formulas reduce-sat compiles from
+them, and write the results as JSON.
 
     python3 tools/ladder.py --run parent=../parent/src --run change=src --out BENCH_9.json
 
