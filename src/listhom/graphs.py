@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import lt
 
 
 class Refusal(ValueError):
@@ -50,16 +51,13 @@ class ColourGraph:
             raise ValueError("a colour graph needs at least one colour")
         if len(self.rows) != self.n:
             raise ValueError(f"need {self.n} neighbour rows, got {len(self.rows)}")
-        # the rows are symmetric iff each equals the column read off all of them
-        cols: list[list[int]] = [[] for _ in range(self.n)]
         for v, row in enumerate(self.rows, start=1):
-            if any(a >= b for a, b in zip(row, row[1:])):
+            if not all(map(lt, row, row[1:])):
                 raise ValueError(f"neighbour row of {v} is not strictly ascending")
             if row and not (1 <= row[0] and row[-1] <= self.n):
                 raise ValueError(f"neighbour row of {v} leaves the range 1..{self.n}")
-            for u in row:
-                cols[u - 1].append(v)
-        if tuple(map(tuple, cols)) != self.rows:
+        sets = self._sets
+        if not all(v in sets[u - 1] for v, row in enumerate(self.rows, start=1) for u in row):
             raise ValueError("neighbour rows must be symmetric")
 
     @classmethod
