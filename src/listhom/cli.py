@@ -151,12 +151,9 @@ def _explicit_witness(h, selector: str) -> ExcludedWitness:
         except ValueError:
             raise Refusal(f"unknown witness kind {selector!r}") from None
         status = reflexivity_status(h)
-        if status == "irreflexive":
-            kind = "CycleNe4"
-        elif status == "reflexive":
-            kind = "CycleGe4"
-        else:
+        if status == "mixed":
             raise Refusal("cycle witnesses need a purely reflexive or irreflexive target")
+        kind = patterns.cycle_kind(status == "reflexive")
         if patterns.cycle_obstructs(kind, length) and length > h.n:
             # answer before building the length-by-length pattern
             raise Refusal(f"target contains no induced {kind} of length {length}")
@@ -322,9 +319,9 @@ def _selftest_checks(seed: int):
 
     # every fixed-shape row and cycle rows of both parities, class by class
     cases = []
-    for kind, lengths in (("CycleNe4", (3, 5, 7, 6, 8)), ("CycleGe4", (4, 5, 6))):
-        cases += [row for row in patterns.RECIPES if row.reflexive == (kind == "CycleGe4")]
-        cases += [patterns.cycle_recipe(kind, q) for q in lengths]
+    for reflexive, lengths in ((False, (3, 5, 7, 6, 8)), (True, (4, 5, 6))):
+        cases += [row for row in patterns.RECIPES if row.reflexive == reflexive]
+        cases += [patterns.cycle_recipe(patterns.cycle_kind(reflexive), q) for q in lengths]
     for row in cases:
         label = row.kind + (f"({row.length})" if row.length else "")
         report = _gadget_report(row.pattern, pattern_witness(row), (0, 1))

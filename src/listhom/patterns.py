@@ -116,7 +116,7 @@ class Recipe:
     def pattern(self) -> ColourGraph:
         if self.length is None:
             return FIXED_PATTERNS[self.kind]
-        return cycle(self.length, reflexive=self.kind == "CycleGe4")
+        return cycle(self.length, reflexive=self.kind == cycle_kind(True))
 
     @property
     def terminals(self) -> tuple[int, int]:
@@ -152,6 +152,13 @@ RECIPES = (
 # The cycle kinds, each with the one length at which its cycle is complete
 # (C4 = K_{2,2}; the reflexive C3 = K_3) and so not an obstruction.
 CYCLE_KINDS = {"CycleNe4": 4, "CycleGe4": 3}
+
+
+def cycle_kind(reflexive: bool) -> str:
+    """The cycle kind of the class with this loop status: CycleGe4 for the
+    reflexive (proper-interval) class, CycleNe4 for the irreflexive
+    (bipartite-permutation) one.  Every other module asks this."""
+    return "CycleGe4" if reflexive else "CycleNe4"
 
 
 def cycle_obstructs(kind: str, length: int | None) -> bool:

@@ -27,9 +27,15 @@ per component (LBFS, then two LBFS+ sweeps; Corneil 2004, Hell and Huang
 matrix is built for that: staircase_bounds reads each row's neighbours as
 positions in the column order, which costs O(n + m).  It and is_staircase,
 which takes a 0/1 matrix, are front ends over one row check, _row_bounds.
-Every staircase check of a target, whether it builds a form or re-checks
-one (StaircaseForm.certifies), goes through _staircase_form, and the
-encoder in reductions calls staircase_bounds itself.
+
+The certificate format of a staircase form is stated once, in _arrange: a
+form's orders arrange all of the target's colours, as [[B, 0], [0, B^T]]
+for a biadjacency matrix B or as the adjacency matrix itself, and one scan
+of that arrangement checks the staircase shape and the shape of the kind
+(independent sides and no loop, or a loop on every colour).  Building a
+form (_staircase_form), re-checking one (StaircaseForm.certifies) and the
+encoder in reductions (StaircaseForm.arrangement) all go through it, so
+every form built here certifies its target.
 
 Every "is pattern P an induced subgraph of H?" question goes through
 find_induced_embedding: the catalogue obstructions, the loop-on-one-end
@@ -88,7 +94,9 @@ class StaircaseForm:
     two sides of an irreflexive bipartite graph) or "adjacency" (one
     permutation applied to both dimensions of a reflexive graph, in which
     case row_order == col_order).  alpha/beta give the first/last 1 of each
-    row, 1-based; None for all-zero rows.
+    row, 1-based; None for all-zero rows.  A form is checked against a
+    target through the arrangement of all its colours (see _arrange), and
+    nothing outside this module reads its orders.
     """
 
     kind: str
@@ -97,40 +105,19 @@ class StaircaseForm:
     alpha: tuple[int | None, ...]
     beta: tuple[int | None, ...]
 
+    def arrangement(self, h: ColourGraph):
+        """(r_order, c_order, alpha, beta) of the arrangement of all h's
+        colours when this form certifies h, else None: its top rows are the
+        form's own matrix, with the form's alpha/beta."""
+        arranged = _arrange(h, self.kind, self.row_order, self.col_order)
+        top = len(self.row_order)
+        if arranged is None or (arranged[2][:top], arranged[3][:top]) != (self.alpha, self.beta):
+            return None
+        return arranged
+
     def certifies(self, h: ColourGraph) -> bool:
         """True iff this form really witnesses the class membership of h."""
-        return self.arranges(h) and (
-            _staircase_form(h, self.kind, self.row_order, self.col_order) == self)
-
-    def arranges(self, h: ColourGraph) -> bool:
-        """True iff the orders fit h as the kind requires: a reflexive h with
-        one order of all its colours for an adjacency form; an irreflexive h
-        split into two independent sides that together hold every colour
-        once for a biadjacency form.  Only the sides' edges are read, not
-        the staircase shape."""
-        everything = set(h.colours)
-        if self.kind == "adjacency":
-            if reflexivity_status(h) != "reflexive":
-                return False
-            if self.row_order != self.col_order:
-                return False
-            if set(self.row_order) != everything or len(self.row_order) != h.n:
-                return False
-        elif self.kind == "biadjacency":
-            if reflexivity_status(h) != "irreflexive":
-                return False
-            rows, cols = set(self.row_order), set(self.col_order)
-            if rows & cols or rows | cols != everything:
-                return False
-            if len(self.row_order) + len(self.col_order) != h.n:
-                return False
-            # independent sides: no colour has a neighbour on its own side
-            for order, side in ((self.row_order, rows), (self.col_order, cols)):
-                if any(not side.isdisjoint(h.neighbours(v)) for v in order):
-                    return False
-        else:
-            return False
-        return True
+        return self.arrangement(h) is not None
 
 
 Bounds = tuple[tuple[int | None, ...], tuple[int | None, ...]]
@@ -176,18 +163,52 @@ def staircase_bounds(h: ColourGraph, rows, cols) -> Bounds | None:
         [position[u] for u in h.neighbours(r) if u in position] for r in rows)
 
 
-def _staircase_form(h: ColourGraph, kind: str, rows, cols) -> StaircaseForm | None:
-    """The form of the given kind whose matrix is h's with rows and columns
-    in the given orders, or None when that matrix is not staircase.  A
-    biadjacency matrix B must also be staircase transposed: the encoding
-    arranges all colours as [[B, 0], [0, B^T]], which is staircase exactly
-    when B and B^T both are."""
-    bounds = staircase_bounds(h, rows, cols)
+def _arrange(h: ColourGraph, kind: str, rows, cols):
+    """(r_order, c_order, alpha, beta) of the matrix that arranges all of
+    h's colours as a form of the given kind with these orders, or None when
+    the orders miss or repeat a colour, that matrix is not staircase, or its
+    bounds do not have the kind's shape.
+
+    A biadjacency form arranges the colours as [[B, 0], [0, B^T]], with B
+    the rows-by-columns matrix: every 1 of the top len(rows) rows lies in
+    the first len(cols) columns and every 1 of the other rows after them,
+    so the sides are independent and h has no loop.  The block matrix is
+    staircase exactly when B and B^T both are.  An adjacency form arranges
+    them as h's matrix under one order on rows and columns, and each row's
+    block holds its own diagonal position: h has a loop on every colour.
+    """
+    rows, cols = tuple(rows), tuple(cols)
+    if kind == "biadjacency":
+        r_order, c_order = rows + cols, cols + rows
+    elif kind == "adjacency" and rows == cols:
+        r_order = c_order = rows
+    else:
+        return None
+    if len(r_order) != h.n or set(r_order) != set(h.colours):
+        return None
+    bounds = staircase_bounds(h, r_order, c_order)
     if bounds is None:
         return None
-    if kind == "biadjacency" and staircase_bounds(h, cols, rows) is None:
+    alpha, beta = bounds
+    top = len(rows)
+    if kind == "biadjacency":
+        shaped = (max(filter(None, beta[:top]), default=0) <= len(cols)
+                  < min(filter(None, alpha[top:]), default=h.n + 1))
+    else:
+        shaped = all(a is not None and a <= i <= b
+                     for i, (a, b) in enumerate(zip(alpha, beta), start=1))
+    return (r_order, c_order, alpha, beta) if shaped else None
+
+
+def _staircase_form(h: ColourGraph, kind: str, rows, cols) -> StaircaseForm | None:
+    """The form of the given kind with these orders, its bounds read off
+    the arrangement of all h's colours, or None when they do not arrange h
+    (see _arrange); a form built here certifies h."""
+    arranged = _arrange(h, kind, rows, cols)
+    if arranged is None:
         return None
-    return StaircaseForm(kind, tuple(rows), tuple(cols), *bounds)
+    top = len(rows)
+    return StaircaseForm(kind, tuple(rows), tuple(cols), arranged[2][:top], arranged[3][:top])
 
 
 def _lbfs(h: ColourGraph, verts, prev=None) -> list[int]:
@@ -460,22 +481,23 @@ def _wedges(h: ColourGraph):
             yield b, a, c
 
 
-def _shortest_hole(h: ColourGraph, cycle_kind: str) -> tuple[int, ...] | None:
-    """A shortest chordless cycle of h of a length that obstructs for
-    cycle_kind, loops ignored, in cyclic order from its smallest vertex; None
-    when there is none.
+def _shortest_hole(h: ColourGraph, reflexive: bool) -> tuple[int, ...] | None:
+    """A shortest chordless cycle of h of a length that obstructs for the
+    cycle kind of the class with h's loop status, loops ignored, in cyclic
+    order from its smallest vertex; None when there is none.
 
-    CycleGe4 asks for a hole (length at least 4).  CycleNe4 asks for length
-    3 or at least 5, and is asked only of a bipartite h, which has no
-    triangle: it asks for a hole of length at least 6.  A hole is found from
-    its smallest vertex b and the induced path a-b-c it has there: a
-    shortest a-c path through colours above b that avoids N[b] except a and
-    c closes a hole, and the one through the shortest hole is no longer than
-    that hole's a-c arc.  For CycleNe4 the path also avoids the common
-    neighbours of a and c, which only a 4-hole would use.  Each BFS stops at
-    the depth where it could no longer beat the best hole so far.
+    For a reflexive h (CycleGe4) that is a hole (length at least 4).  For
+    an irreflexive h (CycleNe4) it is length 3 or at least 5; this is asked
+    only of a bipartite h, which has no triangle, so it asks for a hole of
+    length at least 6.  A hole is found from its smallest vertex b and the
+    induced path a-b-c it has there: a shortest a-c path through colours
+    above b that avoids N[b] except a and c closes a hole, and the one
+    through the shortest hole is no longer than that hole's a-c arc.  For
+    an irreflexive h the path also avoids the common neighbours of a and c,
+    which only a 4-hole would use.  Each BFS stops at the depth where it
+    could no longer beat the best hole so far.
     """
-    skip_four = cycle_kind == "CycleNe4"
+    skip_four = not reflexive
     best: tuple[int, ...] | None = None
     for b, a, c in _wedges(h):
         if h.adjacent(a, c):
@@ -500,27 +522,27 @@ def _shortest_hole(h: ColourGraph, cycle_kind: str) -> tuple[int, ...] | None:
     return best
 
 
-def _first_obstruction(h: ColourGraph, cycle_kind: str, sides) -> ExcludedWitness | None:
+def _first_obstruction(h: ColourGraph, reflexive: bool, sides) -> ExcludedWitness | None:
     """A shortest odd cycle when h has no 2-colouring (sides is None); else
-    the first catalogue pattern of cycle_kind's class induced in h, in table
-    order, else a shortest chordless cycle of cycle_kind.  sides is the
-    caller's colour_bipartition of an irreflexive h, or any pair for a
-    reflexive one.  Every catalogue pattern of the bipartite class is itself
-    bipartite, and an odd cycle is found in one pass where the catalogue
-    search on a dense host is polynomial of high degree."""
+    the first catalogue pattern of the class with h's loop status (given as
+    reflexive) induced in h, in table order, else a shortest chordless cycle
+    of that class's cycle kind.  sides is the caller's colour_bipartition of
+    an irreflexive h, or any pair for a reflexive one.  Every catalogue
+    pattern of the bipartite class is itself bipartite, and an odd cycle is
+    found in one pass where the catalogue search on a dense host is
+    polynomial of high degree."""
     if sides is None:
         cyc = _shortest_odd_cycle(h)
     else:
-        reflexive = cycle_kind == "CycleGe4"
         for row in patterns.RECIPES:
             if row.reflexive == reflexive:
                 emb = find_induced_embedding(row.pattern, h)
                 if emb is not None:
                     return ExcludedWitness(row.kind, None, emb)
-        cyc = _shortest_hole(h, cycle_kind)
+        cyc = _shortest_hole(h, reflexive)
     if cyc is None:
         return None
-    return ExcludedWitness(cycle_kind, len(cyc), cyc)
+    return ExcludedWitness(patterns.cycle_kind(reflexive), len(cyc), cyc)
 
 
 def find_excluded_bp(h: ColourGraph) -> ExcludedWitness | None:
@@ -529,7 +551,7 @@ def find_excluded_bp(h: ColourGraph) -> ExcludedWitness | None:
     None exactly when h is a bipartite permutation graph."""
     if reflexivity_status(h) != "irreflexive":
         raise ValueError("bipartite-permutation witnesses require an irreflexive target")
-    return _first_obstruction(h, "CycleNe4", colour_bipartition(h))
+    return _first_obstruction(h, False, colour_bipartition(h))
 
 
 def find_excluded_pi(h: ColourGraph) -> ExcludedWitness | None:
@@ -538,7 +560,7 @@ def find_excluded_pi(h: ColourGraph) -> ExcludedWitness | None:
     when h is a (reflexive) proper interval graph."""
     if reflexivity_status(h) != "reflexive":
         raise ValueError("proper-interval witnesses require a reflexive target")
-    return _first_obstruction(h, "CycleGe4", (h.colours, h.colours))
+    return _first_obstruction(h, True, (h.colours, h.colours))
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +653,7 @@ def _classify_connected(hc: ColourGraph):
         form = _sweep_form(hc, [hc.colours], None if reflexive else sides[0])
         if form is not None:
             return Hardness.BIS_EQUIVALENT, form, 6
-    witness = _first_obstruction(hc, "CycleGe4" if reflexive else "CycleNe4", sides)
+    witness = _first_obstruction(hc, reflexive, sides)
     if witness is None:
         # the two characterisations are complementary, so one of the two
         # searches is wrong; refuse to classify rather than guess

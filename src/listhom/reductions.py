@@ -19,19 +19,20 @@ from .graphs import (
     instance_components,
 )
 from .oracles import ImplicationFormula, implies, unit_neg, unit_pos
-from .recognizer import StaircaseForm, staircase_bounds
+from .recognizer import StaircaseForm
 
 
 @dataclass(frozen=True)
 class StaircaseEncoding:
     """A staircase arrangement of the target's full adjacency structure.
 
-    q is the target's colour count.  In bipartite mode the arranged q x q
-    matrix is the block matrix [[B, 0], [0, B^T]] of a staircase
-    biadjacency matrix B, so both component orientations stay
-    representable; in reflexive mode it is the permuted adjacency matrix
-    itself.  r_order/c_order attach a colour to every row and column;
-    alpha/beta are the per-row 1-blocks (None for all-zero rows).
+    q is the target's colour count.  The arranged q x q matrix is the one
+    that StaircaseForm.arrangement gives for the form: in bipartite mode (a
+    biadjacency form) the block matrix [[B, 0], [0, B^T]], so both
+    component orientations stay representable; in reflexive mode the
+    permuted adjacency matrix itself.  r_order/c_order attach a colour to
+    every row and column; alpha/beta are the per-row 1-blocks (None for
+    all-zero rows).
     """
 
     mode: str
@@ -43,29 +44,16 @@ class StaircaseEncoding:
 
 
 def build_staircase_encoding(h: ColourGraph, sf: StaircaseForm) -> StaircaseEncoding:
-    """The encoding of h under a certifying staircase form.
-
-    Biadjacency forms arrange all q colours as the block matrix; adjacency
-    forms are taken as they are.  Rejects forms that do not certify h.  The
-    arrangement is checked once, by staircase_bounds on h's neighbour lists,
-    and no matrix is built: its top rows are the form's own matrix (beside
-    a zero block in bipartite mode), so it is staircase with the form's
-    alpha/beta there exactly when the form certifies h.
+    """The encoding of h under a certifying staircase form: the form's
+    arrangement of all h's colours (StaircaseForm.arrangement), checked in
+    one scan of h's neighbour lists with no matrix built.  Rejects forms
+    that do not certify h.
     """
-    if not sf.arranges(h):
-        raise ValueError("staircase form does not certify this target")
-    if sf.kind == "biadjacency":
-        r_order = sf.row_order + sf.col_order
-        c_order = sf.col_order + sf.row_order
-    else:
-        r_order = sf.row_order
-        c_order = sf.row_order
-    bounds = staircase_bounds(h, r_order, c_order)
-    top = len(sf.row_order)
-    if bounds is None or (bounds[0][:top], bounds[1][:top]) != (sf.alpha, sf.beta):
+    arranged = sf.arrangement(h)
+    if arranged is None:
         raise ValueError("staircase form does not certify this target")
     mode = "bipartite" if sf.kind == "biadjacency" else "reflexive"
-    return StaircaseEncoding(mode, h.n, r_order, c_order, *bounds)
+    return StaircaseEncoding(mode, h.n, *arranged)
 
 
 @dataclass(frozen=True)

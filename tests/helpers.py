@@ -20,6 +20,46 @@ def dense(h: ColourGraph, rows=None, cols=None) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(h.adjacent(r, c)) for c in cols) for r in rows)
 
 
+def staircase(mat):
+    """alpha/beta per row (1-based, None for an all-zero row) when the 0/1
+    matrix is staircase, else None, straight from the definition: the 1s of
+    each row are one block, and of any two rows with a 1 the lower one's
+    block starts and ends no earlier.  Shares no code with the library's
+    row check."""
+    blocks = []
+    for row in mat:
+        ones = [j for j, e in enumerate(row, start=1) if e]
+        if ones and ones != list(range(ones[0], ones[-1] + 1)):
+            return None
+        blocks.append((ones[0], ones[-1]) if ones else (None, None))
+    lit = [b for b in blocks if b[0] is not None]
+    if any(a1 > a2 or b1 > b2 for (a1, b1), (a2, b2) in itertools.combinations(lit, 2)):
+        return None
+    return tuple(a for a, _ in blocks), tuple(b for _, b in blocks)
+
+
+def fits(h: ColourGraph, form) -> bool:
+    """Whether a staircase form's orders have the shape its kind asks of h,
+    from the definition: every colour exactly once; for a biadjacency form
+    an irreflexive h whose row side and column side are each independent;
+    for an adjacency form a reflexive h and equal row and column orders.
+    The staircase shape itself is not read."""
+    rows, cols = list(form.row_order), list(form.col_order)
+    if form.kind == "biadjacency":
+        every = rows + cols
+    elif form.kind == "adjacency":
+        every = rows
+    else:
+        return False
+    if sorted(every) != list(h.colours):
+        return False
+    if form.kind == "adjacency":
+        return rows == cols and all(h.has_loop(v) for v in h.colours)
+    return (not any(h.has_loop(v) for v in h.colours)
+            and not any(h.adjacent(u, v) for side in (rows, cols)
+                        for u, v in itertools.combinations(side, 2)))
+
+
 def enumerate_list_colourings(h: ColourGraph, inst: Instance):
     """Every valid colouring, by plain product enumeration."""
     out = []

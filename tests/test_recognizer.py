@@ -8,6 +8,7 @@ from helpers import (
     dense,
     induced_embeddings,
     reflexive_closure,
+    staircase,
 )
 from listhom import patterns, recognizer
 from listhom.graphs import ColourGraph, colour_bipartition, induced_subgraph
@@ -61,7 +62,7 @@ def test_staircase_bounds_equals_the_matrix_check():
             cols = rng.sample(colours, rng.randint(0, n))
         mat = dense(h, rows, cols)
         bounds = staircase_bounds(h, rows, cols)
-        assert bounds == is_staircase(mat), (edges, rows, cols)
+        assert bounds == staircase(mat), (edges, rows, cols)
         outcomes["staircase" if bounds else "not staircase"] += 1
         outcomes["empty row"] += bounds is not None and None in bounds[0]
     assert min(outcomes.values()) >= 200, outcomes
@@ -114,6 +115,16 @@ def test_excluded_bp_examples():
         assert w.kind == kind and w.verify(pat)
     with pytest.raises(ValueError):
         find_excluded_bp(patterns.P3_STAR)
+
+
+def test_cycle_kind_names_the_class_of_each_loop_status():
+    assert patterns.cycle_kind(False) == "CycleNe4"
+    assert patterns.cycle_kind(True) == "CycleGe4"
+    for reflexive, length in ((False, 6), (True, 5)):
+        row = patterns.cycle_recipe(patterns.cycle_kind(reflexive), length)
+        assert row.reflexive == reflexive
+        assert row.pattern.has_loop(length) == reflexive
+        assert not patterns.cycle_obstructs(patterns.cycle_kind(reflexive), (4, 3)[reflexive])
 
 
 def test_excluded_pi_examples():
@@ -303,7 +314,7 @@ def test_classify_certificates_revalidate():
                     cover = rows + cols
                 assert sorted(cover) == sorted(part.vertices)
                 matrix = [[1 if h.adjacent(r, c) else 0 for c in cols] for r in rows]
-                assert is_staircase(matrix) == (form.alpha, form.beta)
+                assert staircase(matrix) == (form.alpha, form.beta)
                 if part.vertices == frozenset(h.colours):
                     assert form.certifies(h)
                 if len(parts) > 1:
@@ -602,7 +613,7 @@ def test_cycle_searches_match_the_per_length_loop():
         searches = []
         # the bipartite class's hole search is asked only of bipartite hosts
         if reflexive or colour_bipartition(h) is not None:
-            searches.append((kind, recognizer._shortest_hole(h, kind),
+            searches.append((kind, recognizer._shortest_hole(h, reflexive),
                              [L for L in range(3, n + 1) if patterns.cycle_obstructs(kind, L)]))
         if not reflexive:
             searches.append(("odd", recognizer._shortest_odd_cycle(h), range(3, n + 1, 2)))

@@ -1,10 +1,11 @@
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from helpers import dense, enumerate_list_colourings, random_lists
+from helpers import dense, enumerate_list_colourings, fits, random_lists, staircase
 from listhom import patterns
 from listhom.graphs import ColourGraph, Instance, InstanceGraph
 from listhom.oracles import count_1p1n, count_list_hcol
@@ -12,7 +13,6 @@ from listhom.recognizer import (
     StaircaseForm,
     find_staircase_adjacency,
     find_staircase_biadjacency,
-    is_staircase,
 )
 from listhom.reductions import (
     build_staircase_encoding,
@@ -83,7 +83,7 @@ def test_encoding_rejects_forms_that_fit_the_target_but_do_not_certify_it():
         else:
             bad.append(replace(form, row_order=swapped, col_order=swapped))
         for fake in bad:
-            assert fake.arranges(h) and not fake.certifies(h)
+            assert fits(h, fake) and not fake.certifies(h)
             with pytest.raises(ValueError, match="does not certify"):
                 build_staircase_encoding(h, fake)
 
@@ -93,7 +93,7 @@ def test_biadjacency_form_with_a_non_staircase_transpose_does_not_certify():
     # so the block matrix [[B, 0], [0, B^T]] is not
     h = ColourGraph.from_edges(4, [(1, 4), (3, 4)])
     form = StaircaseForm("biadjacency", (1, 2, 3), (4,), (1, None, 1), (1, None, 1))
-    assert form.arranges(h) and not form.certifies(h)
+    assert fits(h, form) and not form.certifies(h)
     with pytest.raises(ValueError, match="does not certify"):
         build_staircase_encoding(h, form)
 
@@ -114,7 +114,7 @@ def test_biadjacency_certifies_exactly_when_encodable():
         h = ColourGraph.from_edges(n, edges)
         for r_order in itertools.permutations(rows):
             for c_order in itertools.permutations(cols):
-                bounds = is_staircase(dense(h, r_order, c_order))
+                bounds = staircase(dense(h, r_order, c_order))
                 if bounds is None:
                     continue
                 form = StaircaseForm("biadjacency", r_order, c_order, *bounds)
@@ -129,11 +129,125 @@ def test_biadjacency_certifies_exactly_when_encodable():
     assert checked > 1000 and 0 < certified < checked
 
 
+def _whole(form):
+    """The row and column orders of the matrix a form arranges all colours
+    into: [[B, 0], [0, B^T]] for a biadjacency form, its own orders for an
+    adjacency form."""
+    if form.kind == "biadjacency":
+        return form.row_order + form.col_order, form.col_order + form.row_order
+    return form.row_order, form.col_order
+
+
+def _form_with_fault(rng, h, fault):
+    """A form for h from the finders or from random orders, with one fault
+    of the given kind in its kind or orders, and with the bounds of the
+    matrix it arranges when that matrix is staircase, else random ones.
+    The fault is "none" when h is too small for the one asked for."""
+    form = find_staircase_biadjacency(h) or find_staircase_adjacency(h)
+    if form is None or rng.random() < 0.3:
+        colours = rng.sample(list(h.colours), h.n)
+        kind = rng.choice(("biadjacency", "adjacency"))
+        cut = rng.randint(0, h.n) if kind == "biadjacency" else h.n
+        rows = tuple(colours[:cut])
+        cols = tuple(colours[cut:]) if kind == "biadjacency" else rows
+        form = StaircaseForm(kind, rows, cols, (), ())
+    rows, cols = list(form.row_order), list(form.col_order)
+    side = rows if rows and (not cols or rng.random() < 0.5) else cols
+    i = rng.randrange(len(side))
+    others = [c for c in rows + cols if c != side[i]]
+    if fault == "swap" and i + 1 < len(side):
+        side[i], side[i + 1] = side[i + 1], side[i]
+        if form.kind == "adjacency":
+            rows = cols = side
+    elif fault == "drop":
+        side.pop(i)
+    elif fault == "repeat" and others:
+        side[i] = rng.choice(others)
+    elif fault == "move":
+        (cols if side is rows else rows).append(side.pop(i))
+    elif fault == "kind":
+        form = replace(form, kind=rng.choice(
+            [k for k in ("biadjacency", "adjacency", "staircase") if k != form.kind]))
+    else:
+        fault = "none"
+    form = replace(form, row_order=tuple(rows), col_order=tuple(cols))
+    bounds = staircase(dense(h, *_whole(form))) if fits(h, form) else None
+    if bounds is None:
+        values = [None, *h.colours]
+        bounds = [tuple(rng.choice(values) for _ in rows) for _ in "ab"]
+    top = len(rows)
+    return replace(form, alpha=bounds[0][:top], beta=bounds[1][:top]), fault
+
+
+def _off_by_one(rng, form):
+    """The form with one of its bounds moved by one, or set to None, or
+    with a None bound set to 1."""
+    which = rng.choice(("alpha", "beta"))
+    values = list(getattr(form, which))
+    i = rng.randrange(len(values))
+    values[i] = 1 if values[i] is None else rng.choice((values[i] - 1, values[i] + 1, None))
+    return replace(form, **{which: tuple(values)})
+
+
+def test_certifies_is_the_arrangement_definition():
+    """Seeded forms over random targets of 1-8 colours with no, all or some
+    loops, from the finders or from random orders, with wrong kinds,
+    missing or repeated colours, colours on the wrong side and bounds off
+    by one.  certifies holds exactly when the orders fit h and the dense
+    staircase check of the whole arrangement gives the form's bounds on
+    its top rows; the encoder raises exactly when certifies is False, and
+    otherwise returns that arrangement."""
+    rng = random.Random(1818)
+    faults = ("none", "swap", "drop", "repeat", "move", "kind")
+    seen = Counter()
+    for trial in range(4800):
+        n = rng.randint(1, 8)
+        p = rng.choice((0.2, 0.4, 0.7))
+        if trial % 6 == 0:
+            # bipartite, so the biadjacency finder has a chance
+            left = set(rng.sample(range(1, n + 1), rng.randint(0, n)))
+            edges = [(u, v) for u in left for v in range(1, n + 1)
+                     if v not in left and rng.random() < p]
+        else:
+            edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                     if rng.random() < p]
+        loops = (0.0, 1.0, 0.5)[trial % 3]
+        edges += [(v, v) for v in range(1, n + 1) if rng.random() < loops]
+        h = ColourGraph.from_edges(n, edges)
+        form, fault = _form_with_fault(rng, h, faults[trial % len(faults)])
+        if form.alpha and rng.random() < 0.3:
+            form, fault = _off_by_one(rng, form), fault + "+bounds"
+        fit = fits(h, form)
+        whole = staircase(dense(h, *_whole(form))) if fit else None
+        top = len(form.row_order)
+        certified = form.certifies(h)
+        assert certified == (
+            whole is not None and (whole[0][:top], whole[1][:top]) == (form.alpha, form.beta)
+        ), (h.edge_list(), form)
+        try:
+            enc = build_staircase_encoding(h, form)
+        except ValueError as err:
+            assert not certified and str(err) == "staircase form does not certify this target"
+        else:
+            assert certified, (h.edge_list(), form)
+            assert (enc.mode, enc.q) == (
+                "bipartite" if form.kind == "biadjacency" else "reflexive", h.n)
+            assert (enc.r_order, enc.c_order, enc.alpha, enc.beta) == (*_whole(form), *whole)
+        seen[fault, fit, certified] += 1
+    assert sum(seen.values()) >= 4000
+    assert sum(c for (_, _, ok), c in seen.items() if ok) >= 600, seen
+    assert sum(c for (_, _, ok), c in seen.items() if not ok) >= 600, seen
+    # forms whose orders fit h but whose matrix scan rejects them
+    assert sum(c for (_, fit, ok), c in seen.items() if fit and not ok) >= 300, seen
+    assert not any(ok for (fault, _, ok) in seen if fault.endswith("+bounds")), seen
+    for fault in faults:
+        assert sum(c for (f, _, _), c in seen.items() if f.startswith(fault)) >= 300, seen
+
+
 def test_encoding_scans_one_matrix(monkeypatch):
     import listhom.recognizer
 
     h = patterns.path(12)
-    form = find_staircase_biadjacency(h)
     scanned = []
     real = listhom.recognizer._row_bounds
 
@@ -144,8 +258,10 @@ def test_encoding_scans_one_matrix(monkeypatch):
 
     # every staircase check, of a matrix or of a target, runs this row check
     monkeypatch.setattr(listhom.recognizer, "_row_bounds", counted)
+    form = find_staircase_biadjacency(h)
+    assert scanned == [12]  # built from the 12 x 12 block matrix, not B and B^T
     enc = build_staircase_encoding(h, form)
-    assert scanned == [12]  # the 12 x 12 block matrix, not also the 6 x 6 form
+    assert scanned == [12, 12]  # the 12 x 12 block matrix, not also the 6 x 6 form
     assert (enc.alpha[:6], enc.beta[:6]) == (form.alpha, form.beta)
 
 

@@ -164,3 +164,79 @@ def test_only_graphs_reads_the_target_store():
         for attr, line in _store_reads(ast.parse(path.read_text(), filename=str(path)), path.name)
     ]
     assert found == []
+
+
+# StaircaseForm's orders, which only the recogniser arranges
+FORM_ORDERS = ("row_order", "col_order")
+
+
+def _form_order_reads(tree):
+    """(attribute, line) for every attribute access to a form's orders."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in FORM_ORDERS:
+            yield node.attr, node.lineno
+
+
+def test_form_order_read_detector():
+    tree = ast.parse("sf.row_order + sf.col_order\nrow_order = 1\nf(row_order=2)\n")
+    assert sorted(_form_order_reads(tree)) == [("col_order", 1), ("row_order", 1)]
+
+
+def test_only_the_recognizer_reads_a_forms_orders():
+    # the staircase certificate format (which colours a form arranges, and
+    # how) is stated once in recognizer.py; the encoder asks the form for
+    # its arrangement
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = [
+        f"{path.name}:{line} .{attr}"
+        for path in files if path.name != "recognizer.py"
+        for attr, line in _form_order_reads(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+
+
+# the cycle witness kinds, one per class
+CYCLE_KIND_NAMES = ("CycleNe4", "CycleGe4")
+
+
+def _cycle_kind_constants(tree):
+    """(name, line) for every string constant outside a docstring that
+    holds a cycle kind's name."""
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and id(node) not in docstrings):
+            for name in CYCLE_KIND_NAMES:
+                if name in node.value:
+                    yield name, node.lineno
+
+
+def test_cycle_kind_constant_detector():
+    tree = ast.parse(
+        '"""CycleNe4 in a docstring."""\n'
+        'kind = "CycleGe4"\n'
+        'def f():\n    """CycleGe4 in a docstring."""\n    return f"CycleNe4({q})"\n'
+        '# CycleNe4 in a comment\n'
+        'other = "Cycle"\n'
+    )
+    assert sorted(_cycle_kind_constants(tree)) == [("CycleGe4", 2), ("CycleNe4", 5)]
+
+
+def test_cycle_kinds_are_named_only_in_patterns():
+    # which class a cycle kind belongs to is patterns.cycle_kind's answer;
+    # every other module asks it with the loop status it already has
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in files if path.name != "patterns.py"
+        for name, line in _cycle_kind_constants(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
