@@ -105,7 +105,7 @@ class StaircaseForm:
     alpha: tuple[int | None, ...]
     beta: tuple[int | None, ...]
 
-    def arrangement(self, h: ColourGraph):
+    def arrangement(self, h: ColourGraph) -> tuple | None:
         """(r_order, c_order, alpha, beta) of the arrangement of all h's
         colours when this form certifies h, else None: its top rows are the
         form's own matrix, with the form's alpha/beta."""
@@ -163,7 +163,7 @@ def staircase_bounds(h: ColourGraph, rows, cols) -> Bounds | None:
         [position[u] for u in h.neighbours(r) if u in position] for r in rows)
 
 
-def _arrange(h: ColourGraph, kind: str, rows, cols):
+def _arrange(h: ColourGraph, kind: str, rows, cols) -> tuple | None:
     """(r_order, c_order, alpha, beta) of the matrix that arranges all of
     h's colours as a form of the given kind with these orders, or None when
     the orders miss or repeat a colour, that matrix is not staircase, or its

@@ -124,7 +124,6 @@ def test_cycle_kind_names_the_class_of_each_loop_status():
         row = patterns.cycle_recipe(patterns.cycle_kind(reflexive), length)
         assert row.reflexive == reflexive
         assert row.pattern.has_loop(length) == reflexive
-        assert not patterns.cycle_obstructs(patterns.cycle_kind(reflexive), (4, 3)[reflexive])
 
 
 def test_excluded_pi_examples():
