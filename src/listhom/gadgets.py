@@ -6,9 +6,12 @@ A path gadget assigns the k-th vertex of a path the two-colour list
 target, no step admits both crossings, and the terminal pairs swap.  The
 interaction matrix counting colourings per terminal-colour combination is
 then computable as an ordered product of 2x2 submatrices of the adjacency
-matrix.  The brute-force cross-check counts the gadget's list colourings
-in one elimination pass that keeps both terminals as free variables, so
-all four entries come from a single table instead of four pinned counts.
+matrix.  One walk along the path, _product, reads each step's 2x2
+submatrix, checks the conditions on it and multiplies; validate_gadget,
+interaction_matrix and the mirror check of symmetrize all read that walk.
+The brute-force cross-check counts the gadget's list colourings in one
+elimination pass that keeps both terminals as free variables, so all four
+entries come from a single table instead of four pinned counts.
 
 Symmetrising a gadget against a terminal-transposing involution makes the
 matrix symmetric; thickening (parallel doubling behind fresh pendant
@@ -91,19 +94,7 @@ def validate_gadget(h: ColourGraph, g: PathGadget) -> bool:
     (iii) the terminal pairs are swaps of each other.
     Out-of-range colours simply fail the check.
     """
-    pairs = g.pairs
-    if len(pairs) < 2:
-        return False
-    for i, j in pairs:
-        if not (1 <= i <= h.n and 1 <= j <= h.n) or i == j:
-            return False
-    for (i1, j1), (i2, j2) in zip(pairs, pairs[1:]):
-        if not (h.adjacent(i1, i2) and h.adjacent(j1, j2)):
-            return False
-        if h.adjacent(i1, j2) and h.adjacent(j1, i2):
-            return False
-    (i1, j1), (il, jl) = pairs[0], pairs[-1]
-    return i1 == jl and j1 == il
+    return _product(h, g.pairs) is not None
 
 
 def interaction_matrix(h: ColourGraph, g: PathGadget) -> tuple[Matrix2, Matrix2]:
@@ -113,20 +104,31 @@ def interaction_matrix(h: ColourGraph, g: PathGadget) -> tuple[Matrix2, Matrix2]
     Row/column a of the entry count corresponds to the a-th terminal colour;
     det D' = 1 and det D = -1 always.
     """
-    if not validate_gadget(h, g):
-        raise ValueError("invalid path gadget for this target")
     dprime = _product(h, g.pairs)
+    if dprime is None:
+        raise ValueError("invalid path gadget for this target")
     return dprime, swap_cols(dprime)
 
 
-def _product(h: ColourGraph, pairs) -> Matrix2:
-    """The ordered product of the 2x2 adjacency submatrices along pairs."""
+def _product(h: ColourGraph, pairs) -> Matrix2 | None:
+    """The ordered product D' of the 2x2 adjacency submatrices along pairs,
+    or None when pairs is not a gadget of h: fewer than two pairs, a colour
+    out of range or equal to its partner, terminal pairs that are not swaps,
+    or a step whose matrix lacks a 1 on its diagonal (condition (i)) or has
+    both off-diagonal 1s (condition (ii))."""
+    if len(pairs) < 2 or any(not (1 <= i <= h.n and 1 <= j <= h.n) or i == j for i, j in pairs):
+        return None
+    (i1, j1), (il, jl) = pairs[0], pairs[-1]
+    if (i1, j1) != (jl, il):
+        return None
     dprime = IDENTITY2
     for (i1, j1), (i2, j2) in zip(pairs, pairs[1:]):
         step = (
             (int(h.adjacent(i1, i2)), int(h.adjacent(i1, j2))),
             (int(h.adjacent(j1, i2)), int(h.adjacent(j1, j2))),
         )
+        if not (step[0][0] and step[1][1]) or (step[0][1] and step[1][0]):
+            return None
         dprime = mat_mul(dprime, step)
     return dprime
 
@@ -279,7 +281,7 @@ def symmetrize(h: ColourGraph, g: PathGadget, pi) -> tuple[GadgetGraph, Matrix2]
     if pi[r - 1] != s or pi[s - 1] != r:
         raise ValueError("pi must transpose the terminal colours")
     mirrored = PathGadget(tuple((pi[i - 1], pi[j - 1]) for i, j in g.pairs))
-    if not validate_gadget(h, mirrored) or _product(h, mirrored.pairs) != dprime:
+    if _product(h, mirrored.pairs) != dprime:
         raise ValueError("pi does not act as an automorphism on the gadget")
 
     dstar: Matrix2 = (

@@ -14,7 +14,9 @@ after construction and every function in this module is pure.
 Every walk over either kind of graph (components, 2-colourings, and the
 distances and shortest paths the recogniser reads) goes through the one
 breadth-first search _bfs, which takes a start vertex and a neighbour
-function.
+function.  A ColourGraph keeps its connected components and its
+2-colouring once computed, so connected_components and colour_bipartition
+walk a target at most once each, whoever asks.
 
 Refusal is the error for input that a user can correct (a bad file, an
 option out of range, a count above a stated limit); the CLI exits 2 on it
@@ -38,9 +40,10 @@ class ColourGraph:
 
     rows[v-1] is the strictly ascending tuple of colours adjacent to v, v
     itself included when v has a loop.  Building and validating a graph
-    costs O(n + m).  Only this module reads rows and the set of each colour
-    cached beside them; other modules ask adjacent, has_loop, neighbours,
-    degree and neighbour_set.
+    costs O(n + m).  Only this module reads rows and what is cached beside
+    them (each colour's set, the components and the 2-colouring); other
+    modules ask adjacent, has_loop, neighbours, degree, neighbour_set,
+    connected_components and colour_bipartition.
     """
 
     n: int
@@ -78,6 +81,14 @@ class ColourGraph:
     @cached_property
     def _sets(self) -> tuple[frozenset[int], ...]:
         return tuple(map(frozenset, self.rows))
+
+    @cached_property
+    def _components(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(tree) for tree in _forest(self.colours, self.neighbours))
+
+    @cached_property
+    def _sides(self) -> tuple[frozenset[int], frozenset[int]] | None:
+        return _two_colouring(self.colours, self.neighbours)
 
     def neighbour_set(self, v: int) -> frozenset[int]:
         """The colours adjacent to v as a set, v itself when v has a loop."""
@@ -230,9 +241,10 @@ def _two_colouring(vertices, neighbours):
 def connected_components(h: ColourGraph) -> list[frozenset[int]]:
     """Partition of the colours into maximal connected sets (loops irrelevant).
 
-    Components are ordered by their smallest colour.
+    Components are ordered by their smallest colour.  h keeps them, so only
+    the first call walks h.
     """
-    return [frozenset(tree) for tree in _forest(h.colours, h.neighbours)]
+    return list(h._components)
 
 
 def induced_subgraph(h: ColourGraph, verts) -> ColourGraph:
@@ -274,9 +286,10 @@ def bipartition(g: InstanceGraph) -> tuple[frozenset[int], frozenset[int]] | Non
 def colour_bipartition(h: ColourGraph) -> tuple[frozenset[int], frozenset[int]] | None:
     """2-colouring of a colour graph; a loop counts as an odd cycle.
 
-    In each component, the smallest colour is placed in V1.
+    In each component, the smallest colour is placed in V1.  h keeps it, so
+    only the first call walks h.
     """
-    return _two_colouring(h.colours, h.neighbours)
+    return h._sides
 
 
 def instance_components(g: InstanceGraph) -> list[frozenset[int]]:

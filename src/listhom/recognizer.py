@@ -13,13 +13,15 @@ staircase-matrix form (a permutation certificate) and the
 forbidden-induced-subgraph form (an embedding certificate).  Each has one
 worker: _sweep_form builds the staircase form of either kind, and
 _first_obstruction finds the obstruction.  The four public finders are
-guards over them, and classification takes one route per connected
-component: it reads the loop status once and, for an irreflexive
-component, the 2-colouring once, then runs the completeness test over the
-component's sides (a reflexive component takes all its colours as both),
-the staircase worker and, when that fails, the obstruction worker.  If the
-obstruction worker finds no witness either it raises RuntimeError, so a
-target is never put in a class without a certificate.
+guards over them and the only code that calls them, so there is one route
+per question.  Classification asks those finders about each connected
+component: after the loop-edge test of a mixed component and the
+completeness test, the staircase finder of the component's loop status
+and, when it finds no form, the obstruction finder.  A target keeps its
+components and 2-colouring once computed (graphs.ColourGraph), so the
+finders read them again without walking the component again.  If the
+obstruction finder finds no witness either, classification raises
+RuntimeError, so a target is never put in a class without a certificate.
 
 The staircase order comes from three lexicographic breadth-first sweeps
 per component (LBFS, then two LBFS+ sweeps; Corneil 2004, Hell and Huang
@@ -45,7 +47,7 @@ irreflexive target has no induced P4 exactly when it is complete
 bipartite, and a connected reflexive one no induced P3* exactly when it is
 complete: the polynomial-time cases.
 
-The obstruction worker answers a target that its caller's 2-colouring
+The obstruction worker answers an irreflexive target that its 2-colouring
 shows is not bipartite with a shortest odd cycle at once, since every
 catalogue pattern of the bipartite class is itself bipartite.  Otherwise
 it tries the catalogue patterns first.  Each is placed vertex by vertex in
@@ -242,9 +244,9 @@ def _three_sweeps(h: ColourGraph, verts) -> list[int]:
     return order
 
 
-def _sweep_form(h: ColourGraph, components, row_side=None) -> StaircaseForm | None:
-    """The staircase form built from three sweeps of each component, the
-    components given in order of smallest colour, or None when the
+def _sweep_form(h: ColourGraph, row_side=None) -> StaircaseForm | None:
+    """The staircase form built from three sweeps of each component of h,
+    the components in order of smallest colour, or None when the
     rearranged matrix is not staircase.
 
     With no row_side it is an adjacency form: the components' orders
@@ -253,7 +255,7 @@ def _sweep_form(h: ColourGraph, components, row_side=None) -> StaircaseForm | No
     colour), isolated colours first and then each component's in its order,
     and the columns are the other colours in the same order.
     """
-    orders = [_three_sweeps(h, comp) for comp in components]
+    orders = [_three_sweeps(h, comp) for comp in connected_components(h)]
     if row_side is None:
         order = [v for o in orders for v in o]
         return _staircase_form(h, "adjacency", order, order)
@@ -275,7 +277,7 @@ def find_staircase_biadjacency(h: ColourGraph) -> StaircaseForm | None:
     sides = colour_bipartition(h)  # None too when h has a loop
     if sides is None:
         return None
-    return _sweep_form(h, connected_components(h), sides[0])
+    return _sweep_form(h, sides[0])
 
 
 def find_staircase_adjacency(h: ColourGraph) -> StaircaseForm | None:
@@ -287,7 +289,7 @@ def find_staircase_adjacency(h: ColourGraph) -> StaircaseForm | None:
     """
     if reflexivity_status(h) != "reflexive":
         return None
-    return _sweep_form(h, connected_components(h))
+    return _sweep_form(h)
 
 
 # ---------------------------------------------------------------------------
@@ -522,16 +524,14 @@ def _shortest_hole(h: ColourGraph, reflexive: bool) -> tuple[int, ...] | None:
     return best
 
 
-def _first_obstruction(h: ColourGraph, reflexive: bool, sides) -> ExcludedWitness | None:
-    """A shortest odd cycle when h has no 2-colouring (sides is None); else
+def _first_obstruction(h: ColourGraph, reflexive: bool) -> ExcludedWitness | None:
+    """A shortest odd cycle when an irreflexive h has no 2-colouring; else
     the first catalogue pattern of the class with h's loop status (given as
     reflexive) induced in h, in table order, else a shortest chordless cycle
-    of that class's cycle kind.  sides is the caller's colour_bipartition of
-    an irreflexive h, or any pair for a reflexive one.  Every catalogue
-    pattern of the bipartite class is itself bipartite, and an odd cycle is
-    found in one pass where the catalogue search on a dense host is
-    polynomial of high degree."""
-    if sides is None:
+    of that class's cycle kind.  Every catalogue pattern of the bipartite
+    class is itself bipartite, and an odd cycle is found in one pass where
+    the catalogue search on a dense host is polynomial of high degree."""
+    if not reflexive and colour_bipartition(h) is None:
         cyc = _shortest_odd_cycle(h)
     else:
         for row in patterns.RECIPES:
@@ -551,7 +551,7 @@ def find_excluded_bp(h: ColourGraph) -> ExcludedWitness | None:
     None exactly when h is a bipartite permutation graph."""
     if reflexivity_status(h) != "irreflexive":
         raise ValueError("bipartite-permutation witnesses require an irreflexive target")
-    return _first_obstruction(h, False, colour_bipartition(h))
+    return _first_obstruction(h, False)
 
 
 def find_excluded_pi(h: ColourGraph) -> ExcludedWitness | None:
@@ -560,7 +560,7 @@ def find_excluded_pi(h: ColourGraph) -> ExcludedWitness | None:
     when h is a (reflexive) proper interval graph."""
     if reflexivity_status(h) != "reflexive":
         raise ValueError("proper-interval witnesses require a reflexive target")
-    return _first_obstruction(h, True, (h.colours, h.colours))
+    return _first_obstruction(h, True)
 
 
 # ---------------------------------------------------------------------------
@@ -633,10 +633,11 @@ class TrichotomyResult:
 
 
 def _classify_connected(hc: ColourGraph):
-    """Class, certificate and degree threshold of a connected target.  Its
-    loop status is read once and, when irreflexive, its 2-colouring once; a
-    reflexive target takes all its colours as both sides.  The staircase and
-    obstruction workers get them from here."""
+    """Class, certificate and degree threshold of a connected target: a
+    loop edge for a mixed target, else the completeness test, then the
+    public staircase finder of its loop status and, when that finds no
+    form, the public obstruction finder.  hc keeps its 2-colouring, so the
+    test and the finders of an irreflexive target share one."""
     status = reflexivity_status(hc)
     if status == "mixed":
         # a connected mixed target has an edge with one looped end
@@ -644,16 +645,15 @@ def _classify_connected(hc: ColourGraph):
         return Hardness.SAT_EQUIVALENT, MixedLoops(*pair), 6
     reflexive = status == "reflexive"
     sides = (hc.colours, hc.colours) if reflexive else colour_bipartition(hc)
-    if sides is not None:
-        # hc is connected, so it is complete iff every pair across its sides
-        # is an edge (loops included, when both sides are all of hc)
-        if all(hc.adjacent(u, v) for u in sides[0] for v in sides[1]):
-            complete = CompleteReflexive() if reflexive else CompleteBipartiteIrreflexive()
-            return Hardness.POLYTIME, complete, None
-        form = _sweep_form(hc, [hc.colours], None if reflexive else sides[0])
-        if form is not None:
-            return Hardness.BIS_EQUIVALENT, form, 6
-    witness = _first_obstruction(hc, reflexive, sides)
+    # hc is connected, so it is complete iff every pair across its sides is
+    # an edge (loops included, when both sides are all of hc)
+    if sides is not None and all(hc.adjacent(u, v) for u in sides[0] for v in sides[1]):
+        complete = CompleteReflexive() if reflexive else CompleteBipartiteIrreflexive()
+        return Hardness.POLYTIME, complete, None
+    form = find_staircase_adjacency(hc) if reflexive else find_staircase_biadjacency(hc)
+    if form is not None:
+        return Hardness.BIS_EQUIVALENT, form, 6
+    witness = find_excluded_pi(hc) if reflexive else find_excluded_bp(hc)
     if witness is None:
         # the two characterisations are complementary, so one of the two
         # searches is wrong; refuse to classify rather than guess

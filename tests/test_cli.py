@@ -548,7 +548,7 @@ def test_cmd_classify_without_a_certificate_exits_3(tmp_path, capsys, monkeypatc
 
     # the staircase worker classify runs on every connected component
     monkeypatch.setattr(listhom.recognizer, "_sweep_form",
-                        lambda h, components, row_side=None: None)
+                        lambda h, row_side=None: None)
     path = write(tmp_path, "p4.h", serialise_h(patterns.P4))
     assert main(["classify", path]) == 3
     err = capsys.readouterr().err

@@ -276,14 +276,15 @@ def test_selftest_never_runs_the_automorphism_search(monkeypatch, capsys):
 
 
 def test_build_symmetrized_validates_the_gadget_and_its_mirror_once(monkeypatch):
-    real = gadgets.validate_gadget
+    # _product is the one walk along a gadget, and it validates as it goes
+    real = gadgets._product
     checked = []
 
-    def counted(h, g):
-        checked.append(g.pairs)
-        return real(h, g)
+    def counted(h, pairs):
+        checked.append(pairs)
+        return real(h, pairs)
 
-    monkeypatch.setattr(gadgets, "validate_gadget", counted)
+    monkeypatch.setattr(gadgets, "_product", counted)
     build_symmetrized(patterns.X3, identity_witness("X3"))
     assert checked == [X3_GADGET.pairs, ((2, 1), (4, 5), (3, 6), (4, 7), (1, 2))]
 

@@ -477,7 +477,7 @@ def test_classify_refuses_without_a_certificate(monkeypatch):
 
     # the staircase worker classify runs on every connected component
     monkeypatch.setattr(listhom.recognizer, "_sweep_form",
-                        lambda h, components, row_side=None: None)
+                        lambda h, row_side=None: None)
     with pytest.raises(RuntimeError, match="neither a staircase order nor an obstruction"):
         classify(patterns.P4)
 

@@ -85,13 +85,19 @@ def test_nothing_in_src_recurses():
     assert found == []
 
 
+def _load_tracing():
+    """bench/tracing.py as a module (bench/ is not a package)."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 def test_bench_traced_names_exist():
     # bench/run.py --trace 1 wraps every name in bench/tracing.py FUNCTIONS
     # and fails on the first one that is gone, so a deletion in src/ must
     # not remove a traced name
-    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load_tracing()
     assert tracing.FUNCTIONS
     missing = []
     for _, where, attr, _ in tracing.FUNCTIONS:
@@ -105,6 +111,32 @@ def test_bench_traced_names_exist():
         if not found:
             missing.append(f"{where}.{attr}")
     assert missing == []
+
+
+def test_traced_classify_shows_staircase_and_obstruction_work(tmp_path, capsys):
+    # the tracer wraps the public finders, so classify must reach the
+    # recogniser's work through them for a traced run to see it: P6 takes a
+    # staircase form, C6 an obstruction after the staircase finder fails
+    import listhom.cli
+    from listhom import patterns
+    from listhom.formats import serialise_h
+
+    paths = []
+    for name, h in (("p6", patterns.path(6)), ("c6", patterns.cycle(6))):
+        paths.append(tmp_path / f"{name}.h")
+        paths[-1].write_text(serialise_h(h))
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        codes = [listhom.cli.main(["classify", str(path)]) for path in paths]
+    finally:
+        tracer.uninstall()
+    out = capsys.readouterr().out
+    assert codes == [0, 0]
+    assert "class: bis_equivalent" in out and "class: sat_equivalent" in out
+    calls = tracer.calls()
+    assert calls["recognizer.staircase"] > 0
+    assert calls["recognizer.excluded"] > 0
 
 
 def test_private_helpers_are_used():
@@ -133,8 +165,8 @@ def test_private_helpers_are_used():
     assert unused == []
 
 
-# ColourGraph's neighbour rows and the sets cached beside them
-STORE = ("rows", "_sets")
+# ColourGraph's neighbour rows and what it caches beside them
+STORE = ("rows", "_sets", "_components", "_sides")
 
 
 def _store_reads(tree, module: str):
@@ -238,5 +270,51 @@ def test_cycle_kinds_are_named_only_in_patterns():
         f"{path.name}:{line} {name}"
         for path in files if path.name != "patterns.py"
         for name, line in _cycle_kind_constants(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+
+
+# the recogniser's two workers, and the public finders that alone name them
+WORKERS = ("_sweep_form", "_first_obstruction")
+FINDERS = ("find_staircase_biadjacency", "find_staircase_adjacency",
+           "find_excluded_bp", "find_excluded_pi")
+
+
+def _worker_names(tree):
+    """(name, line) for every name, attribute or import of a recogniser
+    worker outside the bodies of the four public finders."""
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name in FINDERS:
+            continue
+        for node in ast.walk(top):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in WORKERS:
+                yield name, node.lineno
+
+
+def test_worker_name_detector():
+    tree = ast.parse(
+        "def find_excluded_bp(h):\n    return _first_obstruction(h, False)\n"
+        "def _classify_connected(hc):\n    return _sweep_form(hc)\n"
+        "from .recognizer import _first_obstruction\n"
+        "route = recognizer._sweep_form\n"
+        "def _sweep_form(h):\n    \"\"\"_first_obstruction in a docstring\"\"\"\n"
+    )
+    assert sorted(_worker_names(tree)) == [
+        ("_first_obstruction", 5), ("_sweep_form", 4), ("_sweep_form", 6)]
+
+
+def test_only_the_public_finders_call_the_recogniser_workers():
+    # classify asks each component the two questions through the four
+    # public finders, so there is one route per question and a tracer that
+    # wraps the finders sees classify's recognition work
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in files
+        for name, line in _worker_names(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert found == []
