@@ -19,7 +19,7 @@ component: after the loop-edge test of a mixed component and the
 completeness test, the staircase finder of the component's loop status
 and, when it finds no form, the obstruction finder.  A target keeps its
 components and 2-colouring once computed (graphs.ColourGraph), so the
-finders read them again without walking the component again.  If the
+finders read them instead of walking the component again.  If the
 obstruction finder finds no witness either, classification raises
 RuntimeError, so a target is never put in a class without a certificate.
 

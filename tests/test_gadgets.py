@@ -65,6 +65,13 @@ def test_validate_gadget_examples():
     assert not validate_gadget(patterns.cycle(3), PathGadget(((1, 2), (1, 2))))
     # a single pair is not a gadget
     assert not validate_gadget(patterns.cycle(3), PathGadget(((1, 2),)))
+    # each condition failing alone: (i) the tracks 1, 3 and 3, 1 are not
+    # walks in the path 1-2-3
+    assert not validate_gadget(patterns.path(3), PathGadget(((1, 3), (3, 1))))
+    # (ii) the one step of the reflexive K2 admits both crossings
+    assert not validate_gadget(patterns.path(2, reflexive=True), PathGadget(((1, 2), (2, 1))))
+    # (iii) walks in the triangle with no crossing, but equal terminal pairs
+    assert not validate_gadget(patterns.cycle(3), PathGadget(((1, 2), (2, 3), (1, 2))))
 
 
 def test_interaction_matrix_examples():
