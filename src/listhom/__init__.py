@@ -34,7 +34,6 @@ from .recognizer import (
     find_excluded_pi,
     find_staircase_adjacency,
     find_staircase_biadjacency,
-    is_staircase,
 )
 from .gadgets import (
     GadgetGraph,

@@ -14,9 +14,8 @@ after construction and every function in this module is pure.
 Every walk over either kind of graph (components, 2-colourings, and the
 distances and shortest paths the recogniser reads) goes through the one
 breadth-first search _bfs, which takes a start vertex and a neighbour
-function.  A ColourGraph keeps its connected components and its
-2-colouring once computed, so connected_components and colour_bipartition
-walk a target at most once each, whoever asks.
+function.  A ColourGraph keeps its 2-colouring once computed, so
+colour_bipartition walks a target at most once, whoever asks.
 
 Refusal is the error for input that a user can correct (a bad file, an
 option out of range, a count above a stated limit); the CLI exits 2 on it
@@ -41,8 +40,8 @@ class ColourGraph:
     rows[v-1] is the strictly ascending tuple of colours adjacent to v, v
     itself included when v has a loop.  Building and validating a graph
     costs O(n + m).  Only this module reads rows and what is cached beside
-    them (each colour's set, the components and the 2-colouring); other
-    modules ask adjacent, has_loop, neighbours, degree, neighbour_set,
+    them (each colour's set and the 2-colouring); other modules ask
+    adjacent, has_loop, neighbours, degree, neighbour_set,
     connected_components and colour_bipartition.
     """
 
@@ -81,10 +80,6 @@ class ColourGraph:
     @cached_property
     def _sets(self) -> tuple[frozenset[int], ...]:
         return tuple(map(frozenset, self.rows))
-
-    @cached_property
-    def _components(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(tree) for tree in _forest(self.colours, self.neighbours))
 
     @cached_property
     def _sides(self) -> tuple[frozenset[int], frozenset[int]] | None:
@@ -241,10 +236,9 @@ def _two_colouring(vertices, neighbours):
 def connected_components(h: ColourGraph) -> list[frozenset[int]]:
     """Partition of the colours into maximal connected sets (loops irrelevant).
 
-    Components are ordered by their smallest colour.  h keeps them, so only
-    the first call walks h.
+    Components are ordered by their smallest colour.
     """
-    return list(h._components)
+    return [frozenset(tree) for tree in _forest(h.colours, h.neighbours)]
 
 
 def induced_subgraph(h: ColourGraph, verts) -> ColourGraph:

@@ -18,17 +18,21 @@ per question.  Classification asks those finders about each connected
 component: after the loop-edge test of a mixed component and the
 completeness test, the staircase finder of the component's loop status
 and, when it finds no form, the obstruction finder.  A target keeps its
-components and 2-colouring once computed (graphs.ColourGraph), so the
-finders read them instead of walking the component again.  If the
-obstruction finder finds no witness either, classification raises
+2-colouring once computed (graphs.ColourGraph), so the completeness test
+and the finders share one walk.  If the obstruction finder finds no witness either, classification raises
 RuntimeError, so a target is never put in a class without a certificate.
 
 The staircase order comes from three lexicographic breadth-first sweeps
-per component (LBFS, then two LBFS+ sweeps; Corneil 2004, Hell and Huang
-2005), and is accepted only if the rearranged matrix is staircase.  No
-matrix is built for that: staircase_bounds reads each row's neighbours as
-positions in the column order, which costs O(n + m).  It and is_staircase,
-which takes a 0/1 matrix, are front ends over one row check, _row_bounds.
+over the whole target (LBFS, then two LBFS+ sweeps; Corneil 2004, Hell and
+Huang 2005), and is accepted only if the rearranged matrix is staircase.
+A colour is labelled only from inside its component, so a sweep finishes
+each component before it starts the next, and each LBFS+ sweep reverses
+the component order of the sweep before: the third order lists the
+components in order of smallest colour, each in its own three-sweep order.
+Any label beats the empty one, so a step compares only the labelled
+unvisited colours, the sweep's frontier.  No matrix is built for the
+check: staircase_bounds reads each row's neighbours as positions in the
+column order, which costs O(n + m).
 
 The certificate format of a staircase form is stated once, in _arrange: a
 form's orders arrange all of the target's colours, as [[B, 0], [0, B^T]]
@@ -125,19 +129,21 @@ class StaircaseForm:
 Bounds = tuple[tuple[int | None, ...], tuple[int | None, ...]]
 
 
-def _row_bounds(rows) -> Bounds | None:
-    """alpha/beta per row of a 0/1 matrix given row by row as the distinct
-    columns (1-based, in any order) of its 1s, or None when it is not
-    staircase.
+def staircase_bounds(h: ColourGraph, rows, cols) -> Bounds | None:
+    """alpha/beta per row (1-based) of h's matrix with rows and columns in
+    the given orders, or None when it is not staircase; read off the
+    neighbour lists in O(n + m) without building the matrix.
 
     Staircase: the 1s of each row are contiguous and the first-1 and last-1
     columns are non-decreasing down the rows.  All-zero rows are skipped by
     the monotonicity check and get alpha = beta = None.
     """
+    position = {c: j for j, c in enumerate(cols, start=1)}
     alpha: list[int | None] = []
     beta: list[int | None] = []
     prev_a = prev_b = 0
-    for ones in rows:
+    for r in rows:
+        ones = [position[u] for u in h.neighbours(r) if u in position]
         if not ones:
             alpha.append(None)
             beta.append(None)
@@ -149,20 +155,6 @@ def _row_bounds(rows) -> Bounds | None:
         alpha.append(a)
         beta.append(b)
     return tuple(alpha), tuple(beta)
-
-
-def is_staircase(mat) -> Bounds | None:
-    """alpha/beta per row when the 0/1 matrix is staircase as given, else
-    None (see _row_bounds)."""
-    return _row_bounds([j for j, e in enumerate(row, start=1) if e] for row in mat)
-
-
-def staircase_bounds(h: ColourGraph, rows, cols) -> Bounds | None:
-    """is_staircase of h's matrix with rows and columns in the given orders,
-    read off the neighbour lists in O(n + m) without building the matrix."""
-    position = {c: j for j, c in enumerate(cols, start=1)}
-    return _row_bounds(
-        [position[u] for u in h.neighbours(r) if u in position] for r in rows)
 
 
 def _arrange(h: ColourGraph, kind: str, rows, cols) -> tuple | None:
@@ -213,53 +205,54 @@ def _staircase_form(h: ColourGraph, kind: str, rows, cols) -> StaircaseForm | No
     return StaircaseForm(kind, tuple(rows), tuple(cols), arranged[2][:top], arranged[3][:top])
 
 
-def _lbfs(h: ColourGraph, verts, prev=None) -> list[int]:
-    """One lexicographic breadth-first sweep over verts.
+def _lbfs(h: ColourGraph, prev=None) -> list[int]:
+    """One lexicographic breadth-first sweep over all of h's colours.
 
-    Each step visits the unvisited vertex with the lexicographically largest
-    label; visiting the i-th vertex appends -i to the label of each unvisited
-    neighbour, so earlier visits weigh more.  Ties go to the smallest vertex,
-    or, given the previous sweep prev (LBFS+), to the vertex that came latest
-    in it.
+    Each step visits the unvisited colour with the lexicographically largest
+    label; visiting the i-th colour appends -i to the label of each unvisited
+    neighbour, so earlier visits weigh more.  Ties go to the smallest colour,
+    or, given the previous sweep prev (LBFS+), to the colour that came latest
+    in it.  Any label beats the empty one, so a step compares only the
+    labelled unvisited colours, and when there are none it takes the first
+    unvisited colour in tie order: a step costs the size of the sweep's
+    frontier, not the number of unvisited colours.
     """
-    rank = {v: i for i, v in enumerate(prev)} if prev else {v: -v for v in verts}
-    label: dict[int, list[int]] = {v: [] for v in verts}
+    rank = {v: i for i, v in enumerate(prev)} if prev else {v: -v for v in h.colours}
+    fresh = iter(prev[::-1] if prev else h.colours)  # every colour in tie order
+    label: dict[int, list[int]] = {}  # the labelled unvisited colours
     order: list[int] = []
-    while label:
-        v = max(label, key=lambda u: (label[u], rank[u]))
-        del label[v]
+    visited: set[int] = set()
+    while len(order) < h.n:
+        if label:
+            v = max(label, key=lambda u: (label[u], rank[u]))
+            del label[v]
+        else:
+            v = next(u for u in fresh if u not in visited)
+        visited.add(v)
         order.append(v)
         for u in h.neighbours(v):
-            if u in label:
-                label[u].append(-len(order))
-    return order
-
-
-def _three_sweeps(h: ColourGraph, verts) -> list[int]:
-    """LBFS, then LBFS+, then LBFS+; the third order is the candidate
-    staircase order (Corneil 2004)."""
-    order = None
-    for _ in range(3):
-        order = _lbfs(h, verts, order)
+            if u not in visited:
+                label.setdefault(u, []).append(-len(order))
     return order
 
 
 def _sweep_form(h: ColourGraph, row_side=None) -> StaircaseForm | None:
-    """The staircase form built from three sweeps of each component of h,
-    the components in order of smallest colour, or None when the
-    rearranged matrix is not staircase.
+    """The staircase form built from the third of three sweeps of h (LBFS,
+    LBFS+, LBFS+; Corneil 2004), or None when the rearranged matrix is not
+    staircase.  That order lists h's components one after another, in
+    order of smallest colour.
 
-    With no row_side it is an adjacency form: the components' orders
-    concatenated, on rows and columns alike.  Otherwise it is a biadjacency
-    form: the rows are the colours of row_side (which holds every isolated
-    colour), isolated colours first and then each component's in its order,
-    and the columns are the other colours in the same order.
+    With no row_side it is an adjacency form: the order on rows and columns
+    alike.  Otherwise it is a biadjacency form: the rows are the colours of
+    row_side (which holds every isolated colour), isolated colours first,
+    and the columns are the other colours, both in the order.
     """
-    orders = [_three_sweeps(h, comp) for comp in connected_components(h)]
+    order = None
+    for _ in range(3):
+        order = _lbfs(h, order)
     if row_side is None:
-        order = [v for o in orders for v in o]
         return _staircase_form(h, "adjacency", order, order)
-    order = [v for o in sorted(orders, key=lambda o: len(o) > 1) for v in o]
+    order.sort(key=lambda v: h.degree(v) > 0)
     return _staircase_form(h, "biadjacency", [v for v in order if v in row_side],
                            [v for v in order if v not in row_side])
 
@@ -267,11 +260,11 @@ def _sweep_form(h: ColourGraph, row_side=None) -> StaircaseForm | None:
 def find_staircase_biadjacency(h: ColourGraph) -> StaircaseForm | None:
     """Permutation certificate that h is a bipartite permutation graph.
 
-    Each component with an edge is swept three times (LBFS, LBFS+, LBFS+);
-    the third order, split by the sides of colour_bipartition, gives its
-    rows (the side of its smallest vertex) and columns.  Isolated vertices
-    go on the row side, ahead of every component block.  None when h has a
-    loop or an odd cycle, or when the resulting biadjacency matrix is not
+    h is swept three times as a whole (LBFS, LBFS+, LBFS+); the third
+    order, split by the sides of colour_bipartition, gives the rows (the
+    side of each component's smallest colour) and the columns.  Isolated
+    colours go on the row side, ahead of every other row.  None when h has
+    a loop or an odd cycle, or when the resulting biadjacency matrix is not
     staircase.
     """
     sides = colour_bipartition(h)  # None too when h has a loop
@@ -283,7 +276,7 @@ def find_staircase_biadjacency(h: ColourGraph) -> StaircaseForm | None:
 def find_staircase_adjacency(h: ColourGraph) -> StaircaseForm | None:
     """Permutation certificate that a reflexive h is a proper interval graph.
 
-    Each component is swept three times (LBFS, LBFS+, LBFS+) and the third
+    h is swept three times as a whole (LBFS, LBFS+, LBFS+) and the third
     order is applied to rows and columns alike.  None for non-reflexive h or
     when the resulting adjacency matrix is not staircase.
     """

@@ -60,6 +60,44 @@ def fits(h: ColourGraph, form) -> bool:
                         for u, v in itertools.combinations(side, 2)))
 
 
+def components(h: ColourGraph) -> list[set[int]]:
+    """h's connected components, by smallest colour, each grown from that
+    colour by adding neighbours until nothing new joins."""
+    left = set(h.colours)
+    comps = []
+    while left:
+        comp: set[int] = set()
+        new = {min(left)}
+        while new:
+            comp |= new
+            new = {u for v in new for u in h.neighbours(v)} - comp
+        comps.append(comp)
+        left -= comp
+    return comps
+
+
+def lbfs(h: ColourGraph, comp, prev=None) -> list[int]:
+    """One lexicographic breadth-first sweep of the component comp of h on
+    its own, by the textbook rule (Rose, Tarjan and Lueker 1976): number the
+    colours from |comp| down to 1, each time the unnumbered colour of comp
+    with the lexicographically largest label, and append its number to the
+    label of each unnumbered neighbour.  Ties go to the smallest colour, or,
+    given a previous order prev (LBFS+), to the colour of comp that comes
+    latest in prev."""
+    tie = [v for v in prev if v in comp] if prev else sorted(comp, reverse=True)
+    rank = {v: i for i, v in enumerate(tie)}
+    label: dict[int, list[int]] = {v: [] for v in comp}
+    order: list[int] = []
+    while label:
+        v = max(label, key=lambda u: (label[u], rank[u]))
+        del label[v]
+        order.append(v)
+        for u in h.neighbours(v):
+            if u in label:
+                label[u].append(len(comp) - len(order) + 1)
+    return order
+
+
 def enumerate_list_colourings(h: ColourGraph, inst: Instance):
     """Every valid colouring, by plain product enumeration."""
     out = []

@@ -249,15 +249,15 @@ def test_encoding_scans_one_matrix(monkeypatch):
 
     h = patterns.path(12)
     scanned = []
-    real = listhom.recognizer._row_bounds
+    real = listhom.recognizer.staircase_bounds
 
-    def counted(rows):
+    def counted(h, rows, cols):
         rows = list(rows)
         scanned.append(len(rows))
-        return real(rows)
+        return real(h, rows, cols)
 
-    # every staircase check, of a matrix or of a target, runs this row check
-    monkeypatch.setattr(listhom.recognizer, "_row_bounds", counted)
+    # every staircase check of a target runs this row check
+    monkeypatch.setattr(listhom.recognizer, "staircase_bounds", counted)
     form = find_staircase_biadjacency(h)
     assert scanned == [12]  # built from the 12 x 12 block matrix, not B and B^T
     enc = build_staircase_encoding(h, form)
