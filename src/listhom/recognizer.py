@@ -19,8 +19,9 @@ component: after the loop-edge test of a mixed component and the
 completeness test, the staircase finder of the component's loop status
 and, when it finds no form, the obstruction finder.  A target keeps its
 2-colouring once computed (graphs.ColourGraph), so the completeness test
-and the finders share one walk.  If the obstruction finder finds no witness either, classification raises
-RuntimeError, so a target is never put in a class without a certificate.
+and the finders share one walk.  If the obstruction finder finds no
+witness either, classification raises RuntimeError, so a target is never
+put in a class without a certificate.
 
 The staircase order comes from three lexicographic breadth-first sweeps
 over the whole target (LBFS, then two LBFS+ sweeps; Corneil 2004, Hell and

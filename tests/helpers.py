@@ -60,22 +60,6 @@ def fits(h: ColourGraph, form) -> bool:
                         for u, v in itertools.combinations(side, 2)))
 
 
-def components(h: ColourGraph) -> list[set[int]]:
-    """h's connected components, by smallest colour, each grown from that
-    colour by adding neighbours until nothing new joins."""
-    left = set(h.colours)
-    comps = []
-    while left:
-        comp: set[int] = set()
-        new = {min(left)}
-        while new:
-            comp |= new
-            new = {u for v in new for u in h.neighbours(v)} - comp
-        comps.append(comp)
-        left -= comp
-    return comps
-
-
 def lbfs(h: ColourGraph, comp, prev=None) -> list[int]:
     """One lexicographic breadth-first sweep of the component comp of h on
     its own, by the textbook rule (Rose, Tarjan and Lueker 1976): number the

@@ -4,7 +4,6 @@ import time
 import pytest
 
 from helpers import (
-    components,
     connected_bipartite_reps,
     connected_graph_reps,
     dense,
@@ -14,7 +13,12 @@ from helpers import (
     staircase,
 )
 from listhom import patterns, recognizer
-from listhom.graphs import ColourGraph, colour_bipartition, induced_subgraph
+from listhom.graphs import (
+    ColourGraph,
+    colour_bipartition,
+    connected_components,
+    induced_subgraph,
+)
 from listhom.recognizer import (
     CompleteBipartiteIrreflexive,
     CompleteReflexive,
@@ -90,29 +94,28 @@ def test_sweeps_equal_per_component_sweeps():
         n = rng.randint(1, 20)
         p = rng.choice((0.1, 0.25, 0.5))
         # on even trials, no edge between two random groups of colours
-        group = [rng.random() < 0.5 if trial % 2 == 0 else 0 for _ in range(n)]
+        group = [trial % 2 == 0 and rng.random() < 0.5 for _ in range(n)]
         edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
                  if group[u - 1] == group[v - 1] and rng.random() < p]
         loop_chance = (0.0, 1.0, 0.5)[trial % 3]
         edges += [(v, v) for v in range(1, n + 1) if rng.random() < loop_chance]
         h = ColourGraph.from_edges(n, edges)
-        comps = components(h)
+        comps = connected_components(h)  # checked against union-find
         disconnected += len(comps) > 1
-        whole = per_comp = None
-        per_comp_orders = [None] * len(comps)
+        whole = None
+        orders = [None] * len(comps)
         for sweep in range(3):
             whole = recognizer._lbfs(h, whole)
-            per_comp_orders = [lbfs(h, comp, prev)
-                               for comp, prev in zip(comps, per_comp_orders)]
-            in_turn = per_comp_orders if sweep != 1 else per_comp_orders[::-1]
-            per_comp = [v for o in in_turn for v in o]
-            assert whole == per_comp, (edges, sweep)
+            orders = [lbfs(h, comp, prev) for comp, prev in zip(comps, orders)]
+            in_turn = orders[::-1] if sweep == 1 else orders
+            assert whole == [v for o in in_turn for v in o], (edges, sweep)
     assert disconnected >= 1500, disconnected
 
 
 def test_staircase_finders_on_many_components():
-    # 800 disjoint P4s: a sweep step that compared every unvisited colour
-    # took 2.6-3.3 s here, one that compares the frontier 0.03 s
+    # 800 disjoint P4s: whole-target sweeps whose steps compare every
+    # unvisited colour took 2.6-3.3 s on a 2-vCPU Xeon, ones that compare
+    # the labelled colours 0.03 s
     edges = [(4 * i + j, 4 * i + j + 1) for i in range(800) for j in (1, 2, 3)]
     h = ColourGraph.from_edges(3200, edges)
     reflexive = ColourGraph.from_edges(3200, edges + [(v, v) for v in h.colours])
@@ -397,7 +400,6 @@ def test_characterisations_agree_small():
 
 def test_classify_disconnected_equals_component_max():
     rng = random.Random(23)
-    from listhom.graphs import connected_components
     for _ in range(25):
         n = rng.randint(2, 8)
         edges = [(u, v) for u in range(1, n + 1) for v in range(u, n + 1)
