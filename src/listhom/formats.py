@@ -22,6 +22,7 @@ in-range value.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import eq, itemgetter, lt
 
 from .graphs import ColourGraph, Instance, InstanceGraph, Refusal, full_lists
 from .oracles import IMP, UNIT_NEG, UNIT_POS, ImplicationFormula
@@ -41,51 +42,67 @@ _CLAUSES = {UNIT_POS: ("clause", 1), UNIT_NEG: ("clause", 1), IMP: ("clause", 2)
 
 
 def _directives(text: str, what: str, header: str, tags: dict):
-    """(line_no, tag, ints) for each meaningful line of a `what` file, the
-    header line first; header is its usage, such as "h <n>"."""
+    """(records, error) for a `what` file; header is its usage, such as
+    "h <n>".
+
+    records holds (line_no, tag, ints) for each meaningful line up to the
+    first one that breaks the shared rules, the header first, and error is
+    the ParseError for that line, or None when every line keeps them.  A
+    parser checks its records before it raises error, so the error it
+    reports is always on the first bad line."""
     head = header[0]
-    seen_header = False
+    records = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
-        if not fields or fields[0][0] == "#":
+        if not fields:
             continue
         tag = fields[0]
-        if tag == head:
-            if seen_header:
-                raise ParseError(line_no, "duplicate header")
-            seen_header = True
+        spec = tags.get(tag)
+        if spec is not None:
+            noun, count = spec
+            if not records:
+                return records, ParseError(line_no, f"{noun} before {head!r} header")
+        elif tag == head:
+            if records:
+                return records, ParseError(line_no, "duplicate header")
             count = 1
-        elif tag in tags:
-            noun, count = tags[tag]
-            if not seen_header:
-                raise ParseError(line_no, f"{noun} before {head!r} header")
+        elif tag[0] == "#":
+            continue
         else:
-            raise ParseError(line_no, f"unknown directive {tag!r} in {what} file")
+            return records, ParseError(line_no, f"unknown directive {tag!r} in {what} file")
         if count is not None and len(fields) - 1 != count:
-            raise ParseError(line_no, f"{tag!r} takes {count} argument(s)")
+            return records, ParseError(line_no, f"{tag!r} takes {count} argument(s)")
         try:
-            ints = [int(x) for x in fields[1:]]
+            records.append((line_no, tag, list(map(int, fields[1:]))))
         except ValueError as exc:
-            raise ParseError(line_no, f"non-integer field: {exc}") from None
-        yield line_no, tag, ints
-    if not seen_header:
-        raise ParseError(1, f"missing {header!r} header")
+            return records, ParseError(line_no, f"non-integer field: {exc}")
+    if not records:
+        return records, ParseError(1, f"missing {header!r} header")
+    return records, None
 
 
-def _header(lines, least: int, message: str) -> int:
-    line_no, _, (n,) = next(lines)
+def _read(text: str, what: str, header: str, tags: dict, least: int, message: str):
+    """(n, lines, error): the header's value n, which must be at least
+    least (else a ParseError with message), then the records after the
+    header and the pending error, as _directives returns them."""
+    records, error = _directives(text, what, header, tags)
+    if not records:
+        raise error
+    line_no, _, (n,) = records[0]
     if n < least:
         raise ParseError(line_no, message)
-    return n
+    return n, records[1:], error
 
 
-def _graph_body(lines, n: int, loops: bool, colour_count: int | None = None):
-    """(edges, lists) from the lines after a target or graph header; each
-    edge is a pair (u, v) with u <= v, in range and seen once, and lists
-    maps each listed vertex to its colours, in range 1..colour_count."""
-    edges = []
-    seen = set()  # the pairs in edges, for the duplicate check
+def _graph_body(n: int, lines, error, loops: bool, colour_count: int | None = None):
+    """(n, edges, lists) from the lines after a target or graph header,
+    then the pending error, if any.  edges are the sorted pairs (u, v) with
+    u <= v, each in range and read once; lists maps each listed vertex to
+    its colours, in range 1..colour_count.  Lines that list the same
+    colours share one frozenset, checked once."""
+    edges = {}  # a dict for its O(1) duplicate check and its order
     lists = {}
+    read: dict[tuple, frozenset] = {}
     for line_no, tag, ints in lines:
         if tag == "e":
             u, v = ints
@@ -94,30 +111,91 @@ def _graph_body(lines, n: int, loops: bool, colour_count: int | None = None):
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(line_no, f"edge ({u},{v}) out of range 1..{n}")
             pair = (u, v) if u <= v else (v, u)
-            if pair in seen:
+            if pair in edges:
                 raise ParseError(line_no, f"parallel edge ({u},{v})")
-            seen.add(pair)
-            edges.append(pair)
+            edges[pair] = None
             continue
         if not ints:
             raise ParseError(line_no, "'l' needs a vertex")
-        v, *cols = ints
+        v = ints[0]
         if not (1 <= v <= n):
             raise ParseError(line_no, f"vertex {v} out of range 1..{n}")
         if v in lists:
             raise ParseError(line_no, f"duplicate list for vertex {v}")
-        for c in cols:
-            if not (1 <= c <= colour_count):
-                raise ParseError(
-                    line_no, f"vertex {v}: colour {c} out of range 1..{colour_count}")
-        lists[v] = frozenset(cols)
-    return edges, lists
+        cols = tuple(ints[1:])
+        s = read.get(cols)
+        if s is None:
+            for c in cols:
+                if not (1 <= c <= colour_count):
+                    raise ParseError(
+                        line_no, f"vertex {v}: colour {c} out of range 1..{colour_count}")
+            s = read[cols] = frozenset(cols)
+        lists[v] = s
+    if error:
+        raise error
+    return n, sorted(edges), lists
+
+
+def _bulk(text: str, head: str, least: int, loops: bool, colour_count: int | None):
+    """What _graph_body returns for a file that is its header line and then
+    only well-formed edge and list lines, read with C-level passes over all
+    lines at once; None for any other file, which the line reader then
+    reads and whose first bad line it names.  Lines that list the same
+    colours, as written, share one frozenset."""
+    try:
+        rows = list(map(str.split, text.splitlines()))
+        tags = list(map(itemgetter(0), rows))  # IndexError on a blank line
+        if tags[0] != head or len(rows[0]) != 2:
+            return None
+        n = int(rows[0][1])
+        # the edge lines, then the list lines, as the serialisers write them
+        k = len(rows) if colour_count is None else len(rows) - tags.count("l")
+        erows, lrows = rows[1:k], rows[k:]
+        if (n < least or tags[1:k].count("e") != k - 1 or tags[k:].count("l") != len(lrows)
+                or {*map(len, erows)} - {3}):
+            return None
+        us = list(map(int, map(itemgetter(1), erows)))
+        vs = list(map(int, map(itemgetter(2), erows)))
+        edges = list(zip(us, vs))
+        if not all(map(lt, us, vs)):  # a loop, or a pair written high end first
+            if not loops and any(map(eq, us, vs)):
+                return None
+            edges = list(zip(map(min, us, vs), map(max, us, vs)))
+        if not all(map(lt, edges, edges[1:])):
+            edges.sort()
+            if not all(map(lt, edges, edges[1:])):
+                return None  # a parallel edge
+        if edges and (edges[0][0] < 1 or max(map(itemgetter(1), edges)) > n):
+            return None
+        if colour_count is None:
+            return n, edges, {}
+        vertices = list(map(int, map(itemgetter(1), lrows)))
+        if lrows and (min(vertices) < 1 or max(vertices) > n
+                      or len(set(vertices)) != len(vertices)):
+            return None
+        keys = list(map(tuple, map(itemgetter(slice(2, None)), lrows)))
+        read = {}
+        for key in set(keys):
+            cols = frozenset(map(int, key))
+            if cols and (min(cols) < 1 or max(cols) > colour_count):
+                return None
+            read[key] = cols
+    except (IndexError, ValueError):
+        return None
+    return n, edges, dict(zip(vertices, map(read.__getitem__, keys)))
+
+
+def _graph_file(text: str, what: str, header: str, tags: dict, least: int, message: str,
+                loops: bool, colour_count: int | None = None):
+    """(n, edges, lists) of a target or graph file, as _graph_body returns
+    them: in bulk when _bulk takes the file, else line by line."""
+    return (_bulk(text, header[0], least, loops, colour_count)
+            or _graph_body(*_read(text, what, header, tags, least, message), loops, colour_count))
 
 
 def parse_h(text: str) -> ColourGraph:
-    lines = _directives(text, "target", "h <n>", _EDGES)
-    n = _header(lines, 1, "need at least one colour")
-    edges, _ = _graph_body(lines, n, loops=True)
+    n, edges, _ = _graph_file(text, "target", "h <n>", _EDGES, 1, "need at least one colour",
+                              loops=True)
     return ColourGraph.from_edges(n, edges)
 
 
@@ -130,10 +208,10 @@ def serialise_h(h: ColourGraph) -> str:
 def _parse_graph(text: str, colour_count: int | None = None):
     """(graph, lists) of an instance file, or of a plain graph file when
     there is no colour count."""
-    lines = _directives(text, "graph", "g <m>", _EDGES if colour_count is None else _INSTANCE)
-    m = _header(lines, 0, "vertex count must be non-negative")
-    edges, lists = _graph_body(lines, m, loops=False, colour_count=colour_count)
-    return InstanceGraph(m, tuple(sorted(edges))), lists
+    m, edges, lists = _graph_file(
+        text, "graph", "g <m>", _EDGES if colour_count is None else _INSTANCE,
+        0, "vertex count must be non-negative", loops=False, colour_count=colour_count)
+    return InstanceGraph(m, tuple(edges)), lists
 
 
 def parse_graph(text: str) -> InstanceGraph:
@@ -155,21 +233,25 @@ def serialise_graph(g: InstanceGraph) -> str:
 
 
 def serialise_instance(inst: Instance) -> str:
-    everything = frozenset(range(1, inst.colour_count + 1))
-    lines = [" ".join(["l", str(v), *map(str, sorted(s))])
-             for v, s in enumerate(inst.lists, start=1) if s != everything]
-    return serialise_graph(inst.g) + "".join(line + "\n" for line in lines)
+    # each distinct list is written out once; a full list gets no line
+    n = inst.colour_count
+    colours = {s: "".join(f" {c}" for c in s) for s in set(inst.sorted_lists)}
+    lines = [f"l {v}{colours[s]}\n"
+             for v, s in enumerate(inst.sorted_lists, start=1) if len(s) != n]
+    return serialise_graph(inst.g) + "".join(lines)
 
 
 def parse_formula(text: str) -> ImplicationFormula:
-    lines = _directives(text, "formula", "f <nvars>", _CLAUSES)
-    nvars = _header(lines, 0, "variable count must be non-negative")
+    nvars, lines, error = _read(text, "formula", "f <nvars>", _CLAUSES,
+                                0, "variable count must be non-negative")
     clauses = []
     for line_no, tag, ints in lines:
         for v in ints:
             if not (1 <= v <= nvars):
                 raise ParseError(line_no, f"variable {v} out of range 1..{nvars}")
         clauses.append((tag, *ints))
+    if error:
+        raise error
     return ImplicationFormula(nvars, tuple(clauses))
 
 

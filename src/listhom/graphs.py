@@ -14,8 +14,9 @@ after construction and every function in this module is pure.
 Every walk over either kind of graph (components, 2-colourings, and the
 distances and shortest paths the recogniser reads) goes through the one
 breadth-first search _bfs, which takes a start vertex and a neighbour
-function.  A ColourGraph keeps its 2-colouring once computed, so
-colour_bipartition walks a target at most once, whoever asks.
+function.  A ColourGraph keeps its 2-colouring and its loop status once
+computed, so colour_bipartition walks a target and reflexivity_status scans
+its loops at most once, whoever asks.
 
 Refusal is the error for input that a user can correct (a bad file, an
 option out of range, a count above a stated limit); the CLI exits 2 on it
@@ -40,9 +41,9 @@ class ColourGraph:
     rows[v-1] is the strictly ascending tuple of colours adjacent to v, v
     itself included when v has a loop.  Building and validating a graph
     costs O(n + m).  Only this module reads rows and what is cached beside
-    them (each colour's set and the 2-colouring); other modules ask
-    adjacent, has_loop, neighbours, degree, neighbour_set,
-    connected_components and colour_bipartition.
+    them (each colour's set, the 2-colouring and the loop status); other
+    modules ask adjacent, has_loop, neighbours, degree, neighbour_set,
+    connected_components, colour_bipartition and reflexivity_status.
     """
 
     n: int
@@ -58,32 +59,40 @@ class ColourGraph:
                 raise ValueError(f"neighbour row of {v} is not strictly ascending")
             if row and not (1 <= row[0] and row[-1] <= self.n):
                 raise ValueError(f"neighbour row of {v} leaves the range 1..{self.n}")
-        sets = self._sets
+        # each colour's set, which the symmetry check and adjacent read
+        sets = tuple(map(frozenset, self.rows))
         if not all(v in sets[u - 1] for v, row in enumerate(self.rows, start=1) for u in row):
             raise ValueError("neighbour rows must be symmetric")
+        object.__setattr__(self, "_sets", sets)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "ColourGraph":
         """Build from an iterable of pairs; the pair (v, v) is a loop on v."""
-        rows: list[set[int]] = [set() for _ in range(n)]
+        rows: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"edge ({u},{v}) out of range 1..{n}")
-            rows[u - 1].add(v)
-            rows[v - 1].add(u)
-        return cls(n, tuple(tuple(sorted(row)) for row in rows))
+            rows[u - 1].append(v)
+            if u != v:
+                rows[v - 1].append(u)
+        try:
+            # sorted pairs (u, v) with u <= v, as the parser gives them,
+            # fill every row in ascending order
+            return cls(n, tuple(map(tuple, rows)))
+        except ValueError:  # a row out of order or with a repeat
+            return cls(n, tuple(tuple(sorted(set(row))) for row in rows))
 
     @property
     def colours(self) -> range:
         return range(1, self.n + 1)
 
     @cached_property
-    def _sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(map(frozenset, self.rows))
-
-    @cached_property
     def _sides(self) -> tuple[frozenset[int], frozenset[int]] | None:
         return _two_colouring(self.colours, self.neighbours)
+
+    @cached_property
+    def _status(self) -> str:
+        return _loop_status(self)
 
     def neighbour_set(self, v: int) -> frozenset[int]:
         """The colours adjacent to v as a set, v itself when v has a loop."""
@@ -119,15 +128,18 @@ class InstanceGraph:
     def __post_init__(self):
         if self.m < 0:
             raise ValueError("vertex count must be non-negative")
-        prev = None
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"loop ({u},{v}) not allowed in instance graphs")
-            if not (1 <= u < v <= self.m):
-                raise ValueError(f"edge ({u},{v}) not canonical or out of range")
-            if prev is not None and (u, v) <= prev:
+        # one comparison chain per edge, each edge compared as it stands; the
+        # messages are sorted out only for an edge that fails
+        prev = (0, 0)
+        for edge in self.edges:
+            u, v = edge
+            if not 1 <= u < v <= self.m or edge <= prev:
+                if u == v:
+                    raise ValueError(f"loop ({u},{v}) not allowed in instance graphs")
+                if not (1 <= u < v <= self.m):
+                    raise ValueError(f"edge ({u},{v}) not canonical or out of range")
                 raise ValueError("edges must be strictly sorted")
-            prev = (u, v)
+            prev = edge
 
     @classmethod
     def from_edges(cls, m: int, edges) -> "InstanceGraph":
@@ -160,8 +172,7 @@ ListAssignment = tuple[frozenset[int], ...]
 
 def full_lists(m: int, n: int) -> ListAssignment:
     """Every vertex allowed every colour of an n-colour target."""
-    allcols = frozenset(range(1, n + 1))
-    return tuple(allcols for _ in range(m))
+    return (frozenset(range(1, n + 1)),) * m
 
 
 @dataclass(frozen=True)
@@ -179,14 +190,23 @@ class Instance:
     def __post_init__(self):
         if len(self.lists) != self.g.m:
             raise ValueError("lists must cover exactly the vertices of g")
-        for v, s in enumerate(self.lists, start=1):
-            for c in s:
-                if not (1 <= c <= self.colour_count):
-                    raise ValueError(f"vertex {v}: colour {c} out of range")
+        n = self.colour_count
+        # each distinct list once, by its least and greatest colour
+        if any(s and (min(s) < 1 or max(s) > n) for s in set(self.lists)):
+            v, c = next((v, c) for v, s in enumerate(self.lists, start=1)
+                        for c in s if not 1 <= c <= n)
+            raise ValueError(f"vertex {v}: colour {c} out of range")
 
     @classmethod
     def with_full_lists(cls, g: InstanceGraph, n: int) -> "Instance":
         return cls(g, full_lists(g.m, n), n)
+
+    @cached_property
+    def sorted_lists(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's list as an ascending tuple; equal lists share one
+        tuple, so each distinct list is sorted once."""
+        ascending = {s: tuple(sorted(s)) for s in set(self.lists)}
+        return tuple(map(ascending.__getitem__, self.lists))
 
 
 def _bfs(start: int, neighbours, limit: int | None = None) -> dict[int, tuple[int, int | None]]:
@@ -260,7 +280,12 @@ def induced_subgraph(h: ColourGraph, verts) -> ColourGraph:
 
 
 def reflexivity_status(h: ColourGraph) -> str:
-    """One of "reflexive", "irreflexive" or "mixed"."""
+    """One of "reflexive", "irreflexive" or "mixed".  h keeps it, so only
+    the first call scans h's loops."""
+    return h._status
+
+
+def _loop_status(h: ColourGraph) -> str:
     loops = sum(v in row for v, row in enumerate(h.rows, start=1))
     if loops == h.n:
         return "reflexive"

@@ -60,9 +60,9 @@ table over both chains' levels, quadratic in their length, where the bits
 form a ladder of width 2.  So the grouped problem is planned first, before
 any table is built.  Only when that plan is over the limit, or its total
 table entries exceed the least a bit-level pass can cost (2 per variable
-and 4 per implication), is the bit-level problem planned too.  The cheaper
-plan within the limit runs, and when neither is within it the error names
-both.
+and 4 per implication), is the bit-level problem planned too, and only
+until its total reaches a grouped total that fits.  The cheaper plan within
+the limit runs, and when neither is within it the error names both.
 
 Counts are exact Python ints; partition function values are exact Fractions.
 No floating point anywhere.  All counters are deterministic and independent
@@ -155,50 +155,90 @@ class _Plan:
     total: int
 
 
-def _plan(rule: str, adj: list, size: list, kept, order=None) -> _Plan:
+def _plan(rule: str, adj: list, size: list, kept, order=None, cap=None) -> _Plan:
     """Eliminate symbolically on adj, which this uses up: adj[v] is the set
     of v's neighbours, or None for a variable outside the graph.  Without an
     order each step takes the free variable of least degree, the smaller one
     on a tie; with one, the variables in that order.  Variables in kept are
-    never eliminated."""
-    free = [nbrs is not None and v not in kept for v, nbrs in enumerate(adj)]
+    never eliminated.  With a cap, the plan also stops once its total
+    reaches cap: count_1p1n runs a bit-level plan only when its total is
+    below the grouped plan's.
+
+    The heap holds degree * len(adj) + v for each free variable v, pushed
+    again whenever v's degree changes, so a popped key whose degree is not
+    v's current one is stale and skipped.
+    """
+    n = len(adj)
     if order is None:
-        heap = [(len(adj[v]), v) for v in range(len(adj)) if free[v]]
+        heap = [len(nbrs) * n + v for v, nbrs in enumerate(adj)
+                if nbrs is not None and v not in kept]
         heapify(heap)
+    else:
+        heap = None
+        order = iter(order)
     steps = []
     width = largest = total = 0
     while True:
-        if order is not None:
-            if len(steps) == len(order):
+        if heap is None:
+            x = next(order, None)
+            if x is None:
                 break
-            x = order[len(steps)]
-        else:
-            if not heap:
-                break
-            deg, x = heappop(heap)
-            if adj[x] is None or deg != len(adj[x]):
+            nbrs = adj[x]
+        elif heap:
+            key = heappop(heap)
+            x = key % n
+            nbrs = adj[x]
+            if nbrs is None or key != len(nbrs) * n + x:
                 continue  # eliminated already, or a stale degree
-        scope = tuple(adj[x])
+        else:
+            break
         adj[x] = None
+        scope = tuple(nbrs)
         entries = size[x]
-        for v in scope:
+        if len(scope) == 1:
+            v = scope[0]
             entries *= size[v]
             others = adj[v]
-            deg = len(others)
             others.discard(x)
-            if len(scope) > 1:
-                others.update(scope)
+            if heap is not None and v not in kept:
+                heappush(heap, len(others) * n + v)
+        elif len(scope) == 2:
+            # y and z each lose x; they gain each other unless already joined
+            y, z = scope
+            entries *= size[y] * size[z]
+            ay, az = adj[y], adj[z]
+            ay.discard(x)
+            az.discard(x)
+            if z in ay:
+                if heap is not None:
+                    if y not in kept:
+                        heappush(heap, len(ay) * n + y)
+                    if z not in kept:
+                        heappush(heap, len(az) * n + z)
+            else:
+                ay.add(z)
+                az.add(y)
+        else:
+            # the other neighbours of x join each neighbour's set
+            for v in scope:
+                entries *= size[v]
+                others = adj[v]
+                deg = len(others)
+                others |= nbrs
+                others.discard(x)
                 others.discard(v)
-            if order is None and free[v] and len(others) != deg:
-                heappush(heap, (len(others), v))
+                if heap is not None and len(others) != deg and v not in kept:
+                    heappush(heap, len(others) * n + v)
         steps.append((x, scope))
         total += entries
-        if entries > MAX_TABLE_SIZE:
-            return _Plan(rule, steps, len(scope), entries, total)
         if entries > largest:
+            if entries > MAX_TABLE_SIZE:
+                return _Plan(rule, steps, len(scope), entries, total)
             largest = entries
         if len(scope) > width:
             width = len(scope)
+        if cap is not None and total >= cap:
+            break
     return _Plan(rule, steps, width, largest, total)
 
 
@@ -227,16 +267,16 @@ def _graph(factors, fixed: list) -> list:
     return adj
 
 
-def _best_plan(factors, fixed: list, size: list, kept) -> tuple[_Plan, _Plan | None]:
+def _best_plan(factors, fixed: list, size: list, kept, cap=None) -> tuple[_Plan, _Plan | None]:
     """The min-degree plan, or the BFS profile plan when min-degree needs a
     table over MAX_TABLE_SIZE and the profile's largest table is smaller;
     with the other plan drawn up, or None when min-degree fits.  Only the
-    ends of each factor are read."""
-    plan = _plan("min-degree", _graph(factors, fixed), size, kept)
+    ends of each factor are read.  Both plans stop at the cap, if any."""
+    plan = _plan("min-degree", _graph(factors, fixed), size, kept, None, cap)
     if plan.largest <= MAX_TABLE_SIZE:
         return plan, None
     adj = _graph(factors, fixed)
-    other = _plan("BFS profile", adj, size, kept, _profile_order(adj, kept))
+    other = _plan("BFS profile", adj, size, kept, _profile_order(adj, kept), cap)
     return (other, plan) if other.largest < plan.largest else (plan, other)
 
 
@@ -299,14 +339,16 @@ def _eliminate(domains: list, factors, keep: tuple = (), plan: _Plan | None = No
     domains and factors, with nothing kept, may pass it in.  Then every
     factor becomes a flat int table over domain positions, row-major over
     its scope: its variables in elimination order, so the variable summed
-    out is always the first axis and each of its values a slice.  A
-    variable outside keep with a one-value domain drops out of every scope,
-    and a factor with two such ends is a scalar on the total.  There is one
-    store: tables[v] maps each scope whose first variable is v to its
-    table, parallel tables multiplying into one, and v's weight vector is
-    the entry over (v,).  A step pops what is filed under its variable,
-    sums that variable out and files the result under the first variable of
-    what is left.
+    out is always the first axis and each of its values a slice.  Factors
+    with the same table and the same domain objects share one flat table.
+    A variable outside keep with a one-value domain drops out of every
+    scope, and a factor with two such ends is a scalar on the total.  Each
+    variable's weight vector is kept apart (None while it is all ones); a
+    table over two or more variables is filed under the first of them,
+    tables[v] mapping each such scope to its table, and parallel tables
+    multiply into one.  A step takes its variable's vector and what is
+    filed under it, sums the variable out and multiplies the result into
+    the vector or the table of what is left.
     """
     if not all(domains):
         return {}  # before the size check: a zero count needs no table
@@ -335,97 +377,139 @@ def _eliminate(domains: list, factors, keep: tuple = (), plan: _Plan | None = No
     for i, v in enumerate(keep, start=len(plan.steps)):
         pos[v] = i
 
-    # a flat table over a variable with a one-value domain is one over the
-    # rest of its scope.  No table is changed in place, so factors with the
-    # same table and domains share one flat copy.
-    tables: list[dict[tuple, list] | None] = [{} for _ in range(n)]
+    vec: list[list | None] = [None] * n  # v's weight vector, None for all ones
+    pair: list[dict | None] = [{} for _ in range(n)]  # pair[u][v]: the table over (u, v)
+    wide: list[dict | None] = [None] * n  # wide[u]: scope -> table, three or more variables
     total = 1
-    interned: dict[tuple, int] = {}
-    dom_id = [interned.setdefault(tuple(d), len(interned)) for d in domains]
+    # no table is changed in place, so one flat copy serves every factor
+    # with the same table and domains
     flat_of: dict[tuple, list] = {}
     for u, v, table in factors:
-        swap = pos[u] > pos[v]
-        key = (id(table), dom_id[u], dom_id[v], swap)
-        flat = flat_of.get(key)
-        if flat is None:
-            if swap:
-                flat = [table.get((a, b), 0) for b in domains[v] for a in domains[u]]
-            else:
-                flat = [table.get((a, b), 0) for a in domains[u] for b in domains[v]]
-            flat_of[key] = flat
+        if pos[u] > pos[v]:
+            u, v = v, u
+            key = (id(table), id(domains[u]), id(domains[v]), True)
+            flat = flat_of.get(key)
+            if flat is None:
+                flat = flat_of[key] = [
+                    table.get((b, a), 0) for a in domains[u] for b in domains[v]]
+        else:
+            key = (id(table), id(domains[u]), id(domains[v]), False)
+            flat = flat_of.get(key)
+            if flat is None:
+                flat = flat_of[key] = [
+                    table.get((a, b), 0) for a in domains[u] for b in domains[v]]
         if fixed[u] or fixed[v]:
             if fixed[u] and fixed[v]:
                 total *= flat[0]
                 continue
-            scope = (v,) if fixed[u] else (u,)
-        else:
-            scope = (v, u) if swap else (u, v)
-        mine = tables[scope[0]]
-        old = mine.get(scope)
-        mine[scope] = flat if old is None else list(map(mul, old, flat))
+            u = v if fixed[u] else u  # a vector over the end that is left
+            old = vec[u]
+            vec[u] = flat if old is None else list(map(mul, old, flat))
+            continue
+        mine = pair[u]
+        old = mine.get(v)
+        mine[v] = flat if old is None else list(map(mul, old, flat))
     if not total:
         return {}
 
     for x, scope in plan.steps:
-        dx = size[x]
-        mine = tables[x]
-        tables[x] = None  # frees them after this step; nothing is filed under x again
-        ux = mine.pop((x,), None) or [1] * dx
+        ux = vec[x]
+        pairs = pair[x]
+        wides = wide[x]
+        pair[x] = wide[x] = None  # frees them after this step; nothing is filed under x again
         if not scope:
-            s = sum(ux)
+            s = size[x] if ux is None else sum(ux)
             if not s:
                 return {}
             total *= s
             continue
-        if len(scope) == 2:
-            if pos[scope[0]] > pos[scope[1]]:
-                scope = scope[::-1]
-        elif len(scope) > 2:
-            scope = tuple(sorted(scope, key=pos.__getitem__))
-        joint = (x,) + scope
+        if len(scope) == 1:
+            # out[j] = sum_i ux[i] * t[i, j], over column j of the one table
+            y = scope[0]
+            t = pairs[y]
+            dy = size[y]
+            if ux is None:
+                out = [sum(t[j::dy]) for j in range(dy)]
+            else:
+                out = [sum(map(mul, ux, t[j::dy])) for j in range(dy)]
+            if not any(out):
+                return {}
+            old = vec[y]
+            vec[y] = out if old is None else list(map(mul, old, out))
+            continue
+        dx = size[x]
         out = None
-        if len(scope) == 2 and joint not in mine:
+        if len(scope) == 2 and wides is None:
             # out[j, k] = sum_i ux[i] * t[i, j] * r[i, k]
             y, z = scope
+            if pos[y] > pos[z]:
+                y, z = z, y
             dy, dz = size[y], size[z]
-            t, r = mine[x, y], mine[x, z]
-            for i in range(dx):
-                u = ux[i]
-                if u:
-                    zrow = r[i * dz:i * dz + dz]
-                    if u != 1:
-                        zrow = [u * e for e in zrow]
-                    o = [p * q for p in t[i * dy:i * dy + dy] for q in zrow]
-                    out = o if out is None else list(map(add, out, o))
-        else:
-            # acc: the product of the tables on x over joint, so that
-            # out = sum_i ux[i] * acc[i, ...]; with one neighbour that is a
-            # vector-matrix product
-            acc = None
-            for tscope, t in mine.items():
-                if tscope != joint:
-                    t = _broadcast(t, tscope, joint, size)
-                acc = t if acc is None else list(map(mul, acc, t))
-            span = len(acc) // dx
-            for i in range(dx):
-                u = ux[i]
-                if u:
-                    block = acc[i * span:i * span + span]
-                    if u != 1:
-                        block = [u * e for e in block]
-                    out = block if out is None else list(map(add, out, block))
+            t, r = pairs[y], pairs[z]
+            if dx == 2:  # two-colour lists: both rows in one pass
+                r0, r1 = r[:dz], r[dz:]
+                if ux is not None:
+                    r0 = [ux[0] * e for e in r0]
+                    r1 = [ux[1] * e for e in r1]
+                out = [a * b + c * d for a, c in zip(t[:dy], t[dy:]) for b, d in zip(r0, r1)]
+            else:
+                for i in range(dx):
+                    u = 1 if ux is None else ux[i]
+                    if u:
+                        zrow = r[i * dz:i * dz + dz]
+                        if u != 1:
+                            zrow = [u * e for e in zrow]
+                        o = [p * q for p in t[i * dy:i * dy + dy] for q in zrow]
+                        out = o if out is None else list(map(add, out, o))
+            if out is None or not any(out):
+                return {}
+            mine = pair[y]
+            old = mine.get(z)
+            mine[z] = out if old is None else list(map(mul, old, out))
+            continue
+        # acc: the product of the tables on x over joint, so that
+        # out = sum_i ux[i] * acc[i, ...]
+        if ux is None:
+            ux = [1] * dx
+        scope = tuple(sorted(scope, key=pos.__getitem__))
+        joint = (x,) + scope
+        acc = None
+        for tscope, t in chain((((x, v), t) for v, t in pairs.items()), (wides or {}).items()):
+            if tscope != joint:
+                t = _broadcast(t, tscope, joint, size)
+            acc = t if acc is None else list(map(mul, acc, t))
+        span = len(acc) // dx
+        for i in range(dx):
+            u = ux[i]
+            if u:
+                block = acc[i * span:i * span + span]
+                if u != 1:
+                    block = [u * e for e in block]
+                out = block if out is None else list(map(add, out, block))
         if out is None or not any(out):
             return {}
-        mine = tables[scope[0]]
-        old = mine.get(scope)
-        mine[scope] = out if old is None else list(map(mul, old, out))
+        if len(scope) == 2:
+            mine = pair[scope[0]]
+            key = scope[1]
+        else:
+            mine = wide[scope[0]]
+            if mine is None:
+                mine = wide[scope[0]] = {}
+            key = scope
+        old = mine.get(key)
+        mine[key] = out if old is None else list(map(mul, old, out))
 
     if not keep:
         return {(): total}
-    # what is left is filed under keep, each scope in keep's order
+    # what is left lies on keep: the kept variables' vectors and the tables
+    # filed under them, each scope in keep's order
     acc = [total] * ksize
     for v in keep:
-        for tscope, t in tables[v].items():
+        pieces = [((v, w), t) for w, t in pair[v].items()]
+        pieces += (wide[v] or {}).items()
+        if vec[v] is not None:
+            pieces.append(((v,), vec[v]))
+        for tscope, t in pieces:
             acc = list(map(mul, acc, _broadcast(t, tscope, keep, size)))
     return {key: w for key, w in zip(product(*[domains[v] for v in keep]), acc) if w}
 
@@ -461,7 +545,7 @@ def list_hcol_table(h: ColourGraph, inst: Instance, keep) -> dict:
             raise ValueError(f"kept vertex {v} out of range 1..{inst.g.m}")
     adjacent = {(a, b): 1 for a in h.colours for b in h.neighbours(a)}
     return _eliminate(
-        [sorted(s) for s in inst.lists],
+        list(inst.sorted_lists),
         [(u - 1, v - 1, adjacent) for u, v in inst.g.edges],
         tuple(v - 1 for v in keep),
     )
@@ -514,7 +598,9 @@ def count_1p1n(f: ImplicationFormula) -> int:
     bit-level pass can cost (2 per variable plus 4 per implication), the
     bit-level problem, one variable per bit and one table per implication,
     is planned too, and the cheaper of the two plans within the limit runs,
-    the grouped one on a tie.  When neither is within the limit, the
+    the grouped one on a tie.  When the grouped plan is within the limit,
+    the bit-level one stops as soon as its total reaches the grouped total,
+    since it can no longer win.  When neither is within the limit, the
     Refusal names both before any table is built.
     """
     n = f.var_count
@@ -583,7 +669,10 @@ def count_1p1n(f: ImplicationFormula) -> int:
             bits[v] = tuple(b for b in bits[v] if b == value)
         factors = [(a, b, _IMPLIES_TABLE) for a, b in imps]
         bsize = [len(d) for d in bits]
-        bplan, _ = _best_plan(factors, [d == 1 for d in bsize], bsize, ())
+        # a bit-level plan can win only below a grouped plan that fits, so
+        # it stops once its total reaches that plan's
+        cap = None if plan.largest > MAX_TABLE_SIZE else plan.total
+        bplan, _ = _best_plan(factors, [d == 1 for d in bsize], bsize, (), cap)
         if bplan.largest <= MAX_TABLE_SIZE and (
                 plan.largest > MAX_TABLE_SIZE or bplan.total < plan.total):
             return _eliminate(bits, factors, plan=bplan).get((), 0)

@@ -96,6 +96,73 @@ def test_formula_round_trip():
     assert min(seen.values()) >= 10, seen
 
 
+# one-line edits that a file may carry, each breaking one rule of the
+# layout the bulk reader takes, or none
+_EDITS = ("", "# note", "z 1", "e 1", "e 1 2 3", "e 1 x", "e 0 1", "e 1 1", "e 2 1",
+          "l", "l 1", "l 0 1", "l 1 0", "l 1 99", "l 1 1 1", "l x 1", "g 3", "h 3")
+
+
+def _bulk_or_line_reader(text, head, least, loops, colour_count):
+    """(what _bulk returns, what the line reader returns or raises)."""
+    from listhom import formats
+
+    what, header = ("target", "h <n>") if head == "h" else ("graph", "g <m>")
+    tags = formats._EDGES if colour_count is None else formats._INSTANCE
+    try:
+        read = formats._graph_body(*formats._read(text, what, header, tags, least, "too few"),
+                                   loops, colour_count)
+    except ParseError as err:
+        read = str(err)
+    return formats._bulk(text, head, least, loops, colour_count), read
+
+
+def test_bulk_reader_takes_written_files_and_agrees_with_the_line_reader():
+    # seeded: files as the serialisers write them, and copies with one line
+    # inserted, moved, doubled, dropped or edited.  The bulk reader either
+    # declines a file or returns exactly what the line reader returns
+    rng = random.Random(57)
+    seen = dict.fromkeys(("taken", "declined", "declined but valid"), 0)
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        kind = rng.choice(("target", "graph", "instance"))
+        if kind == "target":
+            text = serialise_h(ColourGraph.from_edges(n, [
+                (u, v) for u in range(1, n + 1) for v in range(u, n + 1) if rng.random() < 0.4]))
+            args = ("h", 1, True, None)
+        else:
+            g = _random_graph(rng, rng.randint(0, 12), rng.random() / 2)
+            args = ("g", 0, False, None)
+            text = serialise_graph(g)
+            if kind == "instance":
+                args = ("g", 0, False, n)
+                text = serialise_instance(Instance(g, tuple(
+                    frozenset(c for c in range(1, n + 1) if rng.random() < 0.6)
+                    for _ in g.vertices), n))
+        lines = text.splitlines()
+        if rng.random() < 0.7:
+            j = rng.randrange(len(lines) + 1)
+            edit = rng.randrange(4)
+            if edit == 0:
+                lines.insert(j, rng.choice(_EDITS))
+            elif edit == 1 and len(lines) > 1:
+                lines.insert(j, lines.pop(rng.randrange(1, len(lines))))
+            elif edit == 2:
+                lines.insert(j, rng.choice(lines))
+            elif len(lines) > 1:
+                del lines[rng.randrange(1, len(lines))]
+        text = "\n".join(lines) + "\n"
+        bulk, read = _bulk_or_line_reader(text, *args)
+        if bulk is None:
+            seen["declined"] += 1
+            seen["declined but valid"] += not isinstance(read, str)
+        else:
+            assert bulk == read, text
+            seen["taken"] += 1
+    # a comment, a blank line or a list line before an edge line is valid
+    # but left to the line reader
+    assert seen["taken"] >= 200 and seen["declined"] >= 100 and seen["declined but valid"] >= 10, seen
+
+
 def test_graph_round_trip_and_list_rejection():
     g = InstanceGraph.from_edges(3, [(1, 2), (2, 3)])
     assert parse_graph(serialise_graph(g)) == g

@@ -25,9 +25,11 @@ from listhom.gadgets import (
     thicken,
     validate_gadget,
 )
-from listhom.graphs import ColourGraph, Instance, InstanceGraph, max_degree
+from listhom.graphs import ColourGraph, Instance, InstanceGraph, instance_components, max_degree
 from listhom.oracles import count_list_hcol, ising_partition
 from listhom.recognizer import ExcludedWitness, witness_pattern
+
+from helpers import ising_direct
 
 
 def identity_witness(kind, length=None):
@@ -445,6 +447,34 @@ def test_reduce_ising_examples():
     inst, lam, scale = reduce_ising_to_listhcol(twopath, gg)
     assert scale == 100
     assert count_list_hcol(patterns.X3, inst) == scale * ising_partition(twopath, lam)
+
+
+def test_reduce_ising_identity_against_spin_enumeration():
+    # seeded: each fixed-shape catalogue witness thickened at t = 0..2, on
+    # random graphs of 2-8 vertices.  The engine's count of the instance
+    # equals scale times the partition function by summing over every spin
+    # map (helpers.ising_direct, which shares no code with the engine)
+    rng = random.Random(47)
+    seen = {"disconnected g": 0, "edgeless g": 0, "instance over 300 vertices": 0}
+    for kind, length, h, _ in CATALOG_CASES:
+        if length is not None:
+            continue
+        entry = gadget_catalog(identity_witness(kind))
+        _, gg = build_symmetrized(h, identity_witness(kind))
+        for t in range(3):
+            thick = thicken(h, gg, entry.cond_pair, t)
+            for _ in range(12):
+                m = rng.randint(2, 8)
+                p = rng.choice((0.2, 0.4, 0.7))
+                g = InstanceGraph.from_edges(m, [
+                    (u, v) for u in range(1, m + 1) for v in range(u + 1, m + 1)
+                    if rng.random() < p])
+                inst, lam, scale = reduce_ising_to_listhcol(g, thick)
+                assert count_list_hcol(h, inst) == scale * ising_direct(g, lam), (kind, t, g)
+                seen["disconnected g"] += len(instance_components(g)) > 1
+                seen["edgeless g"] += not g.edges
+                seen["instance over 300 vertices"] += inst.g.m > 300
+    assert min(seen.values()) >= 3, seen
 
 
 def test_composed_gadget_numbering_is_pinned():

@@ -67,3 +67,14 @@ def test_ladder_reduce_sat_step_counts_the_formula_and_the_instance_alike():
     assert step["expected"] and step["count_expected"], step
     assert step["plans"][0]["width"] == 4 and step["plans"][0]["largest"] <= 1 << 18
     assert oracles._plan is real
+
+
+def test_ladder_reduce_ising_step_parses_and_counts_the_written_instance():
+    # the X3 gadget at t = 1 on the 4 x 4 grid: 448 vertices, counted at
+    # width 4 and equal to the grid's transfer-matrix count
+    real = oracles._plan
+    step = _ladder().step(str(ROOT / "src"), "reduce_ising_count", 4)
+    assert (step["grid_vertices"], step["vertices"]) == (16, 448)
+    assert step["refused"] is None and step["expected"], step
+    assert [(plan["rule"], plan["width"]) for plan in step["plans"]] == [("min-degree", 4)]
+    assert oracles._plan is real

@@ -282,11 +282,11 @@ def test_engine_matches_enumeration_in_any_elimination_order(monkeypatch):
     widths = []
     real = oracles._plan
 
-    def plan(rule, adj, size, kept, order=None):
+    def plan(rule, adj, size, kept, order=None, cap=None):
         if order is None and rng.random() < 0.5:
             order = [v for v, nbrs in enumerate(adj) if nbrs is not None and v not in kept]
             rng.shuffle(order)
-        result = real(rule, adj, size, kept, order)
+        result = real(rule, adj, size, kept, order, cap)
         widths.append(result.width)
         return result
 

@@ -596,6 +596,24 @@ def test_classify_two_colours_an_irreflexive_component_once(monkeypatch):
         assert calls == {"_two_colouring": colourings, "_bfs": trees}, base.edge_list()
 
 
+def test_classify_scans_each_components_loops_once(monkeypatch):
+    # the loop status is read by _classify_connected and again by the
+    # finder of that status; the component keeps it, so it is scanned once
+    # (two scans per component before it was kept)
+    import listhom.graphs
+
+    scans = []
+    real = listhom.graphs._loop_status
+    monkeypatch.setattr(listhom.graphs, "_loop_status", lambda h: scans.append(h.n) or real(h))
+    rng = random.Random(13)
+    c6, p6_looped = patterns.cycle(6), patterns.path(6, reflexive=True)
+    for base, klass in ((_union(c6, c6), Hardness.SAT_EQUIVALENT),
+                        (_union(p6_looped, p6_looped), Hardness.BIS_EQUIVALENT)):
+        scans.clear()
+        assert classify(_relabel(base, rng)).klass is klass
+        assert scans == [6, 6], base.edge_list()
+
+
 # --- the obstruction searches against simpler references ---
 
 def _planted(rng, pat, n):

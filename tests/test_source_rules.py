@@ -166,7 +166,7 @@ def test_private_helpers_are_used():
 
 
 # ColourGraph's neighbour rows and what it caches beside them
-STORE = ("rows", "_sets", "_sides")
+STORE = ("rows", "_sets", "_sides", "_status")
 
 
 def _store_reads(tree, module: str):

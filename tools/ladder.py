@@ -63,6 +63,15 @@ instance ("count_seconds").  It records both answers or refusals, the plans
 transfer-matrix count (null for a refusal).  The largest k of each family is past what either
 counter takes, so the step shows where both refuse.
 
+The reduce-ising family writes, as ``reduce-ising`` does, the X3 gadget
+thickened at t = 1 on every edge of the k x k grid, k = 4 to 12:
+
+* ``reduce_ising_count``: each step times ``parse_instance`` and
+  ``count_list_hcol`` on the written instance, the path of ``count``.  It
+  records the answer, the plans, the instance's vertex count and the peak
+  RSS, and whether the answer equals the grid's transfer-matrix count with
+  the thickened gadget's matrix as the edge weights.
+
 Every step runs REPEATS times per ``--run``, each time in a fresh
 interpreter, the runs of the labels taking turns.  A run makes the timed
 call up to CALLS times, fewer once its calls add up to BUDGET_S seconds,
@@ -131,10 +140,13 @@ REDUCE_SAT_FAMILIES = {
     "reduce_sat_grid_p3star": ((3, True), tuple(range(6, 12))),
     "reduce_sat_grid_p4star": ((4, True), tuple(range(5, 10))),
 }
+# each reduce-ising family: (witness kind, thickening level) and its k
+REDUCE_ISING_FAMILIES = {"reduce_ising_count": (("X3", 1), tuple(range(4, 13)))}
 FAMILIES = {**{family: SIZES + LARGE_SIZES for family in CLASSIFY_FAMILIES},
             **{family: SIZES for family in GADGET_FAMILIES},
             **GRID_FAMILIES,
-            **{family: sizes for family, (_, sizes) in REDUCE_SAT_FAMILIES.items()}}
+            **{family: sizes for family, (_, sizes) in REDUCE_SAT_FAMILIES.items()},
+            **{family: sizes for family, (_, sizes) in REDUCE_ISING_FAMILIES.items()}}
 
 
 def _peak_rss_mib() -> float:
@@ -166,6 +178,8 @@ def step(src: str, family: str, size: int) -> dict:
         return _grid_step(family, size)
     if family in REDUCE_SAT_FAMILIES:
         return _reduce_sat_step(family, size)
+    if family in REDUCE_ISING_FAMILIES:
+        return _reduce_ising_step(family, size)
     from listhom.graphs import ColourGraph
     from listhom.recognizer import ExcludedWitness, classify
 
@@ -310,6 +324,34 @@ def _reduce_sat_step(family: str, k: int) -> dict:
         want = helpers.grid_transfer_count(k, helpers.dense(h))
         out["expected"] = None if answer is None else answer == want
         out["count_expected"] = None if count is None else count == want
+    return out
+
+
+def _reduce_ising_step(family: str, k: int) -> dict:
+    from listhom import oracles, patterns
+    from listhom.formats import parse_instance, serialise_instance
+    from listhom.gadgets import build_symmetrized, reduce_ising_to_listhcol, thicken
+    from listhom.graphs import InstanceGraph
+    from listhom.recognizer import ExcludedWitness
+
+    helpers = _helpers()
+    kind, t = REDUCE_ISING_FAMILIES[family][0]
+    h = patterns.recipe(kind).pattern
+    entry, gg = build_symmetrized(h, ExcludedWitness(kind, None, tuple(h.colours)))
+    thick = thicken(h, gg, entry.cond_pair, t)
+    inst, _, _ = reduce_ising_to_listhcol(
+        InstanceGraph.from_edges(k * k, helpers.grid_edges(k)), thick)
+    text = serialise_instance(inst)
+
+    answer, refused, plans, times = _timed_count(
+        lambda: text, lambda text: oracles.count_list_hcol(h, parse_instance(text, h.n)))
+    out = {"grid_vertices": k * k, "vertices": inst.g.m, "seconds": min(times),
+           "times": times, "answer": None if answer is None else str(answer),
+           "refused": refused, "plans": plans, "peak_rss_mib": _peak_rss_mib()}
+    if answer is not None:
+        # the count is the grid's two-spin sum with weight a on each agreeing
+        # edge and b on any other, where [[a, b], [b, a]] is the gadget's matrix
+        out["expected"] = answer == helpers.grid_transfer_count(k, thick.matrix)
     return out
 
 
