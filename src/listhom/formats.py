@@ -8,13 +8,24 @@ Instance file:  header "g <m>", then "e <u> <v>" edges and "l <v> <c1> ...
 Formula file:   header "f <nvars>", then "p <v>" (positive unit), "n <v>"
                 (negative unit) and "i <a> <b>" (a implies b).
 
-Blank lines and lines starting with "#" are ignored.  One reader,
+Blank lines and lines starting with "#" are ignored.  One line reader,
 _directives, reads all three formats and checks their shared rules: the
 header comes first and only once, and every other line is a directive of
-the format with its number of integer arguments.  Each parser adds only
-the checks of its own format.  Every line is checked as it is read, so a
-ParseError (a Refusal) names the first bad line; the CLI exits with code 2
-on one.
+the format with its number of integer arguments.  It stops at the first
+line that breaks them and hands that line's error over; each parser checks
+the lines before it with the rules of its own format and raises the
+handed-over error only when they pass.  So a ParseError (a Refusal) names
+the first bad line; the CLI exits with code 2 on one.
+
+Target, graph and instance files take a faster route first.  A file laid
+out as the serialisers write it (the header, then edge lines, then list
+lines, with no blank or comment line) is read by _bulk in a few C-level
+passes over all its lines: split every line, convert each column of
+endpoints at once, check the pairs' order, range and repeats with min, max
+and pairwise comparisons, and convert each distinct list of colours once,
+so equal lists share one frozenset.  Any file that breaks a rule, or is
+laid out otherwise, goes to the line reader, which names its first bad line;
+a file that _bulk takes reads to the same value either way.
 Serialisers emit canonical order, and parse(serialise(x)) == x for every
 in-range value.
 """

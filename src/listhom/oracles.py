@@ -13,7 +13,10 @@ never in the size of the input.  Each count runs in two parts.
 The plan is symbolic: it eliminates on the interaction graph alone and
 records each step's variable and scope, the order's induced width and its
 largest table (the product of the domain sizes over a step's scope plus the
-eliminated variable).  The order is greedy min-degree.  Only when that
+eliminated variable).  The order is greedy min-degree, from a heap of int
+keys (degree times the variable count, plus the variable), so that a tie
+goes to the smaller variable without comparing tuples; a step with one or
+two neighbours updates their neighbour sets directly.  Only when that
 order needs a table over MAX_TABLE_SIZE does the plan also try a BFS
 profile order, each component swept breadth-first from a peripheral vertex
 (the far end of a BFS from its smallest vertex), and keep whichever of the
@@ -24,17 +27,22 @@ size, the induced width and both orders before it builds a single table,
 instead of running out of time or memory.
 
 The numeric pass then runs the plan on flat int tables indexed by domain
-position, kept in one store: each table is filed under the first variable
-of its scope in elimination order, parallel factors multiply into one
-table per scope, and a variable's weight vector is its table over itself
-alone.  A variable with a one-value domain drops out of every scope.  A
-step takes the tables filed under its variable.  With no neighbours it
-multiplies the total by the sum of the variable's vector, so connected
-components need no separate pass; with two neighbours and a table to each
-it is a matrix product; otherwise it repeats each table out to the step's
-full scope with list slicing and multiplies them entry by entry (with one
-neighbour, a vector-matrix product).  The result is filed like any other
-table.
+position.  Each variable's weight vector is kept apart; a table over two
+variables is filed under the first of them in elimination order, keyed by
+the other, and a wider table under its first variable, keyed by its scope.
+Parallel factors multiply into one table, a variable with a one-value
+domain drops out of every scope, and factors with the same table and the
+same domain objects share one flat table.  A step takes its variable's
+vector and the tables filed under it.  With no neighbours it multiplies the
+total by the sum of the vector, so connected components need no separate
+pass; with one neighbour it is a vector-matrix product over the table's
+columns; with two neighbours and a table to each it is a matrix product,
+in one pass over both rows when the variable has two values; otherwise it
+repeats each table out to the step's full scope with list slicing and
+multiplies them entry by entry.  The result joins the vector or the table
+of what is left.  Bucket elimination (Dechter 1999) costs about n d^(w+1)
+in table entries, so at d = 2 and width 1 or 2, the instances that
+reduce-ising writes, these per-step costs are nearly all of a count.
 
 The engine can also keep a tuple of variables free (the query form of
 bucket elimination): it sums out every other variable and returns one
@@ -139,7 +147,7 @@ class ImplicationFormula:
 class _Plan:
     """An elimination order worked out on the interaction graph alone.
 
-    steps lists (variable, scope) in elimination order; scope is the tuple
+    steps lists (variable, scope) in elimination order; scope is the set
     of the variable's neighbours when it is summed out.  width and
     largest are the longest scope and the largest table (the product of the
     domain sizes over scope plus the variable).  A plan stops at its first
@@ -193,16 +201,17 @@ def _plan(rule: str, adj: list, size: list, kept, order=None, cap=None) -> _Plan
         else:
             break
         adj[x] = None
-        scope = tuple(nbrs)
+        scope = nbrs  # x's set is never changed again, so it is the scope
+        k = len(scope)
         entries = size[x]
-        if len(scope) == 1:
-            v = scope[0]
+        if k == 1:
+            (v,) = scope
             entries *= size[v]
             others = adj[v]
             others.discard(x)
             if heap is not None and v not in kept:
                 heappush(heap, len(others) * n + v)
-        elif len(scope) == 2:
+        elif k == 2:
             # y and z each lose x; they gain each other unless already joined
             y, z = scope
             entries *= size[y] * size[z]
@@ -233,10 +242,10 @@ def _plan(rule: str, adj: list, size: list, kept, order=None, cap=None) -> _Plan
         total += entries
         if entries > largest:
             if entries > MAX_TABLE_SIZE:
-                return _Plan(rule, steps, len(scope), entries, total)
+                return _Plan(rule, steps, k, entries, total)
             largest = entries
-        if len(scope) > width:
-            width = len(scope)
+        if k > width:
+            width = k
         if cap is not None and total >= cap:
             break
     return _Plan(rule, steps, width, largest, total)
@@ -384,16 +393,17 @@ def _eliminate(domains: list, factors, keep: tuple = (), plan: _Plan | None = No
     # no table is changed in place, so one flat copy serves every factor
     # with the same table and domains
     flat_of: dict[tuple, list] = {}
+    dom_id = list(map(id, domains))
     for u, v, table in factors:
         if pos[u] > pos[v]:
             u, v = v, u
-            key = (id(table), id(domains[u]), id(domains[v]), True)
+            key = (id(table), dom_id[u], dom_id[v], True)
             flat = flat_of.get(key)
             if flat is None:
                 flat = flat_of[key] = [
                     table.get((b, a), 0) for a in domains[u] for b in domains[v]]
         else:
-            key = (id(table), id(domains[u]), id(domains[v]), False)
+            key = (id(table), dom_id[u], dom_id[v], False)
             flat = flat_of.get(key)
             if flat is None:
                 flat = flat_of[key] = [
@@ -425,7 +435,7 @@ def _eliminate(domains: list, factors, keep: tuple = (), plan: _Plan | None = No
             continue
         if len(scope) == 1:
             # out[j] = sum_i ux[i] * t[i, j], over column j of the one table
-            y = scope[0]
+            (y,) = scope
             t = pairs[y]
             dy = size[y]
             if ux is None:
