@@ -11,11 +11,10 @@ Formula file:   header "f <nvars>", then "p <v>" (positive unit), "n <v>"
 Blank lines and lines starting with "#" are ignored.  One line reader,
 _directives, reads all three formats and checks their shared rules: the
 header comes first and only once, and every other line is a directive of
-the format with its number of integer arguments.  It stops at the first
-line that breaks them and hands that line's error over; each parser checks
-the lines before it with the rules of its own format and raises the
-handed-over error only when they pass.  So a ParseError (a Refusal) names
-the first bad line; the CLI exits with code 2 on one.
+the format with its number of integer arguments.  Each parser adds only
+the checks of its own format.  Every line is checked as it is read, so a
+ParseError (a Refusal) names the first bad line; the CLI exits with code 2
+on one.
 
 Target, graph and instance files take a faster route first.  A file laid
 out as the serialisers write it (the header, then edge lines, then list
@@ -53,67 +52,51 @@ _CLAUSES = {UNIT_POS: ("clause", 1), UNIT_NEG: ("clause", 1), IMP: ("clause", 2)
 
 
 def _directives(text: str, what: str, header: str, tags: dict):
-    """(records, error) for a `what` file; header is its usage, such as
-    "h <n>".
-
-    records holds (line_no, tag, ints) for each meaningful line up to the
-    first one that breaks the shared rules, the header first, and error is
-    the ParseError for that line, or None when every line keeps them.  A
-    parser checks its records before it raises error, so the error it
-    reports is always on the first bad line."""
+    """(line_no, tag, ints) for each meaningful line of a `what` file, the
+    header line first; header is its usage, such as "h <n>"."""
     head = header[0]
-    records = []
+    seen_header = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
-        if not fields:
+        if not fields or fields[0][0] == "#":
             continue
         tag = fields[0]
-        spec = tags.get(tag)
-        if spec is not None:
-            noun, count = spec
-            if not records:
-                return records, ParseError(line_no, f"{noun} before {head!r} header")
-        elif tag == head:
-            if records:
-                return records, ParseError(line_no, "duplicate header")
+        if tag == head:
+            if seen_header:
+                raise ParseError(line_no, "duplicate header")
+            seen_header = True
             count = 1
-        elif tag[0] == "#":
-            continue
+        elif tag in tags:
+            noun, count = tags[tag]
+            if not seen_header:
+                raise ParseError(line_no, f"{noun} before {head!r} header")
         else:
-            return records, ParseError(line_no, f"unknown directive {tag!r} in {what} file")
+            raise ParseError(line_no, f"unknown directive {tag!r} in {what} file")
         if count is not None and len(fields) - 1 != count:
-            return records, ParseError(line_no, f"{tag!r} takes {count} argument(s)")
+            raise ParseError(line_no, f"{tag!r} takes {count} argument(s)")
         try:
-            records.append((line_no, tag, list(map(int, fields[1:]))))
+            ints = [int(x) for x in fields[1:]]
         except ValueError as exc:
-            return records, ParseError(line_no, f"non-integer field: {exc}")
-    if not records:
-        return records, ParseError(1, f"missing {header!r} header")
-    return records, None
+            raise ParseError(line_no, f"non-integer field: {exc}") from None
+        yield line_no, tag, ints
+    if not seen_header:
+        raise ParseError(1, f"missing {header!r} header")
 
 
-def _read(text: str, what: str, header: str, tags: dict, least: int, message: str):
-    """(n, lines, error): the header's value n, which must be at least
-    least (else a ParseError with message), then the records after the
-    header and the pending error, as _directives returns them."""
-    records, error = _directives(text, what, header, tags)
-    if not records:
-        raise error
-    line_no, _, (n,) = records[0]
+def _header(lines, least: int, message: str) -> int:
+    line_no, _, (n,) = next(lines)
     if n < least:
         raise ParseError(line_no, message)
-    return n, records[1:], error
+    return n
 
 
-def _graph_body(n: int, lines, error, loops: bool, colour_count: int | None = None):
-    """(n, edges, lists) from the lines after a target or graph header,
-    then the pending error, if any.  edges are the sorted pairs (u, v) with
-    u <= v, each in range and read once; lists maps each listed vertex to
-    its colours, in range 1..colour_count.  Lines that list the same
-    colours share one frozenset, checked once."""
-    edges = {}  # a dict for its O(1) duplicate check and its order
+def _graph_body(lines, n: int, loops: bool, colour_count: int | None = None):
+    """(edges, lists) from the lines after a target or graph header; each
+    edge is a pair (u, v) with u <= v, in range and seen once, and lists
+    maps each listed vertex to its colours, in range 1..colour_count."""
+    edges = []
+    seen = set()  # the pairs in edges, for the duplicate check
     lists = {}
-    read: dict[tuple, frozenset] = {}
     for line_no, tag, ints in lines:
         if tag == "e":
             u, v = ints
@@ -122,37 +105,32 @@ def _graph_body(n: int, lines, error, loops: bool, colour_count: int | None = No
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(line_no, f"edge ({u},{v}) out of range 1..{n}")
             pair = (u, v) if u <= v else (v, u)
-            if pair in edges:
+            if pair in seen:
                 raise ParseError(line_no, f"parallel edge ({u},{v})")
-            edges[pair] = None
+            seen.add(pair)
+            edges.append(pair)
             continue
         if not ints:
             raise ParseError(line_no, "'l' needs a vertex")
-        v = ints[0]
+        v, *cols = ints
         if not (1 <= v <= n):
             raise ParseError(line_no, f"vertex {v} out of range 1..{n}")
         if v in lists:
             raise ParseError(line_no, f"duplicate list for vertex {v}")
-        cols = tuple(ints[1:])
-        s = read.get(cols)
-        if s is None:
-            for c in cols:
-                if not (1 <= c <= colour_count):
-                    raise ParseError(
-                        line_no, f"vertex {v}: colour {c} out of range 1..{colour_count}")
-            s = read[cols] = frozenset(cols)
-        lists[v] = s
-    if error:
-        raise error
-    return n, sorted(edges), lists
+        for c in cols:
+            if not (1 <= c <= colour_count):
+                raise ParseError(
+                    line_no, f"vertex {v}: colour {c} out of range 1..{colour_count}")
+        lists[v] = frozenset(cols)
+    return edges, lists
 
 
 def _bulk(text: str, head: str, least: int, loops: bool, colour_count: int | None):
-    """What _graph_body returns for a file that is its header line and then
-    only well-formed edge and list lines, read with C-level passes over all
-    lines at once; None for any other file, which the line reader then
-    reads and whose first bad line it names.  Lines that list the same
-    colours, as written, share one frozenset."""
+    """What _graph_file returns for a file that is its header line and then
+    only well-formed edge lines and list lines, in that order, read with
+    C-level passes over all lines at once; None for any other file, which
+    the line reader then reads and whose first bad line it names.  Lines
+    that list the same colours, as written, share one frozenset."""
     try:
         rows = list(map(str.split, text.splitlines()))
         tags = list(map(itemgetter(0), rows))  # IndexError on a blank line
@@ -198,10 +176,17 @@ def _bulk(text: str, head: str, least: int, loops: bool, colour_count: int | Non
 
 def _graph_file(text: str, what: str, header: str, tags: dict, least: int, message: str,
                 loops: bool, colour_count: int | None = None):
-    """(n, edges, lists) of a target or graph file, as _graph_body returns
-    them: in bulk when _bulk takes the file, else line by line."""
-    return (_bulk(text, header[0], least, loops, colour_count)
-            or _graph_body(*_read(text, what, header, tags, least, message), loops, colour_count))
+    """(n, edges, lists) of a target or graph file: its header's value, at
+    least least, its edges as sorted pairs (u, v) with u <= v, and each
+    listed vertex's colours.  In bulk when _bulk takes the file, else line
+    by line."""
+    read = _bulk(text, header[0], least, loops, colour_count)
+    if read is not None:
+        return read
+    lines = _directives(text, what, header, tags)
+    n = _header(lines, least, message)
+    edges, lists = _graph_body(lines, n, loops, colour_count)
+    return n, sorted(edges), lists
 
 
 def parse_h(text: str) -> ColourGraph:
@@ -253,16 +238,14 @@ def serialise_instance(inst: Instance) -> str:
 
 
 def parse_formula(text: str) -> ImplicationFormula:
-    nvars, lines, error = _read(text, "formula", "f <nvars>", _CLAUSES,
-                                0, "variable count must be non-negative")
+    lines = _directives(text, "formula", "f <nvars>", _CLAUSES)
+    nvars = _header(lines, 0, "variable count must be non-negative")
     clauses = []
     for line_no, tag, ints in lines:
         for v in ints:
             if not (1 <= v <= nvars):
                 raise ParseError(line_no, f"variable {v} out of range 1..{nvars}")
         clauses.append((tag, *ints))
-    if error:
-        raise error
     return ImplicationFormula(nvars, tuple(clauses))
 
 

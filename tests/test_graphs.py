@@ -186,3 +186,31 @@ def test_instance_validation():
         Instance(g, (frozenset({4}), frozenset()), 3)  # colour out of range
     inst = Instance(g, (frozenset(), frozenset({1})), 3)
     assert inst.lists[0] == frozenset()
+
+
+def test_instance_graph_and_instance_reject_each_bad_input():
+    # (edges on 3 vertices, message): each edge check of InstanceGraph, the
+    # first failing edge named
+    cases = [
+        (((1, 2), (2, 2)), "loop (2,2) not allowed in instance graphs"),
+        (((2, 1),), "edge (2,1) not canonical or out of range"),
+        (((0, 1),), "edge (0,1) not canonical or out of range"),
+        (((1, 2), (2, 4)), "edge (2,4) not canonical or out of range"),
+        (((1, 3), (1, 2)), "edges must be strictly sorted"),
+        (((1, 2), (1, 2)), "edges must be strictly sorted"),
+    ]
+    for edges, message in cases:
+        with pytest.raises(ValueError) as err:
+            InstanceGraph(3, edges)
+        assert str(err.value) == message, edges
+    with pytest.raises(ValueError, match="vertex count must be non-negative"):
+        InstanceGraph(-1, ())
+    g = InstanceGraph(3, ((1, 2), (2, 3)))
+    ok = frozenset((1, 2))
+    for lists, message in (((ok, frozenset((2, 4)), ok), "vertex 2: colour 4 out of range"),
+                           ((ok, ok, frozenset((0,))), "vertex 3: colour 0 out of range")):
+        with pytest.raises(ValueError) as err:
+            Instance(g, lists, 3)
+        assert str(err.value) == message
+    with pytest.raises(ValueError, match="lists must cover exactly the vertices of g"):
+        Instance(g, (ok, ok), 3)

@@ -60,8 +60,10 @@ Each of their steps times ``count_1p1n`` on the formula ("seconds", with
 the formula built outside the timing) and ``count_list_hcol`` on the
 instance ("count_seconds").  It records both answers or refusals, the plans
 ``count_1p1n`` drew up, the peak RSS, and whether each answer equals the
-transfer-matrix count (null for a refusal).  The largest k of each family is past what either
-counter takes, so the step shows where both refuse.
+transfer-matrix count (null for a refusal).  A bit-level plan that stopped
+once its total reached a grouped plan's that fits is recorded as far as it
+got, its total at least the grouped one.  The largest k of each family is
+past what either counter takes, so the step shows where both refuse.
 
 The reduce-ising family writes, as ``reduce-ising`` does, the X3 gadget
 thickened at t = 1 on every edge of the k x k grid, k = 4 to 12:
