@@ -351,13 +351,14 @@ def _eliminate(domains: list, factors, keep: tuple = (), plan: _Plan | None = No
     out is always the first axis and each of its values a slice.  Factors
     with the same table and the same domain objects share one flat table.
     A variable outside keep with a one-value domain drops out of every
-    scope, and a factor with two such ends is a scalar on the total.  Each
-    variable's weight vector is kept apart (None while it is all ones); a
-    table over two or more variables is filed under the first of them,
-    tables[v] mapping each such scope to its table, and parallel tables
-    multiply into one.  A step takes its variable's vector and what is
-    filed under it, sums the variable out and multiplies the result into
-    the vector or the table of what is left.
+    scope, and a factor with two such ends is a scalar on the total.  There
+    are three stores: vec[v] is v's weight vector (None while it is all
+    ones), pair[u][v] the table over (u, v), and wide[u] maps each scope of
+    three or more variables to its table; a table is filed under the first
+    variable of its scope, and parallel tables multiply into one.  A step
+    takes its variable's vector and what is filed under it, sums the
+    variable out and multiplies the result into the vector or the table of
+    what is left.
     """
     if not all(domains):
         return {}  # before the size check: a zero count needs no table
@@ -395,19 +396,14 @@ def _eliminate(domains: list, factors, keep: tuple = (), plan: _Plan | None = No
     flat_of: dict[tuple, list] = {}
     dom_id = list(map(id, domains))
     for u, v, table in factors:
-        if pos[u] > pos[v]:
+        swap = pos[u] > pos[v]
+        if swap:
             u, v = v, u
-            key = (id(table), dom_id[u], dom_id[v], True)
-            flat = flat_of.get(key)
-            if flat is None:
-                flat = flat_of[key] = [
-                    table.get((b, a), 0) for a in domains[u] for b in domains[v]]
-        else:
-            key = (id(table), dom_id[u], dom_id[v], False)
-            flat = flat_of.get(key)
-            if flat is None:
-                flat = flat_of[key] = [
-                    table.get((a, b), 0) for a in domains[u] for b in domains[v]]
+        key = (id(table), dom_id[u], dom_id[v], swap)
+        flat = flat_of.get(key)
+        if flat is None:
+            flat = flat_of[key] = [table.get((b, a) if swap else (a, b), 0)
+                                   for a in domains[u] for b in domains[v]]
         if fixed[u] or fixed[v]:
             if fixed[u] and fixed[v]:
                 total *= flat[0]
