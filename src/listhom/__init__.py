@@ -39,22 +39,16 @@ from .gadgets import (
     GadgetGraph,
     PathGadget,
     build_symmetrized,
-    check_condH,
-    find_transposing_automorphism,
     gadget_catalog,
     interaction_matrix,
     interaction_matrix_bruteforce,
     reduce_ising_to_listhcol,
     symmetrize,
     thicken,
-    validate_gadget,
 )
 from .reductions import (
     StaircaseEncoding,
-    VariableMap,
     build_staircase_encoding,
-    decode_assignment,
-    encode_colouring,
     reduce_listhcol_to_1p1n,
     reduce_p4_to_p3star,
 )

@@ -40,7 +40,7 @@ from .gadgets import (
     swap_cols,
     thicken,
 )
-from .graphs import Instance, InstanceGraph, Refusal, reflexivity_status
+from .graphs import Instance, InstanceGraph, Refusal, max_degree, reflexivity_status
 from .oracles import (
     ImplicationFormula,
     count_1p1n,
@@ -61,6 +61,7 @@ from .recognizer import (
     witness_pattern,
 )
 from .reductions import (
+    VARIABLE_NUMBERING,
     build_staircase_encoding,
     reduce_listhcol_to_1p1n,
     reduce_p4_to_p3star,
@@ -262,7 +263,7 @@ def cmd_reduce_sat(args) -> int:
     if form is None:
         raise Refusal("target has no staircase certificate; reduction unavailable")
     enc = build_staircase_encoding(h, form)
-    formula, vmap = reduce_listhcol_to_1p1n(enc, inst)
+    formula, sides = reduce_listhcol_to_1p1n(enc, inst)
     text = serialise_formula(formula)
     sidecar = {
         "mode": enc.mode,
@@ -271,14 +272,14 @@ def cmd_reduce_sat(args) -> int:
         "c_order": list(enc.c_order),
         "alpha": list(enc.alpha),
         "beta": list(enc.beta),
-        "sides": list(vmap.sides),
-        "variable_numbering": "var(u, i) = (u-1)*(q+1) + i + 1 for 0 <= i <= q",
-        "variables": vmap.var_count,
+        "sides": list(sides),
+        "variable_numbering": VARIABLE_NUMBERING,
+        "variables": formula.var_count,
         "clauses": len(formula.clauses),
     }
     out = Path(args.out)
     _write_both(out, text, sidecar)
-    print(f"wrote {out} ({vmap.var_count} variables, {len(formula.clauses)} clauses)")
+    print(f"wrote {out} ({formula.var_count} variables, {len(formula.clauses)} clauses)")
     return 0
 
 
@@ -297,6 +298,8 @@ def cmd_reduce_ising(args) -> int:
         "scale": scale,
         "original_vertices": g.m,
         "original_edges": len(g.edges),
+        "original_max_degree": max_degree(g),
+        "max_degree": max_degree(inst.g),
         "witness": certificate_fields(witness),
         "gadget_matrix": [list(r) for r in gg.matrix],
         "t": args.t,

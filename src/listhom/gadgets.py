@@ -7,8 +7,8 @@ target, no step admits both crossings, and the terminal pairs swap.  The
 interaction matrix counting colourings per terminal-colour combination is
 then computable as an ordered product of 2x2 submatrices of the adjacency
 matrix.  One walk along the path, _product, reads each step's 2x2
-submatrix, checks the conditions on it and multiplies; validate_gadget,
-interaction_matrix and the mirror check of symmetrize all read that walk.
+submatrix, checks the conditions on it and multiplies; interaction_matrix
+and the mirror check of symmetrize both read that walk.
 The brute-force cross-check counts the gadget's list colourings in one
 elimination pass that keeps both terminals as free variables, so all four
 entries come from a single table instead of four pinned counts.
@@ -28,8 +28,9 @@ vertices and the copies of the edges before it.
 
 The gadget for each forbidden pattern (its colour pairs, expected D',
 terminal pair, pendant pair and mirror) is read from the witness catalogue
-in patterns.py and relabelled through the witness embedding; the search
-find_transposing_automorphism is only the tests' reference for the mirrors.
+in patterns.py and relabelled through the witness embedding
+(gadget_catalog).  The search find_transposing_automorphism is only the
+tests' reference for the mirrors, and the package does not export it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from fractions import Fraction
 
 from .graphs import ColourGraph, Instance, InstanceGraph, Refusal
 from .oracles import list_hcol_table
-from .patterns import Recipe, recipe
+from .patterns import recipe
 from .recognizer import ExcludedWitness
 
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
@@ -84,17 +85,6 @@ class PathGadget:
     @property
     def terminal_colours(self) -> tuple[int, int]:
         return self.pairs[0]
-
-
-def validate_gadget(h: ColourGraph, g: PathGadget) -> bool:
-    """Check the three gadget conditions against h.
-
-    (i) both colour tracks are walks in h (loops allowed as steps),
-    (ii) no position admits both crossings between the tracks,
-    (iii) the terminal pairs are swaps of each other.
-    Out-of-range colours simply fail the check.
-    """
-    return _product(h, g.pairs) is not None
 
 
 def interaction_matrix(h: ColourGraph, g: PathGadget) -> tuple[Matrix2, Matrix2]:
@@ -302,19 +292,6 @@ def _splits(h: ColourGraph, r: int, s: int, c: int) -> bool:
     return h.adjacent(r, c) and not h.adjacent(s, c)
 
 
-def check_condH(h: ColourGraph, r: int, s: int) -> tuple[int, int] | None:
-    """A pair (r', s') with r ~ r', r !~ s', s ~ s', s !~ r'; colours are
-    scanned in ascending order so the witness is deterministic.  None when
-    no such pair exists."""
-    if r == s:
-        raise ValueError("need two distinct colours")
-    rp = next((c for c in h.colours if _splits(h, r, s, c)), None)
-    sp = next((c for c in h.colours if _splits(h, s, r, c)), None)
-    if rp is None or sp is None:
-        return None
-    return rp, sp
-
-
 def _append_pendants(gg: GadgetGraph, pair: tuple[int, int]) -> GadgetGraph:
     u0, v0 = gg.m + 1, gg.m + 2
     edges = tuple(sorted(gg.edges + ((gg.terminal1, u0), (gg.terminal2, v0))))
@@ -423,32 +400,30 @@ def reduce_ising_to_listhcol(
 @dataclass(frozen=True)
 class CatalogEntry:
     """A known-good gadget for a forbidden pattern, expressed in the colour
-    labels of a concrete witness embedding, together with the expected D'
-    and the pendant pair for thickening."""
+    labels of a concrete witness embedding, together with the expected D',
+    the pendant pair for thickening, and the row's mirror carried through
+    the embedding as (colour, image) pairs over the witness's colours."""
 
     gadget: PathGadget
     expected_dprime: Matrix2
     cond_pair: tuple[int, int]
+    mirror: tuple[tuple[int, int], ...]
 
     @property
     def terminals(self) -> tuple[int, int]:
         return self.gadget.terminal_colours
 
 
-def _embedded_entry(row: Recipe, emb: tuple[int, ...]) -> CatalogEntry:
-    def f(c: int) -> int:
-        return emb[c - 1]
-
-    return CatalogEntry(
-        PathGadget(tuple((f(i), f(j)) for i, j in row.pairs)),
-        row.dprime,
-        (f(row.pendants[0]), f(row.pendants[1])),
-    )
-
-
 def gadget_catalog(witness: ExcludedWitness) -> CatalogEntry:
     """The catalog gadget for a witness, relabelled through its embedding."""
-    return _embedded_entry(recipe(witness.kind, witness.length), witness.embedding)
+    row = recipe(witness.kind, witness.length)
+    emb = witness.embedding
+    return CatalogEntry(
+        PathGadget(tuple((emb[i - 1], emb[j - 1]) for i, j in row.pairs)),
+        row.dprime,
+        (emb[row.pendants[0] - 1], emb[row.pendants[1] - 1]),
+        tuple(zip(emb, (emb[y - 1] for y in row.mirror), strict=True)),
+    )
 
 
 def build_symmetrized(
@@ -456,13 +431,11 @@ def build_symmetrized(
 ) -> tuple[CatalogEntry, GadgetGraph]:
     """Catalog gadget for the witness, symmetrised inside h.
 
-    The involution is the catalogue row's mirror carried through the
-    embedding and fixing every other colour of h, so it need not be an
-    automorphism of all of h; symmetrize checks it (ValueError if wrong).
+    The involution is the catalog entry's mirror, fixing every other colour
+    of h, so it need not be an automorphism of all of h; symmetrize checks
+    it (ValueError if wrong).
     """
-    row = recipe(witness.kind, witness.length)
-    emb = witness.embedding
-    entry = _embedded_entry(row, emb)
-    image = {x: emb[y - 1] for x, y in zip(emb, row.mirror, strict=True)}
+    entry = gadget_catalog(witness)
+    image = dict(entry.mirror)
     gg, _ = symmetrize(h, entry.gadget, tuple(image.get(c, c) for c in h.colours))
     return entry, gg

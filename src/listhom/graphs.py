@@ -25,8 +25,10 @@ and 3 on any other exception.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import lt
 
 
@@ -143,15 +145,20 @@ class InstanceGraph:
 
     @classmethod
     def from_edges(cls, m: int, edges) -> "InstanceGraph":
-        seen = set()
+        """Build from pairs in any order and orientation.  The pairs are
+        sorted as one list, so a repeated pair sits beside its copy."""
+        pairs = []
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop on vertex {u} not allowed")
-            pair = (min(u, v), max(u, v))
-            if pair in seen:
+            pairs.append((u, v) if u < v else (v, u))
+        pairs.sort()
+        prev = None
+        for pair in pairs:
+            if pair == prev:
                 raise ValueError(f"parallel edge {pair}")
-            seen.add(pair)
-        return cls(m, tuple(sorted(seen)))
+            prev = pair
+        return cls(m, tuple(pairs))
 
     @property
     def vertices(self) -> range:
@@ -317,7 +324,6 @@ def instance_components(g: InstanceGraph) -> list[frozenset[int]]:
 
 
 def max_degree(g: InstanceGraph) -> int:
-    """Maximum vertex degree; 0 for edgeless graphs."""
-    if g.m == 0:
-        return 0
-    return max(len(ns) for ns in g.neighbours)
+    """Largest vertex degree, counted from the edge tuple without building
+    neighbour rows; 0 for an edgeless graph."""
+    return max(Counter(chain.from_iterable(g.edges)).values(), default=0)

@@ -2,7 +2,10 @@
 
 Two reductions live here.  The first turns a list-colouring instance over a
 staircase-certified target into an implication-CNF formula whose satisfying
-assignments are in bijection with the list colourings.  The second rewrites
+assignments are in bijection with the list colourings.  It returns each
+vertex's side beside the formula, and VARIABLE_NUMBERING states how it
+numbers the variables, so the reduce-sat sidecar carries all that a reader
+needs to turn a model back into a colouring.  The second rewrites
 4-path counting as list counting over the looped 3-path, exact up to a power
 of two that tracks the mirror symmetry of each component.
 """
@@ -56,38 +59,23 @@ def build_staircase_encoding(h: ColourGraph, sf: StaircaseForm) -> StaircaseEnco
     return StaircaseEncoding(mode, h.n, *arranged)
 
 
-@dataclass(frozen=True)
-class VariableMap:
-    """Bijection between (vertex u, level i in 0..q) and variable indices,
-    vertex-major: var(u, i) = (u-1)(q+1) + i + 1.
-
-    sides records which colour order interprets each vertex (1 for rows,
-    2 for columns; always 1 in reflexive mode).
-    """
-
-    q: int
-    m: int
-    sides: tuple[int, ...]
-
-    @property
-    def var_count(self) -> int:
-        return self.m * (self.q + 1)
-
-    def var(self, u: int, i: int) -> int:
-        if not (1 <= u <= self.m and 0 <= i <= self.q):
-            raise ValueError(f"no variable for vertex {u}, level {i}")
-        return (u - 1) * (self.q + 1) + i + 1
+# How reduce_listhcol_to_1p1n numbers its variables: level i of vertex u's
+# chain, vertex-major.  The reduce-sat sidecar states it in these words.
+VARIABLE_NUMBERING = "var(u, i) = (u-1)*(q+1) + i + 1 for 0 <= i <= q"
 
 
 def reduce_listhcol_to_1p1n(
     enc: StaircaseEncoding, inst: Instance
-) -> tuple[ImplicationFormula, VariableMap]:
-    """Formula whose models are in bijection with the list colourings.
+) -> tuple[ImplicationFormula, tuple[int, ...]]:
+    """Formula whose models are in bijection with the list colourings, and
+    the side of each vertex: 1 when r_order interprets its levels, 2 when
+    c_order does (always 1 in reflexive mode).
 
     Per vertex: a monotone chain x_0 = 1 >= x_1 >= ... >= x_q = 0 whose drop
     position selects the colour (x_i = 1 iff the colour sits strictly after
-    level i in the vertex's order).  Per edge, oriented from the row side:
-    level i of the first endpoint confines the second endpoint to the 1-block
+    level i in the vertex's order), with variables numbered as
+    VARIABLE_NUMBERING says.  Per edge, oriented from the row side: level i
+    of the first endpoint confines the second endpoint to the 1-block
     [alpha_i, beta_i].  Per missing list colour: a clause collapsing the
     corresponding drop position.
 
@@ -98,18 +86,17 @@ def reduce_listhcol_to_1p1n(
         raise ValueError("encoding and instance disagree on the colour count")
     q = enc.q
     g = inst.g
+    var_count = g.m * (q + 1)
+    sides = (1,) * g.m
     if enc.mode == "bipartite":
         sides_sets = bipartition(g)
         if sides_sets is None:
-            vmap = VariableMap(q, g.m, (1,) * g.m)
-            clauses = (unit_pos(1), unit_neg(1))
-            return ImplicationFormula(vmap.var_count, clauses), vmap
+            return ImplicationFormula(var_count, (unit_pos(1), unit_neg(1))), sides
         v1, _ = sides_sets
         sides = tuple(1 if v in v1 else 2 for v in g.vertices)
-    else:
-        sides = (1,) * g.m
-    vmap = VariableMap(q, g.m, sides)
-    var = vmap.var
+
+    def var(u: int, i: int) -> int:
+        return (u - 1) * (q + 1) + i + 1
 
     clauses = []
     for u in g.vertices:
@@ -118,7 +105,7 @@ def reduce_listhcol_to_1p1n(
         for j in range(1, q + 1):
             clauses.append(implies(var(u, j), var(u, j - 1)))
     for u, v in g.edges:
-        if enc.mode == "bipartite" and sides[u - 1] == 2:
+        if sides[u - 1] == 2:
             u, v = v, u
         for i in range(1, q + 1):
             a, b = enc.alpha[i - 1], enc.beta[i - 1]
@@ -134,37 +121,7 @@ def reduce_listhcol_to_1p1n(
         for i in range(1, q + 1):
             if order[i - 1] not in allowed:
                 clauses.append(implies(var(u, i - 1), var(u, i)))
-    return ImplicationFormula(vmap.var_count, tuple(clauses)), vmap
-
-
-def decode_assignment(
-    enc: StaircaseEncoding, vmap: VariableMap, assignment
-) -> tuple[int, ...]:
-    """Colour per vertex from a satisfying assignment (sequence of 0/1
-    indexed by variable - 1).  Rejects assignments violating the chains."""
-    q = enc.q
-    colours = []
-    for u in range(1, vmap.m + 1):
-        bits = [assignment[vmap.var(u, i) - 1] for i in range(q + 1)]
-        j = sum(bits)
-        if bits != [1] * j + [0] * (q + 1 - j) or bits[0] != 1 or bits[q] != 0:
-            raise ValueError(f"vertex {u}: assignment violates the chain clauses")
-        order = enc.r_order if vmap.sides[u - 1] == 1 else enc.c_order
-        colours.append(order[j - 1])
-    return tuple(colours)
-
-
-def encode_colouring(
-    enc: StaircaseEncoding, vmap: VariableMap, colouring
-) -> tuple[int, ...]:
-    """The assignment a colouring maps to; inverse of decode_assignment."""
-    q = enc.q
-    bits = []
-    for u in range(1, vmap.m + 1):
-        order = enc.r_order if vmap.sides[u - 1] == 1 else enc.c_order
-        j = order.index(colouring[u - 1]) + 1
-        bits.extend(1 if j > i else 0 for i in range(q + 1))
-    return tuple(bits)
+    return ImplicationFormula(var_count, tuple(clauses)), sides
 
 
 def reduce_p4_to_p3star(g: InstanceGraph) -> tuple[Instance, int]:

@@ -1,7 +1,9 @@
 """Shared test utilities: independent brute-force oracles (deliberately
-dumber than the library code they check), a row-by-row transfer-matrix
-count for grids too large to enumerate, and small-graph generators up to
-isomorphism for the exhaustive recogniser cross-checks."""
+dumber than the library code they check), the reference searches that the
+package itself never runs (condition (H), and decoding a staircase
+formula's models), a row-by-row transfer-matrix count for grids too large
+to enumerate, and small-graph generators up to isomorphism for the
+exhaustive recogniser cross-checks."""
 
 from __future__ import annotations
 
@@ -104,24 +106,64 @@ def ising_direct(g: InstanceGraph, lam: Fraction) -> Fraction:
     return total
 
 
+def satisfies(clauses, bits) -> bool:
+    """Whether the 0/1 assignment bits (indexed by variable - 1) satisfies
+    every clause."""
+    for cl in clauses:
+        if cl[0] == "p":
+            ok = bits[cl[1] - 1] == 1
+        elif cl[0] == "n":
+            ok = bits[cl[1] - 1] == 0
+        else:
+            ok = not (bits[cl[1] - 1] == 1 and bits[cl[2] - 1] == 0)
+        if not ok:
+            return False
+    return True
+
+
 def count_models_enumeration(formula) -> int:
     """Model count by trying all 2^n assignments."""
-    n = formula.var_count
-    count = 0
-    for bits in itertools.product((0, 1), repeat=n):
-        ok = True
-        for cl in formula.clauses:
-            if cl[0] == "p":
-                ok = bits[cl[1] - 1] == 1
-            elif cl[0] == "n":
-                ok = bits[cl[1] - 1] == 0
-            else:
-                ok = not (bits[cl[1] - 1] == 1 and bits[cl[2] - 1] == 0)
-            if not ok:
-                break
-        if ok:
-            count += 1
-    return count
+    return sum(satisfies(formula.clauses, bits)
+               for bits in itertools.product((0, 1), repeat=formula.var_count))
+
+
+def decode_assignment(enc, sides, assignment) -> tuple[int, ...]:
+    """The colouring that a model of the staircase formula encodes.
+
+    enc is anything with q, r_order and c_order: a StaircaseEncoding, or a
+    reduce-sat sidecar read as a namespace.  Vertex u's chain x_0..x_q is
+    the variables (u-1)(q+1)+1 .. u(q+1); its number j of leading 1s picks
+    the j-th colour of r_order (side 1) or c_order (side 2).  Rejects an
+    assignment whose chain is not 1..1 0..0 with x_0 = 1 and x_q = 0."""
+    q = enc.q
+    colours = []
+    for u, side in enumerate(sides, start=1):
+        bits = list(assignment[(u - 1) * (q + 1):u * (q + 1)])
+        j = sum(bits)
+        if bits != [1] * j + [0] * (q + 1 - j) or not 1 <= j <= q:
+            raise ValueError(f"vertex {u}: assignment violates the chain clauses")
+        colours.append((enc.r_order if side == 1 else enc.c_order)[j - 1])
+    return tuple(colours)
+
+
+def encode_colouring(enc, sides, colouring) -> tuple[int, ...]:
+    """The assignment a colouring maps to; the inverse of decode_assignment."""
+    bits = []
+    for u, side in enumerate(sides, start=1):
+        j = (enc.r_order if side == 1 else enc.c_order).index(colouring[u - 1]) + 1
+        bits += [1] * j + [0] * (enc.q + 1 - j)
+    return tuple(bits)
+
+
+def check_condH(h: ColourGraph, r: int, s: int) -> tuple[int, int] | None:
+    """The paper's condition (H) for terminal colours r != s: the pair
+    (r', s') of smallest colours with r ~ r', s !~ r', s ~ s' and r !~ s';
+    None when no such pair exists."""
+    if r == s:
+        raise ValueError("need two distinct colours")
+    rp = next((c for c in h.colours if h.adjacent(r, c) and not h.adjacent(s, c)), None)
+    sp = next((c for c in h.colours if h.adjacent(s, c) and not h.adjacent(r, c)), None)
+    return None if rp is None or sp is None else (rp, sp)
 
 
 def weighted_sum_enumeration(domains, factors, keep=()) -> dict:

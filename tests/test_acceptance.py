@@ -5,8 +5,11 @@ import random
 from fractions import Fraction
 
 from helpers import (
+    check_condH,
     connected_bipartite_reps,
     connected_graph_reps,
+    decode_assignment,
+    encode_colouring,
     enumerate_list_colourings,
     random_lists,
     reflexive_closure,
@@ -14,7 +17,6 @@ from helpers import (
 from listhom import patterns
 from listhom.gadgets import (
     build_symmetrized,
-    check_condH,
     det2,
     entrywise_pow,
     gadget_catalog,
@@ -47,8 +49,6 @@ from listhom.recognizer import (
 )
 from listhom.reductions import (
     build_staircase_encoding,
-    decode_assignment,
-    encode_colouring,
     reduce_listhcol_to_1p1n,
     reduce_p4_to_p3star,
 )
@@ -201,15 +201,15 @@ def test_criterion_06_formula_reduction():
                      if rng.random() < 0.45]
             g = InstanceGraph.from_edges(m, edges)
             inst = Instance(g, random_lists(rng, m, h.n, 0.6), h.n)
-            formula, vmap = reduce_listhcol_to_1p1n(enc, inst)
+            formula, sides = reduce_listhcol_to_1p1n(enc, inst)
             assert count_1p1n(formula) == count_list_hcol(h, inst), (name, trial)
             work = 1
             for s in inst.lists:
                 work *= max(1, len(s))
             if work <= 20000:
                 for colouring in enumerate_list_colourings(h, inst):
-                    bits = encode_colouring(enc, vmap, colouring)
-                    assert decode_assignment(enc, vmap, bits) == tuple(colouring)
+                    bits = encode_colouring(enc, sides, colouring)
+                    assert decode_assignment(enc, sides, bits) == tuple(colouring)
     print("ACCEPTANCE 6 PASS: formula model counts equal the colouring counts "
           "on 50 random instances for each of the four targets, and "
           "decoding round-trips")

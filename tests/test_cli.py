@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import random
 import re
@@ -6,10 +7,18 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from helpers import decimal_text
+from helpers import (
+    decimal_text,
+    decode_assignment,
+    enumerate_list_colourings,
+    random_instance_graph,
+    random_lists,
+    satisfies,
+)
 from listhom import cli, patterns
 from listhom.cli import _WITNESS_HELP, _exact, build_parser, main
 from listhom.formats import (
@@ -25,7 +34,7 @@ from listhom.formats import (
     serialise_instance,
 )
 from listhom.graphs import ColourGraph, Instance, InstanceGraph
-from listhom.oracles import ImplicationFormula, implies, unit_neg, unit_pos
+from listhom.oracles import ImplicationFormula, count_1p1n, implies, unit_neg, unit_pos
 
 WRENCH_TEXT = "h 4\ne 1 2\ne 2 3\ne 2 4\ne 2 2\ne 3 3\ne 4 4\n"
 
@@ -448,6 +457,71 @@ def test_cmd_reduce_ising_round_trip(tmp_path, capsys):
 
     p4 = write(tmp_path, "p4.h", serialise_h(patterns.P4))
     assert main(["reduce-ising", g, p4, "--out", str(tmp_path / "y.inst")]) == 2
+
+
+# 6-vertex bipartite permutation target with a strict staircase biadjacency
+H6 = ColourGraph.from_edges(6, [(1, 4), (2, 4), (2, 5), (3, 4), (3, 5), (3, 6)])
+
+
+def test_reduce_sat_sidecar_numbering_decodes_every_model(tmp_path, capsys):
+    # the tests' decoder reads the written sidecar's q, sides and orders and
+    # numbers the variables as the sidecar's text says.  A model's chains
+    # are 1..1 0..0, so every model is among the q^m chain assignments, and
+    # count_1p1n confirms that no model lies outside them
+    rng = random.Random(83)
+    seen = {"bipartite": 0, "reflexive": 0, "no colouring": 0, "6 vertices": 0}
+    targets = (("p4", patterns.P4), ("p3star", patterns.P3_STAR), ("h6", H6),
+               ("p4loops", patterns.path(4, reflexive=True)))
+    for name, h in targets:
+        h_path = write(tmp_path, f"{name}.h", serialise_h(h))
+        most = max(m for m in range(1, 7) if h.n ** m <= 4096)
+        for _ in range(8):
+            g = random_instance_graph(rng, most, 0.5)
+            inst = Instance(g, random_lists(rng, g.m, h.n, 0.7), h.n)
+            out = tmp_path / "x.f"
+            argv = ["reduce-sat", h_path, write(tmp_path, "x.inst", serialise_instance(inst)),
+                    "--out", str(out)]
+            assert main(argv) == 0
+            capsys.readouterr()
+            formula = parse_formula(out.read_text())
+            meta = json.loads(out.with_suffix(".f.json").read_text())
+            q, sides = meta["q"], meta["sides"]
+            assert meta["variable_numbering"] == "var(u, i) = (u-1)*(q+1) + i + 1 for 0 <= i <= q"
+            assert formula.var_count == meta["variables"] == g.m * (q + 1) == len(sides) * (q + 1)
+            chains = (tuple(b for j in drops for b in [1] * j + [0] * (q + 1 - j))
+                      for drops in itertools.product(range(1, q + 1), repeat=g.m))
+            models = [bits for bits in chains if satisfies(formula.clauses, bits)]
+            decoded = [decode_assignment(SimpleNamespace(**meta), sides, bits) for bits in models]
+            assert sorted(decoded) == sorted(enumerate_list_colourings(h, inst)), (name, g)
+            assert len(set(decoded)) == len(decoded) == count_1p1n(formula)
+            seen[meta["mode"]] += 1
+            seen["no colouring"] += not decoded
+            seen["6 vertices"] += g.m == 6
+    assert min(seen.values()) >= 3, seen
+
+
+# the Petersen graph: largest degree 3
+PETERSEN = InstanceGraph.from_edges(10, [
+    *((i, i % 5 + 1) for i in range(1, 6)), *((i, i + 5) for i in range(1, 6)),
+    (6, 8), (8, 10), (10, 7), (7, 9), (9, 6)])
+
+
+@pytest.mark.parametrize("kind", ["X3", "Claw", "Net", "T2"])
+def test_cmd_reduce_ising_sidecar_records_both_degrees(tmp_path, capsys, kind):
+    # the symmetrised gadget's two tracks both end on each terminal, so
+    # without thickening every degree doubles; a thickened gadget's
+    # terminals are pendants and its other vertices have degree at most 3
+    g = write(tmp_path, "petersen.g", serialise_graph(PETERSEN))
+    h = write(tmp_path, "h.h", serialise_h(patterns.recipe(kind).pattern))
+    out = tmp_path / "red.inst"
+    for t, want in ((None, 6), (0, 3), (1, 3), (2, 3)):
+        argv = ["reduce-ising", g, h, "--witness", kind.lower(), "--out", str(out)]
+        assert main(argv + ([] if t is None else ["--t", str(t)])) == 0
+        capsys.readouterr()
+        sidecar = json.loads(out.with_suffix(".inst.json").read_text())
+        written = parse_instance(out.read_text(), patterns.recipe(kind).pattern.n)
+        assert sidecar["original_max_degree"] == 3
+        assert sidecar["max_degree"] == max(map(len, written.g.neighbours)) == want, t
 
 
 def test_cmd_errors_exit_2(tmp_path, capsys):

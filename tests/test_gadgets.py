@@ -13,7 +13,6 @@ from listhom.formats import serialise_h, serialise_instance
 from listhom.gadgets import (
     PathGadget,
     build_symmetrized,
-    check_condH,
     det2,
     find_transposing_automorphism,
     gadget_catalog,
@@ -23,13 +22,12 @@ from listhom.gadgets import (
     reduce_ising_to_listhcol,
     symmetrize,
     thicken,
-    validate_gadget,
 )
 from listhom.graphs import ColourGraph, Instance, InstanceGraph, instance_components, max_degree
 from listhom.oracles import count_list_hcol, ising_partition
 from listhom.recognizer import ExcludedWitness, witness_pattern
 
-from helpers import ising_direct
+from helpers import check_condH, ising_direct
 
 
 def identity_witness(kind, length=None):
@@ -57,23 +55,28 @@ CATALOG_CASES = [
 X3_GADGET = PathGadget(((1, 2), (4, 7), (3, 6), (4, 5), (2, 1)))
 
 
+def is_gadget(h, g):
+    """The three gadget conditions, checked by the walk that multiplies."""
+    return gadgets._product(h, g.pairs) is not None
+
+
 # --- validation and the matrix product ---
 
 def test_validate_gadget_examples():
-    assert validate_gadget(patterns.X3, X3_GADGET)
-    assert not validate_gadget(patterns.CLAW, X3_GADGET)  # colours out of range
-    assert validate_gadget(patterns.cycle(3), PathGadget(((1, 2), (2, 1))))
+    assert is_gadget(patterns.X3, X3_GADGET)
+    assert not is_gadget(patterns.CLAW, X3_GADGET)  # colours out of range
+    assert is_gadget(patterns.cycle(3), PathGadget(((1, 2), (2, 1))))
     # broken swap condition
-    assert not validate_gadget(patterns.cycle(3), PathGadget(((1, 2), (1, 2))))
+    assert not is_gadget(patterns.cycle(3), PathGadget(((1, 2), (1, 2))))
     # a single pair is not a gadget
-    assert not validate_gadget(patterns.cycle(3), PathGadget(((1, 2),)))
+    assert not is_gadget(patterns.cycle(3), PathGadget(((1, 2),)))
     # each condition failing alone: (i) the tracks 1, 3 and 3, 1 are not
     # walks in the path 1-2-3
-    assert not validate_gadget(patterns.path(3), PathGadget(((1, 3), (3, 1))))
+    assert not is_gadget(patterns.path(3), PathGadget(((1, 3), (3, 1))))
     # (ii) the one step of the reflexive K2 admits both crossings
-    assert not validate_gadget(patterns.path(2, reflexive=True), PathGadget(((1, 2), (2, 1))))
+    assert not is_gadget(patterns.path(2, reflexive=True), PathGadget(((1, 2), (2, 1))))
     # (iii) walks in the triangle with no crossing, but equal terminal pairs
-    assert not validate_gadget(patterns.cycle(3), PathGadget(((1, 2), (2, 3), (1, 2))))
+    assert not is_gadget(patterns.cycle(3), PathGadget(((1, 2), (2, 3), (1, 2))))
 
 
 def test_interaction_matrix_examples():
@@ -124,7 +127,7 @@ def test_product_matches_bruteforce_on_random_gadgets():
         def walks(prefix):
             if len(prefix) == target_len:
                 candidate = PathGadget(tuple(prefix))
-                return candidate if validate_gadget(h, candidate) else None
+                return candidate if is_gadget(h, candidate) else None
             i1, j1 = prefix[-1]
             options = [
                 (i2, j2) for i2, j2 in pairs

@@ -169,6 +169,13 @@ def test_max_degree():
     star = InstanceGraph.from_edges(7, [(v, 7) for v in range(1, 7)])
     assert max_degree(star) == 6
     assert max_degree(InstanceGraph.from_edges(3, [])) == 0
+    assert max_degree(InstanceGraph(0, ())) == 0
+    rng = random.Random(17)
+    for _ in range(50):
+        m = rng.randint(1, 9)
+        g = InstanceGraph.from_edges(m, [(u, v) for u in range(1, m + 1)
+                                         for v in range(u + 1, m + 1) if rng.random() < 0.4])
+        assert max_degree(g) == max(len(ns) for ns in g.neighbours)
 
 
 def test_instance_components():
@@ -186,6 +193,25 @@ def test_instance_validation():
         Instance(g, (frozenset({4}), frozenset()), 3)  # colour out of range
     inst = Instance(g, (frozenset(), frozenset({1})), 3)
     assert inst.lists[0] == frozenset()
+
+
+def test_instance_graph_from_edges_takes_any_order_and_names_the_fault():
+    rng = random.Random(29)
+    for _ in range(200):
+        m = rng.randint(2, 9)
+        pairs = [(u, v) for u in range(1, m + 1) for v in range(u + 1, m + 1)
+                 if rng.random() < 0.5]
+        given = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+        rng.shuffle(given)
+        assert InstanceGraph.from_edges(m, given) == InstanceGraph(m, tuple(pairs))
+        if given:
+            u, v = rng.choice(given)
+            with pytest.raises(ValueError, match=rf"^parallel edge \({min(u, v)}, {max(u, v)}\)$"):
+                InstanceGraph.from_edges(m, given + [rng.choice(((u, v), (v, u)))])
+            with pytest.raises(ValueError, match=rf"^loop on vertex {u} not allowed$"):
+                InstanceGraph.from_edges(m, given + [(u, u)])
+    with pytest.raises(ValueError, match="not canonical or out of range"):
+        InstanceGraph.from_edges(3, [(4, 1)])
 
 
 def test_instance_graph_and_instance_reject_each_bad_input():

@@ -5,7 +5,16 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import dense, enumerate_list_colourings, fits, random_lists, staircase
+from helpers import (
+    decode_assignment,
+    dense,
+    encode_colouring,
+    enumerate_list_colourings,
+    fits,
+    random_lists,
+    satisfies,
+    staircase,
+)
 from listhom import patterns
 from listhom.graphs import ColourGraph, Instance, InstanceGraph
 from listhom.oracles import count_1p1n, count_list_hcol
@@ -16,8 +25,6 @@ from listhom.recognizer import (
 )
 from listhom.reductions import (
     build_staircase_encoding,
-    decode_assignment,
-    encode_colouring,
     reduce_listhcol_to_1p1n,
     reduce_p4_to_p3star,
 )
@@ -321,7 +328,7 @@ def _random_cross_check(h, seed, trials=25):
                  if rng.random() < 0.4]
         g = InstanceGraph.from_edges(m, edges)
         inst = Instance(g, random_lists(rng, m, h.n, 0.65), h.n)
-        formula, vmap = reduce_listhcol_to_1p1n(enc, inst)
+        formula, _ = reduce_listhcol_to_1p1n(enc, inst)
         assert count_1p1n(formula) == count_list_hcol(h, inst)
 
 
@@ -337,13 +344,13 @@ def test_formula_counts_match_oracle():
 def test_decode_examples():
     enc = encoding_for(patterns.P3_STAR)
     lone = InstanceGraph.from_edges(1, [])
-    _, vmap = reduce_listhcol_to_1p1n(enc, Instance.with_full_lists(lone, 3))
-    assert decode_assignment(enc, vmap, (1, 0, 0, 0)) == (1,)
-    assert decode_assignment(enc, vmap, (1, 1, 0, 0)) == (2,)
+    _, sides = reduce_listhcol_to_1p1n(enc, Instance.with_full_lists(lone, 3))
+    assert decode_assignment(enc, sides, (1, 0, 0, 0)) == (1,)
+    assert decode_assignment(enc, sides, (1, 1, 0, 0)) == (2,)
     with pytest.raises(ValueError):
-        decode_assignment(enc, vmap, (1, 1, 1, 1))  # end of chain must be 0
+        decode_assignment(enc, sides, (1, 1, 1, 1))  # end of chain must be 0
     with pytest.raises(ValueError):
-        decode_assignment(enc, vmap, (1, 0, 1, 0))  # not monotone
+        decode_assignment(enc, sides, (1, 0, 1, 0))  # not monotone
 
 
 def test_decode_bijection_small():
@@ -353,21 +360,10 @@ def test_decode_bijection_small():
     enc = encoding_for(h)
     g = InstanceGraph.from_edges(3, [(1, 2), (2, 3)])
     inst = Instance(g, (frozenset({1, 2}), frozenset({2, 4}), frozenset({1, 3})), 4)
-    formula, vmap = reduce_listhcol_to_1p1n(enc, inst)
-    decoded = []
-    for bits in itertools.product((0, 1), repeat=formula.var_count):
-        ok = True
-        for cl in formula.clauses:
-            if cl[0] == "p":
-                ok = bits[cl[1] - 1] == 1
-            elif cl[0] == "n":
-                ok = bits[cl[1] - 1] == 0
-            else:
-                ok = not (bits[cl[1] - 1] == 1 and bits[cl[2] - 1] == 0)
-            if not ok:
-                break
-        if ok:
-            decoded.append(decode_assignment(enc, vmap, bits))
+    formula, sides = reduce_listhcol_to_1p1n(enc, inst)
+    decoded = [decode_assignment(enc, sides, bits)
+               for bits in itertools.product((0, 1), repeat=formula.var_count)
+               if satisfies(formula.clauses, bits)]
     valid = enumerate_list_colourings(h, inst)
     assert sorted(decoded) == sorted(valid)
     assert len(set(decoded)) == len(decoded)
@@ -383,11 +379,11 @@ def test_encode_decode_round_trip():
                      if rng.random() < 0.4]
             g = InstanceGraph.from_edges(m, edges)
             inst = Instance(g, random_lists(rng, m, h.n, 0.7), h.n)
-            _, vmap = reduce_listhcol_to_1p1n(enc, inst)
+            _, sides = reduce_listhcol_to_1p1n(enc, inst)
             for colouring in itertools.islice(
                     enumerate_list_colourings(h, inst), 10):
-                bits = encode_colouring(enc, vmap, colouring)
-                assert decode_assignment(enc, vmap, bits) == tuple(colouring)
+                bits = encode_colouring(enc, sides, colouring)
+                assert decode_assignment(enc, sides, bits) == tuple(colouring)
 
 
 # --- 4-path to looped-3-path ---

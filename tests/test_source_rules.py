@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -163,6 +164,47 @@ def test_private_helpers_are_used():
         and node.name not in used
     ]
     assert unused == []
+
+
+def _uncalled_exports(package, trees):
+    """Every name in package.__all__, other than a submodule, that no tree
+    names outside the top-level definition of that name."""
+    named = set()
+    for tree in trees:
+        for top in tree.body:
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None and name != owner:
+                    named.add(name)
+    return [name for name in package.__all__
+            if not isinstance(getattr(package, name), types.ModuleType) and name not in named]
+
+
+def test_uncalled_export_detector():
+    package = types.ModuleType("pkg")
+    package.sub = types.ModuleType("pkg.sub")
+    package.planted = package.used = package.Record = print
+    package.__all__ = ["Record", "planted", "sub", "used"]
+    trees = [ast.parse(
+        "def planted(n):\n    \"\"\"planted in a docstring\"\"\"\n    return planted(n - 1)\n"
+        "def used():\n    return Record()\n"
+        "class Record:\n    pass\n"
+        "def caller():\n    return mod.used()\n"
+    )]
+    assert _uncalled_exports(package, trees) == ["planted"]
+
+
+def test_every_export_has_a_caller_in_the_package():
+    # a name that listhom exports but no module of the package calls is API
+    # that tests alone keep alive: it belongs in tests/helpers.py, or gone
+    import listhom
+
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    assert trees
+    assert _uncalled_exports(listhom, trees) == []
 
 
 # ColourGraph's neighbour rows and what it caches beside them
