@@ -1,9 +1,9 @@
 """Shared test utilities: independent brute-force oracles (deliberately
 dumber than the library code they check), the reference searches that the
 package itself never runs (condition (H), and decoding a staircase
-formula's models), a row-by-row transfer-matrix count for grids too large
-to enumerate, and small-graph generators up to isomorphism for the
-exhaustive recogniser cross-checks."""
+formula's models), a plain reader of the text formats, a row-by-row
+transfer-matrix count for grids too large to enumerate, and small-graph
+generators up to isomorphism for the exhaustive recogniser cross-checks."""
 
 from __future__ import annotations
 
@@ -224,6 +224,49 @@ def decimal_text(n: int) -> str:
         if not n:
             break
     return str(chunks[-1]) + "".join(str(c).zfill(100) for c in reversed(chunks[:-1]))
+
+
+def read_text(text: str, head: str, colour_count: int | None = None):
+    """A plain reading of a target ("h"), graph or instance ("g") or formula
+    ("f") file: (n, its edges as sorted pairs or its clauses in file order,
+    {vertex: colours}), or the number of the first line that breaks a rule
+    of the format (1 when the header is missing).  Checks one rule at a
+    time and shares no code with listhom.formats."""
+    arity = {"p": 1, "n": 1, "i": 2} if head == "f" else {"e": 2}
+    if colour_count is not None:
+        arity["l"] = None
+    n, items, lists = None, [], {}
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        tag, args = fields[0], fields[1:]
+        try:
+            ints = [int(a) for a in args]
+        except ValueError:
+            return line_no
+        if tag == head:
+            if n is not None or len(ints) != 1 or ints[0] < (1 if head == "h" else 0):
+                return line_no
+            n = ints[0]
+        elif n is None or tag not in arity or arity[tag] not in (None, len(ints)) or not ints:
+            return line_no
+        elif not all(1 <= x <= n for x in (ints[:1] if tag == "l" else ints)):
+            return line_no
+        elif tag == "l":
+            if ints[0] in lists or not all(1 <= c <= colour_count for c in ints[1:]):
+                return line_no
+            lists[ints[0]] = frozenset(ints[1:])
+        elif head == "f":
+            items.append((tag, *ints))
+        else:
+            pair = (min(ints), max(ints))
+            if pair in items or (ints[0] == ints[1] and head == "g"):  # a graph has no loop
+                return line_no
+            items.append(pair)
+    if n is None:
+        return 1
+    return n, items if head == "f" else sorted(items), lists
 
 
 def grid_edges(k: int) -> list[tuple[int, int]]:

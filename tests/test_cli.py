@@ -17,6 +17,7 @@ from helpers import (
     enumerate_list_colourings,
     random_instance_graph,
     random_lists,
+    read_text,
     satisfies,
 )
 from listhom import cli, patterns
@@ -106,49 +107,58 @@ def test_formula_round_trip():
 
 
 # one-line edits that a file may carry, each breaking one rule of the
-# layout the bulk reader takes, or none
+# formats, or none
 _EDITS = ("", "# note", "z 1", "e 1", "e 1 2 3", "e 1 x", "e 0 1", "e 1 1", "e 2 1",
-          "l", "l 1", "l 0 1", "l 1 0", "l 1 99", "l 1 1 1", "l x 1", "g 3", "h 3")
+          "l", "l 1", "l 0 1", "l 1 0", "l 1 99", "l 1 1 1", "l x 1", "g 3", "h 3",
+          "f 3", "p 1", "n 0", "i 1", "i 2 1", "i 1 x")
 
 
-def _bulk_or_line_reader(text, head, least, loops, colour_count):
-    """(what _bulk returns, what the line reader returns or raises)."""
-    from listhom import formats
+def _written_file(rng, kind):
+    """(text, colour count) of a seeded file of the kind as the serialisers
+    write it; the colour count is None except for an instance."""
+    n = rng.randint(1, 6)
+    if kind == "target":
+        return serialise_h(ColourGraph.from_edges(n, [
+            (u, v) for u in range(1, n + 1) for v in range(u, n + 1) if rng.random() < 0.4])), None
+    if kind == "formula":
+        return serialise_formula(ImplicationFormula(n, tuple(
+            rng.choice((unit_pos(rng.randint(1, n)), unit_neg(rng.randint(1, n)),
+                        implies(rng.randint(1, n), rng.randint(1, n))))
+            for _ in range(rng.randint(0, 3 * n))))), None
+    g = _random_graph(rng, rng.randint(0, 12), rng.random() / 2)
+    if kind == "graph":
+        return serialise_graph(g), None
+    return serialise_instance(Instance(g, tuple(
+        frozenset(c for c in range(1, n + 1) if rng.random() < 0.6) for _ in g.vertices), n)), n
 
-    what, header = ("target", "h <n>") if head == "h" else ("graph", "g <m>")
-    tags = formats._EDGES if colour_count is None else formats._INSTANCE
-    try:
-        lines = formats._directives(text, what, header, tags)
-        n = formats._header(lines, least, "too few")
-        edges, lists = formats._graph_body(lines, n, loops, colour_count)
-        read = n, sorted(edges), lists
-    except ParseError as err:
-        read = str(err)
-    return formats._bulk(text, head, least, loops, colour_count), read
+
+def _read(kind, text, n):
+    """(n, edges or clauses, lists) as helpers.read_text gives them, from
+    the parser of the kind; an instance's full lists are left out, as a
+    file may write them or not."""
+    if kind == "target":
+        h = parse_h(text)
+        return h.n, h.edge_list(), {}
+    if kind == "formula":
+        f = parse_formula(text)
+        return f.var_count, list(f.clauses), {}
+    if kind == "graph":
+        g = parse_graph(text)
+        return g.m, list(g.edges), {}
+    inst = parse_instance(text, n)
+    return inst.g.m, list(inst.g.edges), {
+        v: s for v, s in enumerate(inst.lists, start=1) if len(s) != n}
 
 
-def test_bulk_reader_takes_written_files_and_agrees_with_the_line_reader():
+def test_parsers_agree_with_a_plain_reading_on_edited_files():
     # seeded: files as the serialisers write them, and copies with one line
-    # inserted, moved, doubled, dropped or edited.  The bulk reader either
-    # declines a file or returns exactly what the line reader returns
+    # inserted, moved, doubled, dropped or edited.  Each parser returns what
+    # helpers.read_text reads, or names the line that it names
     rng = random.Random(57)
-    seen = dict.fromkeys(("taken", "declined", "declined but valid"), 0)
+    seen = dict.fromkeys(("written", "edited and valid", "refused"), 0)
     for _ in range(600):
-        n = rng.randint(1, 6)
-        kind = rng.choice(("target", "graph", "instance"))
-        if kind == "target":
-            text = serialise_h(ColourGraph.from_edges(n, [
-                (u, v) for u in range(1, n + 1) for v in range(u, n + 1) if rng.random() < 0.4]))
-            args = ("h", 1, True, None)
-        else:
-            g = _random_graph(rng, rng.randint(0, 12), rng.random() / 2)
-            args = ("g", 0, False, None)
-            text = serialise_graph(g)
-            if kind == "instance":
-                args = ("g", 0, False, n)
-                text = serialise_instance(Instance(g, tuple(
-                    frozenset(c for c in range(1, n + 1) if rng.random() < 0.6)
-                    for _ in g.vertices), n))
+        kind = rng.choice(("target", "graph", "instance", "formula"))
+        text, n = _written_file(rng, kind)
         lines = text.splitlines()
         edited = rng.random() < 0.7
         if edited:
@@ -163,17 +173,21 @@ def test_bulk_reader_takes_written_files_and_agrees_with_the_line_reader():
             elif len(lines) > 1:
                 del lines[rng.randrange(1, len(lines))]
         text = "\n".join(lines) + "\n"
-        bulk, read = _bulk_or_line_reader(text, *args)
-        assert bulk is not None or edited, text  # a written file is taken whole
-        if bulk is None:
-            seen["declined"] += 1
-            seen["declined but valid"] += not isinstance(read, str)
+        want = read_text(text, {"target": "h", "formula": "f"}.get(kind, "g"), n)
+        if isinstance(want, int):
+            with pytest.raises(ParseError) as err:
+                _read(kind, text, n)
+            assert err.value.line_no == want, text
+            seen["refused"] += 1
         else:
-            assert bulk == read, text
-            seen["taken"] += 1
-    # a comment, a blank line or a list line before an edge line is valid
-    # but left to the line reader
-    assert seen["taken"] >= 200 and seen["declined"] >= 100 and seen["declined but valid"] >= 10, seen
+            m, items, lists = want
+            assert _read(kind, text, n) == (
+                m, items, {v: s for v, s in lists.items() if len(s) != n}), text
+            seen["edited and valid" if edited else "written"] += 1
+    assert min(seen.values()) >= 150, seen
+    # lines that list the same colours, as written, share one frozenset
+    inst = parse_instance("g 3\nl 1 1 2\nl 3 1 2\n", 3)
+    assert inst.lists[0] == {1, 2} and inst.lists[0] is inst.lists[2]
 
 
 def test_graph_round_trip_and_list_rejection():
@@ -354,6 +368,8 @@ def test_cmd_gadget_thickened(tmp_path, capsys):
     assert main(["gadget", x3, "--t", "1", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["dstar_t"] == [[81, 100], [100, 81]]
+    assert main(["gadget", x3, "--t", "1"]) == 0
+    assert "D*_1 = [[81, 100], [100, 81]]  (20 vertices)\n" in capsys.readouterr().out
 
 
 def test_cmd_gadget_explicit_witness(tmp_path, capsys):
@@ -384,6 +400,16 @@ def test_cmd_gadget_witness_selectors(tmp_path, capsys, selector, target):
     assert main(["gadget", hfile, "--witness", selector, "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["checks"] and all(data["checks"].values())
+
+
+@pytest.mark.parametrize("target, selector, message", [
+    (patterns.CLAW, "x3", "target contains no induced X3"),
+    (patterns.X3, "cycle6", "target contains no induced CycleNe4 of length 6"),
+], ids=["claw-x3", "x3-cycle6"])
+def test_cmd_gadget_absent_witness(tmp_path, capsys, target, selector, message):
+    hfile = write(tmp_path, "h.h", serialise_h(target))
+    assert main(["gadget", hfile, "--witness", selector]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("selector, named", [

@@ -24,7 +24,7 @@ from listhom.gadgets import (
     thicken,
 )
 from listhom.graphs import ColourGraph, Instance, InstanceGraph, instance_components, max_degree
-from listhom.oracles import count_list_hcol, ising_partition
+from listhom.oracles import ImplicationFormula, count_list_hcol, ising_partition
 from listhom.recognizer import ExcludedWitness, witness_pattern
 
 from helpers import check_condH, ising_direct
@@ -429,6 +429,40 @@ def test_thicken_rejects_bad_input():
         thicken(patterns.X3, gg, entry.cond_pair, 9)  # above the size cap
     with pytest.raises(ValueError):
         thicken(patterns.X3, gg, (3, 4), 0)  # pair fails the split condition
+
+
+def _guards():
+    """(call, message) for guards that no other test reaches: each call must
+    raise ValueError with exactly that message."""
+    entry = gadget_catalog(identity_witness("X3"))
+    _, gg = build_symmetrized(patterns.X3, identity_witness("X3"))
+    r, s = gg.terminal_colours
+    other = next(c for c in patterns.X3.colours if c not in (r, s))
+    k2 = InstanceGraph.from_edges(2, [(1, 2)])
+    return [
+        (lambda: replace(gg, terminal_colours=(r, r)), "terminal colours must differ"),
+        (lambda: replace(gg, terminal2=gg.terminal1), "terminals must be distinct vertices"),
+        (lambda: replace(gg, terminal_colours=(r, other)),
+         "terminal lists must equal the terminal colour pair"),
+        (lambda: thicken(patterns.X3, replace(gg, matrix=((0, 1), (1, 0))), entry.cond_pair, 0),
+         "thickening needs a strictly positive interaction matrix"),
+        (lambda: reduce_ising_to_listhcol(k2, replace(gg, matrix=((10, 9), (9, 10)))),
+         "edge replacement needs 0 < diagonal < off-diagonal"),
+        (lambda: reduce_ising_to_listhcol(k2, replace(gg, matrix=((9, 9), (9, 9)))),
+         "edge replacement needs 0 < diagonal < off-diagonal"),
+        (lambda: ImplicationFormula(-1, ()), "variable count must be non-negative"),
+        (lambda: ImplicationFormula(1, (("p",),)), "malformed unit clause ('p',)"),
+        (lambda: ImplicationFormula(1, (("i", 1),)), "malformed implication ('i', 1)"),
+        (lambda: patterns.cycle(2), "cycles need at least 3 vertices"),
+        (lambda: patterns.path(0), "paths need at least 1 vertex"),
+    ]
+
+
+def test_guards_raise_their_messages():
+    for call, message in _guards():
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
 
 
 # --- edge replacement ---

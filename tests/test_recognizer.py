@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -452,6 +453,40 @@ def test_witness_pattern_rejects_bad_kinds():
         ExcludedWitness("Square", None, (1, 2, 3, 4)).pattern()
     with pytest.raises(ValueError, match="takes no length"):
         ExcludedWitness("X3", 5, (1, 2, 3, 4, 5, 6, 7)).verify(patterns.X3)
+
+
+def test_witness_verify_rejects_each_broken_embedding():
+    # every catalogue row, fixed-shape and a few cycle lengths, on its own
+    # pattern: the identity embedding verifies, and each way to break it
+    # fails one check of ExcludedWitness.verify
+    rows = [(r.kind, r.length) for r in patterns.RECIPES]
+    rows += [("CycleNe4", q) for q in (3, 5, 6)] + [("CycleGe4", q) for q in (4, 5)]
+    for kind, length in rows:
+        pat = witness_pattern(kind, length)
+        n = pat.n
+        ident = tuple(range(1, n + 1))
+        assert ExcludedWitness(kind, length, ident).verify(pat), kind
+        broken = [ident[:-1], (1, 1, *ident[2:]), (0, *ident[1:]), (n + 1, *ident[1:])]
+        # a transposition that sends an edge onto a non-edge (the patterns'
+        # loops are uniform, so it keeps every loop); the triangle has none
+        swaps = [swap for a, b in itertools.combinations(ident, 2)
+                 for swap in [tuple({a: b, b: a}.get(c, c) for c in ident)]
+                 if any(not pat.adjacent(swap[u - 1], swap[v - 1])
+                        for u, v in pat.edge_list() if u != v)]
+        assert all(pat.has_loop(c) == pat.has_loop(1) for c in ident)
+        assert bool(swaps) == ((kind, length) != ("CycleNe4", 3)), kind
+        broken += swaps[:1]
+        for emb in broken:
+            assert not ExcludedWitness(kind, length, emb).verify(pat), (kind, emb)
+        # the identity into the pattern less one edge, which sends that edge
+        # onto a non-edge and no non-edge onto an edge
+        dropped = next(e for e in pat.edge_list() if e[0] != e[1])
+        less = ColourGraph.from_edges(n, [e for e in pat.edge_list() if e != dropped])
+        assert not ExcludedWitness(kind, length, ident).verify(less), kind
+        if pat.has_loop(1):  # a reflexive pattern into its irreflexive copy
+            bare = ColourGraph.from_edges(n, [(u, v) for u, v in pat.edge_list() if u != v])
+            assert not ExcludedWitness(kind, length, ident).verify(bare), kind
+    assert sum(witness_pattern(*row).has_loop(1) for row in rows) == 5
 
 
 # --- beyond the exhaustive range ---

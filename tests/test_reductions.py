@@ -337,6 +337,9 @@ def test_formula_counts_match_oracle():
     _random_cross_check(patterns.P3_STAR, 42)
     _random_cross_check(H6, 43, trials=15)
     _random_cross_check(patterns.path(4, reflexive=True), 44, trials=15)
+    # P4 and the isolated colour 5, which the staircase order puts first
+    # among the rows: its row has no neighbour (alpha None)
+    _random_cross_check(ColourGraph.from_edges(5, [(1, 2), (2, 3), (3, 4)]), 45)
 
 
 # --- decoding ---
