@@ -68,6 +68,16 @@ def _directive(line_no: int, fields: list, what: str, header: str, tags: dict,
         raise ParseError(line_no, f"non-integer field: {exc}") from None
 
 
+def _lines(text: str) -> list:
+    """The lines of text, each ended only by "\\n", "\\r\\n" or "\\r".
+    str.splitlines also ends a line at a form feed, "\\v", "\\x1c" to
+    "\\x1e", "\\x85", "\\u2028" and "\\u2029", which would cut a comment
+    holding one in two and number every later line one too high."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def _graph_file(text: str, what: str, header: str, tags: dict, least: int, message: str,
                 loops: bool, colour_count: int | None = None):
     """(n, edges, lists) of a target or graph file: its header's value, at
@@ -78,7 +88,7 @@ def _graph_file(text: str, what: str, header: str, tags: dict, least: int, messa
     edges = {}  # each pair read, in file order
     lists = {}
     shared = {}  # each list of colours, as written -> its frozenset
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
         fields = raw.split()
         if not fields or fields[0][0] == "#":
             continue
@@ -180,7 +190,7 @@ def parse_formula(text: str) -> ImplicationFormula:
     what, header = "formula", "f <nvars>"
     nvars = None  # the header's value, once read
     clauses = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
         fields = raw.split()
         if not fields or fields[0][0] == "#":
             continue

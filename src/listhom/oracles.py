@@ -8,7 +8,29 @@ All three are front ends over one engine: exact variable (bucket)
 elimination on a weighted binary constraint problem.  Its cost is linear in
 the number of variables and exponential only in the induced width of the
 elimination order (1 on trees, 2 on ladders, the side of a square grid),
-never in the size of the input.  Each count runs in two parts.
+never in the size of the input.  Each count runs in three parts: a
+series-parallel phase on two-value inputs, a symbolic plan and a numeric
+pass.
+
+The series-parallel phase runs when no plan is passed in and every variable
+that is not fixed to one value has two values, kept ones included.  Every
+instance that reduce-ising writes and every gadget the brute-force check
+counts has this shape: a path gadget with two-colour lists, thickened by
+parallel doubling, put on each edge of a graph.  One-value variables drop
+out first.  A worklist then sums out every free variable of degree at most
+two.  Each table over two variables is a 4-tuple and each weight vector a
+2-tuple; parallel tables multiply entry by entry, and a degree-two step is
+one explicit 2x2 product, with no heap, no plan and no flat lists.  When
+nothing free is left, the count, or the table over at most two kept
+variables, is read off what remains.  Otherwise a kernel is left whose free
+variables all have degree three or more (a grid, or reduce-ising on a graph
+that is not series-parallel).  Reduction by degree at most two ends in the
+same kernel whatever its order, so min-degree on the kernel makes the same
+choices as the tail of min-degree on the whole graph.  The kernel's plan
+then runs on the phase's tables, vectors and running total, with no
+recount.  Only when that plan needs a table over MAX_TABLE_SIZE are the
+2x2 tables dropped and the whole graph planned as below, which keeps the
+BFS profile choice and the refusal text.
 
 The plan is symbolic: it eliminates on the interaction graph alone and
 records each step's variable and scope, the order's induced width and its
@@ -23,8 +45,8 @@ profile order, each component swept breadth-first from a peripheral vertex
 two has the smaller largest table, min-degree on a tie.  On a k x k grid
 the profile order has width k, and min-degree's grows past it.  If even that
 order is over the limit, the engine raises a Refusal naming the table
-size, the induced width and both orders before it builds a single table,
-instead of running out of time or memory.
+size, the induced width and both orders before it builds any table over
+more than two variables, instead of running out of time or memory.
 
 The numeric pass then runs the plan on flat int tables indexed by domain
 position.  Each variable's weight vector is kept apart; a table over two
@@ -36,13 +58,12 @@ same domain objects share one flat table.  A step takes its variable's
 vector and the tables filed under it.  With no neighbours it multiplies the
 total by the sum of the vector, so connected components need no separate
 pass; with one neighbour it is a vector-matrix product over the table's
-columns; with two neighbours and a table to each it is a matrix product,
-in one pass over both rows when the variable has two values; otherwise it
-repeats each table out to the step's full scope with list slicing and
-multiplies them entry by entry.  The result joins the vector or the table
-of what is left.  Bucket elimination (Dechter 1999) costs about n d^(w+1)
-in table entries, so at d = 2 and width 1 or 2, the instances that
-reduce-ising writes, these per-step costs are nearly all of a count.
+columns; with two neighbours and a table to each it is a matrix product;
+otherwise it repeats each table out to the step's full scope with list
+slicing and multiplies them entry by entry.  The result joins the vector or
+the table of what is left.  Bucket elimination (Dechter 1999) costs about
+n d^(w+1) in table entries, so at d = 2 and width 1 or 2 the per-step costs
+are nearly all of a count; that is what the series-parallel phase saves.
 
 The engine can also keep a tuple of variables free (the query form of
 bucket elimination): it sums out every other variable and returns one
@@ -276,12 +297,15 @@ def _graph(factors, fixed: list) -> list:
     return adj
 
 
-def _best_plan(factors, fixed: list, size: list, kept, cap=None) -> tuple[_Plan, _Plan | None]:
+def _best_plan(factors, fixed: list, size: list, kept, cap=None,
+               plan: _Plan | None = None) -> tuple[_Plan, _Plan | None]:
     """The min-degree plan, or the BFS profile plan when min-degree needs a
     table over MAX_TABLE_SIZE and the profile's largest table is smaller;
     with the other plan drawn up, or None when min-degree fits.  Only the
-    ends of each factor are read.  Both plans stop at the cap, if any."""
-    plan = _plan("min-degree", _graph(factors, fixed), size, kept, None, cap)
+    ends of each factor are read.  Both plans stop at the cap, if any.  A
+    caller that has drawn up the min-degree plan already passes it in."""
+    if plan is None:
+        plan = _plan("min-degree", _graph(factors, fixed), size, kept, None, cap)
     if plan.largest <= MAX_TABLE_SIZE:
         return plan, None
     adj = _graph(factors, fixed)
@@ -331,6 +355,125 @@ def _broadcast(table: list, scope: tuple, joint: tuple, size: list) -> list:
     return table
 
 
+def _series_parallel(domains: list, factors, fixed: list, keep: tuple):
+    """Sum out every free variable of degree at most two, where every
+    variable that is not fixed has two values.
+
+    nb[v] maps each neighbour w of v to the table over (v, w) as a 4-tuple,
+    entry 2i + j for v's i-th and w's j-th value, and the same table is
+    filed transposed under w; vec[v] is v's weight vector as a 2-tuple,
+    None while it is all ones.  Parallel tables multiply entry by entry.  A
+    worklist holds the free variables of degree at most two: each is summed
+    out into the vector of its one neighbour or the table between its two,
+    and a neighbour joins the worklist when its degree falls to two.  Returns
+    the table over keep as _eliminate does when nothing free is left and
+    keep has at most two variables; otherwise (nb, vec, total) for what is
+    left, where nb[v] is None for each variable summed out or fixed.
+    """
+    n = len(domains)
+    free = [not f for f in fixed]
+    for v in keep:
+        free[v] = False
+    nb: list[dict | None] = [None if f else {} for f in fixed]
+    vec: list[tuple | None] = [None] * n
+    total = 1
+    # each factor's table as a 4-tuple and its transpose, once per table
+    # and pair of domain objects
+    tuples: dict[tuple, tuple] = {}
+    for u, v, table in factors:
+        if fixed[u] or fixed[v]:
+            t = [table.get((a, b), 0) for a in domains[u] for b in domains[v]]
+            if fixed[u] and fixed[v]:
+                total *= t[0]
+                continue
+            if fixed[u]:
+                u = v  # with u fixed, t is a vector over v's values
+            old = vec[u]
+            vec[u] = tuple(t) if old is None else (old[0] * t[0], old[1] * t[1])
+            continue
+        du, dv = domains[u], domains[v]
+        key = (id(table), id(du), id(dv))
+        both = tuples.get(key)
+        if both is None:
+            (a0, a1), (b0, b1), get = du, dv, table.get
+            t = (get((a0, b0), 0), get((a0, b1), 0), get((a1, b0), 0), get((a1, b1), 0))
+            both = tuples[key] = (t, (t[0], t[2], t[1], t[3]))
+        nu = nb[u]
+        old = nu.get(v)
+        if old is None:
+            nu[v], nb[v][u] = both
+        else:
+            t = both[0]
+            t = (old[0] * t[0], old[1] * t[1], old[2] * t[2], old[3] * t[3])
+            nu[v] = t
+            nb[v][u] = (t[0], t[2], t[1], t[3])
+    if not total:
+        return {}
+
+    left = free.count(True)
+    work = [v for v in range(n) if free[v] and len(nb[v]) <= 2]
+    for x in work:  # grows as degrees fall to two; never holds a variable twice
+        nx = nb[x]
+        ux = vec[x]
+        nb[x] = vec[x] = None
+        left -= 1
+        if len(nx) == 2:
+            # t[j, k] = sum_i ux[i] * a[i, j] * b[i, k], over (y, z)
+            (y, a), (z, b) = nx.items()
+            a0, a1, a2, a3 = a
+            if ux is not None:
+                u0, u1 = ux
+                a0, a1, a2, a3 = u0 * a0, u0 * a1, u1 * a2, u1 * a3
+            b0, b1, b2, b3 = b
+            t = (a0 * b0 + a2 * b2, a0 * b1 + a2 * b3, a1 * b0 + a3 * b2, a1 * b1 + a3 * b3)
+            ny, nz = nb[y], nb[z]
+            del ny[x], nz[x]
+            old = ny.get(z)
+            if old is not None:
+                # y and z were joined already, so each loses a neighbour
+                t = (old[0] * t[0], old[1] * t[1], old[2] * t[2], old[3] * t[3])
+                if free[y] and len(ny) == 2:
+                    work.append(y)
+                if free[z] and len(nz) == 2:
+                    work.append(z)
+            ny[z] = t
+            nz[y] = (t[0], t[2], t[1], t[3])
+        elif nx:
+            # out[j] = sum_i ux[i] * a[i, j]
+            ((y, a),) = nx.items()
+            if ux is None:
+                out = (a[0] + a[2], a[1] + a[3])
+            else:
+                out = (ux[0] * a[0] + ux[1] * a[2], ux[0] * a[1] + ux[1] * a[3])
+            old = vec[y]
+            vec[y] = out if old is None else (old[0] * out[0], old[1] * out[1])
+            ny = nb[y]
+            del ny[x]
+            if free[y] and len(ny) == 2:
+                work.append(y)
+        else:
+            s = 2 if ux is None else ux[0] + ux[1]
+            if not s:
+                return {}
+            total *= s
+    if left or len(keep) > 2:
+        return nb, vec, total
+    if not keep:
+        return {(): total}
+    # what is left lies on keep: its vectors and the table between them
+    a = keep[0]
+    ua = vec[a] or (1, 1)
+    if len(keep) == 1:
+        return {(c,): total * w for c, w in zip(domains[a], ua) if w}
+    b = keep[1]
+    ub = vec[b] or (1, 1)
+    t = nb[a].get(b, (1, 1, 1, 1))
+    (a0, a1), (b0, b1) = domains[a], domains[b]
+    weights = {(a0, b0): ua[0] * ub[0] * t[0], (a0, b1): ua[0] * ub[1] * t[1],
+               (a1, b0): ua[1] * ub[0] * t[2], (a1, b1): ua[1] * ub[1] * t[3]}
+    return {key: total * w for key, w in weights.items() if w}
+
+
 def _eliminate(domains: list, factors, keep: tuple = (), plan: _Plan | None = None) -> dict:
     """Sum the product of the factor weights over all assignments of one
     domain value per variable outside keep, by iterative bucket elimination.
@@ -343,12 +486,15 @@ def _eliminate(domains: list, factors, keep: tuple = (), plan: _Plan | None = No
     weight; zero weights are left out, so with no kept variables the count
     is the () entry, or 0 if there is none.
 
-    The plan comes first (see the module docstring); a count it refuses
-    builds no table.  A caller that has drawn up a plan for exactly these
-    domains and factors, with nothing kept, may pass it in.  Then every
-    factor becomes a flat int table over domain positions, row-major over
-    its scope: its variables in elimination order, so the variable summed
-    out is always the first axis and each of its values a slice.  Factors
+    Two-value inputs take the series-parallel phase first (see the module
+    docstring), and the plan comes next; a count the plan refuses builds no
+    table over more than two variables.  A caller that has drawn up a plan
+    for exactly these domains and factors, with nothing kept, may pass it
+    in, and skips the phase.  Then every factor becomes a flat int table
+    over domain positions, row-major over its scope: its variables in
+    elimination order, so the variable summed out is always the first axis
+    and each of its values a slice; a kernel left by the phase brings its
+    tuples instead, each filed the same way.  Factors
     with the same table and the same domain objects share one flat table.
     A variable outside keep with a one-value domain drops out of every
     scope, and a factor with two such ends is a scalar on the total.  There
@@ -377,44 +523,67 @@ def _eliminate(domains: list, factors, keep: tuple = (), plan: _Plan | None = No
     for v in keep:
         fixed[v] = False
 
+    kernel = None
     if plan is None:
-        plan, other = _best_plan(factors, fixed, size, kept)
-        if plan.largest > MAX_TABLE_SIZE:
-            raise _refusal(plan, other)
+        if size.count(2) + fixed.count(True) == n:  # every variable left has two values
+            kernel = _series_parallel(domains, factors, fixed, keep)
+            if isinstance(kernel, dict):
+                return kernel
+            adj = [None if nbrs is None else set(nbrs) for nbrs in kernel[0]]
+            plan = _plan("min-degree", adj, size, kept)
+            if plan.largest > MAX_TABLE_SIZE:
+                kernel = None  # frees the 2x2 tables; the fallback starts from the factors
+        if kernel is None:
+            plan, other = _best_plan(factors, fixed, size, kept, None, plan)
+            if plan.largest > MAX_TABLE_SIZE:
+                raise _refusal(plan, other)
     pos = [0] * n  # elimination position; the kept variables come last
     for i, (x, _) in enumerate(plan.steps):
         pos[x] = i
     for i, v in enumerate(keep, start=len(plan.steps)):
         pos[v] = i
 
-    vec: list[list | None] = [None] * n  # v's weight vector, None for all ones
+    vec: list = [None] * n  # v's weight vector, None for all ones
     pair: list[dict | None] = [{} for _ in range(n)]  # pair[u][v]: the table over (u, v)
     wide: list[dict | None] = [None] * n  # wide[u]: scope -> table, three or more variables
-    total = 1
-    # no table is changed in place, so one flat copy serves every factor
-    # with the same table and domains
-    flat_of: dict[tuple, list] = {}
-    dom_id = list(map(id, domains))
-    for u, v, table in factors:
-        swap = pos[u] > pos[v]
-        if swap:
-            u, v = v, u
-        key = (id(table), dom_id[u], dom_id[v], swap)
-        flat = flat_of.get(key)
-        if flat is None:
-            flat = flat_of[key] = [table.get((b, a) if swap else (a, b), 0)
-                                   for a in domains[u] for b in domains[v]]
-        if fixed[u] or fixed[v]:
-            if fixed[u] and fixed[v]:
-                total *= flat[0]
+    if kernel is not None:
+        # the kernel's 2x2 tuples serve as its tables: a step reads a table
+        # only by index and slice, and never changes one in place
+        nb, vec, total = kernel
+        kernel = None
+        for u, nbrs in enumerate(nb):
+            if nbrs is not None:
+                mine = pair[u]
+                for v, t in nbrs.items():
+                    if pos[u] < pos[v]:
+                        mine[v] = t
+        nb = None
+    else:
+        total = 1
+        # no table is changed in place, so one flat copy serves every factor
+        # with the same table and domains
+        flat_of: dict[tuple, list] = {}
+        dom_id = list(map(id, domains))
+        for u, v, table in factors:
+            swap = pos[u] > pos[v]
+            if swap:
+                u, v = v, u
+            key = (id(table), dom_id[u], dom_id[v], swap)
+            flat = flat_of.get(key)
+            if flat is None:
+                flat = flat_of[key] = [table.get((b, a) if swap else (a, b), 0)
+                                       for a in domains[u] for b in domains[v]]
+            if fixed[u] or fixed[v]:
+                if fixed[u] and fixed[v]:
+                    total *= flat[0]
+                    continue
+                u = v if fixed[u] else u  # a vector over the end that is left
+                old = vec[u]
+                vec[u] = flat if old is None else list(map(mul, old, flat))
                 continue
-            u = v if fixed[u] else u  # a vector over the end that is left
-            old = vec[u]
-            vec[u] = flat if old is None else list(map(mul, old, flat))
-            continue
-        mine = pair[u]
-        old = mine.get(v)
-        mine[v] = flat if old is None else list(map(mul, old, flat))
+            mine = pair[u]
+            old = mine.get(v)
+            mine[v] = flat if old is None else list(map(mul, old, flat))
     if not total:
         return {}
 
@@ -452,21 +621,14 @@ def _eliminate(domains: list, factors, keep: tuple = (), plan: _Plan | None = No
                 y, z = z, y
             dy, dz = size[y], size[z]
             t, r = pairs[y], pairs[z]
-            if dx == 2:  # two-colour lists: both rows in one pass
-                r0, r1 = r[:dz], r[dz:]
-                if ux is not None:
-                    r0 = [ux[0] * e for e in r0]
-                    r1 = [ux[1] * e for e in r1]
-                out = [a * b + c * d for a, c in zip(t[:dy], t[dy:]) for b, d in zip(r0, r1)]
-            else:
-                for i in range(dx):
-                    u = 1 if ux is None else ux[i]
-                    if u:
-                        zrow = r[i * dz:i * dz + dz]
-                        if u != 1:
-                            zrow = [u * e for e in zrow]
-                        o = [p * q for p in t[i * dy:i * dy + dy] for q in zrow]
-                        out = o if out is None else list(map(add, out, o))
+            for i in range(dx):
+                u = 1 if ux is None else ux[i]
+                if u:
+                    zrow = r[i * dz:i * dz + dz]
+                    if u != 1:
+                        zrow = [u * e for e in zrow]
+                    o = [p * q for p in t[i * dy:i * dy + dy] for q in zrow]
+                    out = o if out is None else list(map(add, out, o))
             if out is None or not any(out):
                 return {}
             mine = pair[y]

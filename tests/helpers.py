@@ -236,7 +236,9 @@ def read_text(text: str, head: str, colour_count: int | None = None):
     if colour_count is not None:
         arity["l"] = None
     n, items, lists = None, [], {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    # a line ends at "\n", "\r\n" or "\r" and nowhere else
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, line in enumerate(lines, start=1):
         fields = line.split()
         if not fields or fields[0].startswith("#"):
             continue
@@ -269,16 +271,18 @@ def read_text(text: str, head: str, colour_count: int | None = None):
     return n, items if head == "f" else sorted(items), lists
 
 
-def grid_edges(k: int) -> list[tuple[int, int]]:
-    """Edges of the k x k grid, vertex (r, c) numbered r * k + c + 1."""
-    edges = [(r * k + c + 1, r * k + c + 2) for r in range(k) for c in range(k - 1)]
-    return edges + [(r * k + c + 1, r * k + c + k + 1) for r in range(k - 1) for c in range(k)]
+def grid_edges(k: int, rows: int | None = None) -> list[tuple[int, int]]:
+    """Edges of the grid of rows x k vertices (k x k without rows), vertex
+    (r, c) numbered r * k + c + 1."""
+    rows = k if rows is None else rows
+    edges = [(r * k + c + 1, r * k + c + 2) for r in range(rows) for c in range(k - 1)]
+    return edges + [(r * k + c + 1, r * k + c + k + 1) for r in range(rows - 1) for c in range(k)]
 
 
-def grid_transfer_count(k: int, w) -> int:
-    """Sum over all maps of the k x k grid's vertices to 0..n-1 of the
-    product of w[a][b] over the grid's edges (w symmetric, n x n), by a
-    row-by-row transfer matrix.  f holds one weight per colouring of the
+def grid_transfer_count(k: int, w, rows: int | None = None) -> int:
+    """Sum over all maps of the vertices of the grid of grid_edges(k, rows)
+    to 0..n-1 of the product of w[a][b] over the grid's edges (w symmetric,
+    n x n), by a row-by-row transfer matrix.  f holds one weight per colouring of the
     rows so far, indexed by the last row's colours as base-n digits, the
     first column lowest.  The vertical edges go in one column at a time:
     mixing the lowest digit and then moving it to the top turns the digits
@@ -289,7 +293,7 @@ def grid_transfer_count(k: int, w) -> int:
         digits = [state // n ** c % n for c in range(k)]
         horizontal.append(prod(w[a][b] for a, b in zip(digits, digits[1:])))
     f = horizontal
-    for _ in range(k - 1):
+    for _ in range((k if rows is None else rows) - 1):
         for _ in range(k):
             parts = [f[d::n] for d in range(n)]  # f by its lowest digit d
             f = []

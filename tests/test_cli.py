@@ -291,6 +291,31 @@ def test_comments_and_blank_lines():
     assert h == patterns.K2_PRIME
 
 
+def test_lines_end_only_at_newline_and_carriage_return():
+    # a form feed or a NEL inside a comment neither ends the line nor moves
+    # the line numbers on: each file raises what it raises without one
+    for parse, odd, plain, message in (
+            (parse_h, "h 2\n# a note\x0cwith a form feed\ne 1 3\n",
+             "h 2\n# a note\ne 1 3\n", "line 3: edge (1,3) out of range 1..2"),
+            (parse_formula, "f 2\n# x\x85y\np 3\n", "f 2\n# x\np 3\n",
+             "line 3: variable 3 out of range 1..2")):
+        for text in (odd, plain):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert str(err.value) == message, text
+    # every other character that str.splitlines ends a line at
+    for ch in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+        assert parse_h(f"h 2\n# one{ch}e 1 1\ne 2 2\n") == parse_h("h 2\ne 2 2\n")
+        assert read_text(f"h 2\n# one{ch}e 1 1\ne 2 2\n", "h") == (2, [(2, 2)], {})
+    # CRLF and CR files parse as before
+    for end in ("\r\n", "\r"):
+        assert parse_h(end.join(("h 2", "# loop below", "e 2 2", "e 1 2", ""))) == (
+            patterns.K2_PRIME)
+        with pytest.raises(ParseError) as err:
+            parse_h(end.join(("h 2", "", "e 1 3")))
+        assert err.value.line_no == 3
+
+
 def test_parse_fraction():
     from fractions import Fraction
     assert parse_fraction("9/10") == Fraction(9, 10)

@@ -78,3 +78,14 @@ def test_ladder_reduce_ising_step_parses_and_counts_the_written_instance():
     assert step["refused"] is None and step["expected"], step
     assert [(plan["rule"], plan["width"]) for plan in step["plans"]] == [("min-degree", 4)]
     assert oracles._plan is real
+
+
+def test_ladder_reduce_ising_cycle_step_is_counted_whole_by_the_phase():
+    # the X3 gadget at t = 1 on the 100-cycle: 1,900 vertices, series-
+    # parallel, so no plan is drawn up; the answer is (a + b)^m + (a - b)^m
+    real = oracles._plan
+    step = _ladder().step(str(ROOT / "src"), "reduce_ising_cycle", 100)
+    assert (step["cycle_vertices"], step["vertices"]) == (100, 1900)
+    assert step["refused"] is None and step["expected"], step
+    assert step["plans"] == []
+    assert oracles._plan is real

@@ -19,9 +19,10 @@ from helpers import (
     tree_list_count,
     weighted_sum_enumeration,
 )
-from listhom import oracles, patterns
+from listhom import gadgets, oracles, patterns
+from listhom.gadgets import build_symmetrized, reduce_ising_to_listhcol, thicken
 from listhom.graphs import Instance, InstanceGraph, instance_components
-from listhom.recognizer import find_staircase_adjacency, find_staircase_biadjacency
+from listhom.recognizer import ExcludedWitness, find_staircase_adjacency, find_staircase_biadjacency
 from listhom.reductions import build_staircase_encoding, reduce_listhcol_to_1p1n
 from listhom.oracles import (
     MAX_TABLE_SIZE,
@@ -335,6 +336,204 @@ def test_engine_holds_only_the_tables_still_to_be_used(monkeypatch):
         tracemalloc.stop()
     assert count == grid_transfer_count(k, dense(patterns.K2_PRIME))
     assert peak < 1 << 18, peak
+
+
+# --- the series-parallel phase on two-value inputs ---
+
+SHAPES = ("series-parallel", "cycle", "ladder", "subdivided K4", "3x3 grid")
+
+
+def _series_parallel_edges(rng, shape, n):
+    """The edges of a graph of the given shape over variables 0..n-1: a
+    random series-parallel graph (paths put in parallel with an edge,
+    subdivided edges and pendants), a cycle, a ladder, a subdivided K4 or
+    the 3 x 3 grid; the last two leave a kernel of degree three.  Isolated
+    variables fill up to n."""
+    if shape == "series-parallel":
+        edges, used = [(0, 1)], 2
+        while used < n - rng.randint(0, 1):
+            u, v = rng.choice(edges)
+            kind = rng.random()
+            if kind < 0.4:
+                edges.append((u, used))  # a pendant
+            elif kind < 0.7:
+                edges.remove((u, v))  # a subdivided edge
+                edges += [(u, used), (used, v)]
+            else:
+                edges += [(u, used), (used, v)]  # a path of two beside (u, v)
+            used += 1
+    elif shape == "cycle":
+        used = n - rng.randint(0, 1)
+        edges = [(v, (v + 1) % used) for v in range(used)]
+    elif shape == "ladder":
+        half = n // 2
+        edges = [(v, v + 1) for v in range(half - 1)] + [(v, v + half) for v in range(half)]
+        edges += [(v + half, v + half + 1) for v in range(half - 1)]
+    elif shape == "subdivided K4":
+        edges, used = [], 4
+        for u, v in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+            if used < n and rng.random() < 0.7:
+                edges += [(u, used), (used, v)]
+                used += 1
+            else:
+                edges.append((u, v))
+    else:
+        edges = [(r * 3 + c, r * 3 + c + 1) for r in range(3) for c in range(2)]
+        edges += [(v, v + 3) for v in range(6)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [(perm[u], perm[v]) for u, v in edges]
+
+
+def test_series_parallel_phase_matches_enumeration(monkeypatch):
+    # two-value inputs of 8-14 variables, 0 to 3 of them kept, against
+    # trying every assignment; each call must also be quick, with or
+    # without a kernel left over
+    rng = random.Random(24)
+    runs = []
+    real_phase, real_plan = oracles._series_parallel, oracles._plan
+    monkeypatch.setattr(oracles, "_series_parallel",
+                        lambda *args: runs.append("phase") or real_phase(*args))
+    monkeypatch.setattr(oracles, "_plan", lambda *args: runs.append("plan") or real_plan(*args))
+    values = [(a, b) for a in range(-2, 5) for b in range(-2, 5)]
+    seen = Counter()
+    for _ in range(200):
+        shape = rng.choice(SHAPES)
+        n = rng.randint(9 if shape == "3x3 grid" else 8, 14)
+        edges = _series_parallel_edges(rng, shape, n)
+        keep = tuple(rng.sample(range(n), rng.choice((0, 1, 2, 3))))
+        domains = [tuple(rng.sample(range(-2, 5), 2)) for _ in range(n)]
+        for v in rng.sample(range(n), rng.choice((0, 0, 1, 2))):
+            if v not in keep:
+                domains[v] = domains[v][:1]
+        factors = []
+        for u, v in edges:
+            if rng.random() < 0.5:
+                u, v = v, u
+            if rng.random() < 0.02:  # a zero table
+                table = {}
+            else:
+                table = {ab: rng.choice((0, 1, 1, 2, 3, 5)) for ab in values}
+            factors.append((u, v, table))
+            if rng.random() < 0.15:  # a parallel factor, maybe reversed
+                factors.append((v, u, table) if rng.random() < 0.5 else (u, v, dict(table)))
+        runs.clear()
+        start = time.perf_counter()
+        got = oracles._eliminate(domains, factors, keep)
+        assert time.perf_counter() - start < 0.05
+        want = weighted_sum_enumeration(domains, factors, keep)
+        assert got == want, (shape, edges, keep)
+        assert runs[0] == "phase"
+        pairs = Counter(frozenset((u, v)) for u, v, _ in factors)
+        seen.update({
+            shape: True, f"{len(keep)} kept": True,
+            "kernel left": "plan" in runs, "no kernel": "plan" not in runs,
+            "zero table": any(not t for _, _, t in factors),
+            "zero result": not want, "nonzero result": bool(want),
+            "parallel factors": max(pairs.values()) > 1,
+            "reversed factors": any((v, u) in {(a, b) for a, b, _ in factors}
+                                    for u, v, _ in factors),
+            "isolated variable": len({v for e in edges for v in e}) < n,
+            "one-value domain": any(len(d) == 1 for d in domains),
+        })
+    assert len(seen) == 18 and min(seen.values()) >= 5, seen
+
+
+def _x3_gadget(t):
+    h = patterns.X3
+    entry, gg = build_symmetrized(h, ExcludedWitness("X3", None, tuple(h.colours)))
+    return h, thicken(h, gg, entry.cond_pair, t)
+
+
+def test_reduce_ising_counts_on_trees_and_cycles_match_the_closed_forms():
+    # the X3 gadget at t = 0..2 on every edge of trees and cycles of 20-400
+    # vertices: Z = 2 (1 + lam)^(m - 1) on a tree, (1 + lam)^m + (lam - 1)^m
+    # on the m-cycle, and the count is scale * Z
+    rng = random.Random(25)
+    seen = Counter()
+    for t in range(3):
+        h, thick = _x3_gadget(t)
+        for m in (20, rng.randint(21, 399), 400):
+            tree = [(rng.randint(1, v - 1), v) for v in range(2, m + 1)]
+            cycle = [(v, v % m + 1) for v in range(1, m + 1)]
+            for edges, z in ((tree, lambda lam: 2 * (1 + lam) ** (m - 1)),
+                             (cycle, lambda lam: (1 + lam) ** m + (lam - 1) ** m)):
+                inst, lam, scale = reduce_ising_to_listhcol(
+                    InstanceGraph.from_edges(m, edges), thick)
+                assert count_list_hcol(h, inst) == scale * z(lam), (t, m)
+                seen[t] += 1
+                seen["instance over 10,000 vertices"] += inst.g.m > 10_000
+    assert min(seen.values()) >= 2, seen
+
+
+def test_kernels_of_degree_three_are_counted_from_the_phase_state(monkeypatch):
+    # grids leave a kernel after the degree-two steps; it is counted from
+    # the phase's tables, by the plan min-degree draws on the whole graph
+    plans = []
+    real = oracles._plan
+
+    def recording(*args):
+        plans.append(real(*args))
+        return plans[-1]
+
+    def whole_graph_plans(domains, factors):
+        size = [len(d) for d in domains]
+        plan, other = oracles._best_plan(factors, [d == 1 for d in size], size, frozenset())
+        return [(p.rule, p.width, p.largest) for p in (plan, other) if p is not None]
+
+    def check(count, domains, factors):
+        plans.clear()
+        want = whole_graph_plans(domains, factors)
+        monkeypatch.setattr(oracles, "_plan", recording)
+        try:
+            got = count()
+        finally:
+            monkeypatch.setattr(oracles, "_plan", real)
+        assert sorted((p.rule, p.width, p.largest) for p in plans) == sorted(want)
+        return got
+
+    k2 = {(a, b): 1 for a in patterns.K2_PRIME.colours
+          for b in patterns.K2_PRIME.neighbours(a)}
+    for k in range(3, 9):
+        g = _grid(k)
+        inst = Instance.with_full_lists(g, 2)
+        got = check(lambda: count_list_hcol(patterns.K2_PRIME, inst),
+                    list(inst.sorted_lists), [(u - 1, v - 1, k2) for u, v in g.edges])
+        assert got == grid_transfer_count(k, dense(patterns.K2_PRIME))
+    lam = Fraction(2, 7)
+    table = {(0, 0): 2, (0, 1): 7, (1, 0): 7, (1, 1): 2}
+    for k in range(3, 13):
+        g = InstanceGraph.from_edges(3 * k, grid_edges(3, k))
+        got = check(lambda: ising_partition(g, lam),
+                    [(0, 1)] * g.m, [(u - 1, v - 1, table) for u, v in g.edges])
+        assert got == Fraction(grid_transfer_count(3, [[2, 7], [7, 2]], k), 7 ** len(g.edges))
+    h, thick = _x3_gadget(1)
+    adjacent = {(a, b): 1 for a in h.colours for b in h.neighbours(a)}
+    for k in range(3, 7):
+        inst, _, _ = reduce_ising_to_listhcol(_grid(k), thick)
+        got = check(lambda: count_list_hcol(h, inst), list(inst.sorted_lists),
+                    [(u - 1, v - 1, adjacent) for u, v in inst.g.edges])
+        assert got == grid_transfer_count(k, thick.matrix)
+    # under a lowered limit min-degree's kernel plan is over it and the
+    # profile order of the whole graph runs, as it did without the phase
+    g = _grid(7)
+    inst = Instance.with_full_lists(g, 2)
+    monkeypatch.setattr(oracles, "MAX_TABLE_SIZE", 2 ** 8)
+    got = check(lambda: count_list_hcol(patterns.K2_PRIME, inst),
+                list(inst.sorted_lists), [(u - 1, v - 1, k2) for u, v in g.edges])
+    assert got == grid_transfer_count(7, dense(patterns.K2_PRIME))
+    assert [p.rule for p in plans] == ["min-degree", "BFS profile"]
+
+
+def test_gadget_brute_force_is_one_elimination_at_every_level(monkeypatch):
+    calls = []
+    real = oracles._eliminate
+    monkeypatch.setattr(oracles, "_eliminate", lambda *args: calls.append(1) or real(*args))
+    for t in range(4):
+        h, thick = _x3_gadget(t)
+        calls.clear()
+        assert gadgets.interaction_matrix_bruteforce(h, thick) == thick.matrix
+        assert len(calls) == 1
 
 
 # --- two-spin partition function ---

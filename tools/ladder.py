@@ -65,14 +65,19 @@ once its total reached a grouped plan's that fits is recorded as far as it
 got, its total at least the grouped one.  The largest k of each family is
 past what either counter takes, so the step shows where both refuse.
 
-The reduce-ising family writes, as ``reduce-ising`` does, the X3 gadget
-thickened at t = 1 on every edge of the k x k grid, k = 4 to 12:
+The reduce-ising families write, as ``reduce-ising`` does, the X3 gadget
+thickened at t = 1 on every edge of a graph:
 
-* ``reduce_ising_count``: each step times ``parse_instance`` and
-  ``count_list_hcol`` on the written instance, the path of ``count``.  It
-  records the answer, the plans, the instance's vertex count and the peak
-  RSS, and whether the answer equals the grid's transfer-matrix count with
-  the thickened gadget's matrix as the edge weights.
+* ``reduce_ising_count``: the k x k grid, k = 4 to 12;
+* ``reduce_ising_cycle``: the m-cycle, m = 100 to 6,400.
+
+Each of their steps times ``parse_instance`` and ``count_list_hcol`` on the
+written instance, the path of ``count``.  It records the answer, the plans,
+the graph's and the instance's vertex counts and the peak RSS, and whether
+the answer is the expected one.  With the thickened gadget's matrix
+[[a, b], [b, a]] as the edge weights, that is the grid's transfer-matrix
+count, and (a + b)^m + (a - b)^m on the m-cycle.  The series-parallel phase
+counts the cycle's instances whole, so their steps record no plan.
 
 Every step runs REPEATS times per ``--run``, each time in a fresh
 interpreter, the runs of the labels taking turns.  A run makes the timed
@@ -142,8 +147,10 @@ REDUCE_SAT_FAMILIES = {
     "reduce_sat_grid_p3star": ((3, True), tuple(range(6, 12))),
     "reduce_sat_grid_p4star": ((4, True), tuple(range(5, 10))),
 }
-# each reduce-ising family: (witness kind, thickening level) and its k
-REDUCE_ISING_FAMILIES = {"reduce_ising_count": (("X3", 1), tuple(range(4, 13)))}
+# each reduce-ising family: (witness kind, thickening level, graph shape) and
+# its sizes, the grid's side or the cycle's length
+REDUCE_ISING_FAMILIES = {"reduce_ising_count": (("X3", 1, "grid"), tuple(range(4, 13))),
+                         "reduce_ising_cycle": (("X3", 1, "cycle"), (100, 400, 1600, 6400))}
 FAMILIES = {**{family: SIZES + LARGE_SIZES for family in CLASSIFY_FAMILIES},
             **{family: SIZES for family in GADGET_FAMILIES},
             **GRID_FAMILIES,
@@ -329,7 +336,7 @@ def _reduce_sat_step(family: str, k: int) -> dict:
     return out
 
 
-def _reduce_ising_step(family: str, k: int) -> dict:
+def _reduce_ising_step(family: str, size: int) -> dict:
     from listhom import oracles, patterns
     from listhom.formats import parse_instance, serialise_instance
     from listhom.gadgets import build_symmetrized, reduce_ising_to_listhcol, thicken
@@ -337,23 +344,32 @@ def _reduce_ising_step(family: str, k: int) -> dict:
     from listhom.recognizer import ExcludedWitness
 
     helpers = _helpers()
-    kind, t = REDUCE_ISING_FAMILIES[family][0]
+    kind, t, shape = REDUCE_ISING_FAMILIES[family][0]
     h = patterns.recipe(kind).pattern
     entry, gg = build_symmetrized(h, ExcludedWitness(kind, None, tuple(h.colours)))
     thick = thicken(h, gg, entry.cond_pair, t)
-    inst, _, _ = reduce_ising_to_listhcol(
-        InstanceGraph.from_edges(k * k, helpers.grid_edges(k)), thick)
+    if shape == "grid":
+        g = InstanceGraph.from_edges(size * size, helpers.grid_edges(size))
+    else:
+        g = InstanceGraph.from_edges(size, [(v, v % size + 1) for v in range(1, size + 1)])
+    inst, _, _ = reduce_ising_to_listhcol(g, thick)
     text = serialise_instance(inst)
 
     answer, refused, plans, times = _timed_count(
         lambda: text, lambda text: oracles.count_list_hcol(h, parse_instance(text, h.n)))
-    out = {"grid_vertices": k * k, "vertices": inst.g.m, "seconds": min(times),
+    out = {f"{shape}_vertices": g.m, "vertices": inst.g.m, "seconds": min(times),
            "times": times, "answer": None if answer is None else str(answer),
            "refused": refused, "plans": plans, "peak_rss_mib": _peak_rss_mib()}
     if answer is not None:
-        # the count is the grid's two-spin sum with weight a on each agreeing
-        # edge and b on any other, where [[a, b], [b, a]] is the gadget's matrix
-        out["expected"] = answer == helpers.grid_transfer_count(k, thick.matrix)
+        # the count is the graph's two-spin sum with weight a on each
+        # agreeing edge and b on any other, where [[a, b], [b, a]] is the
+        # gadget's matrix; on the cycle, the trace of its size-th power
+        if shape == "grid":
+            want = helpers.grid_transfer_count(size, thick.matrix)
+        else:
+            (a, b), _ = thick.matrix
+            want = (a + b) ** size + (a - b) ** size
+        out["expected"] = answer == want
     return out
 
 
