@@ -8,10 +8,11 @@ Instance file:  header "g <m>", then "e <u> <v>" edges and "l <v> <c1> ...
 Formula file:   header "f <nvars>", then "p <v>" (positive unit), "n <v>"
                 (negative unit) and "i <a> <b>" (a implies b).
 
-Blank lines and lines starting with "#" are ignored.  Each parser reads its
-text in one loop, once per line: a well-formed edge, list or clause line is
-checked and stored in place, and each distinct list of colours, as written,
-is converted once, so equal lists share one frozenset.  The header and any
+A line ends at "\\n", "\\r\\n" or "\\r" and nowhere else, and blank lines
+and lines starting with "#" are ignored.  Each parser reads its text in one
+loop, once per line: a well-formed edge, list or clause line is checked and
+stored in place, and each distinct list of colours, as written, is
+converted once, so equal lists share one frozenset.  The header and any
 line that breaks a rule the three formats share (the header comes first and
 only once, and every other line is a directive of the format with its
 number of integer arguments) go to one checker, _directive, which names the

@@ -282,11 +282,11 @@ def grid_edges(k: int, rows: int | None = None) -> list[tuple[int, int]]:
 def grid_transfer_count(k: int, w, rows: int | None = None) -> int:
     """Sum over all maps of the vertices of the grid of grid_edges(k, rows)
     to 0..n-1 of the product of w[a][b] over the grid's edges (w symmetric,
-    n x n), by a row-by-row transfer matrix.  f holds one weight per colouring of the
-    rows so far, indexed by the last row's colours as base-n digits, the
-    first column lowest.  The vertical edges go in one column at a time:
-    mixing the lowest digit and then moving it to the top turns the digits
-    once round per row."""
+    n x n), by a row-by-row transfer matrix.  f holds one weight per
+    colouring of the rows so far, indexed by the last row's colours as
+    base-n digits, the first column lowest.  The vertical edges go in one
+    column at a time: mixing the lowest digit and then moving it to the top
+    turns the digits once round per row."""
     n = len(w)
     horizontal = []
     for state in range(n ** k):

@@ -424,6 +424,8 @@ def test_series_parallel_phase_matches_enumeration(monkeypatch):
         want = weighted_sum_enumeration(domains, factors, keep)
         assert got == want, (shape, edges, keep)
         assert runs[0] == "phase"
+        # a graph with no K4 minor is summed out whole, with no plan
+        assert shape in ("subdivided K4", "3x3 grid") or "plan" not in runs
         pairs = Counter(frozenset((u, v)) for u, v, _ in factors)
         seen.update({
             shape: True, f"{len(keep)} kept": True,
