@@ -391,10 +391,16 @@ def test_series_parallel_phase_matches_enumeration(monkeypatch):
     # without a kernel left over
     rng = random.Random(24)
     runs = []
-    real_phase, real_plan = oracles._series_parallel, oracles._plan
-    monkeypatch.setattr(oracles, "_series_parallel",
-                        lambda *args: runs.append("phase") or real_phase(*args))
-    monkeypatch.setattr(oracles, "_plan", lambda *args: runs.append("plan") or real_plan(*args))
+    real = oracles._series_parallel
+
+    def phase(domains, factors, fixed, keep):
+        # "kernel" when a free variable is left for the planner
+        out = real(domains, factors, fixed, keep)
+        runs.append("phase" if isinstance(out, dict) or not any(
+            nbrs is not None and v not in keep for v, nbrs in enumerate(out[0])) else "kernel")
+        return out
+
+    monkeypatch.setattr(oracles, "_series_parallel", phase)
     values = [(a, b) for a in range(-2, 5) for b in range(-2, 5)]
     seen = Counter()
     for _ in range(200):
@@ -423,13 +429,14 @@ def test_series_parallel_phase_matches_enumeration(monkeypatch):
         assert time.perf_counter() - start < 0.05
         want = weighted_sum_enumeration(domains, factors, keep)
         assert got == want, (shape, edges, keep)
-        assert runs[0] == "phase"
-        # a graph with no K4 minor is summed out whole, with no plan
-        assert shape in ("subdivided K4", "3x3 grid") or "plan" not in runs
+        assert len(runs) == 1
+        # a graph with no K4 minor and at most one kept variable is summed
+        # out whole; two kept ones can hold a kernel between them
+        assert shape in ("subdivided K4", "3x3 grid") or len(keep) > 1 or runs == ["phase"]
         pairs = Counter(frozenset((u, v)) for u, v, _ in factors)
         seen.update({
             shape: True, f"{len(keep)} kept": True,
-            "kernel left": "plan" in runs, "no kernel": "plan" not in runs,
+            "kernel left": runs == ["kernel"], "no kernel": runs == ["phase"],
             "zero table": any(not t for _, _, t in factors),
             "zero result": not want, "nonzero result": bool(want),
             "parallel factors": max(pairs.values()) > 1,
