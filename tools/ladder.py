@@ -358,7 +358,7 @@ def _reduce_ising_step(family: str, size: int) -> dict:
     answer, refused, plans, times = _timed_count(
         lambda: text, lambda text: oracles.count_list_hcol(h, parse_instance(text, h.n)))
     out = {f"{shape}_vertices": g.m, "vertices": inst.g.m, "seconds": min(times),
-           "times": times, "answer": None if answer is None else str(answer),
+           "times": times, "answer": None if answer is None else helpers.decimal_text(answer),
            "refused": refused, "plans": plans, "peak_rss_mib": _peak_rss_mib()}
     if answer is not None:
         # the count is the graph's two-spin sum with weight a on each
