@@ -410,13 +410,11 @@ def _series_parallel(domains: list, factors, fixed: list, keep: tuple):
     if not total:
         return {}
 
-    left = free.count(True)
     work = [v for v in range(n) if free[v] and len(nb[v]) <= 2]
     for x in work:  # grows as degrees fall to two; never holds a variable twice
         nx = nb[x]
         ux = vec[x]
         nb[x] = vec[x] = None
-        left -= 1
         if len(nx) == 2:
             # t[j, k] = sum_i ux[i] * a[i, j] * b[i, k], over (y, z)
             (y, a), (z, b) = nx.items()
@@ -456,7 +454,7 @@ def _series_parallel(domains: list, factors, fixed: list, keep: tuple):
             if not s:
                 return {}
             total *= s
-    if left or len(keep) > 2:
+    if len(work) < free.count(True) or len(keep) > 2:
         return nb, vec, total
     if not keep:
         return {(): total}
@@ -534,7 +532,7 @@ def _eliminate(domains: list, factors, keep: tuple = (), plan: _Plan | None = No
             if plan.largest > MAX_TABLE_SIZE:
                 kernel = None  # frees the 2x2 tables; the fallback starts from the factors
         if kernel is None:
-            plan, other = _best_plan(factors, fixed, size, kept, None, plan)
+            plan, other = _best_plan(factors, fixed, size, kept, plan=plan)
             if plan.largest > MAX_TABLE_SIZE:
                 raise _refusal(plan, other)
     pos = [0] * n  # elimination position; the kept variables come last
@@ -543,7 +541,7 @@ def _eliminate(domains: list, factors, keep: tuple = (), plan: _Plan | None = No
     for i, v in enumerate(keep, start=len(plan.steps)):
         pos[v] = i
 
-    vec: list = [None] * n  # v's weight vector, None for all ones
+    # vec[v] is v's weight vector, None for all ones
     pair: list[dict | None] = [{} for _ in range(n)]  # pair[u][v]: the table over (u, v)
     wide: list[dict | None] = [None] * n  # wide[u]: scope -> table, three or more variables
     if kernel is not None:
@@ -559,6 +557,7 @@ def _eliminate(domains: list, factors, keep: tuple = (), plan: _Plan | None = No
                         mine[v] = t
         nb = None
     else:
+        vec = [None] * n
         total = 1
         # no table is changed in place, so one flat copy serves every factor
         # with the same table and domains
