@@ -541,12 +541,11 @@ def _eliminate(domains: list, factors, keep: tuple = (), plan: _Plan | None = No
     for i, v in enumerate(keep, start=len(plan.steps)):
         pos[v] = i
 
-    # vec[v] is v's weight vector, None for all ones
     pair: list[dict | None] = [{} for _ in range(n)]  # pair[u][v]: the table over (u, v)
     wide: list[dict | None] = [None] * n  # wide[u]: scope -> table, three or more variables
     if kernel is not None:
-        # the kernel's 2x2 tuples serve as its tables: a step reads a table
-        # only by index and slice, and never changes one in place
+        # the kernel's 2x2 tuples serve as its tables and vectors: a step
+        # reads one only by index and slice, and never changes one in place
         nb, vec, total = kernel
         kernel = None
         for u, nbrs in enumerate(nb):
@@ -557,7 +556,7 @@ def _eliminate(domains: list, factors, keep: tuple = (), plan: _Plan | None = No
                         mine[v] = t
         nb = None
     else:
-        vec = [None] * n
+        vec = [None] * n  # v's weight vector, None for all ones
         total = 1
         # no table is changed in place, so one flat copy serves every factor
         # with the same table and domains
