@@ -77,7 +77,9 @@ the graph's and the instance's vertex counts and the peak RSS, and whether
 the answer is the expected one.  With the thickened gadget's matrix
 [[a, b], [b, a]] as the edge weights, that is the grid's transfer-matrix
 count, and (a + b)^m + (a - b)^m on the m-cycle.  The series-parallel phase
-counts the cycle's instances whole, so their steps record no plan.
+counts the cycle's instances whole, so their steps record no plan.  The
+answer is written through ``helpers.decimal_text``: at m = 6,400 it has
+more digits than ``str()`` converts.
 
 Every step runs REPEATS times per ``--run``, each time in a fresh
 interpreter, the runs of the labels taking turns.  A run makes the timed
