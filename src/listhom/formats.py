@@ -16,8 +16,12 @@ converted once, so equal lists share one frozenset.  The header and any
 line that breaks a rule the three formats share (the header comes first and
 only once, and every other line is a directive of the format with its
 number of integer arguments) go to one checker, _directive, which names the
-fault.  Every line is checked as it is read, so a ParseError (a Refusal)
-names the first bad line; the CLI exits with code 2 on one.
+fault.  A formula's clause line is read in the branch of its shape, "i a
+b" or "p v" / "n v", which converts and range-checks its integers in
+place; that is the one check of the clause, and the formula that
+parse_formula returns is not checked again by ImplicationFormula.  Every
+line is checked as it is read, so a ParseError (a Refusal) names the first
+bad line; the CLI exits with code 2 on one.
 Serialisers emit canonical order, and parse(serialise(x)) == x for every
 in-range value.
 """
@@ -188,31 +192,45 @@ def serialise_instance(inst: Instance) -> str:
 
 
 def parse_formula(text: str) -> ImplicationFormula:
+    """The formula of a formula file, checked clause by clause as the
+    module docstring says; the header and every other line go to
+    _directive."""
     what, header = "formula", "f <nvars>"
     nvars = None  # the header's value, once read
     clauses = []
+    append = clauses.append
     for line_no, raw in enumerate(_lines(text), start=1):
         fields = raw.split()
-        if not fields or fields[0][0] == "#":
+        if not fields:
             continue
         tag = fields[0]
-        if tag in _CLAUSES and len(fields) - 1 == _CLAUSES[tag][1] and nvars is not None:
+        if tag == IMP and len(fields) == 3 and nvars is not None:
             try:
-                ints = [int(x) for x in fields[1:]]
+                a = int(fields[1])
+                b = int(fields[2])
             except ValueError:  # _directive names the field
                 _directive(line_no, fields, what, header, _CLAUSES, True)
-            for v in ints:
-                if not (1 <= v <= nvars):
-                    raise ParseError(line_no, f"variable {v} out of range 1..{nvars}")
-            clauses.append((tag, *ints))
-        else:
+            if not 1 <= a <= nvars:
+                raise ParseError(line_no, f"variable {a} out of range 1..{nvars}")
+            if not 1 <= b <= nvars:
+                raise ParseError(line_no, f"variable {b} out of range 1..{nvars}")
+            append((IMP, a, b))
+        elif (tag == UNIT_POS or tag == UNIT_NEG) and len(fields) == 2 and nvars is not None:
+            try:
+                v = int(fields[1])
+            except ValueError:  # _directive names the field
+                _directive(line_no, fields, what, header, _CLAUSES, True)
+            if not 1 <= v <= nvars:
+                raise ParseError(line_no, f"variable {v} out of range 1..{nvars}")
+            append((tag, v))
+        elif tag[0] != "#":
             # the header, or a line that _directive refuses
             (nvars,) = _directive(line_no, fields, what, header, _CLAUSES, nvars is not None)
             if nvars < 0:
                 raise ParseError(line_no, "variable count must be non-negative")
     if nvars is None:
         raise ParseError(1, f"missing {header!r} header")
-    return ImplicationFormula(nvars, tuple(clauses))
+    return ImplicationFormula._checked(nvars, tuple(clauses))
 
 
 def serialise_formula(f: ImplicationFormula) -> str:

@@ -73,14 +73,19 @@ reads a whole interaction matrix from it with both terminals kept.  Every
 table that involves kept variables, the final one over them included, is
 size-checked like any other.
 
-The model counter does not hand the engine one variable per bit.  A
-formula from reduce-sat numbers each vertex's chain x_{u,q} -> ... -> x_{u,0}
-consecutively, and eliminating those bits one at a time makes min-degree see
-several times the instance's width.  So count_1p1n covers the variables
-with maximal runs of v + 1 -> v implications.  A run of L variables becomes
-one variable over its L + 1 monotone levels, level k meaning its first k
-variables hold.  Unit clauses and implications inside a run filter its
-levels.  All implications from one run to another become one 0/1 table over
+The model counter takes each clause as checked once: by ImplicationFormula
+when the formula is built directly, or by formats.parse_formula as it reads
+the clause's line, and a parsed formula is not checked again.  It does not
+hand the engine one variable per bit.  A formula from reduce-sat numbers
+each vertex's chain x_{u,q} -> ... -> x_{u,0} consecutively, and
+eliminating those bits one at a time makes min-degree see several times the
+instance's width.  So count_1p1n covers the variables with maximal runs of
+v + 1 -> v implications.  A run of L variables becomes one variable over
+its L + 1 monotone levels, level k meaning its first k variables hold.
+Unit clauses and implications inside a run filter its levels; the links v
++ 1 -> v that join a run hold at every level, so the one pass over the
+clauses that finds the runs sets aside only the units and the other
+implications for filing.  All implications from one run to another become one 0/1 table over
 their levels: (x, y) is allowed exactly when y exceeds every offset j of an
 implication i -> j with i < x.  On a reduce-sat formula the levels are the
 vertex's colours, so the count runs at the instance's own width.  Grouping
@@ -140,7 +145,13 @@ def implies(a: int, b: int) -> Clause:
 @dataclass(frozen=True)
 class ImplicationFormula:
     """CNF with unit clauses and implications only (one positive and one
-    negative literal per clause, at most)."""
+    negative literal per clause, at most).
+
+    Built directly, the formula checks every clause's tag, arity and
+    variable range and the variable count, and raises a ValueError on the
+    first fault.  formats.parse_formula has already made each of those
+    checks as it read the clause, so it builds the formula with _checked,
+    which does not check it again."""
 
     var_count: int
     clauses: tuple[Clause, ...]
@@ -162,6 +173,15 @@ class ImplicationFormula:
             for v in vs:
                 if not (1 <= v <= self.var_count):
                     raise ValueError(f"variable {v} out of range in {cl!r}")
+
+    @classmethod
+    def _checked(cls, var_count: int, clauses: tuple) -> "ImplicationFormula":
+        """The formula of clauses that a reader has already checked, built
+        without __post_init__'s second pass over them."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "var_count", var_count)
+        object.__setattr__(f, "clauses", clauses)
+        return f
 
 
 @dataclass(frozen=True)
@@ -770,16 +790,19 @@ def count_1p1n(f: ImplicationFormula) -> int:
     Refusal names both before any table is built.
     """
     n = f.var_count
-    imps = []
+    links = 0
+    imps = []  # the implications a -> b other than a == b and a == b + 1
     units = []
     linked = [False] * n  # linked[v]: v + 1 implies v
     for cl in f.clauses:
         if cl[0] == IMP:
             a, b = cl[1] - 1, cl[2] - 1
-            if a != b:
+            if a == b + 1:
+                # it joins a run and holds at every level, so it files nothing
+                linked[b] = True
+                links += 1
+            elif a != b:
                 imps.append((a, b))
-                if a == b + 1:
-                    linked[b] = True
         else:
             units.append((cl[1] - 1, cl[0] == UNIT_POS))
 
@@ -829,11 +852,12 @@ def count_1p1n(f: ImplicationFormula) -> int:
     size = [len(d) for d in domains]
     pairs = [(ra, rb, None) for ra, rb in after]
     plan, _ = _best_plan(pairs, [d == 1 for d in size], size, ())
-    if plan.largest > MAX_TABLE_SIZE or plan.total > 2 * n + 4 * len(imps):
+    if plan.largest > MAX_TABLE_SIZE or plan.total > 2 * n + 4 * (links + len(imps)):
         bits = [(0, 1)] * n
         for v, value in units:
             bits[v] = tuple(b for b in bits[v] if b == value)
-        factors = [(a, b, _IMPLIES_TABLE) for a, b in imps]
+        factors = [(cl[1] - 1, cl[2] - 1, _IMPLIES_TABLE) for cl in f.clauses
+                   if cl[0] == IMP and cl[1] != cl[2]]
         bsize = [len(d) for d in bits]
         # a bit-level plan can win only below a grouped plan that fits, so
         # it stops once its total reaches that plan's

@@ -1,9 +1,10 @@
 """Shared test utilities: independent brute-force oracles (deliberately
 dumber than the library code they check), the reference searches that the
 package itself never runs (condition (H), and decoding a staircase
-formula's models), a plain reader of the text formats, a row-by-row
-transfer-matrix count for grids too large to enumerate, and small-graph
-generators up to isomorphism for the exhaustive recogniser cross-checks."""
+formula's models), a plain reader of the text formats, a per-line reference
+reader of formula files, a row-by-row transfer-matrix count for grids too
+large to enumerate, and small-graph generators up to isomorphism for the
+exhaustive recogniser cross-checks."""
 
 from __future__ import annotations
 
@@ -269,6 +270,55 @@ def read_text(text: str, head: str, colour_count: int | None = None):
     if n is None:
         return 1
     return n, items if head == "f" else sorted(items), lists
+
+
+def reference_formula(text: str):
+    """(nvars, clauses) of a formula file, read line by line the generic way:
+    every line but a comment or a blank one splits into a tag and integer
+    fields, all converted by one list comprehension, then each field is
+    range-checked in an inner loop.  A faulty line raises
+    listhom.formats.ParseError with the message and line number that
+    formats.parse_formula gives, the reference for its one branch per
+    clause shape."""
+    from listhom.formats import ParseError
+
+    arity = {"p": 1, "n": 1, "i": 2}
+    nvars = None
+    clauses = []
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, raw in enumerate(lines, start=1):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
+            continue
+        tag = fields[0]
+        if tag == "f":
+            if nvars is not None:
+                raise ParseError(line_no, "duplicate header")
+            count = 1
+        elif tag in arity:
+            count = arity[tag]
+            if nvars is None:
+                raise ParseError(line_no, "clause before 'f' header")
+        else:
+            raise ParseError(line_no, f"unknown directive {tag!r} in formula file")
+        if len(fields) - 1 != count:
+            raise ParseError(line_no, f"{tag!r} takes {count} argument(s)")
+        try:
+            ints = [int(x) for x in fields[1:]]
+        except ValueError as exc:
+            raise ParseError(line_no, f"non-integer field: {exc}") from None
+        if tag == "f":
+            nvars = ints[0]
+            if nvars < 0:
+                raise ParseError(line_no, "variable count must be non-negative")
+            continue
+        for v in ints:
+            if not (1 <= v <= nvars):
+                raise ParseError(line_no, f"variable {v} out of range 1..{nvars}")
+        clauses.append((tag, *ints))
+    if nvars is None:
+        raise ParseError(1, "missing 'f <nvars>' header")
+    return nvars, tuple(clauses)
 
 
 def grid_edges(k: int, rows: int | None = None) -> list[tuple[int, int]]:

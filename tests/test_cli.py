@@ -18,6 +18,7 @@ from helpers import (
     random_instance_graph,
     random_lists,
     read_text,
+    reference_formula,
     satisfies,
 )
 from listhom import cli, patterns
@@ -188,6 +189,125 @@ def test_parsers_agree_with_a_plain_reading_on_edited_files():
     # lines that list the same colours, as written, share one frozenset
     inst = parse_instance("g 3\nl 1 1 2\nl 3 1 2\n", 3)
     assert inst.lists[0] == {1, 2} and inst.lists[0] is inst.lists[2]
+
+
+# integer fields that int() reads although they are not plain digits, and
+# fields it refuses
+_ODD_INTS = ("+2", "1_0", "\u0663", "\uff13", "\u0967", "-0", "007")
+_NOT_INTS = ("1.5", "x", "0x1", "1e2", "", "--1", "1__0", "\u00bd")
+
+
+def _fuzzed_formula(rng, seen):
+    """A seeded formula file: a header (sometimes missing, repeated, late
+    or bad), clause lines, comments and blank lines, most of them valid and
+    some with a bad tag, a wrong arity, a field int() refuses or a variable
+    out of range, joined by LF, CRLF, CR or a mix.  seen counts each
+    feature the file carries."""
+    n = 0 if rng.random() < 0.1 else rng.choice((1, rng.randint(2, 12)))
+
+    def var():
+        r = rng.random()
+        if r < 0.9 or not n:
+            return str(rng.randint(1, n)) if n else "1"
+        if r < 0.95:
+            seen["odd integer"] += 1
+            return rng.choice(_ODD_INTS)
+        seen["out of range"] += 1
+        return rng.choice(("0", "-1", str(n + 1), str(10 ** 20)))
+
+    lines = []
+    for _ in range(rng.randint(0, 10)):
+        r = rng.random()
+        if r < 0.1:
+            seen["comment or blank"] += 1
+            lines.append(rng.choice(("", "  ", "\t", "# note", "#p 1", " # i 1 2")))
+        elif r < 0.5:
+            lines.append(rng.choice(("p", "n")) + " " + var())
+        else:
+            lines.append(f"i {var()} {var()}")
+    fault = rng.random()
+    if fault < 0.5 and lines:
+        j = rng.randrange(len(lines))
+        fields = lines[j].split() or ["p", "1"]
+        kind = rng.randrange(3)
+        if kind == 0:
+            seen["bad tag"] += 1
+            fields[0] = rng.choice(("x", "e", "P", "ii", "f", "pn", "\u0440"))
+        elif kind == 1:
+            seen["wrong arity"] += 1
+            if len(fields) > 1 and rng.random() < 0.5:
+                fields.pop()
+            else:
+                fields.append(var())
+        else:
+            seen["not an integer"] += 1
+            fields[rng.randrange(len(fields))] = rng.choice(_NOT_INTS) or "1.5"
+        lines[j] = rng.choice(("", " ", "\t")).join(
+            (" " if rng.random() < 0.2 else "") + f for f in fields)
+    header = rng.random()
+    if header < 0.05:
+        seen["missing header"] += 1
+    else:
+        value = str(n)
+        if header < 0.12:
+            seen["bad header"] += 1
+            value = rng.choice(("-1", "x", "1.5", f"{n} {n}", "", "+3", "1_2"))
+        j = 0 if header > 0.2 or not lines else rng.randrange(len(lines) + 1)
+        seen["late header"] += j > 0
+        lines.insert(j, f"f {value}".rstrip())
+        if header > 0.97:
+            seen["duplicate header"] += 1
+            lines.insert(rng.randrange(1, len(lines) + 1), f"f {n}")
+    ends = rng.choice(("\n", "\r\n", "\r", None))
+    seen["CR or CRLF"] += ends != "\n"
+    if ends is None:
+        text = "".join(line + rng.choice(("\n", "\r\n", "\r")) for line in lines)
+    else:
+        text = ends.join(lines) + (ends if rng.random() < 0.8 else "")
+    return text
+
+
+def test_parse_formula_agrees_with_the_per_line_reference_on_fuzzed_files():
+    # 20,000 seeded files: parse_formula reads each clause shape in its own
+    # branch and must give what the generic per-line reader gives, the same
+    # formula or the same message on the same line.  A parsed formula equals
+    # the one built directly, whose __post_init__ checks every clause
+    rng = random.Random(61)
+    seen = dict.fromkeys((
+        "odd integer", "out of range", "comment or blank", "bad tag", "wrong arity",
+        "not an integer", "missing header", "bad header", "late header",
+        "duplicate header", "CR or CRLF", "parsed", "refused"), 0)
+    for _ in range(20_000):
+        text = _fuzzed_formula(rng, seen)
+        try:
+            want = reference_formula(text)
+        except ParseError as err:
+            want = (err.line_no, str(err))
+            seen["refused"] += 1
+        else:
+            seen["parsed"] += 1
+        try:
+            f = parse_formula(text)
+        except ParseError as err:
+            assert (err.line_no, str(err)) == want, repr(text)
+            continue
+        assert (f.var_count, f.clauses) == want, repr(text)
+        assert f == ImplicationFormula(*want), repr(text)
+    assert min(seen.values()) >= 200, seen
+
+
+def test_a_parsed_formula_is_not_checked_again(monkeypatch):
+    # parse_formula checks every clause as it reads it, so the formula it
+    # returns skips ImplicationFormula.__post_init__; built directly, the
+    # formula still runs it
+    def refuse(self):
+        raise ValueError("checked again")
+
+    monkeypatch.setattr(ImplicationFormula, "__post_init__", refuse)
+    f = parse_formula("f 3\np 1\ni 2 1\nn 3\n")
+    assert (f.var_count, f.clauses) == (3, (("p", 1), ("i", 2, 1), ("n", 3)))
+    with pytest.raises(ValueError, match="checked again"):
+        ImplicationFormula(3, f.clauses)
 
 
 def test_graph_round_trip_and_list_rejection():

@@ -89,3 +89,14 @@ def test_ladder_reduce_ising_cycle_step_is_counted_whole_by_the_phase():
     assert step["refused"] is None and step["expected"], step
     assert step["plans"] == []
     assert oracles._plan is real
+
+
+def test_ladder_count_sat_chain_step_reads_and_counts_the_chain():
+    # f 1500 and the lines i v+1 v: one run of 1,500 variables, so one
+    # engine variable over its 1,501 levels, and n + 1 models
+    real = oracles._plan
+    step = _ladder().step(str(ROOT / "src"), "count_sat_chain", 1500)
+    assert step["variables"] == 1500 and step["answer"] == "1501", step
+    assert step["refused"] is None and step["expected"], step
+    assert [(plan["width"], plan["largest"]) for plan in step["plans"]] == [(0, 1501)]
+    assert oracles._plan is real

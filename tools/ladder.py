@@ -1,7 +1,8 @@
 """Size ladders: time `classify` on relabelled targets of 30 to 3,840
-colours, the gadget report on those of 30 to 480, and exact counts on k x k
+colours, the gadget report on those of 30 to 480, exact counts on k x k
 grids, of list colourings and of the formulas reduce-sat compiles from
-them, and write the results as JSON.
+them, and reading and counting long implication chains, and write the
+results as JSON.
 
     python3 tools/ladder.py --run parent=../parent/src --run change=src --out BENCH_9.json
 
@@ -81,6 +82,17 @@ counts the cycle's instances whole, so their steps record no plan.  The
 answer is written through ``helpers.decimal_text``: at m = 6,400 it has
 more digits than ``str()`` converts.
 
+The count-sat family reads and counts a formula file, the path of
+``count-sat``:
+
+* ``count_sat_chain``: the text "f n" with a line "i v+1 v" for each v
+  below n, n = 1,500 to 150,000.
+
+Each of its steps builds the text outside the timing and times
+``parse_formula`` and ``count_1p1n`` on it.  It records the answer, the
+plans and the peak RSS, and whether the answer is n + 1, the number of
+prefixes of ones.
+
 Every step runs REPEATS times per ``--run``, each time in a fresh
 interpreter, the runs of the labels taking turns.  A run makes the timed
 call up to CALLS times, fewer once its calls add up to BUDGET_S seconds,
@@ -153,11 +165,14 @@ REDUCE_SAT_FAMILIES = {
 # its sizes, the grid's side or the cycle's length
 REDUCE_ISING_FAMILIES = {"reduce_ising_count": (("X3", 1, "grid"), tuple(range(4, 13))),
                          "reduce_ising_cycle": (("X3", 1, "cycle"), (100, 400, 1600, 6400))}
+# each count-sat family and its variable counts
+COUNT_SAT_FAMILIES = {"count_sat_chain": (1500, 15000, 150000)}
 FAMILIES = {**{family: SIZES + LARGE_SIZES for family in CLASSIFY_FAMILIES},
             **{family: SIZES for family in GADGET_FAMILIES},
             **GRID_FAMILIES,
             **{family: sizes for family, (_, sizes) in REDUCE_SAT_FAMILIES.items()},
-            **{family: sizes for family, (_, sizes) in REDUCE_ISING_FAMILIES.items()}}
+            **{family: sizes for family, (_, sizes) in REDUCE_ISING_FAMILIES.items()},
+            **COUNT_SAT_FAMILIES}
 
 
 def _peak_rss_mib() -> float:
@@ -191,6 +206,8 @@ def step(src: str, family: str, size: int) -> dict:
         return _reduce_sat_step(family, size)
     if family in REDUCE_ISING_FAMILIES:
         return _reduce_ising_step(family, size)
+    if family in COUNT_SAT_FAMILIES:
+        return _count_sat_step(size)
     from listhom.graphs import ColourGraph
     from listhom.recognizer import ExcludedWitness, classify
 
@@ -375,6 +392,19 @@ def _reduce_ising_step(family: str, size: int) -> dict:
     return out
 
 
+def _count_sat_step(n: int) -> dict:
+    from listhom.formats import parse_formula
+    from listhom.oracles import count_1p1n
+
+    # x_{v+1} -> x_v: the models are the n + 1 prefixes of ones
+    text = "\n".join([f"f {n}"] + [f"i {v + 1} {v}" for v in range(1, n)]) + "\n"
+    answer, refused, plans, times = _timed_count(
+        lambda: text, lambda text: count_1p1n(parse_formula(text)))
+    return {"variables": n, "seconds": min(times), "times": times,
+            "answer": None if answer is None else str(answer), "refused": refused,
+            "plans": plans, "peak_rss_mib": _peak_rss_mib(), "expected": answer == n + 1}
+
+
 def _git(src: Path, *args: str) -> str | None:
     try:
         proc = subprocess.run(["git", "-C", str(src), *args],
@@ -472,7 +502,8 @@ def main(argv=None) -> int:
         "what": "seconds of one classify call, one gadget report or one count per step"
                 " (each input built outside the timing): the fastest call of the"
                 " median run, and every call of every run under times; a reduce-sat"
-                " step times count_1p1n there and count_list_hcol under count_seconds",
+                " step times count_1p1n there and count_list_hcol under count_seconds,"
+                " and a count-sat step times parse_formula and count_1p1n",
         "python": platform.python_version(),
         "machine": machine_note(),
         "cap_s": CAP_S,
