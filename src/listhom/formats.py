@@ -16,9 +16,9 @@ converted once, so equal lists share one frozenset.  The header and any
 line that breaks a rule the three formats share (the header comes first and
 only once, and every other line is a directive of the format with its
 number of integer arguments) go to one checker, _directive, which names the
-fault.  A formula's clause line is read in the branch of its shape, "i a
-b" or "p v" / "n v", which converts and range-checks its integers in
-place; that is the one check of the clause, and the formula that
+fault.  A formula's clause line is read in the branch of its shape,
+"i <a> <b>" or "p <v>" / "n <v>", which converts and range-checks its
+integers in place.  That is the one check of the clause: the formula that
 parse_formula returns is not checked again by ImplicationFormula.  Every
 line is checked as it is read, so a ParseError (a Refusal) names the first
 bad line; the CLI exits with code 2 on one.

@@ -82,21 +82,22 @@ eliminating those bits one at a time makes min-degree see several times the
 instance's width.  So count_1p1n covers the variables with maximal runs of
 v + 1 -> v implications.  A run of L variables becomes one variable over
 its L + 1 monotone levels, level k meaning its first k variables hold.
-Unit clauses and implications inside a run filter its levels; the links v
-+ 1 -> v that join a run hold at every level, so the one pass over the
+Unit clauses and implications inside a run filter its levels; the links
+v + 1 -> v that join a run hold at every level, so the one pass over the
 clauses that finds the runs sets aside only the units and the other
-implications for filing.  All implications from one run to another become one 0/1 table over
-their levels: (x, y) is allowed exactly when y exceeds every offset j of an
-implication i -> j with i < x.  On a reduce-sat formula the levels are the
-vertex's colours, so the count runs at the instance's own width.  Grouping
-can also cost more than bits: two long chains joined rung by rung make one
-table over both chains' levels, quadratic in their length, where the bits
-form a ladder of width 2.  So the grouped problem is planned first, before
-any table is built.  Only when that plan is over the limit, or its total
-table entries exceed the least a bit-level pass can cost (2 per variable
-and 4 per implication), is the bit-level problem planned too, and only
-until its total reaches a grouped total that fits.  The cheaper plan within
-the limit runs, and when neither is within it the error names both.
+implications for filing.  All implications from one run to another become
+one 0/1 table over their levels: (x, y) is allowed exactly when y exceeds
+every offset j of an implication i -> j with i < x.  On a reduce-sat
+formula the levels are the vertex's colours, so the count runs at the
+instance's own width.  Grouping can also cost more than bits: two long
+chains joined rung by rung make one table over both chains' levels,
+quadratic in their length, where the bits form a ladder of width 2.  So the
+grouped problem is planned first, before any table is built.  Only when
+that plan is over the limit, or its total table entries exceed the least a
+bit-level pass can cost (2 per variable and 4 per implication), is the
+bit-level problem planned too, and only until its total reaches a grouped
+total that fits.  The cheaper plan within the limit runs, and when neither
+is within it the error names both.
 
 Counts are exact Python ints; partition function values are exact Fractions.
 No floating point anywhere.  All counters are deterministic and independent
