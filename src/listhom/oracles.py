@@ -37,16 +37,16 @@ records each step's variable and scope, the order's induced width and its
 largest table (the product of the domain sizes over a step's scope plus the
 eliminated variable).  The order is greedy min-degree, from a heap of int
 keys (degree times the variable count, plus the variable), so that a tie
-goes to the smaller variable without comparing tuples; a step with one or
-two neighbours updates their neighbour sets directly.  Only when that
-order needs a table over MAX_TABLE_SIZE does the plan also try a BFS
-profile order, each component swept breadth-first from a peripheral vertex
-(the far end of a BFS from its smallest vertex), and keep whichever of the
-two has the smaller largest table, min-degree on a tie.  On a k x k grid
-the profile order has width k, and min-degree's grows past it.  If even that
-order is over the limit, the engine raises a Refusal naming the table
-size, the induced width and both orders before it builds any table over
-more than two variables, instead of running out of time or memory.
+goes to the smaller variable without comparing tuples.  Every step, in
+either order, joins its scope into each neighbour's set by one rule.  Only
+when that order needs a table over MAX_TABLE_SIZE does the plan also try a
+BFS profile order, each component swept breadth-first from a peripheral
+vertex (the far end of a BFS from its smallest vertex), and keep whichever
+of the two has the smaller largest table, min-degree on a tie.  On a k x k
+grid the profile order has width k, and min-degree's grows past it.  If
+even that order is over the limit, the engine raises a Refusal naming the
+table size, the induced width and both orders before it builds any table
+over more than two variables, instead of running out of time or memory.
 
 The numeric pass then runs the plan on flat int tables indexed by domain
 position.  Each variable's weight vector is kept apart; a table over two
@@ -87,12 +87,14 @@ v + 1 -> v that join a run hold at every level, so the one pass over the
 clauses that finds the runs sets aside only the units and the other
 implications for filing.  All implications from one run to another become
 one 0/1 table over their levels: (x, y) is allowed exactly when y exceeds
-every offset j of an implication i -> j with i < x.  On a reduce-sat
-formula the levels are the vertex's colours, so the count runs at the
-instance's own width.  Grouping can also cost more than bits: two long
-chains joined rung by rung make one table over both chains' levels,
-quadratic in their length, where the bits form a ladder of width 2.  So the
-grouped problem is planned first, before any table is built.  Only when
+every offset j of an implication i -> j with i < x.  When no implication
+joins two runs, the runs count apart: the answer is the product of their
+level counts, with no plan and no table, however long a run is.  On a
+reduce-sat formula the levels are the vertex's colours, so the count runs
+at the instance's own width.  Grouping can also cost more than bits: two
+long chains joined rung by rung make one table over both chains' levels,
+quadratic in their length, where the bits form a ladder of width 2.  So
+the grouped problem is planned first, before any table is built.  Only when
 that plan is over the limit, or its total table entries exceed the least a
 bit-level pass can cost (2 per variable and 4 per implication), is the
 bit-level problem planned too, and only until its total reaches a grouped
@@ -214,9 +216,11 @@ def _plan(rule: str, adj: list, size: list, kept, order=None, cap=None) -> _Plan
     reaches cap: count_1p1n runs a bit-level plan only when its total is
     below the grouped plan's.
 
-    The heap holds degree * len(adj) + v for each free variable v, pushed
-    again whenever v's degree changes, so a popped key whose degree is not
-    v's current one is stale and skipped.
+    Every step follows one rule, whatever its number of neighbours: each
+    neighbour of the variable summed out loses it and gains its other
+    neighbours.  The heap holds degree * len(adj) + v for each free variable
+    v, pushed again whenever v's degree changes, so a popped key whose
+    degree is not v's current one is stale and skipped.
     """
     n = len(adj)
     if order is None:
@@ -246,40 +250,16 @@ def _plan(rule: str, adj: list, size: list, kept, order=None, cap=None) -> _Plan
         scope = nbrs  # x's set is never changed again, so it is the scope
         k = len(scope)
         entries = size[x]
-        if k == 1:
-            (v,) = scope
+        # the other neighbours of x join each neighbour's set
+        for v in scope:
             entries *= size[v]
             others = adj[v]
+            deg = len(others)
+            others |= nbrs
             others.discard(x)
-            if heap is not None and v not in kept:
+            others.discard(v)
+            if heap is not None and len(others) != deg and v not in kept:
                 heappush(heap, len(others) * n + v)
-        elif k == 2:
-            # y and z each lose x; they gain each other unless already joined
-            y, z = scope
-            entries *= size[y] * size[z]
-            ay, az = adj[y], adj[z]
-            ay.discard(x)
-            az.discard(x)
-            if z in ay:
-                if heap is not None:
-                    if y not in kept:
-                        heappush(heap, len(ay) * n + y)
-                    if z not in kept:
-                        heappush(heap, len(az) * n + z)
-            else:
-                ay.add(z)
-                az.add(y)
-        else:
-            # the other neighbours of x join each neighbour's set
-            for v in scope:
-                entries *= size[v]
-                others = adj[v]
-                deg = len(others)
-                others |= nbrs
-                others.discard(x)
-                others.discard(v)
-                if heap is not None and len(others) != deg and v not in kept:
-                    heappush(heap, len(others) * n + v)
         steps.append((x, scope))
         total += entries
         if entries > largest:
@@ -780,11 +760,13 @@ def count_1p1n(f: ImplicationFormula) -> int:
       become one 0/1 table over the two runs' levels: it allows (x, y)
       exactly when y > max{j : i < x}.  Runs with no level left give 0.
 
-    The grouped problem is planned before any table is built.  When its
-    plan is over MAX_TABLE_SIZE, or its total entries exceed the least a
-    bit-level pass can cost (2 per variable plus 4 per implication), the
-    bit-level problem, one variable per bit and one table per implication,
-    is planned too, and the cheaper of the two plans within the limit runs,
+    When no implication joins two runs, the count is the product of the
+    runs' level counts, returned before any plan.  Otherwise the grouped
+    problem is planned before any table is built.  When its plan is over
+    MAX_TABLE_SIZE, or its total entries exceed the least a bit-level pass
+    can cost (2 per variable plus 4 per implication), the bit-level
+    problem, one variable per bit and one table per implication, is
+    planned too, and the cheaper of the two plans within the limit runs,
     the grouped one on a tie.  When the grouped plan is within the limit,
     the bit-level one stops as soon as its total reaches the grouped total,
     since it can no longer win.  When neither is within the limit, the
@@ -851,6 +833,8 @@ def count_1p1n(f: ImplicationFormula) -> int:
         domains.append(tuple(levels))
 
     size = [len(d) for d in domains]
+    if not after:  # no implication joins two runs, so they count apart
+        return prod(size)
     pairs = [(ra, rb, None) for ra, rb in after]
     plan, _ = _best_plan(pairs, [d == 1 for d in size], size, ())
     if plan.largest > MAX_TABLE_SIZE or plan.total > 2 * n + 4 * (links + len(imps)):

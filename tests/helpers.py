@@ -2,7 +2,8 @@
 dumber than the library code they check), the reference searches that the
 package itself never runs (condition (H), and decoding a staircase
 formula's models), a plain reader of the text formats, a per-line reference
-reader of formula files, a row-by-row transfer-matrix count for grids too
+reader of formula files, a plain min-degree eliminator that the engine's
+planner must match, a row-by-row transfer-matrix count for grids too
 large to enumerate, and small-graph generators up to isomorphism for the
 exhaustive recogniser cross-checks."""
 
@@ -180,6 +181,44 @@ def weighted_sum_enumeration(domains, factors, keep=()) -> dict:
             key = tuple(values[v] for v in keep)
             out[key] = out.get(key, 0) + w
     return {key: w for key, w in out.items() if w}
+
+
+def min_degree_plan(adj, size, kept=(), order=None, cap=None, limit=1 << 18):
+    """What oracles._plan draws up, by the plain rule: (steps, width,
+    largest, total).  adj[v] is the set of v's neighbours, or None for a
+    variable outside the graph.  Each step takes the free variable of least
+    degree, the smaller on a tie, or the next one of order; it is summed out
+    by joining its neighbours to one another, and recorded as (variable,
+    set of its neighbours).  The plan stops after the first step whose table
+    (the product of the domain sizes over the variable and its neighbours)
+    is over limit, with that step's width and table, or once the total
+    reaches cap."""
+    graph = {v: set(nbrs) for v, nbrs in enumerate(adj) if nbrs is not None}
+    steps = []
+    width = largest = total = 0
+    while True:
+        if order is not None:
+            if len(steps) == len(order):
+                break
+            x = order[len(steps)]
+        else:
+            free = [v for v in graph if v not in kept]
+            if not free:
+                break
+            x = min(free, key=lambda v: (len(graph[v]), v))
+        scope = graph.pop(x)
+        for v in scope:
+            graph[v] = (graph[v] | scope) - {x, v}
+        entries = prod(size[v] for v in scope | {x})
+        steps.append((x, scope))
+        total += entries
+        if entries > limit:
+            return steps, len(scope), entries, total
+        width = max(width, len(scope))
+        largest = max(largest, entries)
+        if cap is not None and total >= cap:
+            break
+    return steps, width, largest, total
 
 
 def tree_list_count(h: ColourGraph, inst: Instance) -> int:

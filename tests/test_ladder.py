@@ -92,11 +92,30 @@ def test_ladder_reduce_ising_cycle_step_is_counted_whole_by_the_phase():
 
 
 def test_ladder_count_sat_chain_step_reads_and_counts_the_chain():
-    # f 1500 and the lines i v+1 v: one run of 1,500 variables, so one
-    # engine variable over its 1,501 levels, and n + 1 models
+    # f 1500 and the lines i v+1 v: one run of 1,500 variables over its
+    # 1,501 levels, joined to no other run, so n + 1 models and no plan
     real = oracles._plan
     step = _ladder().step(str(ROOT / "src"), "count_sat_chain", 1500)
     assert step["variables"] == 1500 and step["answer"] == "1501", step
     assert step["refused"] is None and step["expected"], step
-    assert [(plan["width"], plan["largest"]) for plan in step["plans"]] == [(0, 1501)]
+    assert step["plans"] == []
+    assert oracles._plan is real
+
+
+def test_ladder_runs_every_family_at_its_first_size(monkeypatch):
+    # one timed call per step: every step that answers reads expected true,
+    # and the refusal step carries its refusal and a null expected
+    ladder = _ladder()
+    monkeypatch.setattr(ladder, "CALLS", 1)
+    real = oracles._plan
+    for family, sizes in ladder.FAMILIES.items():
+        step = ladder.step(str(ROOT / "src"), family, sizes[0])
+        assert len(step["times"]) == 1, (family, step)
+        if family == "k2prime_grid_refusal":
+            assert step["answer"] is None and step["expected"] is None, step
+            assert step["refused"].startswith("exact count needs a table of"), step
+            continue
+        assert step["expected"] is True, (family, step)
+        assert step.get("refused") is None and step.get("count_refused") is None, (family, step)
+        assert step.get("count_expected", True) is True, (family, step)
     assert oracles._plan is real

@@ -14,6 +14,7 @@ from helpers import (
     grid_edges,
     grid_transfer_count,
     ising_direct,
+    min_degree_plan,
     random_instance_graph,
     random_lists,
     tree_list_count,
@@ -300,6 +301,50 @@ def test_engine_matches_enumeration_in_any_elimination_order(monkeypatch):
         seen.update(k for k, hit in _engine_shapes(domains, factors, keep, want).items() if hit)
     seen["wide step"] = sum(w >= 3 for w in widths)
     assert len(seen) == 12 and min(seen.values()) >= 5, seen
+
+
+def test_plan_equals_a_plain_min_degree_eliminator(monkeypatch):
+    # every step, whatever its number of neighbours, by one rule: the steps
+    # and scopes, width, largest table and total equal the plain
+    # eliminator's, with variables outside the graph, one-value domains,
+    # kept variables, given orders, caps and a lowered limit
+    rng = random.Random(26)
+    seen = Counter()
+    for _ in range(2000):
+        n = rng.randint(1, 40)
+        p = rng.choice((0.05, 0.1, 0.2, 0.4))
+        adj = [set() for _ in range(n)]
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < p:
+                    adj[u].add(v)
+                    adj[v].add(u)
+        outside = {v for v in range(n) if rng.random() < 0.1}
+        adj = [None if v in outside else nbrs - outside for v, nbrs in enumerate(adj)]
+        size = [rng.randint(1, 4) for _ in range(n)]
+        inside = [v for v in range(n) if v not in outside]
+        kept = frozenset(v for v in inside if rng.random() < 0.15)
+        order = None
+        if rng.random() < 0.3:
+            order = [v for v in inside if v not in kept]
+            rng.shuffle(order)
+        cap = rng.randint(1, 300) if rng.random() < 0.3 else None
+        limit = rng.choice((MAX_TABLE_SIZE, 2 ** 6, 2 ** 4))
+        monkeypatch.setattr(oracles, "MAX_TABLE_SIZE", limit)
+        want = min_degree_plan(adj, size, kept, order, cap, limit)
+        plan = oracles._plan("min-degree", [None if s is None else set(s) for s in adj],
+                             size, kept, None if order is None else list(order), cap)
+        assert (plan.steps, plan.width, plan.largest, plan.total) == want
+        seen["outside"] += bool(outside)
+        seen["one value"] += 1 in size
+        seen["kept"] += bool(kept)
+        seen["given order"] += order is not None
+        seen["stopped at the cap"] += cap is not None and plan.total >= cap
+        seen["over the limit"] += plan.largest > limit
+        seen["wide step"] += plan.width >= 3
+        seen["one-neighbour step"] += any(len(s) == 1 for _, s in plan.steps)
+        seen["two-neighbour step"] += any(len(s) == 2 for _, s in plan.steps)
+    assert len(seen) == 9 and min(seen.values()) >= 100, seen
 
 
 def test_grid_counts_under_a_lowered_limit_take_the_profile_order(monkeypatch):

@@ -42,12 +42,19 @@ The counting families run on the k x k grid, k = 8 to 16:
   the engine knows needs a table over its limit, so the step times the
   refusal.
 
-Each of their steps times only the count.  It records the answer or the
-refusal message, each elimination plan the engine drew up (its rule,
-induced width, largest table and total table entries, where the engine
-reports them), the step's peak RSS, and whether the answer equals a
-row-by-row transfer-matrix count (``grid_transfer_count`` in
-``tests/helpers.py``, run after the peak RSS is read).
+Every counting step, of these families and of the reduce-sat,
+reduce-ising and count-sat ones below, writes one record, built by
+``_count_record``.  The timed region is the count call alone.  For each
+count it records "seconds", "times", the "answer" in decimal (through
+``helpers.decimal_text``, since at m = 6,400 the reduce-ising cycle's
+answer has more digits than ``str()`` converts) or null, and the
+"refused" message or null.  It also records each elimination plan the
+engine drew up on the first count's first call (its rule, induced width,
+largest table and total table entries, where the engine reports them),
+the step's peak RSS, and then "expected": whether the answer equals the
+family's own count, computed after the peak RSS is read, or null for a
+refusal.  Here that count is a row-by-row transfer-matrix count
+(``grid_transfer_count`` in ``tests/helpers.py``).
 
 The reduce-sat families compile full-list instances on the k x k grid with
 ``reduce_listhcol_to_1p1n`` and count them both ways:
@@ -59,9 +66,9 @@ The reduce-sat families compile full-list instances on the k x k grid with
 
 Each of their steps times ``count_1p1n`` on the formula ("seconds", with
 the formula built outside the timing) and ``count_list_hcol`` on the
-instance ("count_seconds").  It records both answers or refusals, the plans
-``count_1p1n`` drew up, the peak RSS, and whether each answer equals the
-transfer-matrix count (null for a refusal).  A bit-level plan that stopped
+instance ("count_seconds", and each of its keys after "count_").  Both
+answers are checked against the transfer-matrix count, and the plans are
+those ``count_1p1n`` drew up.  A bit-level plan that stopped
 once its total reached a grouped plan's that fits is recorded as far as it
 got, its total at least the grouped one.  The largest k of each family is
 past what either counter takes, so the step shows where both refuse.
@@ -73,14 +80,12 @@ thickened at t = 1 on every edge of a graph:
 * ``reduce_ising_cycle``: the m-cycle, m = 100 to 6,400.
 
 Each of their steps times ``parse_instance`` and ``count_list_hcol`` on the
-written instance, the path of ``count``.  It records the answer, the plans,
-the graph's and the instance's vertex counts and the peak RSS, and whether
-the answer is the expected one.  With the thickened gadget's matrix
-[[a, b], [b, a]] as the edge weights, that is the grid's transfer-matrix
-count, and (a + b)^m + (a - b)^m on the m-cycle.  The series-parallel phase
-counts the cycle's instances whole, so their steps record no plan.  The
-answer is written through ``helpers.decimal_text``: at m = 6,400 it has
-more digits than ``str()`` converts.
+written instance, the path of ``count``, and records the graph's and the
+instance's vertex counts too.  With the thickened gadget's matrix
+[[a, b], [b, a]] as the edge weights, the expected answer is the grid's
+transfer-matrix count, and (a + b)^m + (a - b)^m on the m-cycle.  The
+series-parallel phase counts the cycle's instances whole, so their steps
+record no plan.
 
 The count-sat family reads and counts a formula file, the path of
 ``count-sat``:
@@ -89,9 +94,10 @@ The count-sat family reads and counts a formula file, the path of
   below n, n = 1,500 to 150,000.
 
 Each of its steps builds the text outside the timing and times
-``parse_formula`` and ``count_1p1n`` on it.  It records the answer, the
-plans and the peak RSS, and whether the answer is n + 1, the number of
-prefixes of ones.
+``parse_formula`` and ``count_1p1n`` on it.  The expected answer is n + 1,
+the number of prefixes of ones.  No implication joins two runs, so
+``count_1p1n`` answers with the product of the runs' level counts and the
+step records no plan, at any n.
 
 Every step runs REPEATS times per ``--run``, each time in a fresh
 interpreter, the runs of the labels taking turns.  A run makes the timed
@@ -109,6 +115,7 @@ family for that label.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.util
 import json
 import os
@@ -200,14 +207,12 @@ def _timed(build, call):
 def step(src: str, family: str, size: int) -> dict:
     """One ladder step in this interpreter, with listhom imported from src."""
     sys.path.insert(0, src)
-    if family in GRID_FAMILIES:
-        return _grid_step(family, size)
-    if family in REDUCE_SAT_FAMILIES:
-        return _reduce_sat_step(family, size)
-    if family in REDUCE_ISING_FAMILIES:
-        return _reduce_ising_step(family, size)
-    if family in COUNT_SAT_FAMILIES:
-        return _count_sat_step(size)
+    for families, count_step in ((GRID_FAMILIES, _grid_step),
+                                 (REDUCE_SAT_FAMILIES, _reduce_sat_step),
+                                 (REDUCE_ISING_FAMILIES, _reduce_ising_step),
+                                 (COUNT_SAT_FAMILIES, _count_sat_step)):
+        if family in families:
+            return count_step(family, size)
     from listhom.graphs import ColourGraph
     from listhom.recognizer import ExcludedWitness, classify
 
@@ -252,6 +257,7 @@ def _gadget_step(host, expected: tuple) -> dict:
             "peak_rss_mib": _peak_rss_mib()}
 
 
+@functools.cache
 def _helpers():
     spec = importlib.util.spec_from_file_location("helpers", ROOT / "tests" / "helpers.py")
     helpers = importlib.util.module_from_spec(spec)
@@ -259,11 +265,15 @@ def _helpers():
     return helpers
 
 
-def _timed_count(build, count):
-    """(answer, refusal, plans, seconds of each call) of count(build()), made
-    as _timed makes its calls.  The answer is None on a refusal (a
-    ValueError), whose message is the refusal; the plans are those the
-    engine drew up on the first call."""
+def _count_record(out: dict, want, *counts) -> dict:
+    """out with the record of each count, a (prefix, build, count) whose
+    call count(build()) is made as _timed makes its calls: its "seconds"
+    (the fastest call), "times", "answer" (in decimal, None on a refusal, a
+    ValueError) and "refused" (the refusal's message), each key after
+    prefix; the "plans" the engine drew up on the first call of the first
+    count; the peak RSS; and then each count's "expected": whether its
+    answer equals want(), or None on a refusal.  want is called once, after
+    the peak RSS is read, and only when some count answered."""
     from listhom import oracles
 
     plans = []
@@ -275,20 +285,32 @@ def _timed_count(build, count):
                       "total": getattr(plan, "total", None)})
         return plan
 
-    def call(arg):
+    def call(count, arg):
         try:
             return count(arg), None
         except ValueError as err:
             return None, str(err)
         finally:
-            oracles._plan = real  # only the first call's plans are recorded
+            oracles._plan = real  # only the first count's first call is recorded
 
+    answers = {}
     oracles._plan = recording
     try:
-        _, (answer, refused), times = _timed(build, call)
+        for prefix, build, count in counts:
+            _, (answer, refused), times = _timed(build, functools.partial(call, count))
+            answers[prefix] = answer
+            out.update({prefix + "seconds": min(times), prefix + "times": times,
+                        prefix + "answer": None if answer is None else
+                        _helpers().decimal_text(answer) if isinstance(answer, int) else str(answer),
+                        prefix + "refused": refused})
+            out.setdefault("plans", plans)
     finally:
         oracles._plan = real
-    return answer, refused, plans, times
+    out["peak_rss_mib"] = _peak_rss_mib()
+    wanted = want() if any(a is not None for a in answers.values()) else None
+    for prefix, answer in answers.items():
+        out[prefix + "expected"] = None if answer is None else answer == wanted
+    return out
 
 
 def _grid_step(family: str, k: int) -> dict:
@@ -309,19 +331,14 @@ def _grid_step(family: str, k: int) -> dict:
             return oracles.ising_partition(arg, Fraction(1, 2))
         return oracles.count_list_hcol(patterns.K2_PRIME, arg)
 
-    answer, refused, plans, times = _timed_count(build, count)
-    out = {"vertices": k * k, "seconds": min(times), "times": times,
-           "answer": None if answer is None else str(answer), "refused": refused,
-           "plans": plans, "peak_rss_mib": _peak_rss_mib()}
-    if answer is not None:
+    def want():
         if two_spin:
             # lam = 1/2: an agreeing edge weighs 1 and any other 2, over 2^|E|
-            want = Fraction(helpers.grid_transfer_count(k, [[1, 2], [2, 1]]),
+            return Fraction(helpers.grid_transfer_count(k, [[1, 2], [2, 1]]),
                             2 ** len(helpers.grid_edges(k)))
-        else:
-            want = helpers.grid_transfer_count(k, helpers.dense(patterns.K2_PRIME))
-        out["expected"] = answer == want
-    return out
+        return helpers.grid_transfer_count(k, helpers.dense(patterns.K2_PRIME))
+
+    return _count_record({"vertices": k * k}, want, ("", build, count))
 
 
 def _reduce_sat_step(family: str, k: int) -> dict:
@@ -339,20 +356,11 @@ def _reduce_sat_step(family: str, k: int) -> dict:
     def instance():
         return Instance.with_full_lists(InstanceGraph.from_edges(k * k, helpers.grid_edges(k)), h.n)
 
-    answer, refused, plans, times = _timed_count(
-        lambda: reduce_listhcol_to_1p1n(enc, instance())[0], oracles.count_1p1n)
-    count, count_refused, _, count_times = _timed_count(
-        instance, lambda inst: oracles.count_list_hcol(h, inst))
-    out = {"vertices": k * k, "colours": h.n, "seconds": min(times), "times": times,
-           "answer": None if answer is None else str(answer), "refused": refused,
-           "plans": plans, "count_seconds": min(count_times), "count_times": count_times,
-           "count_answer": None if count is None else str(count),
-           "count_refused": count_refused, "peak_rss_mib": _peak_rss_mib()}
-    if answer is not None or count is not None:
-        want = helpers.grid_transfer_count(k, helpers.dense(h))
-        out["expected"] = None if answer is None else answer == want
-        out["count_expected"] = None if count is None else count == want
-    return out
+    return _count_record(
+        {"vertices": k * k, "colours": h.n},
+        lambda: helpers.grid_transfer_count(k, helpers.dense(h)),
+        ("", lambda: reduce_listhcol_to_1p1n(enc, instance())[0], oracles.count_1p1n),
+        ("count_", instance, lambda inst: oracles.count_list_hcol(h, inst)))
 
 
 def _reduce_ising_step(family: str, size: int) -> dict:
@@ -374,35 +382,28 @@ def _reduce_ising_step(family: str, size: int) -> dict:
     inst, _, _ = reduce_ising_to_listhcol(g, thick)
     text = serialise_instance(inst)
 
-    answer, refused, plans, times = _timed_count(
-        lambda: text, lambda text: oracles.count_list_hcol(h, parse_instance(text, h.n)))
-    out = {f"{shape}_vertices": g.m, "vertices": inst.g.m, "seconds": min(times),
-           "times": times, "answer": None if answer is None else helpers.decimal_text(answer),
-           "refused": refused, "plans": plans, "peak_rss_mib": _peak_rss_mib()}
-    if answer is not None:
+    def want():
         # the count is the graph's two-spin sum with weight a on each
         # agreeing edge and b on any other, where [[a, b], [b, a]] is the
         # gadget's matrix; on the cycle, the trace of its size-th power
         if shape == "grid":
-            want = helpers.grid_transfer_count(size, thick.matrix)
-        else:
-            (a, b), _ = thick.matrix
-            want = (a + b) ** size + (a - b) ** size
-        out["expected"] = answer == want
-    return out
+            return helpers.grid_transfer_count(size, thick.matrix)
+        (a, b), _ = thick.matrix
+        return (a + b) ** size + (a - b) ** size
+
+    return _count_record(
+        {f"{shape}_vertices": g.m, "vertices": inst.g.m}, want,
+        ("", lambda: text, lambda text: oracles.count_list_hcol(h, parse_instance(text, h.n))))
 
 
-def _count_sat_step(n: int) -> dict:
+def _count_sat_step(family: str, n: int) -> dict:
     from listhom.formats import parse_formula
     from listhom.oracles import count_1p1n
 
     # x_{v+1} -> x_v: the models are the n + 1 prefixes of ones
     text = "\n".join([f"f {n}"] + [f"i {v + 1} {v}" for v in range(1, n)]) + "\n"
-    answer, refused, plans, times = _timed_count(
-        lambda: text, lambda text: count_1p1n(parse_formula(text)))
-    return {"variables": n, "seconds": min(times), "times": times,
-            "answer": None if answer is None else str(answer), "refused": refused,
-            "plans": plans, "peak_rss_mib": _peak_rss_mib(), "expected": answer == n + 1}
+    return _count_record({"variables": n}, lambda: n + 1,
+                         ("", lambda: text, lambda text: count_1p1n(parse_formula(text))))
 
 
 def _git(src: Path, *args: str) -> str | None:
