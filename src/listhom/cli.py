@@ -1,12 +1,17 @@
 """Command-line front end.
 
-Commands: classify, count, ising, count-sat, gadget, reduce-sat,
-reduce-ising, selftest.  Exit codes: 0 success, 1 verification mismatch,
-2 usage or parse error (a Refusal, such as an exact count above the
-oracles' table limit, an unreadable file or one that is not UTF-8 text),
-3 internal error (any other exception, reported on one line).
+The commands (classify, count, ising, count-sat, gadget, reduce-sat,
+reduce-ising, selftest) are the rows of _COMMANDS, each with its help, its
+handler and its arguments, and build_parser adds them in that order.  Exit
+codes: 0 success, 1 verification mismatch, 2 usage or parse error (a
+Refusal, such as an exact count above the oracles' table limit, an
+unreadable file or one that is not UTF-8 text), 3 internal error (any other
+exception, reported on one line).
 
-Certificates are written by recognizer.certificate_json, their one format.
+Every library call goes through the module that defines it
+(formats.parse_h, oracles.count_1p1n, ...), so a wrapper put on that module
+sees it; count_list_hcol alone is also bound here.  Certificates are
+written by recognizer.certificate_json, their one format.
 """
 
 from __future__ import annotations
@@ -19,53 +24,11 @@ from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
-from . import patterns
-from .formats import (
-    parse_formula,
-    parse_fraction,
-    parse_graph,
-    parse_h,
-    parse_instance,
-    serialise_formula,
-    serialise_h,
-    serialise_instance,
-)
-from .gadgets import (
-    build_symmetrized,
-    det2,
-    entrywise_pow,
-    interaction_matrix_bruteforce,
-    path_gadget_graph,
-    reduce_ising_to_listhcol,
-    swap_cols,
-    thicken,
-)
-from .graphs import Instance, InstanceGraph, Refusal, max_degree, reflexivity_status
-from .oracles import (
-    ImplicationFormula,
-    count_1p1n,
-    count_list_hcol,
-    implies,
-    ising_partition,
-    unit_pos,
-)
-from .recognizer import (
-    ExcludedWitness,
-    Hardness,
-    certificate_fields,
-    certificate_json,
-    classify,
-    find_induced_embedding,
-    find_staircase_adjacency,
-    find_staircase_biadjacency,
-    witness_pattern,
-)
-from .reductions import (
-    VARIABLE_NUMBERING,
-    build_staircase_encoding,
-    reduce_listhcol_to_1p1n,
-    reduce_p4_to_p3star,
-)
+from . import formats, gadgets, graphs, oracles, patterns, recognizer, reductions
+from .graphs import Refusal
+# bench/selfcheck.py swaps cli's count_list_hcol for a wrong counter and
+# checks that the count ops then fail, so cli calls it by this name
+from .oracles import count_list_hcol
 
 # the --witness selectors: a catalogue kind, or a cycle of length L
 _WITNESS_HELP = "|".join([row.kind.lower() for row in patterns.RECIPES] + ["cycle<L>"])
@@ -89,7 +52,7 @@ def _result_json(res) -> dict:
             "class": r.klass.name.lower(),
             "degree_threshold": r.degree_threshold,
             "vertices": sorted(r.vertices),
-            "certificate": certificate_json(r.reason),
+            "certificate": recognizer.certificate_json(r.reason),
         }
 
     out = fields(res)
@@ -99,14 +62,14 @@ def _result_json(res) -> dict:
 
 
 def _print_certificate(reason, indent: str = "") -> None:
-    cert = certificate_json(reason)
+    cert = recognizer.certificate_json(reason)
     parts = [f"{k}={v}" for k, v in cert.items() if k != "type"]
     print(f"{indent}certificate: {cert['type']}" + ("  " + " ".join(parts) if parts else ""))
 
 
 def cmd_classify(args) -> int:
-    h = parse_h(Path(args.h_file).read_text())
-    res = classify(h)
+    h = formats.parse_h(Path(args.h_file).read_text())
+    res = recognizer.classify(h)
     if args.json:
         print(json.dumps(_result_json(res), indent=2))
         return 0
@@ -121,26 +84,26 @@ def cmd_classify(args) -> int:
 
 
 def cmd_count(args) -> int:
-    h = parse_h(Path(args.h_file).read_text())
-    inst = parse_instance(Path(args.instance_file).read_text(), h.n)
+    h = formats.parse_h(Path(args.h_file).read_text())
+    inst = formats.parse_instance(Path(args.instance_file).read_text(), h.n)
     print(_exact(count_list_hcol(h, inst)))
     return 0
 
 
 def cmd_ising(args) -> int:
-    g = parse_graph(Path(args.g_file).read_text())
-    lam = parse_fraction(args.lam)
-    print(_exact(ising_partition(g, lam)))
+    g = formats.parse_graph(Path(args.g_file).read_text())
+    lam = formats.parse_fraction(args.lam)
+    print(_exact(oracles.ising_partition(g, lam)))
     return 0
 
 
 def cmd_count_sat(args) -> int:
-    f = parse_formula(Path(args.formula_file).read_text())
-    print(_exact(count_1p1n(f)))
+    f = formats.parse_formula(Path(args.formula_file).read_text())
+    print(_exact(oracles.count_1p1n(f)))
     return 0
 
 
-def _explicit_witness(h, selector: str) -> ExcludedWitness:
+def _explicit_witness(h, selector: str) -> recognizer.ExcludedWitness:
     selector = selector.lower()
     kinds = {row.kind.lower(): row.kind for row in patterns.RECIPES}
     if selector in kinds:
@@ -151,7 +114,7 @@ def _explicit_witness(h, selector: str) -> ExcludedWitness:
             length = int(selector[len("cycle"):])
         except ValueError:
             raise Refusal(f"unknown witness kind {selector!r}") from None
-        status = reflexivity_status(h)
+        status = graphs.reflexivity_status(h)
         if status == "mixed":
             raise Refusal("cycle witnesses need a purely reflexive or irreflexive target")
         kind = patterns.cycle_kind(status == "reflexive")
@@ -160,21 +123,21 @@ def _explicit_witness(h, selector: str) -> ExcludedWitness:
             raise Refusal(f"target contains no induced {kind} of length {length}")
     else:
         raise Refusal(f"unknown witness kind {selector!r}")
-    pattern = witness_pattern(kind, length)
-    emb = find_induced_embedding(pattern, h)
+    pattern = recognizer.witness_pattern(kind, length)
+    emb = recognizer.find_induced_embedding(pattern, h)
     if emb is None:
         raise Refusal(f"target contains no induced {kind}"
                       + (f" of length {length}" if length else ""))
-    return ExcludedWitness(kind, length, emb)
+    return recognizer.ExcludedWitness(kind, length, emb)
 
 
-def _gadget_witness(h, selector: str | None) -> ExcludedWitness:
+def _gadget_witness(h, selector: str | None) -> recognizer.ExcludedWitness:
     if selector is not None:
         return _explicit_witness(h, selector)
-    res = classify(h)
-    if res.klass is not Hardness.SAT_EQUIVALENT:
+    res = recognizer.classify(h)
+    if res.klass is not recognizer.Hardness.SAT_EQUIVALENT:
         raise Refusal(f"no witness: target classifies as {res.klass.name.lower()}")
-    if not isinstance(res.reason, ExcludedWitness):
+    if not isinstance(res.reason, recognizer.ExcludedWitness):
         raise Refusal(
             "no path-gadget witness: the hard core is a loop edge; "
             "pass --witness to pick a pattern inside a homogeneous part")
@@ -185,26 +148,26 @@ def _fmt_matrix(m) -> str:
     return f"[[{m[0][0]}, {m[0][1]}], [{m[1][0]}, {m[1][1]}]]"
 
 
-def _gadget_report(h, witness: ExcludedWitness, levels) -> dict:
+def _gadget_report(h, witness: recognizer.ExcludedWitness, levels) -> dict:
     """The gadget report for a witness in h, ending in its named checks: the
     catalogue's D', the determinants, brute force on D and on the
     symmetrised D*, and the thickened matrix at each level in levels (the
     report's thickening fields describe the last level)."""
-    entry, gg = build_symmetrized(h, witness)
-    track = path_gadget_graph(h, entry.gadget)
+    entry, gg = gadgets.build_symmetrized(h, witness)
+    track = gadgets.path_gadget_graph(h, entry.gadget)
     d, dstar = track.matrix, gg.matrix
-    dprime = swap_cols(d)
+    dprime = gadgets.swap_cols(d)
     checks = {
         "D' matches catalog": dprime == entry.expected_dprime,
-        "det D' = 1": det2(dprime) == 1,
-        "det D = -1": det2(d) == -1,
-        "brute force agrees with D": interaction_matrix_bruteforce(h, track) == d,
+        "det D' = 1": gadgets.det2(dprime) == 1,
+        "det D = -1": gadgets.det2(d) == -1,
+        "brute force agrees with D": gadgets.interaction_matrix_bruteforce(h, track) == d,
         "D* symmetric": dstar[0][1] == dstar[1][0] and dstar[0][0] == dstar[1][1],
-        "det D* < 0": det2(dstar) < 0,
-        "brute force agrees with D*": interaction_matrix_bruteforce(h, gg) == dstar,
+        "det D* < 0": gadgets.det2(dstar) < 0,
+        "brute force agrees with D*": gadgets.interaction_matrix_bruteforce(h, gg) == dstar,
     }
     report = {
-        "witness": certificate_fields(witness),
+        "witness": recognizer.certificate_fields(witness),
         "gadget": [list(p) for p in entry.gadget.pairs],
         "terminals": list(entry.terminals),
         "dprime": [list(r) for r in dprime],
@@ -212,10 +175,10 @@ def _gadget_report(h, witness: ExcludedWitness, levels) -> dict:
         "dstar": [list(r) for r in dstar],
     }
     for t in levels:
-        gt = thicken(h, gg, entry.cond_pair, t)
-        expected = entrywise_pow(dstar, 2**t)
+        gt = gadgets.thicken(h, gg, entry.cond_pair, t)
+        expected = gadgets.entrywise_pow(dstar, 2**t)
         checks[f"thickened matrix is the entrywise 2^{t} power"] = (
-            interaction_matrix_bruteforce(h, gt) == expected and gt.matrix == expected)
+            gadgets.interaction_matrix_bruteforce(h, gt) == expected and gt.matrix == expected)
         report["cond_pair"] = list(entry.cond_pair)
         report["t"] = t
         report["dstar_t"] = [list(r) for r in gt.matrix]
@@ -225,7 +188,7 @@ def _gadget_report(h, witness: ExcludedWitness, levels) -> dict:
 
 
 def cmd_gadget(args) -> int:
-    h = parse_h(Path(args.h_file).read_text())
+    h = formats.parse_h(Path(args.h_file).read_text())
     witness = _gadget_witness(h, args.witness)
     levels = () if args.t is None else (args.t,)
     report = _gadget_report(h, witness, levels)
@@ -257,14 +220,14 @@ def _write_both(out: Path, text: str, sidecar: dict) -> None:
 
 
 def cmd_reduce_sat(args) -> int:
-    h = parse_h(Path(args.h_file).read_text())
-    inst = parse_instance(Path(args.instance_file).read_text(), h.n)
-    form = find_staircase_biadjacency(h) or find_staircase_adjacency(h)
+    h = formats.parse_h(Path(args.h_file).read_text())
+    inst = formats.parse_instance(Path(args.instance_file).read_text(), h.n)
+    form = recognizer.find_staircase_biadjacency(h) or recognizer.find_staircase_adjacency(h)
     if form is None:
         raise Refusal("target has no staircase certificate; reduction unavailable")
-    enc = build_staircase_encoding(h, form)
-    formula, sides = reduce_listhcol_to_1p1n(enc, inst)
-    text = serialise_formula(formula)
+    enc = reductions.build_staircase_encoding(h, form)
+    formula, sides = reductions.reduce_listhcol_to_1p1n(enc, inst)
+    text = formats.serialise_formula(formula)
     sidecar = {
         "mode": enc.mode,
         "q": enc.q,
@@ -273,7 +236,7 @@ def cmd_reduce_sat(args) -> int:
         "alpha": list(enc.alpha),
         "beta": list(enc.beta),
         "sides": list(sides),
-        "variable_numbering": VARIABLE_NUMBERING,
+        "variable_numbering": reductions.VARIABLE_NUMBERING,
         "variables": formula.var_count,
         "clauses": len(formula.clauses),
     }
@@ -284,23 +247,23 @@ def cmd_reduce_sat(args) -> int:
 
 
 def cmd_reduce_ising(args) -> int:
-    g = parse_graph(Path(args.g_file).read_text())
-    h = parse_h(Path(args.h_file).read_text())
+    g = formats.parse_graph(Path(args.g_file).read_text())
+    h = formats.parse_h(Path(args.h_file).read_text())
     witness = _gadget_witness(h, args.witness)
-    entry, gg = build_symmetrized(h, witness)
+    entry, gg = gadgets.build_symmetrized(h, witness)
     if args.t is not None:
-        gg = thicken(h, gg, entry.cond_pair, args.t)
-    inst, lam, scale = reduce_ising_to_listhcol(g, gg)
-    text = serialise_instance(inst)
+        gg = gadgets.thicken(h, gg, entry.cond_pair, args.t)
+    inst, lam, scale = gadgets.reduce_ising_to_listhcol(g, gg)
+    text = formats.serialise_instance(inst)
     lam, scale = _exact(lam), _exact(scale)
     sidecar = {
         "lambda": lam,
         "scale": scale,
         "original_vertices": g.m,
         "original_edges": len(g.edges),
-        "original_max_degree": max_degree(g),
-        "max_degree": max_degree(inst.g),
-        "witness": certificate_fields(witness),
+        "original_max_degree": graphs.max_degree(g),
+        "max_degree": graphs.max_degree(inst.g),
+        "witness": recognizer.certificate_fields(witness),
         "gadget_matrix": [list(r) for r in gg.matrix],
         "t": args.t,
         "identity": "count(instance) = scale * Z_lambda(g)",
@@ -318,7 +281,8 @@ def _selftest_checks(seed: int):
     rng = random.Random(seed)
 
     def pattern_witness(row):
-        return ExcludedWitness(row.kind, row.length, tuple(range(1, row.pattern.n + 1)))
+        embedding = tuple(range(1, row.pattern.n + 1))
+        return recognizer.ExcludedWitness(row.kind, row.length, embedding)
 
     # every fixed-shape row and cycle rows of both parities, class by class
     cases = []
@@ -331,27 +295,28 @@ def _selftest_checks(seed: int):
         for name, ok in report["checks"].items():
             yield (f"catalog {label} {name}", ok)
 
-    k2 = InstanceGraph.from_edges(2, [(1, 2)])
+    k2 = graphs.InstanceGraph.from_edges(2, [(1, 2)])
     yield ("oracle K2' count", count_list_hcol(
-        patterns.K2_PRIME, Instance.with_full_lists(k2, 2)) == 3)
+        patterns.K2_PRIME, graphs.Instance.with_full_lists(k2, 2)) == 3)
     yield ("oracle looped-3-path count", count_list_hcol(
-        patterns.P3_STAR, Instance.with_full_lists(k2, 3)) == 7)
-    yield ("oracle two-spin value", ising_partition(k2, Fraction(9, 10)) == Fraction(19, 5))
-    yield ("oracle chain formula", count_1p1n(
-        ImplicationFormula(2, (unit_pos(1), implies(2, 1)))) == 2)
+        patterns.P3_STAR, graphs.Instance.with_full_lists(k2, 3)) == 7)
+    yield ("oracle two-spin value",
+           oracles.ising_partition(k2, Fraction(9, 10)) == Fraction(19, 5))
+    yield ("oracle chain formula", oracles.count_1p1n(
+        oracles.ImplicationFormula(2, (oracles.unit_pos(1), oracles.implies(2, 1)))) == 2)
 
     fixtures = [
-        (patterns.K2_PRIME, Hardness.SAT_EQUIVALENT, 6),
-        (patterns.TWO_WRENCH, Hardness.SAT_EQUIVALENT, 6),
-        (patterns.P4, Hardness.BIS_EQUIVALENT, 6),
-        (patterns.P3_STAR, Hardness.BIS_EQUIVALENT, 6),
-        (patterns.complete(5, reflexive=True), Hardness.POLYTIME, None),
-        (patterns.cycle(4), Hardness.POLYTIME, None),
-        (patterns.cycle(6), Hardness.SAT_EQUIVALENT, 3),
-        (patterns.CLAW, Hardness.SAT_EQUIVALENT, 3),
+        (patterns.K2_PRIME, recognizer.Hardness.SAT_EQUIVALENT, 6),
+        (patterns.TWO_WRENCH, recognizer.Hardness.SAT_EQUIVALENT, 6),
+        (patterns.P4, recognizer.Hardness.BIS_EQUIVALENT, 6),
+        (patterns.P3_STAR, recognizer.Hardness.BIS_EQUIVALENT, 6),
+        (patterns.complete(5, reflexive=True), recognizer.Hardness.POLYTIME, None),
+        (patterns.cycle(4), recognizer.Hardness.POLYTIME, None),
+        (patterns.cycle(6), recognizer.Hardness.SAT_EQUIVALENT, 3),
+        (patterns.CLAW, recognizer.Hardness.SAT_EQUIVALENT, 3),
     ]
     for idx, (h, klass, thr) in enumerate(fixtures):
-        res = classify(h)
+        res = recognizer.classify(h)
         yield (f"classification fixture {idx + 1}",
                res.klass is klass and res.degree_threshold == thr)
 
@@ -359,24 +324,24 @@ def _selftest_checks(seed: int):
         m = rng.randint(2, 5)
         edges = [(u, v) for u in range(1, m + 1) for v in range(u + 1, m + 1)
                  if rng.random() < 0.5]
-        g = InstanceGraph.from_edges(m, edges)
-        _, gg = build_symmetrized(patterns.X3, pattern_witness(patterns.RECIPES[0]))
-        inst, lam, scale = reduce_ising_to_listhcol(g, gg)
-        ok = count_list_hcol(patterns.X3, inst) == scale * ising_partition(g, lam)
+        g = graphs.InstanceGraph.from_edges(m, edges)
+        _, gg = gadgets.build_symmetrized(patterns.X3, pattern_witness(patterns.RECIPES[0]))
+        inst, lam, scale = gadgets.reduce_ising_to_listhcol(g, gg)
+        ok = count_list_hcol(patterns.X3, inst) == scale * oracles.ising_partition(g, lam)
         yield (f"two-spin identity trial {trial + 1}", ok)
 
     for trial in range(3):
         m = rng.randint(1, 6)
         edges = [(u, v) for u in range(1, m + 1) for v in range(u + 1, m + 1)
                  if rng.random() < 0.4]
-        g = InstanceGraph.from_edges(m, edges)
+        g = graphs.InstanceGraph.from_edges(m, edges)
         lists = tuple(frozenset(c for c in range(1, 4) if rng.random() < 0.7)
                       for _ in range(m))
-        inst = Instance(g, lists, 3)
-        enc = build_staircase_encoding(
-            patterns.P3_STAR, find_staircase_adjacency(patterns.P3_STAR))
-        formula, _ = reduce_listhcol_to_1p1n(enc, inst)
-        ok = count_1p1n(formula) == count_list_hcol(patterns.P3_STAR, inst)
+        inst = graphs.Instance(g, lists, 3)
+        enc = reductions.build_staircase_encoding(
+            patterns.P3_STAR, recognizer.find_staircase_adjacency(patterns.P3_STAR))
+        formula, _ = reductions.reduce_listhcol_to_1p1n(enc, inst)
+        ok = oracles.count_1p1n(formula) == count_list_hcol(patterns.P3_STAR, inst)
         yield (f"formula identity trial {trial + 1}", ok)
 
     for trial in range(3):
@@ -384,14 +349,14 @@ def _selftest_checks(seed: int):
         sides = [rng.randint(0, 1) for _ in range(m)]
         edges = [(u, v) for u in range(1, m + 1) for v in range(u + 1, m + 1)
                  if sides[u - 1] != sides[v - 1] and rng.random() < 0.5]
-        g = InstanceGraph.from_edges(m, edges)
-        inst, mult = reduce_p4_to_p3star(g)
-        lhs = count_list_hcol(patterns.P4, Instance.with_full_lists(g, 4))
+        g = graphs.InstanceGraph.from_edges(m, edges)
+        inst, mult = reductions.reduce_p4_to_p3star(g)
+        lhs = count_list_hcol(patterns.P4, graphs.Instance.with_full_lists(g, 4))
         ok = lhs == mult * count_list_hcol(patterns.P3_STAR, inst)
         yield (f"4-path identity trial {trial + 1}", ok)
 
-    yield ("format round trip", parse_h(serialise_h(patterns.X3)) == patterns.X3
-           and parse_formula("f 2\np 1\ni 2 1\n").clauses == (("p", 1), ("i", 2, 1)))
+    yield ("format round trip", formats.parse_h(formats.serialise_h(patterns.X3)) == patterns.X3
+           and formats.parse_formula("f 2\np 1\ni 2 1\n").clauses == (("p", 1), ("i", 2, 1)))
 
 
 def cmd_selftest(args) -> int:
@@ -403,6 +368,30 @@ def cmd_selftest(args) -> int:
     return 0 if failures == 0 else 1
 
 
+# one row per command, in help order: (name, help, handler, arguments); an
+# argument is a positional's name, or (option, add_argument's keywords)
+_JSON = ("--json", {"action": "store_true"})
+_OUT = ("--out", {"required": True})
+_WITNESS = ("--witness", {"help": _WITNESS_HELP})
+_COMMANDS = (
+    ("classify", "classify a target graph", "cmd_classify", ("h_file", _JSON)),
+    ("count", "count list colourings of an instance", "cmd_count",
+     ("h_file", "instance_file")),
+    ("ising", "exact two-spin partition function", "cmd_ising",
+     ("g_file", ("--lambda", {"dest": "lam", "required": True, "metavar": "P/Q"}))),
+    ("count-sat", "count models of an implication formula", "cmd_count_sat",
+     ("formula_file",)),
+    ("gadget", "build and verify the gadget for a target", "cmd_gadget",
+     ("h_file", _WITNESS, ("--t", {"type": int, "help": "thickening level to verify"}), _JSON)),
+    ("reduce-sat", "compile an instance to an implication formula", "cmd_reduce_sat",
+     ("h_file", "instance_file", _OUT)),
+    ("reduce-ising", "edge-replace a graph into a list instance", "cmd_reduce_ising",
+     ("g_file", "h_file", _WITNESS, ("--t", {"type": int, "help": "thickening level"}), _OUT)),
+    ("selftest", "verify the catalog and the invariants", "cmd_selftest",
+     (("--seed", {"type": int, "default": 0}),)),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="listhom",
@@ -410,53 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "gadgets, reductions and exact oracles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="classify a target graph")
-    p.add_argument("h_file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("count", help="count list colourings of an instance")
-    p.add_argument("h_file")
-    p.add_argument("instance_file")
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("ising", help="exact two-spin partition function")
-    p.add_argument("g_file")
-    p.add_argument("--lambda", dest="lam", required=True, metavar="P/Q")
-    p.set_defaults(func=cmd_ising)
-
-    p = sub.add_parser("count-sat", help="count models of an implication formula")
-    p.add_argument("formula_file")
-    p.set_defaults(func=cmd_count_sat)
-
-    p = sub.add_parser("gadget", help="build and verify the gadget for a target")
-    p.add_argument("h_file")
-    p.add_argument("--witness", help=_WITNESS_HELP)
-    p.add_argument("--t", type=int, help="thickening level to verify")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_gadget)
-
-    p = sub.add_parser("reduce-sat",
-                       help="compile an instance to an implication formula")
-    p.add_argument("h_file")
-    p.add_argument("instance_file")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_reduce_sat)
-
-    p = sub.add_parser("reduce-ising",
-                       help="edge-replace a graph into a list instance")
-    p.add_argument("g_file")
-    p.add_argument("h_file")
-    p.add_argument("--witness", help=_WITNESS_HELP)
-    p.add_argument("--t", type=int, help="thickening level")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_reduce_ising)
-
-    p = sub.add_parser("selftest", help="verify the catalog and the invariants")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_selftest)
-
+    for name, help_text, handler, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for arg in arguments:
+            flag, options = (arg, {}) if isinstance(arg, str) else arg
+            p.add_argument(flag, **options)
+        # looked up on each build, so a handler swapped on the module is called
+        p.set_defaults(func=globals()[handler])
     return parser
 
 

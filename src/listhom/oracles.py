@@ -108,10 +108,11 @@ of internal iteration order.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain, compress, product
 from math import prod
 from operator import add, mul
 
@@ -776,28 +777,25 @@ def count_1p1n(f: ImplicationFormula) -> int:
     links = 0
     imps = []  # the implications a -> b other than a == b and a == b + 1
     units = []
-    linked = [False] * n  # linked[v]: v + 1 implies v
+    first = bytearray(b"\x01") * n  # first[v]: v begins a run (v does not imply v - 1)
     for cl in f.clauses:
         if cl[0] == IMP:
             a, b = cl[1] - 1, cl[2] - 1
             if a == b + 1:
                 # it joins a run and holds at every level, so it files nothing
-                linked[b] = True
+                first[a] = 0
                 links += 1
             elif a != b:
                 imps.append((a, b))
         else:
             units.append((cl[1] - 1, cl[0] == UNIT_POS))
 
-    start = [v for v in range(n) if not v or not linked[v - 1]]  # each run's first variable
+    start = list(compress(range(n), first))  # each run's first variable
     length = [b - a for a, b in zip(start, start[1:] + [n])]
-    run = []
-    for r, span in enumerate(length):
-        run += [r] * span
     lo = [0] * len(start)
     hi = list(length)
     for v, value in units:
-        r = run[v]
+        r = bisect_right(start, v) - 1
         i = v - start[r]
         if value:
             if lo[r] <= i:
@@ -807,7 +805,7 @@ def count_1p1n(f: ImplicationFormula) -> int:
     cuts: dict[int, list] = {}  # run -> its changes in how many cuts cover a level
     after: dict[tuple, dict] = {}  # (run A, run B) -> {offset i in A: largest j in B}
     for a, b in imps:
-        ra, rb = run[a], run[b]
+        ra, rb = bisect_right(start, a) - 1, bisect_right(start, b) - 1
         i, j = a - start[ra], b - start[rb]
         if ra == rb:
             if j > i:
@@ -827,10 +825,10 @@ def count_1p1n(f: ImplicationFormula) -> int:
         levels = range(lo[r], hi[r] + 1)
         if r in cuts:
             covered = list(accumulate(cuts[r]))
-            levels = [x for x in levels if not covered[x]]
+            levels = tuple([x for x in levels if not covered[x]])
         if not levels:
             return 0
-        domains.append(tuple(levels))
+        domains.append(levels)  # a range for a run without cuts
 
     size = [len(d) for d in domains]
     if not after:  # no implication joins two runs, so they count apart

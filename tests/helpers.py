@@ -2,13 +2,15 @@
 dumber than the library code they check), the reference searches that the
 package itself never runs (condition (H), and decoding a staircase
 formula's models), a plain reader of the text formats, a per-line reference
-reader of formula files, a plain min-degree eliminator that the engine's
-planner must match, a row-by-row transfer-matrix count for grids too
-large to enumerate, and small-graph generators up to isomorphism for the
-exhaustive recogniser cross-checks."""
+reader of formula files, the CLI parser as it was built before the command
+table, a plain min-degree eliminator that the engine's planner must match,
+a row-by-row transfer-matrix count for grids too large to enumerate, and
+small-graph generators up to isomorphism for the exhaustive recogniser
+cross-checks."""
 
 from __future__ import annotations
 
+import argparse
 import itertools
 from fractions import Fraction
 from math import prod
@@ -358,6 +360,81 @@ def reference_formula(text: str):
     if nvars is None:
         raise ParseError(1, "missing 'f <nvars>' header")
     return nvars, tuple(clauses)
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The CLI's parser as cli.build_parser built it before the command
+    table, each subcommand added by hand; the body is kept verbatim, so
+    every usage, help and error text of today's parser can be compared
+    with it.  The handlers are today's; the --witness help is built as it
+    was then."""
+    from listhom import patterns
+    from listhom.cli import (
+        cmd_classify,
+        cmd_count,
+        cmd_count_sat,
+        cmd_gadget,
+        cmd_ising,
+        cmd_reduce_ising,
+        cmd_reduce_sat,
+        cmd_selftest,
+    )
+
+    _WITNESS_HELP = "|".join([row.kind.lower() for row in patterns.RECIPES] + ["cycle<L>"])
+    parser = argparse.ArgumentParser(
+        prog="listhom",
+        description="List-homomorphism counting toolkit: classification, "
+                    "gadgets, reductions and exact oracles.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("classify", help="classify a target graph")
+    p.add_argument("h_file")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_classify)
+
+    p = sub.add_parser("count", help="count list colourings of an instance")
+    p.add_argument("h_file")
+    p.add_argument("instance_file")
+    p.set_defaults(func=cmd_count)
+
+    p = sub.add_parser("ising", help="exact two-spin partition function")
+    p.add_argument("g_file")
+    p.add_argument("--lambda", dest="lam", required=True, metavar="P/Q")
+    p.set_defaults(func=cmd_ising)
+
+    p = sub.add_parser("count-sat", help="count models of an implication formula")
+    p.add_argument("formula_file")
+    p.set_defaults(func=cmd_count_sat)
+
+    p = sub.add_parser("gadget", help="build and verify the gadget for a target")
+    p.add_argument("h_file")
+    p.add_argument("--witness", help=_WITNESS_HELP)
+    p.add_argument("--t", type=int, help="thickening level to verify")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_gadget)
+
+    p = sub.add_parser("reduce-sat",
+                       help="compile an instance to an implication formula")
+    p.add_argument("h_file")
+    p.add_argument("instance_file")
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_reduce_sat)
+
+    p = sub.add_parser("reduce-ising",
+                       help="edge-replace a graph into a list instance")
+    p.add_argument("g_file")
+    p.add_argument("h_file")
+    p.add_argument("--witness", help=_WITNESS_HELP)
+    p.add_argument("--t", type=int, help="thickening level")
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_reduce_ising)
+
+    p = sub.add_parser("selftest", help="verify the catalog and the invariants")
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=cmd_selftest)
+
+    return parser
 
 
 def grid_edges(k: int, rows: int | None = None) -> list[tuple[int, int]]:

@@ -1,4 +1,3 @@
-import argparse
 import itertools
 import json
 import random
@@ -22,7 +21,7 @@ from helpers import (
     satisfies,
 )
 from listhom import cli, patterns
-from listhom.cli import _WITNESS_HELP, _exact, build_parser, main
+from listhom.cli import _WITNESS_HELP, _exact, main
 from listhom.formats import (
     ParseError,
     parse_formula,
@@ -876,13 +875,11 @@ def test_readme_usage_lines_name_every_option():
     block = readme.split("\nCommands (", 1)[1].split("```")[1]
     usage = {line.split()[1]: line.split("#")[0]
              for line in block.splitlines() if line.startswith("listhom ")}
-    (commands,) = [a for a in build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction)]
-    assert set(commands.choices) <= set(usage)
+    assert {name for name, *_ in cli._COMMANDS} <= set(usage)
     missing = []
-    for name, sub in commands.choices.items():
+    for name, _, _, arguments in cli._COMMANDS:
         named = set(re.findall(r"--[\w-]+", usage[name]))
-        missing += [f"{name} {opt}" for action in sub._actions for opt in action.option_strings
-                    if opt not in ("-h", "--help") and opt not in named]
+        missing += [f"{name} {arg[0]}" for arg in arguments
+                    if not isinstance(arg, str) and arg[0] not in named]
     assert missing == []
     assert f"--witness {_WITNESS_HELP}]" in usage["gadget"]

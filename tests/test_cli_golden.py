@@ -1,12 +1,16 @@
 """The exact stdout of `classify` (text and --json) for one target per
-certificate type, and the witness object of `gadget --json`."""
+certificate type, the witness object of `gadget --json`, and every usage,
+help and error text of the parser against the one it replaced."""
 
+import contextlib
+import io
 import json
 
 import pytest
 
-from listhom import patterns
-from listhom.cli import main
+from helpers import reference_parser
+from listhom import cli, patterns
+from listhom.cli import build_parser, main
 from listhom.formats import serialise_h
 from listhom.graphs import ColourGraph
 
@@ -131,3 +135,49 @@ def test_gadget_json_witness_is_pinned(tmp_path, capsys):
     report = _stdout(capsys, ["gadget", str(path), "--json"])
     # the report opens with the witness, and the next key follows
     assert report.startswith(json.dumps({"witness": witness}, indent=2)[:-2] + ",\n")
+
+
+COMMANDS = ("classify", "count", "ising", "count-sat", "gadget", "reduce-sat",
+            "reduce-ising", "selftest")
+
+# usage and parse errors, and one well-formed argv per command (two where a
+# default shows); each is parsed by both parsers
+ARGVS = [
+    [], ["-h"], ["nosuch"], *([name, "-h"] for name in COMMANDS),
+    ["classify"], ["classify", "x.h", "--bogus"], ["gadget", "x.h", "--t", "abc"],
+    ["ising", "g.g"], ["reduce-sat", "h.h", "i.inst"],
+    ["classify", "x.h", "--json"], ["count", "h.h", "i.inst"],
+    ["ising", "g.g", "--lambda", "3/2"], ["count-sat", "f.f"], ["gadget", "x.h"],
+    ["gadget", "x.h", "--witness", "cycle6", "--t", "2", "--json"],
+    ["reduce-sat", "h.h", "i.inst", "--out", "r.f"],
+    ["reduce-ising", "g.g", "h.h", "--witness", "x3", "--t", "1", "--out", "r.inst"],
+    ["selftest"], ["selftest", "--seed", "5"],
+]
+
+
+def _parse(parser, argv):
+    """(exit code, stdout, stderr, namespace) of parser.parse_args(argv),
+    the code None when it returns and the namespace None when it exits."""
+    out, err = io.StringIO(), io.StringIO()
+    code = ns = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            ns = parser.parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), ns
+
+
+@pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+def test_parse_is_the_reference_parsers_byte_for_byte(monkeypatch, argv):
+    # -h prints the parser's format_help(), so the help of the top level
+    # and of every subcommand is compared here as well
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err, ns = _parse(build_parser(), argv)
+    want_code, want_out, want_err, want_ns = _parse(reference_parser(), argv)
+    assert (code, out, err) == (want_code, want_out, want_err)
+    assert (ns is None) == (want_ns is None)
+    if ns is not None:
+        assert ns.func is getattr(cli, "cmd_" + ns.command.replace("-", "_"))
+        del ns.func, want_ns.func
+        assert vars(ns) == vars(want_ns)

@@ -699,6 +699,22 @@ def test_1p1n_long_chain():
     assert count_1p1n(f) == n + 1
 
 
+def test_1p1n_one_run_builds_no_list_over_its_variables():
+    # the runs are found with one byte per variable, and a run without cuts
+    # keeps its levels as a range; a list or tuple over the n variables
+    # would hold at least 8 bytes each
+    n = 60000
+    f = ImplicationFormula(n, tuple(implies(v + 1, v) for v in range(1, n)))
+    tracemalloc.start()
+    try:
+        count = count_1p1n(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == n + 1
+    assert peak < 4 * n, peak
+
+
 def _runs(f):
     """Each variable's run: the first variable of the longest range of
     consecutive variables, each implying the one before, that holds it."""

@@ -140,6 +140,40 @@ def test_traced_classify_shows_staircase_and_obstruction_work(tmp_path, capsys):
     assert calls["recognizer.excluded"] > 0
 
 
+def test_traced_commands_show_every_layers_work(tmp_path, capsys):
+    # cli reaches each layer through the module that defines the call, and
+    # the tracer wraps it there: every command's spans must still show
+    import listhom.cli
+    from listhom import patterns
+    from listhom.formats import serialise_h
+
+    def write(name, text):
+        (tmp_path / name).write_text(text)
+        return str(tmp_path / name)
+
+    p3s = write("p3s.h", serialise_h(patterns.P3_STAR))
+    x3 = write("x3.h", serialise_h(patterns.X3))
+    path = write("p3.inst", "g 3\ne 1 2\ne 2 3\n")
+    c4 = write("c4.g", "g 4\ne 1 2\ne 2 3\ne 3 4\ne 1 4\n")
+    formula, inst = str(tmp_path / "r.f"), str(tmp_path / "r.inst")
+    argvs = [["count", p3s, path], ["ising", c4, "--lambda", "1/2"],
+             ["reduce-sat", p3s, path, "--out", formula], ["count-sat", formula],
+             ["gadget", x3], ["reduce-ising", c4, x3, "--t", "1", "--out", inst],
+             ["count", x3, inst]]
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        codes = [listhom.cli.main(argv) for argv in argvs]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [0] * len(argvs)
+    calls = tracer.calls()
+    names = ("formats.parse", "oracles.count_list_hcol", "oracles.ising_partition",
+             "oracles.count_1p1n", "reductions.encode", "gadgets.symmetrize",
+             "gadgets.edge_replace")
+    assert [name for name in names if calls[name] <= 0] == []
+
 def test_private_helpers_are_used():
     # a module-level _helper that nothing in the package names any more is
     # a leftover of a refactor; tests alone do not keep it alive
