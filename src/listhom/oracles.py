@@ -8,29 +8,35 @@ All three are front ends over one engine: exact variable (bucket)
 elimination on a weighted binary constraint problem.  Its cost is linear in
 the number of variables and exponential only in the induced width of the
 elimination order (1 on trees, 2 on ladders, the side of a square grid),
-never in the size of the input.  Each count runs in three parts: a
-series-parallel phase on two-value inputs, a symbolic plan and a numeric
-pass.
+never in the size of the input.  Each count first settles its fixed
+variables, those outside the kept ones with one value: a factor with one
+fixed end multiplies the weight vector of its other end, and a factor with
+two multiplies the running total, so a count that such a factor makes 0 is
+answered before any plan.  The free factors left, those with no fixed end,
+then go through three parts: a series-parallel phase on two-value inputs, a
+symbolic plan and a numeric pass.
 
 The series-parallel phase runs when no plan is passed in and every variable
 that is not fixed to one value has two values, kept ones included.  Every
 instance that reduce-ising writes and every gadget the brute-force check
 counts has this shape: a path gadget with two-colour lists, thickened by
-parallel doubling, put on each edge of a graph.  One-value variables drop
-out first.  A worklist then sums out every free variable of degree at most
-two.  Each table over two variables is a 4-tuple and each weight vector a
-2-tuple; parallel tables multiply entry by entry, and a degree-two step is
-one explicit 2x2 product, with no heap, no plan and no flat lists.  When
-nothing free is left, the count, or the table over at most two kept
-variables, is read off what remains.  Otherwise a kernel is left whose free
-variables all have degree three or more (a grid, or reduce-ising on a graph
-that is not series-parallel).  Reduction by degree at most two ends in the
-same kernel whatever its order, so min-degree on the kernel makes the same
-choices as the tail of min-degree on the whole graph.  The kernel's plan
-then runs on the phase's tables, vectors and running total, with no
-recount.  Only when that plan needs a table over MAX_TABLE_SIZE are the
-2x2 tables dropped and the whole graph planned as below, which keeps the
-BFS profile choice and the refusal text.
+parallel doubling, put on each edge of a graph.  Starting from the vectors
+and total that settling left, a worklist sums out every free variable of
+degree at most two.  Each table over two variables is a 4-tuple and each
+weight vector has two entries; parallel tables multiply entry by entry, and
+a degree-two step is one explicit 2x2 product, with no heap, no plan and no
+flat lists.  When nothing free is left, the count, or the table over at
+most two kept variables, is read off what remains.  Otherwise a kernel is
+left whose free variables all have degree three or more (a grid, or
+reduce-ising on a graph that is not series-parallel).  Reduction by degree
+at most two ends in the same kernel whatever its order, so min-degree on
+the kernel makes the same choices as the tail of min-degree on the whole
+graph.  The kernel's plan then runs on the phase's tables, vectors and
+running total, with no recount.  Only when that plan needs a table over
+MAX_TABLE_SIZE are the 2x2 tables dropped and the whole graph planned as
+below, which keeps the BFS profile choice and the refusal text; its free
+factors are then filed again with the vectors that settling left, so the
+phase works on its own copy of them.
 
 The plan is symbolic: it eliminates on the interaction graph alone and
 records each step's variable and scope, the order's induced width and its
@@ -52,15 +58,14 @@ The numeric pass then runs the plan on flat int tables indexed by domain
 position.  Each variable's weight vector is kept apart; a table over two
 variables is filed under the first of them in elimination order, keyed by
 the other, and a wider table under its first variable, keyed by its scope.
-Parallel factors multiply into one table, a variable with a one-value
-domain drops out of every scope, and factors with the same table and the
-same domain objects share one flat table.  A step takes its variable's
-vector and the tables filed under it.  With no neighbours it multiplies the
-total by the sum of the vector, so connected components need no separate
-pass; with one neighbour it is a vector-matrix product over the table's
-columns; with two neighbours and a table to each it is a matrix product;
-otherwise it repeats each table out to the step's full scope with list
-slicing and multiplies them entry by entry.  The result joins the vector or
+Parallel factors multiply into one table, and factors with the same table
+and the same domain objects share one flat table.  A step takes its
+variable's vector and the tables filed under it.  With no neighbours it
+multiplies the total by the sum of the vector, so connected components need
+no separate pass; with one neighbour it is a vector-matrix product over
+the table's columns; with two neighbours and a table to each it is a matrix
+product; otherwise it repeats each table out to the step's full scope with
+list slicing and multiplies them entry by entry.  The result joins the vector or
 the table of what is left.  Bucket elimination (Dechter 1999) costs about
 n d^(w+1) in table entries, so at d = 2 and width 1 or 2 the per-step costs
 are nearly all of a count; that is what the series-parallel phase saves.
@@ -89,17 +94,19 @@ implications for filing.  All implications from one run to another become
 one 0/1 table over their levels: (x, y) is allowed exactly when y exceeds
 every offset j of an implication i -> j with i < x.  When no implication
 joins two runs, the runs count apart: the answer is the product of their
-level counts, with no plan and no table, however long a run is.  On a
-reduce-sat formula the levels are the vertex's colours, so the count runs
-at the instance's own width.  Grouping can also cost more than bits: two
-long chains joined rung by rung make one table over both chains' levels,
-quadratic in their length, where the bits form a ladder of width 2.  So
-the grouped problem is planned first, before any table is built.  Only when
-that plan is over the limit, or its total table entries exceed the least a
-bit-level pass can cost (2 per variable and 4 per implication), is the
-bit-level problem planned too, and only until its total reaches a grouped
-total that fits.  The cheaper plan within the limit runs, and when neither
-is within it the error names both.
+level counts, with no plan and no table, however long a run is.  When two
+joined runs have one level left each and their table forbids that pair, the
+answer is 0, also before any plan.  On a reduce-sat formula the levels are
+the vertex's colours, so the count runs at the instance's own width.
+Grouping can also cost more than bits: two long chains joined rung by rung
+make one table over both chains' levels, quadratic in their length, where
+the bits form a ladder of width 2.  So the grouped problem is planned
+first, before any table is built.  Only when that plan is over the limit,
+or its total table entries exceed the least a bit-level pass can cost (2
+per variable and 4 per implication), is the bit-level problem planned too,
+and only until its total reaches a grouped total that fits.  The cheaper
+plan within the limit runs, and when neither is within it the error names
+both.
 
 Counts are exact Python ints; partition function values are exact Fractions.
 No floating point anywhere.  All counters are deterministic and independent
@@ -290,7 +297,7 @@ def _profile_order(adj: list, kept) -> list:
 
 def _graph(factors, fixed: list) -> list:
     """The interaction graph: v -> the set of variables sharing a factor
-    with v, or None for a variable to be conditioned out."""
+    with v, or None for a fixed variable, which settling removes."""
     adj: list[set | None] = [None if f else set() for f in fixed]
     for u, v, _ in factors:
         if not (fixed[u] or fixed[v]):
@@ -357,14 +364,16 @@ def _broadcast(table: list, scope: tuple, joint: tuple, size: list) -> list:
     return table
 
 
-def _series_parallel(domains: list, factors, fixed: list, keep: tuple):
+def _series_parallel(domains: list, factors, fixed: list, keep: tuple, vec: list, total: int):
     """Sum out every free variable of degree at most two, where every
     variable that is not fixed has two values.
 
-    nb[v] maps each neighbour w of v to the table over (v, w) as a 4-tuple,
-    entry 2i + j for v's i-th and w's j-th value, and the same table is
-    filed transposed under w; vec[v] is v's weight vector as a 2-tuple,
-    None while it is all ones.  Parallel tables multiply entry by entry.  A
+    factors are those with no fixed end, and vec and total are what settling
+    the fixed variables left; vec is this phase's own list, changed in
+    place.  nb[v] maps each neighbour w of v to the table over (v, w) as a
+    4-tuple, entry 2i + j for v's i-th and w's j-th value, and the same
+    table is filed transposed under w; vec[v] is v's weight vector, None
+    while it is all ones.  Parallel tables multiply entry by entry.  A
     worklist holds the free variables of degree at most two: each is summed
     out into the vector of its one neighbour or the table between its two,
     and a neighbour joins the worklist when its degree falls to two.  Returns
@@ -377,22 +386,10 @@ def _series_parallel(domains: list, factors, fixed: list, keep: tuple):
     for v in keep:
         free[v] = False
     nb: list[dict | None] = [None if f else {} for f in fixed]
-    vec: list[tuple | None] = [None] * n
-    total = 1
     # each factor's table as a 4-tuple and its transpose, once per table
     # and pair of domain objects
     tuples: dict[tuple, tuple] = {}
     for u, v, table in factors:
-        if fixed[u] or fixed[v]:
-            t = [table.get((a, b), 0) for a in domains[u] for b in domains[v]]
-            if fixed[u] and fixed[v]:
-                total *= t[0]
-                continue
-            if fixed[u]:
-                u = v  # with u fixed, t is a vector over v's values
-            old = vec[u]
-            vec[u] = tuple(t) if old is None else (old[0] * t[0], old[1] * t[1])
-            continue
         du, dv = domains[u], domains[v]
         key = (id(table), id(du), id(dv))
         both = tuples.get(key)
@@ -409,8 +406,6 @@ def _series_parallel(domains: list, factors, fixed: list, keep: tuple):
             t = (old[0] * t[0], old[1] * t[1], old[2] * t[2], old[3] * t[3])
             nu[v] = t
             nb[v][u] = (t[0], t[2], t[1], t[3])
-    if not total:
-        return {}
 
     work = [v for v in range(n) if free[v] and len(nb[v]) <= 2]
     for x in work:  # grows as degrees fall to two; never holds a variable twice
@@ -486,25 +481,28 @@ def _eliminate(domains: list, factors, keep: tuple = (), plan: _Plan | None = No
     weight; zero weights are left out, so with no kept variables the count
     is the () entry, or 0 if there is none.
 
-    Two-value inputs take the series-parallel phase first (see the module
-    docstring), and the plan comes next; a count the plan refuses builds no
-    table over more than two variables.  A caller that has drawn up a plan
-    for exactly these domains and factors, with nothing kept, may pass it
-    in, and skips the phase.  Then every factor becomes a flat int table
-    over domain positions, row-major over its scope: its variables in
-    elimination order, so the variable summed out is always the first axis
-    and each of its values a slice; a kernel left by the phase brings its
-    tuples instead, each filed the same way.  Factors
-    with the same table and the same domain objects share one flat table.
-    A variable outside keep with a one-value domain drops out of every
-    scope, and a factor with two such ends is a scalar on the total.  There
-    are three stores: vec[v] is v's weight vector (None while it is all
-    ones), pair[u][v] the table over (u, v), and wide[u] maps each scope of
-    three or more variables to its table; a table is filed under the first
-    variable of its scope, and parallel tables multiply into one.  A step
-    takes its variable's vector and what is filed under it, sums the
-    variable out and multiplies the result into the vector or the table of
-    what is left.
+    The fixed variables, those outside keep with a one-value domain, are
+    settled first, in one loop: a factor with one fixed end multiplies the
+    vector of its other end, and a factor with two multiplies the total; a
+    zero total returns {} before any plan.  Only the free factors, those
+    with no fixed end, go on.  Two-value inputs take the series-parallel
+    phase next (see the module docstring), on a copy of the vectors, and
+    the plan comes after; a count the plan refuses builds no table over
+    more than two variables.  A caller that has drawn up a plan for exactly
+    these domains and factors, with nothing kept, may pass it in, and skips
+    the phase.  Then every free factor becomes a flat int table over domain
+    positions, row-major over its scope: its variables in elimination
+    order, so the variable summed out is always the first axis and each of
+    its values a slice; a kernel left by the phase brings its tuples
+    instead, each filed the same way.  Factors with the same table and the
+    same domain objects share one flat table, and so do the vectors that
+    settling makes.  There are three stores: vec[v] is v's weight vector
+    (None while it is all ones), pair[u][v] the table over (u, v), and
+    wide[u] maps each scope of three or more variables to its table; a
+    table is filed under the first variable of its scope, and parallel
+    tables multiply into one.  A step takes its variable's vector and what
+    is filed under it, sums the variable out and multiplies the result into
+    the vector or the table of what is left.
     """
     if not all(domains):
         return {}  # before the size check: a zero count needs no table
@@ -523,18 +521,45 @@ def _eliminate(domains: list, factors, keep: tuple = (), plan: _Plan | None = No
     for v in keep:
         fixed[v] = False
 
+    # settle the fixed variables: a factor with one fixed end multiplies the
+    # vector of the other, and one with two fixed ends the total; no table
+    # is changed in place, so one flat copy serves every factor with the
+    # same table and domains
+    vec: list = [None] * n  # v's weight vector, None for all ones
+    total = 1
+    free = []  # the factors with no fixed end
+    flat_of: dict[tuple, list] = {}
+    dom_id = list(map(id, domains))
+    for u, v, table in factors:
+        if not (fixed[u] or fixed[v]):
+            free.append((u, v, table))
+            continue
+        key = (id(table), dom_id[u], dom_id[v])
+        flat = flat_of.get(key)
+        if flat is None:
+            flat = flat_of[key] = [table.get((a, b), 0) for a in domains[u] for b in domains[v]]
+        if fixed[u] and fixed[v]:
+            total *= flat[0]
+            continue
+        u = v if fixed[u] else u  # flat is a vector over the end that is left
+        old = vec[u]
+        vec[u] = flat if old is None else list(map(mul, old, flat))
+    if not total:
+        return {}  # before any plan: a zero count needs no table
+
     kernel = None
     if plan is None:
         if size.count(2) + fixed.count(True) == n:  # every variable left has two values
-            kernel = _series_parallel(domains, factors, fixed, keep)
+            # the phase works on its own copy of vec, which the fallback refiles from
+            kernel = _series_parallel(domains, free, fixed, keep, list(vec), total)
             if isinstance(kernel, dict):
                 return kernel
             adj = [None if nbrs is None else set(nbrs) for nbrs in kernel[0]]
             plan = _plan("min-degree", adj, size, kept)
             if plan.largest > MAX_TABLE_SIZE:
-                kernel = None  # frees the 2x2 tables; the fallback starts from the factors
+                kernel = None  # frees the 2x2 tables; the fallback refiles the free factors
         if kernel is None:
-            plan, other = _best_plan(factors, fixed, size, kept, plan=plan)
+            plan, other = _best_plan(free, fixed, size, kept, plan=plan)
             if plan.largest > MAX_TABLE_SIZE:
                 raise _refusal(plan, other)
     pos = [0] * n  # elimination position; the kept variables come last
@@ -558,13 +583,7 @@ def _eliminate(domains: list, factors, keep: tuple = (), plan: _Plan | None = No
                         mine[v] = t
         nb = None
     else:
-        vec = [None] * n  # v's weight vector, None for all ones
-        total = 1
-        # no table is changed in place, so one flat copy serves every factor
-        # with the same table and domains
-        flat_of: dict[tuple, list] = {}
-        dom_id = list(map(id, domains))
-        for u, v, table in factors:
+        for u, v, table in free:
             swap = pos[u] > pos[v]
             if swap:
                 u, v = v, u
@@ -573,19 +592,9 @@ def _eliminate(domains: list, factors, keep: tuple = (), plan: _Plan | None = No
             if flat is None:
                 flat = flat_of[key] = [table.get((b, a) if swap else (a, b), 0)
                                        for a in domains[u] for b in domains[v]]
-            if fixed[u] or fixed[v]:
-                if fixed[u] and fixed[v]:
-                    total *= flat[0]
-                    continue
-                u = v if fixed[u] else u  # a vector over the end that is left
-                old = vec[u]
-                vec[u] = flat if old is None else list(map(mul, old, flat))
-                continue
             mine = pair[u]
             old = mine.get(v)
             mine[v] = flat if old is None else list(map(mul, old, flat))
-    if not total:
-        return {}
 
     for x, scope in plan.steps:
         ux = vec[x]
@@ -762,16 +771,17 @@ def count_1p1n(f: ImplicationFormula) -> int:
       exactly when y > max{j : i < x}.  Runs with no level left give 0.
 
     When no implication joins two runs, the count is the product of the
-    runs' level counts, returned before any plan.  Otherwise the grouped
-    problem is planned before any table is built.  When its plan is over
-    MAX_TABLE_SIZE, or its total entries exceed the least a bit-level pass
-    can cost (2 per variable plus 4 per implication), the bit-level
-    problem, one variable per bit and one table per implication, is
-    planned too, and the cheaper of the two plans within the limit runs,
-    the grouped one on a tie.  When the grouped plan is within the limit,
-    the bit-level one stops as soon as its total reaches the grouped total,
-    since it can no longer win.  When neither is within the limit, the
-    Refusal names both before any table is built.
+    runs' level counts, returned before any plan; when two joined runs have
+    one level each and their table forbids it, the count is 0, also before
+    any plan.  Otherwise the grouped problem is planned before any table is
+    built.  When its plan is over MAX_TABLE_SIZE, or its total entries
+    exceed the least a bit-level pass can cost (2 per variable plus 4 per
+    implication), the bit-level problem, one variable per bit and one table
+    per implication, is planned too, and the cheaper of the two plans
+    within the limit runs, the grouped one on a tie.  When the grouped plan
+    is within the limit, the bit-level one stops as soon as its total
+    reaches the grouped total, since it can no longer win.  When neither is
+    within the limit, the Refusal names both before any table is built.
     """
     n = f.var_count
     links = 0
@@ -833,6 +843,10 @@ def count_1p1n(f: ImplicationFormula) -> int:
     size = [len(d) for d in domains]
     if not after:  # no implication joins two runs, so they count apart
         return prod(size)
+    for (ra, rb), most in after.items():
+        x, y = domains[ra][0], domains[rb][0]
+        if size[ra] == size[rb] == 1 and any(i < x and j >= y for i, j in most.items()):
+            return 0  # two runs left at one level each, which their table forbids
     pairs = [(ra, rb, None) for ra, rb in after]
     plan, _ = _best_plan(pairs, [d == 1 for d in size], size, ())
     if plan.largest > MAX_TABLE_SIZE or plan.total > 2 * n + 4 * (links + len(imps)):

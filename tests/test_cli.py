@@ -787,6 +787,34 @@ def test_cmd_count_over_table_limit_exits_2(tmp_path, capsys):
     assert "induced width 39" in capsys.readouterr().err
 
 
+def test_cmd_zero_counts_answer_before_any_plan(tmp_path, capsys):
+    # a grid too wide for either order, beside two pinned ends that no
+    # colouring or model allows: each count prints 0 at once
+    grid = "".join(f"e {r * 30 + c + 1} {r * 30 + c + 2}\n" for r in range(30) for c in range(29))
+    grid += "".join(f"e {v} {v + 30}\n" for v in range(1, 871))
+    p3s = write(tmp_path, "p3s.h", serialise_h(patterns.P3_STAR))
+    inst = write(tmp_path, "zero.inst", f"g 902\n{grid}e 901 902\nl 901 1\nl 902 3\n")
+    start = time.perf_counter()
+    assert main(["count", p3s, inst]) == 0
+    assert time.perf_counter() - start < 0.05
+    assert capsys.readouterr().out == "0\n"
+
+    # P8 on the 8 x 8 grid, beside x577 true, x578 false and x577 -> x578
+    g8 = "".join(f"e {r * 8 + c + 1} {r * 8 + c + 2}\n" for r in range(8) for c in range(7))
+    g8 += "".join(f"e {v} {v + 8}\n" for v in range(1, 57))
+    out = tmp_path / "p8.f"
+    assert main(["reduce-sat", write(tmp_path, "p8.h", serialise_h(patterns.path(8))),
+                 write(tmp_path, "grid8.g", f"g 64\n{g8}"), "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text.startswith("f 576\n")
+    out.write_text(text.replace("f 576\n", "f 578\n", 1) + "p 577\nn 578\ni 577 578\n")
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["count-sat", str(out)]) == 0
+    assert time.perf_counter() - start < 0.05
+    assert capsys.readouterr().out == "0\n"
+
+
 def test_cmd_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     import listhom.cli
 

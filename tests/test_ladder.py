@@ -17,7 +17,9 @@ def test_ladder_families_classify_at_120_colours_with_their_expected_witness():
     # relabelled cycles with leaves: the per-length cycle search took minutes
     # on the even family at this size
     ladder = _ladder()
-    for family in ladder.CLASSIFY_FAMILIES:
+    for family, (_, run, _) in ladder.FAMILIES.items():
+        if run is not ladder._classify_step:
+            continue
         step = ladder.step(str(ROOT / "src"), family, 120)
         assert step["colours"] == 120
         assert step["class"] == "sat_equivalent"
@@ -50,7 +52,7 @@ def test_ladder_records_a_failed_step_and_ends_its_family(monkeypatch):
     # a step that exits non-zero, as one calling what an older checkout
     # lacks would, is recorded instead of aborting the whole ladder
     ladder = _ladder()
-    monkeypatch.setattr(ladder, "FAMILIES", {"no_such_family": (30, 60)})
+    monkeypatch.setattr(ladder, "FAMILIES", {"no_such_family": ((30, 60), None, None)})
     families = ladder.ladder({"change": ROOT / "src"})
     assert families == {"change": {"no_such_family": [
         {"size": 30, "seconds": "failed", "error": "KeyError: 'no_such_family'"}]}}
@@ -108,7 +110,7 @@ def test_ladder_runs_every_family_at_its_first_size(monkeypatch):
     ladder = _ladder()
     monkeypatch.setattr(ladder, "CALLS", 1)
     real = oracles._plan
-    for family, sizes in ladder.FAMILIES.items():
+    for family, (sizes, _, _) in ladder.FAMILIES.items():
         step = ladder.step(str(ROOT / "src"), family, sizes[0])
         assert len(step["times"]) == 1, (family, step)
         if family == "k2prime_grid_refusal":

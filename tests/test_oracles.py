@@ -148,6 +148,50 @@ def test_grid_counts_take_the_profile_order_and_match_the_transfer_matrix(monkey
     assert len(profiles) == 2
 
 
+def test_whole_graph_fallback_refiles_the_vectors_that_settling_left(monkeypatch):
+    # a pendant leaf on vertex 2 of the 14 x 14 grid: the phase sums it into
+    # vertex 2's vector, then the kernel's min-degree plan is over the limit,
+    # so the whole graph is planned again and refiled from its free factors
+    # and the vectors that settling left, without the leaf's.  Under K2' the
+    # leaf has one colour beside colour 1 and two beside colour 2
+    plans = []
+    real = oracles._plan
+
+    def recording(*args):
+        plan = real(*args)
+        plans.append((plan.rule, plan.width, plan.largest))
+        return plan
+
+    def pinned(colour):
+        lists = [frozenset((1, 2))] * 196
+        lists[1] = frozenset((colour,))
+        return count_list_hcol(patterns.K2_PRIME, Instance(_grid(14), tuple(lists), 2))
+
+    leafy = InstanceGraph.from_edges(197, grid_edges(14) + [(2, 197)])
+    monkeypatch.setattr(oracles, "_plan", recording)
+    got = count_list_hcol(patterns.K2_PRIME, Instance.with_full_lists(leafy, 2))
+    assert plans == [("min-degree", 18, 2 ** 19), ("BFS profile", 14, 2 ** 15)]
+    assert got == pinned(1) + 2 * pinned(2)
+
+
+def _forbidden_edge_instance():
+    # the 30 x 30 grid over P3* with full lists, too wide for either order,
+    # and apart from it one edge between lists {1} and {3}, which P3* does
+    # not join
+    g = InstanceGraph.from_edges(902, grid_edges(30) + [(901, 902)])
+    lists = (frozenset((1, 2, 3)),) * 900 + (frozenset((1,)), frozenset((3,)))
+    return Instance(g, lists, 3)
+
+
+def test_a_forbidden_edge_between_one_colour_lists_counts_zero_before_any_plan():
+    inst = _forbidden_edge_instance()
+    for count, want in ((lambda: count_list_hcol(patterns.P3_STAR, inst), 0),
+                        (lambda: list_hcol_table(patterns.P3_STAR, inst, (1, 450)), {})):
+        start = time.perf_counter()
+        assert count() == want
+        assert time.perf_counter() - start < 0.05
+
+
 def test_count_factorises_over_components():
     rng = random.Random(12)
     for _ in range(20):
@@ -438,9 +482,9 @@ def test_series_parallel_phase_matches_enumeration(monkeypatch):
     runs = []
     real = oracles._series_parallel
 
-    def phase(domains, factors, fixed, keep):
+    def phase(domains, factors, fixed, keep, vec, total):
         # "kernel" when a free variable is left for the planner
-        out = real(domains, factors, fixed, keep)
+        out = real(domains, factors, fixed, keep, vec, total)
         runs.append("phase" if isinstance(out, dict) or not any(
             nbrs is not None and v not in keep for v, nbrs in enumerate(out[0])) else "kernel")
         return out
@@ -474,10 +518,16 @@ def test_series_parallel_phase_matches_enumeration(monkeypatch):
         assert time.perf_counter() - start < 0.05
         want = weighted_sum_enumeration(domains, factors, keep)
         assert got == want, (shape, edges, keep)
-        assert len(runs) == 1
+        # a factor of weight 0 between two fixed variables answers before
+        # the phase; otherwise the phase runs once
+        settled_zero = any(len(domains[u]) == len(domains[v]) == 1 and u not in keep
+                           and v not in keep and not t.get((domains[u][0], domains[v][0]))
+                           for u, v, t in factors)
+        assert len(runs) == (0 if settled_zero else 1)
         # a graph with no K4 minor and at most one kept variable is summed
         # out whole; two kept ones can hold a kernel between them
-        assert shape in ("subdivided K4", "3x3 grid") or len(keep) > 1 or runs == ["phase"]
+        assert (settled_zero or shape in ("subdivided K4", "3x3 grid") or len(keep) > 1
+                or runs == ["phase"])
         pairs = Counter(frozenset((u, v)) for u, v, _ in factors)
         seen.update({
             shape: True, f"{len(keep)} kept": True,
@@ -844,6 +894,17 @@ def test_1p1n_refusal_names_both_plans():
 def _formula_of(h, inst):
     form = find_staircase_biadjacency(h) or find_staircase_adjacency(h)
     return reduce_listhcol_to_1p1n(build_staircase_encoding(h, form), inst)[0]
+
+
+def test_1p1n_answers_zero_before_it_plans_when_two_fixed_runs_conflict():
+    # P8 on the 8 x 8 grid, which both encodings refuse, beside x577 true,
+    # x578 false and x577 -> x578
+    f = _formula_of(patterns.path(8), Instance.with_full_lists(_grid(8), 8))
+    assert f.var_count == 576
+    f = ImplicationFormula(578, f.clauses + (unit_pos(577), unit_neg(578), implies(577, 578)))
+    start = time.perf_counter()
+    assert count_1p1n(f) == 0
+    assert time.perf_counter() - start < 0.05
 
 
 def test_1p1n_counts_reduce_sat_formulas_on_grids_that_count_handles():

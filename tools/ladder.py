@@ -152,36 +152,6 @@ def _cycle_with_leaves(q: int, leaves: int, reflexive: bool):
     return n, edges, "CycleNe4", q
 
 
-CLASSIFY_FAMILIES = {
-    "even_cycle_leaves": lambda n: _cycle_with_leaves(2 * (n // 3), n // 3, False),
-    "odd_cycle_leaves": lambda n: _cycle_with_leaves(2 * (n // 3) + 1, n // 3 - 1, False),
-    "reflexive_cycle_pendants": lambda n: _cycle_with_leaves(2 * (n // 3), n // 3, True),
-}
-# each gadget family and the classify family whose hosts it uses
-GADGET_FAMILIES = {"gadget_even_cycle": "even_cycle_leaves"}
-GRID_FAMILIES = {"k2prime_grid": GRID_SIZES, "two_spin_grid": GRID_SIZES,
-                 "k2prime_grid_refusal": (30,)}
-# each reduce-sat family: (colours of its path target, reflexive) and its k
-REDUCE_SAT_FAMILIES = {
-    "reduce_sat_grid_p6": ((6, False), (3, 4, 5, 6)),
-    "reduce_sat_grid_p8": ((8, False), (3, 4, 5, 6)),
-    "reduce_sat_grid_p3star": ((3, True), tuple(range(6, 12))),
-    "reduce_sat_grid_p4star": ((4, True), tuple(range(5, 10))),
-}
-# each reduce-ising family: (witness kind, thickening level, graph shape) and
-# its sizes, the grid's side or the cycle's length
-REDUCE_ISING_FAMILIES = {"reduce_ising_count": (("X3", 1, "grid"), tuple(range(4, 13))),
-                         "reduce_ising_cycle": (("X3", 1, "cycle"), (100, 400, 1600, 6400))}
-# each count-sat family and its variable counts
-COUNT_SAT_FAMILIES = {"count_sat_chain": (1500, 15000, 150000)}
-FAMILIES = {**{family: SIZES + LARGE_SIZES for family in CLASSIFY_FAMILIES},
-            **{family: SIZES for family in GADGET_FAMILIES},
-            **GRID_FAMILIES,
-            **{family: sizes for family, (_, sizes) in REDUCE_SAT_FAMILIES.items()},
-            **{family: sizes for family, (_, sizes) in REDUCE_ISING_FAMILIES.items()},
-            **COUNT_SAT_FAMILIES}
-
-
 def _peak_rss_mib() -> float:
     import resource
 
@@ -207,32 +177,33 @@ def _timed(build, call):
 def step(src: str, family: str, size: int) -> dict:
     """One ladder step in this interpreter, with listhom imported from src."""
     sys.path.insert(0, src)
-    for families, count_step in ((GRID_FAMILIES, _grid_step),
-                                 (REDUCE_SAT_FAMILIES, _reduce_sat_step),
-                                 (REDUCE_ISING_FAMILIES, _reduce_ising_step),
-                                 (COUNT_SAT_FAMILIES, _count_sat_step)):
-        if family in families:
-            return count_step(family, size)
-    from listhom.graphs import ColourGraph
-    from listhom.recognizer import ExcludedWitness, classify
+    _, run, arg = FAMILIES[family]
+    return run(arg, size)
 
-    n, edges, kind, length = CLASSIFY_FAMILIES[GADGET_FAMILIES.get(family, family)](size)
+
+def _relabelled(hosts, size: int):
+    """(build, expected): a builder of the target hosts(size) relabelled at
+    random with RELABEL_SEED, and its expected witness (kind, length)."""
+    from listhom.graphs import ColourGraph
+
+    n, edges, kind, length = hosts(size)
     perm = list(range(1, n + 1))
     random.Random(RELABEL_SEED).shuffle(perm)
     edges = [(perm[u - 1], perm[v - 1]) for u, v in edges]
+    return (lambda: ColourGraph.from_edges(n, edges)), (kind, length)
 
-    def host():
-        return ColourGraph.from_edges(n, edges)
 
-    if family in GADGET_FAMILIES:
-        return _gadget_step(host, (kind, length))
+def _classify_step(hosts, size: int) -> dict:
+    from listhom.recognizer import ExcludedWitness, classify
+
+    host, expected = _relabelled(hosts, size)
     h, res, times = _timed(host, classify)
-    out = {"colours": n, "seconds": min(times), "times": times,
+    out = {"colours": h.n, "seconds": min(times), "times": times,
            "class": res.klass.name.lower(), "kind": None, "length": None, "verified": False}
     if isinstance(res.reason, ExcludedWitness):
         w = res.reason
         out.update(kind=w.kind, length=w.length, verified=w.verify(h))
-    out["expected"] = out["verified"] and (out["kind"], out["length"]) == (kind, length)
+    out["expected"] = out["verified"] and (out["kind"], out["length"]) == expected
     out["build_seconds"] = min(_timed(lambda: None, lambda _: host())[2])
     out["peak_rss_mib"] = _peak_rss_mib()
     tracemalloc.start()
@@ -244,10 +215,11 @@ def step(src: str, family: str, size: int) -> dict:
     return out
 
 
-def _gadget_step(host, expected: tuple) -> dict:
+def _gadget_step(hosts_family: str, size: int) -> dict:
     from listhom import cli
     from listhom.recognizer import classify
 
+    host, expected = _relabelled(FAMILIES[hosts_family][2], size)
     witness = classify(host()).reason
     h, report, times = _timed(host, lambda h: cli._gadget_report(h, witness, (0,)))
     return {"colours": h.n, "seconds": min(times), "times": times, "kind": witness.kind,
@@ -313,14 +285,13 @@ def _count_record(out: dict, want, *counts) -> dict:
     return out
 
 
-def _grid_step(family: str, k: int) -> dict:
+def _grid_step(two_spin: bool, k: int) -> dict:
     from fractions import Fraction
 
     from listhom import oracles, patterns
     from listhom.graphs import Instance, InstanceGraph
 
     helpers = _helpers()
-    two_spin = family == "two_spin_grid"
 
     def build():
         g = InstanceGraph.from_edges(k * k, helpers.grid_edges(k))
@@ -341,14 +312,14 @@ def _grid_step(family: str, k: int) -> dict:
     return _count_record({"vertices": k * k}, want, ("", build, count))
 
 
-def _reduce_sat_step(family: str, k: int) -> dict:
+def _reduce_sat_step(target: tuple, k: int) -> dict:
     from listhom import oracles, patterns
     from listhom.graphs import Instance, InstanceGraph
     from listhom.recognizer import find_staircase_adjacency, find_staircase_biadjacency
     from listhom.reductions import build_staircase_encoding, reduce_listhcol_to_1p1n
 
     helpers = _helpers()
-    colours, reflexive = REDUCE_SAT_FAMILIES[family][0]
+    colours, reflexive = target
     h = patterns.path(colours, reflexive=reflexive)
     enc = build_staircase_encoding(
         h, find_staircase_biadjacency(h) or find_staircase_adjacency(h))
@@ -363,7 +334,7 @@ def _reduce_sat_step(family: str, k: int) -> dict:
         ("count_", instance, lambda inst: oracles.count_list_hcol(h, inst)))
 
 
-def _reduce_ising_step(family: str, size: int) -> dict:
+def _reduce_ising_step(how: tuple, size: int) -> dict:
     from listhom import oracles, patterns
     from listhom.formats import parse_instance, serialise_instance
     from listhom.gadgets import build_symmetrized, reduce_ising_to_listhcol, thicken
@@ -371,7 +342,7 @@ def _reduce_ising_step(family: str, size: int) -> dict:
     from listhom.recognizer import ExcludedWitness
 
     helpers = _helpers()
-    kind, t, shape = REDUCE_ISING_FAMILIES[family][0]
+    kind, t, shape = how
     h = patterns.recipe(kind).pattern
     entry, gg = build_symmetrized(h, ExcludedWitness(kind, None, tuple(h.colours)))
     thick = thicken(h, gg, entry.cond_pair, t)
@@ -396,7 +367,7 @@ def _reduce_ising_step(family: str, size: int) -> dict:
         ("", lambda: text, lambda text: oracles.count_list_hcol(h, parse_instance(text, h.n))))
 
 
-def _count_sat_step(family: str, n: int) -> dict:
+def _count_sat_step(_, n: int) -> dict:
     from listhom.formats import parse_formula
     from listhom.oracles import count_1p1n
 
@@ -404,6 +375,31 @@ def _count_sat_step(family: str, n: int) -> dict:
     text = "\n".join([f"f {n}"] + [f"i {v + 1} {v}" for v in range(1, n)]) + "\n"
     return _count_record({"variables": n}, lambda: n + 1,
                          ("", lambda: text, lambda text: count_1p1n(parse_formula(text))))
+
+
+# each family: its sizes, its step function and the argument the step reads;
+# a gadget family names the classify family whose hosts it uses, a
+# reduce-sat family its path target (colours, reflexive), and a
+# reduce-ising family (witness kind, thickening level, graph shape)
+FAMILIES = {
+    "even_cycle_leaves": (SIZES + LARGE_SIZES, _classify_step,
+                          lambda n: _cycle_with_leaves(2 * (n // 3), n // 3, False)),
+    "odd_cycle_leaves": (SIZES + LARGE_SIZES, _classify_step,
+                         lambda n: _cycle_with_leaves(2 * (n // 3) + 1, n // 3 - 1, False)),
+    "reflexive_cycle_pendants": (SIZES + LARGE_SIZES, _classify_step,
+                                 lambda n: _cycle_with_leaves(2 * (n // 3), n // 3, True)),
+    "gadget_even_cycle": (SIZES, _gadget_step, "even_cycle_leaves"),
+    "k2prime_grid": (GRID_SIZES, _grid_step, False),
+    "two_spin_grid": (GRID_SIZES, _grid_step, True),
+    "k2prime_grid_refusal": ((30,), _grid_step, False),
+    "reduce_sat_grid_p6": ((3, 4, 5, 6), _reduce_sat_step, (6, False)),
+    "reduce_sat_grid_p8": ((3, 4, 5, 6), _reduce_sat_step, (8, False)),
+    "reduce_sat_grid_p3star": (tuple(range(6, 12)), _reduce_sat_step, (3, True)),
+    "reduce_sat_grid_p4star": (tuple(range(5, 10)), _reduce_sat_step, (4, True)),
+    "reduce_ising_count": (tuple(range(4, 13)), _reduce_ising_step, ("X3", 1, "grid")),
+    "reduce_ising_cycle": ((100, 400, 1600, 6400), _reduce_ising_step, ("X3", 1, "cycle")),
+    "count_sat_chain": ((1500, 15000, 150000), _count_sat_step, None),
+}
 
 
 def _git(src: Path, *args: str) -> str | None:
@@ -456,7 +452,7 @@ def ladder(srcs: dict[str, Path]) -> dict:
     """The families of each label.  The labels take turns on every run of
     every step, so a drift in the machine's load falls on all of them."""
     families = {label: {family: [] for family in FAMILIES} for label in srcs}
-    for family, sizes in FAMILIES.items():
+    for family, (sizes, _, _) in FAMILIES.items():
         live = dict(srcs)  # the labels whose family has not ended
         for size in sizes:
             runs = {label: [] for label in live}
@@ -511,7 +507,7 @@ def main(argv=None) -> int:
         "repeats": REPEATS,
         "calls": CALLS,
         "budget_s": BUDGET_S,
-        "sizes": {family: sizes for family, sizes in FAMILIES.items()},
+        "sizes": {family: sizes for family, (sizes, _, _) in FAMILIES.items()},
         "relabel_seed": RELABEL_SEED,
         "runs": runs,
     }
