@@ -35,10 +35,9 @@ tests' reference for the mirrors, and the package does not export it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .graphs import ColourGraph, Instance, InstanceGraph, Refusal
+from .graphs import ColourGraph, Instance, InstanceGraph, Refusal, frozen, replace
 from .oracles import list_hcol_table
 from .patterns import recipe
 from .recognizer import ExcludedWitness
@@ -75,7 +74,7 @@ def _positive(m: Matrix2) -> bool:
     return all(x > 0 for row in m for x in row)
 
 
-@dataclass(frozen=True)
+@frozen
 class PathGadget:
     """Ordered colour pairs along a path; pair order carries the row/column
     orientation of the matrix product even though the lists are sets."""
@@ -123,7 +122,7 @@ def _product(h: ColourGraph, pairs) -> Matrix2 | None:
     return dprime
 
 
-@dataclass(frozen=True)
+@frozen
 class GadgetGraph:
     """A two-terminal gadget with explicit vertices, edges and colour lists.
 
@@ -397,7 +396,7 @@ def reduce_ising_to_listhcol(
 # ---------------------------------------------------------------------------
 # the gadget catalog, read from the witness catalogue in patterns
 
-@dataclass(frozen=True)
+@frozen
 class CatalogEntry:
     """A known-good gadget for a forbidden pattern, expressed in the colour
     labels of a concrete witness embedding, together with the expected D',

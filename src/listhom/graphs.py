@@ -21,12 +21,23 @@ its loops at most once, whoever asks.
 Refusal is the error for input that a user can correct (a bad file, an
 option out of range, a count above a stated limit); the CLI exits 2 on it
 and 3 on any other exception.
+
+Every immutable record of the package (the graphs here, certificates,
+gadgets, plans) is a class decorated with frozen, and replace copies one
+with some fields changed: the behaviour of dataclass(frozen=True) and of
+the standard replace that the package uses, repr text included.  They
+exist for start-up time.  Every command is a fresh process, and the
+standard dataclass module pulls in a dozen others (inspect, ast, dis,
+tokenize, ...), then each decorated class builds six methods; together
+about a fifth of a cold `import listhom.cli`.  frozen compiles one short
+source per class, __init__, __eq__ and __hash__, whose field reads are
+plain attribute loads, so a record costs no more to build, compare or
+hash than its dataclass did.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import lt
@@ -36,7 +47,72 @@ class Refusal(ValueError):
     """An input the program declines, with the reason a user can act on."""
 
 
-@dataclass(frozen=True)
+def frozen(cls):
+    """Make cls an immutable record of the fields its own annotations name,
+    in order, as dataclass(frozen=True) would, with the same repr.
+
+    __match_args__ holds the field names.  __init__ takes the fields by
+    position or keyword (a class attribute is that field's default), sets
+    each with object.__setattr__ and then calls self.__post_init__ when the
+    class has one.  Two records are equal when they are of the same class
+    with equal fields, and hash as the tuple of their fields.  Assigning or
+    deleting any attribute raises AttributeError; object.__setattr__ and
+    cached_property still write to the instance's __dict__.
+    """
+    names = tuple(cls.__annotations__)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    params = "".join(f", {name}=_defaults[{name!r}]" if name in defaults else f", {name}"
+                     for name in names)
+    body = "".join(f"\n    _set(self, {name!r}, {name})" for name in names)
+    if hasattr(cls, "__post_init__"):
+        body += "\n    self.__post_init__()"
+    mine = "".join(f"self.{name}, " for name in names)
+    theirs = "".join(f"other.{name}, " for name in names)
+    # one compiled source: the field reads are attribute loads, which the
+    # interpreter specialises, so ==, hash and construction cost no more
+    # than dataclass's own
+    space = {"_defaults": defaults, "_set": object.__setattr__}
+    exec(f"def __init__(self{params}):{body or ' pass'}\n"
+         f"def __eq__(self, other):\n"
+         f"    if other.__class__ is self.__class__:\n"
+         f"        return ({mine}) == ({theirs})\n"
+         f"    return NotImplemented\n"
+         f"def __hash__(self):\n"
+         f"    return hash(({mine}))\n", space)
+    for name in ("__init__", "__eq__", "__hash__"):
+        method = space[name]
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, method)
+    cls.__match_args__ = names
+    cls.__repr__ = _record_repr
+    cls.__setattr__ = _refuse_assignment
+    cls.__delattr__ = _refuse_deletion
+    return cls
+
+
+def replace(record, /, **changes):
+    """A copy of a frozen record with the named fields changed.  The copy is
+    built through __init__, so __post_init__ checks it again; a name that
+    is not a field raises TypeError."""
+    values = {name: getattr(record, name) for name in record.__match_args__}
+    values.update(changes)
+    return type(record)(**values)
+
+
+def _record_repr(self) -> str:
+    shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+    return f"{type(self).__qualname__}({shown})"
+
+
+def _refuse_assignment(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+@frozen
 class ColourGraph:
     """Target graph over colours {1..n}, stored as neighbour rows.
 
@@ -120,7 +196,7 @@ class ColourGraph:
         return [(u, v) for u, row in enumerate(self.rows, start=1) for v in row if v >= u]
 
 
-@dataclass(frozen=True)
+@frozen
 class InstanceGraph:
     """Simple loop-free graph on vertices {1..m} with a canonical edge tuple."""
 
@@ -182,7 +258,7 @@ def full_lists(m: int, n: int) -> ListAssignment:
     return (frozenset(range(1, n + 1)),) * m
 
 
-@dataclass(frozen=True)
+@frozen
 class Instance:
     """An input pair: a loop-free graph plus per-vertex allowed-colour sets.
 

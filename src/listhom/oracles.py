@@ -11,10 +11,11 @@ elimination order (1 on trees, 2 on ladders, the side of a square grid),
 never in the size of the input.  Each count first settles its fixed
 variables, those outside the kept ones with one value: a factor with one
 fixed end multiplies the weight vector of its other end, and a factor with
-two multiplies the running total, so a count that such a factor makes 0 is
-answered before any plan.  The free factors left, those with no fixed end,
-then go through three parts: a series-parallel phase on two-value inputs, a
-symbolic plan and a numeric pass.
+two multiplies the running total, so a count that such a factor makes 0,
+or that leaves some variable's weight vector all 0, is answered before any
+plan.  The free factors left, those with no fixed end, then go through
+three parts: a series-parallel phase on two-value inputs, a symbolic plan
+and a numeric pass.
 
 The series-parallel phase runs when no plan is passed in and every variable
 that is not fixed to one value has two values, kept ones included.  Every
@@ -116,14 +117,13 @@ of internal iteration order.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain, compress, product
 from math import prod
 from operator import add, mul
 
-from .graphs import ColourGraph, Instance, InstanceGraph, Refusal, _bfs, _forest
+from .graphs import ColourGraph, Instance, InstanceGraph, Refusal, _bfs, _forest, frozen, replace
 
 UNIT_POS = "p"
 UNIT_NEG = "n"
@@ -153,7 +153,7 @@ def implies(a: int, b: int) -> Clause:
     return (IMP, a, b)
 
 
-@dataclass(frozen=True)
+@frozen
 class ImplicationFormula:
     """CNF with unit clauses and implications only (one positive and one
     negative literal per clause, at most).
@@ -195,7 +195,7 @@ class ImplicationFormula:
         return f
 
 
-@dataclass(frozen=True)
+@frozen
 class _Plan:
     """An elimination order worked out on the interaction graph alone.
 
@@ -484,25 +484,26 @@ def _eliminate(domains: list, factors, keep: tuple = (), plan: _Plan | None = No
     The fixed variables, those outside keep with a one-value domain, are
     settled first, in one loop: a factor with one fixed end multiplies the
     vector of its other end, and a factor with two multiplies the total; a
-    zero total returns {} before any plan.  Only the free factors, those
-    with no fixed end, go on.  Two-value inputs take the series-parallel
-    phase next (see the module docstring), on a copy of the vectors, and
-    the plan comes after; a count the plan refuses builds no table over
-    more than two variables.  A caller that has drawn up a plan for exactly
-    these domains and factors, with nothing kept, may pass it in, and skips
-    the phase.  Then every free factor becomes a flat int table over domain
-    positions, row-major over its scope: its variables in elimination
-    order, so the variable summed out is always the first axis and each of
-    its values a slice; a kernel left by the phase brings its tuples
-    instead, each filed the same way.  Factors with the same table and the
-    same domain objects share one flat table, and so do the vectors that
-    settling makes.  There are three stores: vec[v] is v's weight vector
-    (None while it is all ones), pair[u][v] the table over (u, v), and
-    wide[u] maps each scope of three or more variables to its table; a
-    table is filed under the first variable of its scope, and parallel
-    tables multiply into one.  A step takes its variable's vector and what
-    is filed under it, sums the variable out and multiplies the result into
-    the vector or the table of what is left.
+    zero total, or a vector left all zeros, returns {} before any plan.
+    Only the free factors, those with no fixed end, go on.  Two-value
+    inputs take the series-parallel phase next (see the module docstring),
+    on a copy of the vectors, and the plan comes after; a count the plan
+    refuses builds no table over more than two variables.  A caller that
+    has drawn up a plan for exactly these domains and factors, with nothing
+    kept, may pass it in, and skips the phase.  Then every free factor
+    becomes a flat int table over domain positions, row-major over its
+    scope: its variables in elimination order, so the variable summed out
+    is always the first axis and each of its values a slice; a kernel left
+    by the phase brings its tuples instead, each filed the same way.
+    Factors with the same table and the same domain objects share one flat
+    table, and so do the vectors that settling makes.  There are three
+    stores: vec[v] is v's weight vector (None while it is all ones),
+    pair[u][v] the table over (u, v), and wide[u] maps each scope of three
+    or more variables to its table; a table is filed under the first
+    variable of its scope, and parallel tables multiply into one.  A step
+    takes its variable's vector and what is filed under it, sums the
+    variable out and multiplies the result into the vector or the table of
+    what is left.
     """
     if not all(domains):
         return {}  # before the size check: a zero count needs no table
@@ -544,7 +545,7 @@ def _eliminate(domains: list, factors, keep: tuple = (), plan: _Plan | None = No
         u = v if fixed[u] else u  # flat is a vector over the end that is left
         old = vec[u]
         vec[u] = flat if old is None else list(map(mul, old, flat))
-    if not total:
+    if not total or not all(map(any, filter(None, vec))):
         return {}  # before any plan: a zero count needs no table
 
     kernel = None

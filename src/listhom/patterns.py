@@ -15,10 +15,9 @@ recogniser's obstruction searches, the gadget catalogue and the CLI's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import ColourGraph, Refusal
+from .graphs import ColourGraph, Refusal, frozen
 
 
 def _with_loops(n: int, edges: list[tuple[int, int]]) -> ColourGraph:
@@ -96,7 +95,7 @@ S3 = _with_loops(
 # ---------------------------------------------------------------------------
 # the witness catalogue
 
-@dataclass(frozen=True)
+@frozen
 class Recipe:
     """A forbidden pattern and the path gadget built on it, in the pattern's
     own labels: the gadget's colour pairs (the first is the terminal pair),

@@ -70,13 +70,13 @@ and has no triangle shortcut.  Every search here is iterative.
 
 The certificate format lives here too: a result's reason is the certificate
 object itself, CERTIFICATE_TYPES names each type's JSON tag, and
-certificate_json writes any certificate from its dataclass fields.
+certificate_json writes any certificate from its fields, in the order its
+class declares them (the __match_args__ that graphs.frozen sets).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields, replace
 from enum import IntEnum
 
 from . import patterns
@@ -85,15 +85,17 @@ from .graphs import (
     _bfs,
     colour_bipartition,
     connected_components,
+    frozen,
     induced_subgraph,
     reflexivity_status,
+    replace,
 )
 
 
 # ---------------------------------------------------------------------------
 # staircase matrices
 
-@dataclass(frozen=True)
+@frozen
 class StaircaseForm:
     """Row/column arrangement under which a 0/1 matrix is staircase.
 
@@ -296,7 +298,7 @@ def witness_pattern(kind: str, length: int | None = None) -> ColourGraph:
     return patterns.recipe(kind, length).pattern
 
 
-@dataclass(frozen=True)
+@frozen
 class ExcludedWitness:
     """An induced embedding of a forbidden pattern into the target.
 
@@ -568,17 +570,17 @@ class Hardness(IntEnum):
     SAT_EQUIVALENT = 2
 
 
-@dataclass(frozen=True)
+@frozen
 class CompleteReflexive:
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class CompleteBipartiteIrreflexive:
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class MixedLoops:
     """An induced loop-on-one-end edge, the hard core of mixed targets."""
 
@@ -598,7 +600,7 @@ CERTIFICATE_TYPES = {
 
 def certificate_fields(cert) -> dict:
     """A certificate's fields in declaration order, tuples as lists."""
-    values = {f.name: getattr(cert, f.name) for f in fields(cert)}
+    values = {name: getattr(cert, name) for name in cert.__match_args__}
     return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
 
@@ -607,7 +609,7 @@ def certificate_json(cert) -> dict:
     return {"type": CERTIFICATE_TYPES[type(cert)], **certificate_fields(cert)}
 
 
-@dataclass(frozen=True)
+@frozen
 class TrichotomyResult:
     """Classification outcome with a machine-checkable certificate.
 

@@ -12,20 +12,19 @@ of two that tracks the mirror symmetry of each component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graphs import (
     ColourGraph,
     Instance,
     InstanceGraph,
     bipartition,
+    frozen,
     instance_components,
 )
 from .oracles import ImplicationFormula, implies, unit_neg, unit_pos
 from .recognizer import StaircaseForm
 
 
-@dataclass(frozen=True)
+@frozen
 class StaircaseEncoding:
     """A staircase arrangement of the target's full adjacency structure.
 

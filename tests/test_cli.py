@@ -3,7 +3,6 @@ import json
 import random
 import re
 import time
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -34,7 +33,7 @@ from listhom.formats import (
     serialise_h,
     serialise_instance,
 )
-from listhom.graphs import ColourGraph, Instance, InstanceGraph
+from listhom.graphs import ColourGraph, Instance, InstanceGraph, replace
 from listhom.oracles import ImplicationFormula, count_1p1n, implies, unit_neg, unit_pos
 
 WRENCH_TEXT = "h 4\ne 1 2\ne 2 3\ne 2 4\ne 2 2\ne 3 3\ne 4 4\n"
@@ -794,6 +793,15 @@ def test_cmd_zero_counts_answer_before_any_plan(tmp_path, capsys):
     grid += "".join(f"e {v} {v + 30}\n" for v in range(1, 871))
     p3s = write(tmp_path, "p3s.h", serialise_h(patterns.P3_STAR))
     inst = write(tmp_path, "zero.inst", f"g 902\n{grid}e 901 902\nl 901 1\nl 902 3\n")
+    start = time.perf_counter()
+    assert main(["count", p3s, inst]) == 0
+    assert time.perf_counter() - start < 0.05
+    assert capsys.readouterr().out == "0\n"
+
+    # the same grid, with vertex 1's list cut to {1, 3} and leaves 901 and
+    # 902 on it, lists {1} and {3}: vertex 1 has no colour left for both
+    inst = write(tmp_path, "emptied.inst",
+                 f"g 902\n{grid}e 1 901\ne 1 902\nl 1 1 3\nl 901 1\nl 902 3\n")
     start = time.perf_counter()
     assert main(["count", p3s, inst]) == 0
     assert time.perf_counter() - start < 0.05

@@ -2,7 +2,6 @@ import itertools
 import random
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,7 +22,14 @@ from listhom.gadgets import (
     symmetrize,
     thicken,
 )
-from listhom.graphs import ColourGraph, Instance, InstanceGraph, instance_components, max_degree
+from listhom.graphs import (
+    ColourGraph,
+    Instance,
+    InstanceGraph,
+    instance_components,
+    max_degree,
+    replace,
+)
 from listhom.oracles import ImplicationFormula, count_list_hcol, ising_partition
 from listhom.recognizer import ExcludedWitness, witness_pattern
 

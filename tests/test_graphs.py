@@ -1,9 +1,13 @@
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from listhom import patterns
+from listhom.gadgets import CatalogEntry, GadgetGraph, PathGadget
 from listhom.graphs import (
     ColourGraph,
     Instance,
@@ -15,7 +19,20 @@ from listhom.graphs import (
     instance_components,
     max_degree,
     reflexivity_status,
+    replace,
 )
+from listhom.oracles import ImplicationFormula, _Plan
+from listhom.patterns import Recipe
+from listhom.recognizer import (
+    CompleteBipartiteIrreflexive,
+    CompleteReflexive,
+    ExcludedWitness,
+    Hardness,
+    MixedLoops,
+    StaircaseForm,
+    TrichotomyResult,
+)
+from listhom.reductions import StaircaseEncoding
 
 
 def test_colour_graph_validation():
@@ -240,3 +257,124 @@ def test_instance_graph_and_instance_reject_each_bad_input():
         assert str(err.value) == message
     with pytest.raises(ValueError, match="lists must cover exactly the vertices of g"):
         Instance(g, (ok, ok), 3)
+
+
+# --- the frozen records ---
+
+_P2 = InstanceGraph(2, ((1, 2),))
+_PAIR = frozenset((1, 2))
+
+# every record class of the package: the fields of one record, by position,
+# and its repr as dataclass(frozen=True) printed it
+RECORDS = [
+    (ColourGraph, (2, ((1, 2), (1,))), "ColourGraph(n=2, rows=((1, 2), (1,)))"),
+    (InstanceGraph, (3, ((1, 2), (2, 3))), "InstanceGraph(m=3, edges=((1, 2), (2, 3)))"),
+    (Instance, (_P2, (_PAIR, frozenset((2,))), 2),
+     "Instance(g=InstanceGraph(m=2, edges=((1, 2),)), "
+     "lists=(frozenset({1, 2}), frozenset({2})), colour_count=2)"),
+    (PathGadget, (((1, 2), (2, 1)),), "PathGadget(pairs=((1, 2), (2, 1)))"),
+    (GadgetGraph, (2, ((1, 2),), (_PAIR, _PAIR), 1, 2, (1, 2), ((0, 1), (1, 0)), 2),
+     "GadgetGraph(m=2, edges=((1, 2),), lists=(frozenset({1, 2}), frozenset({1, 2})), "
+     "terminal1=1, terminal2=2, terminal_colours=(1, 2), matrix=((0, 1), (1, 0)), "
+     "colour_count=2)"),
+    (CatalogEntry, (PathGadget(((1, 2),)), ((1, 1), (1, 0)), (1, 2), ((1, 2), (2, 1))),
+     "CatalogEntry(gadget=PathGadget(pairs=((1, 2),)), expected_dprime=((1, 1), (1, 0)), "
+     "cond_pair=(1, 2), mirror=((1, 2), (2, 1)))"),
+    (ImplicationFormula, (2, (("p", 1), ("i", 1, 2))),
+     "ImplicationFormula(var_count=2, clauses=(('p', 1), ('i', 1, 2)))"),
+    (_Plan, ("min-degree", ((1, (2,)), (2, ())), 1, 4, 6),
+     "_Plan(rule='min-degree', steps=((1, (2,)), (2, ())), width=1, largest=4, total=6)"),
+    (Recipe, ("CycleNe4", 6, ((1, 2),), ((1, 1), (1, 0)), (), ((1, 2),)),
+     "Recipe(kind='CycleNe4', length=6, pairs=((1, 2),), dprime=((1, 1), (1, 0)), "
+     "pendants=(), mirror=((1, 2),))"),
+    (StaircaseForm, ("bipartite", (1, 2), (3, 4), (1, 1), (2, 2)),
+     "StaircaseForm(kind='bipartite', row_order=(1, 2), col_order=(3, 4), "
+     "alpha=(1, 1), beta=(2, 2))"),
+    (ExcludedWitness, ("X3", None, (1, 2, 3, 4, 5, 6)),
+     "ExcludedWitness(kind='X3', length=None, embedding=(1, 2, 3, 4, 5, 6))"),
+    (CompleteReflexive, (), "CompleteReflexive()"),
+    (CompleteBipartiteIrreflexive, (), "CompleteBipartiteIrreflexive()"),
+    (MixedLoops, (1, 2), "MixedLoops(unlooped=1, looped=2)"),
+    (TrichotomyResult, (Hardness.SAT_EQUIVALENT, MixedLoops(1, 2), 6, (1, 2), ((1, 2),)),
+     "TrichotomyResult(klass=<Hardness.SAT_EQUIVALENT: 2>, "
+     "reason=MixedLoops(unlooped=1, looped=2), degree_threshold=6, vertices=(1, 2), "
+     "per_component=((1, 2),))"),
+    (StaircaseEncoding, ("adjacency", 2, (1, 2), (1, 2), (1, 2), (2, 2)),
+     "StaircaseEncoding(mode='adjacency', q=2, r_order=(1, 2), c_order=(1, 2), "
+     "alpha=(1, 2), beta=(2, 2))"),
+]
+
+
+@pytest.mark.parametrize("cls, values, text", RECORDS, ids=[row[0].__name__ for row in RECORDS])
+def test_each_record_acts_as_its_frozen_dataclass_did(cls, values, text):
+    names = cls.__match_args__
+    assert len(names) == len(values)
+    record = cls(*values)
+    by_name = cls(**dict(zip(names, values)))
+    assert record == by_name and not record != by_name
+    assert hash(record) == hash(by_name) == hash(values)
+    assert record != values and values != record
+    assert tuple(getattr(record, name) for name in names) == values
+    assert repr(record) == text
+    for name in names + ("other",):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    for name in names:
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) is values[names.index(name)]
+    copy = replace(record)
+    assert copy == record and copy is not record
+    with pytest.raises(TypeError):
+        replace(record, no_such_field=1)
+    if names:
+        with pytest.raises(TypeError):
+            cls(**dict(zip(names[1:], values[1:])))
+        with pytest.raises(TypeError):
+            cls(*values, None)
+
+
+def test_records_compare_by_class_and_fields():
+    assert MixedLoops(1, 2) == MixedLoops(1, 2)
+    assert hash(MixedLoops(1, 2)) == hash(MixedLoops(1, 2))
+    assert MixedLoops(1, 2) != MixedLoops(2, 1)
+    assert CompleteReflexive() == CompleteReflexive()
+    assert CompleteReflexive() != CompleteBipartiteIrreflexive()
+    assert CompleteReflexive() != ()
+    assert len({CompleteReflexive(), CompleteReflexive(), MixedLoops(1, 2)}) == 2
+
+
+def test_the_one_default_and_what_replace_checks():
+    result = TrichotomyResult(Hardness.POLYTIME, CompleteReflexive(), None, (1,))
+    assert result.per_component == ()
+    assert result == TrichotomyResult(Hardness.POLYTIME, CompleteReflexive(), None, (1,), ())
+    assert replace(result, degree_threshold=6).degree_threshold == 6
+    assert replace(MixedLoops(1, 2), looped=3) == MixedLoops(1, 3)
+    # replace builds the copy through __init__, so __post_init__ runs again
+    g = InstanceGraph(3, ((1, 2), (2, 3)))
+    with pytest.raises(ValueError, match="loop"):
+        replace(g, edges=((1, 1),))
+    with pytest.raises(ValueError, match="symmetric"):
+        replace(ColourGraph(2, ((1, 2), (1,))), rows=((1, 2), (2,)))
+
+
+def test_cached_properties_of_records_still_cache():
+    h = ColourGraph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
+    sides = colour_bipartition(h)
+    assert colour_bipartition(h) is sides and vars(h)["_sides"] is sides
+    inst = Instance.with_full_lists(InstanceGraph(3, ((1, 2), (2, 3))), 2)
+    assert inst.sorted_lists is inst.sorted_lists
+    assert "sorted_lists" in vars(inst)
+    # cached values sit beside the fields and take no part in == or hash
+    assert inst == Instance(inst.g, inst.lists, 2) and hash(inst) == hash((inst.g, inst.lists, 2))
+
+
+def test_the_cli_starts_without_dataclasses_or_inspect():
+    # each command is a fresh process; the records' decorator is what keeps
+    # these two (and the dozen modules they pull in) out of a cold start
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import listhom.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(src)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

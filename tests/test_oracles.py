@@ -192,6 +192,25 @@ def test_a_forbidden_edge_between_one_colour_lists_counts_zero_before_any_plan()
         assert time.perf_counter() - start < 0.05
 
 
+def _emptied_vector_instance():
+    # the same grid, with grid vertex 1's list cut to {1, 3} and two leaves
+    # on it, lists {1} and {3}: P3* joins colour 1 only to {1, 2} and colour
+    # 3 only to {2, 3}, so settling the leaves leaves vertex 1 no colour
+    g = InstanceGraph.from_edges(902, grid_edges(30) + [(1, 901), (1, 902)])
+    lists = [frozenset((1, 2, 3))] * 900 + [frozenset((1,)), frozenset((3,))]
+    lists[0] = frozenset((1, 3))
+    return Instance(g, tuple(lists), 3)
+
+
+def test_a_vertex_that_settling_leaves_no_colour_counts_zero_before_any_plan():
+    inst = _emptied_vector_instance()
+    for count, want in ((lambda: count_list_hcol(patterns.P3_STAR, inst), 0),
+                        (lambda: list_hcol_table(patterns.P3_STAR, inst, (1, 450)), {})):
+        start = time.perf_counter()
+        assert count() == want
+        assert time.perf_counter() - start < 0.05
+
+
 def test_count_factorises_over_components():
     rng = random.Random(12)
     for _ in range(20):
@@ -518,11 +537,21 @@ def test_series_parallel_phase_matches_enumeration(monkeypatch):
         assert time.perf_counter() - start < 0.05
         want = weighted_sum_enumeration(domains, factors, keep)
         assert got == want, (shape, edges, keep)
-        # a factor of weight 0 between two fixed variables answers before
-        # the phase; otherwise the phase runs once
-        settled_zero = any(len(domains[u]) == len(domains[v]) == 1 and u not in keep
-                           and v not in keep and not t.get((domains[u][0], domains[v][0]))
-                           for u, v, t in factors)
+        # settling answers before the phase when a factor between two fixed
+        # variables weighs 0, or when a variable that is not fixed has no
+        # value that every factor to a fixed neighbour weighs above 0 (no
+        # weight is negative); otherwise the phase runs once
+        fixed = [len(d) == 1 and v not in keep for v, d in enumerate(domains)]
+        allowed = [set(d) for d in domains]
+        settled_zero = False
+        for u, v, t in factors:
+            if fixed[u] and fixed[v]:
+                settled_zero = settled_zero or not t.get((domains[u][0], domains[v][0]))
+            elif fixed[u]:
+                allowed[v] = {b for b in allowed[v] if t.get((domains[u][0], b))}
+            elif fixed[v]:
+                allowed[u] = {a for a in allowed[u] if t.get((a, domains[v][0]))}
+        settled_zero = settled_zero or not all(allowed)
         assert len(runs) == (0 if settled_zero else 1)
         # a graph with no K4 minor and at most one kept variable is summed
         # out whole; two kept ones can hold a kernel between them

@@ -1,7 +1,6 @@
 import itertools
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -16,7 +15,7 @@ from helpers import (
     staircase,
 )
 from listhom import patterns
-from listhom.graphs import ColourGraph, Instance, InstanceGraph
+from listhom.graphs import ColourGraph, Instance, InstanceGraph, replace
 from listhom.oracles import count_1p1n, count_list_hcol
 from listhom.recognizer import (
     StaircaseForm,
