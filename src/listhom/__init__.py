@@ -37,7 +37,6 @@ from .recognizer import (
 )
 from .gadgets import (
     GadgetGraph,
-    PathGadget,
     build_symmetrized,
     gadget_catalog,
     interaction_matrix,

@@ -123,7 +123,7 @@ def _explicit_witness(h, selector: str) -> recognizer.ExcludedWitness:
             raise Refusal(f"target contains no induced {kind} of length {length}")
     else:
         raise Refusal(f"unknown witness kind {selector!r}")
-    pattern = recognizer.witness_pattern(kind, length)
+    pattern = patterns.recipe(kind, length).pattern
     emb = recognizer.find_induced_embedding(pattern, h)
     if emb is None:
         raise Refusal(f"target contains no induced {kind}"
@@ -153,12 +153,12 @@ def _gadget_report(h, witness: recognizer.ExcludedWitness, levels) -> dict:
     catalogue's D', the determinants, brute force on D and on the
     symmetrised D*, and the thickened matrix at each level in levels (the
     report's thickening fields describe the last level)."""
-    entry, gg = gadgets.build_symmetrized(h, witness)
-    track = gadgets.path_gadget_graph(h, entry.gadget)
+    row, gg = gadgets.build_symmetrized(h, witness)
+    track = gadgets.path_gadget_graph(h, row.pairs)
     d, dstar = track.matrix, gg.matrix
     dprime = gadgets.swap_cols(d)
     checks = {
-        "D' matches catalog": dprime == entry.expected_dprime,
+        "D' matches catalog": dprime == row.dprime,
         "det D' = 1": gadgets.det2(dprime) == 1,
         "det D = -1": gadgets.det2(d) == -1,
         "brute force agrees with D": gadgets.interaction_matrix_bruteforce(h, track) == d,
@@ -168,18 +168,18 @@ def _gadget_report(h, witness: recognizer.ExcludedWitness, levels) -> dict:
     }
     report = {
         "witness": recognizer.certificate_fields(witness),
-        "gadget": [list(p) for p in entry.gadget.pairs],
-        "terminals": list(entry.terminals),
+        "gadget": [list(p) for p in row.pairs],
+        "terminals": list(row.terminals),
         "dprime": [list(r) for r in dprime],
         "d": [list(r) for r in d],
         "dstar": [list(r) for r in dstar],
     }
     for t in levels:
-        gt = gadgets.thicken(h, gg, entry.cond_pair, t)
+        gt = gadgets.thicken(h, gg, row.pendants, t)
         expected = gadgets.entrywise_pow(dstar, 2**t)
         checks[f"thickened matrix is the entrywise 2^{t} power"] = (
             gadgets.interaction_matrix_bruteforce(h, gt) == expected and gt.matrix == expected)
-        report["cond_pair"] = list(entry.cond_pair)
+        report["cond_pair"] = list(row.pendants)
         report["t"] = t
         report["dstar_t"] = [list(r) for r in gt.matrix]
         report["thickened_vertices"] = gt.m
@@ -229,12 +229,7 @@ def cmd_reduce_sat(args) -> int:
     formula, sides = reductions.reduce_listhcol_to_1p1n(enc, inst)
     text = formats.serialise_formula(formula)
     sidecar = {
-        "mode": enc.mode,
-        "q": enc.q,
-        "r_order": list(enc.r_order),
-        "c_order": list(enc.c_order),
-        "alpha": list(enc.alpha),
-        "beta": list(enc.beta),
+        **recognizer.certificate_fields(enc),
         "sides": list(sides),
         "variable_numbering": reductions.VARIABLE_NUMBERING,
         "variables": formula.var_count,
@@ -250,9 +245,9 @@ def cmd_reduce_ising(args) -> int:
     g = formats.parse_graph(Path(args.g_file).read_text())
     h = formats.parse_h(Path(args.h_file).read_text())
     witness = _gadget_witness(h, args.witness)
-    entry, gg = gadgets.build_symmetrized(h, witness)
+    row, gg = gadgets.build_symmetrized(h, witness)
     if args.t is not None:
-        gg = gadgets.thicken(h, gg, entry.cond_pair, args.t)
+        gg = gadgets.thicken(h, gg, row.pendants, args.t)
     inst, lam, scale = gadgets.reduce_ising_to_listhcol(g, gg)
     text = formats.serialise_instance(inst)
     lam, scale = _exact(lam), _exact(scale)

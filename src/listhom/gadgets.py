@@ -22,15 +22,18 @@ on every edge of a two-spin instance.
 Every composed gadget graph is glued by _place, which appends one copy of a
 two-terminal gadget with its terminals on two given vertices and its other
 vertices numbered after the highest vertex so far, in the gadget's own
-order: the mirrored track's interior follows g's track, the second parallel
-copy follows the first, and each edge's copy follows the instance's
-vertices and the copies of the edges before it.
+order: the mirrored track's interior follows the gadget's own track, the
+second parallel copy follows the first, and each edge's copy follows the
+instance's vertices and the copies of the edges before it.
 
-The gadget for each forbidden pattern (its colour pairs, expected D',
-terminal pair, pendant pair and mirror) is read from the witness catalogue
-in patterns.py and relabelled through the witness embedding
-(gadget_catalog).  The search find_transposing_automorphism is only the
-tests' reference for the mirrors, and the package does not export it.
+A path gadget is its tuple of colour pairs, which interaction_matrix,
+path_gadget_graph and symmetrize take as it is.  The gadget for each
+forbidden pattern is a row of the witness catalogue in patterns.py, and
+gadget_catalog returns that same Recipe record relabelled through the
+witness embedding: every colour naming pattern vertex i, in pairs, pendants
+and mirror, becomes embedding[i-1].  The search
+find_transposing_automorphism is only the tests' reference for the
+mirrors, and the package does not export it.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from fractions import Fraction
 
 from .graphs import ColourGraph, Instance, InstanceGraph, Refusal, frozen, replace
 from .oracles import list_hcol_table
-from .patterns import recipe
+from .patterns import Recipe, recipe
 from .recognizer import ExcludedWitness
 
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
@@ -74,26 +77,16 @@ def _positive(m: Matrix2) -> bool:
     return all(x > 0 for row in m for x in row)
 
 
-@frozen
-class PathGadget:
-    """Ordered colour pairs along a path; pair order carries the row/column
-    orientation of the matrix product even though the lists are sets."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def terminal_colours(self) -> tuple[int, int]:
-        return self.pairs[0]
-
-
-def interaction_matrix(h: ColourGraph, g: PathGadget) -> tuple[Matrix2, Matrix2]:
-    """(D', D) for a valid gadget: D' is the ordered product of the 2x2
-    adjacency submatrices along the path, D its column swap.
+def interaction_matrix(h: ColourGraph, pairs) -> tuple[Matrix2, Matrix2]:
+    """(D', D) for a valid gadget, given as its ordered colour pairs: D' is
+    the ordered product of the 2x2 adjacency submatrices along the path, D
+    its column swap.  Pair order carries the row/column orientation of the
+    product even though the lists are sets.
 
     Row/column a of the entry count corresponds to the a-th terminal colour;
     det D' = 1 and det D = -1 always.
     """
-    dprime = _product(h, g.pairs)
+    dprime = _product(h, pairs)
     if dprime is None:
         raise ValueError("invalid path gadget for this target")
     return dprime, swap_cols(dprime)
@@ -165,10 +158,11 @@ def _track(pairs, d: Matrix2, colour_count: int) -> GadgetGraph:
     return GadgetGraph(length, edges, lists, 1, length, pairs[0], d, colour_count)
 
 
-def path_gadget_graph(h: ColourGraph, g: PathGadget) -> GadgetGraph:
-    """Realise a path gadget as an explicit gadget graph; its matrix is D."""
-    _, d = interaction_matrix(h, g)
-    return _track(g.pairs, d, h.n)
+def path_gadget_graph(h: ColourGraph, pairs) -> GadgetGraph:
+    """Realise the path gadget with these colour pairs as an explicit gadget
+    graph; its matrix is D."""
+    _, d = interaction_matrix(h, pairs)
+    return _track(pairs, d, h.n)
 
 
 def _place(
@@ -242,9 +236,9 @@ def find_transposing_automorphism(h: ColourGraph, r: int, s: int):
     return tuple(perm[x] for x in h.colours)
 
 
-def symmetrize(h: ColourGraph, g: PathGadget, pi) -> tuple[GadgetGraph, Matrix2]:
-    """Compose g with its image under a terminal-transposing involution pi,
-    in parallel with shared terminals.
+def symmetrize(h: ColourGraph, pairs, pi) -> GadgetGraph:
+    """Compose the path gadget with these colour pairs with its image under a
+    terminal-transposing involution pi, in parallel with shared terminals.
 
     pi is a 1-based image tuple over the colours of h.  It must swap the two
     terminal colours, be an involution, and act on the gadget as an
@@ -255,10 +249,10 @@ def symmetrize(h: ColourGraph, g: PathGadget, pi) -> tuple[GadgetGraph, Matrix2]
     re-indexed to (r, s) order is the row-and-column swap of D.  All entries
     of D must be positive.
 
-    Returns the composite gadget graph and its symmetric matrix
-    [[D11*D22, D12*D21], [D21*D12, D22*D11]].
+    Returns the composite gadget graph; its matrix is the symmetric
+    D* = [[D11*D22, D12*D21], [D21*D12, D22*D11]].
     """
-    dprime, d = interaction_matrix(h, g)
+    dprime, d = interaction_matrix(h, pairs)
     if not _positive(d):
         raise ValueError("symmetrisation needs a strictly positive interaction matrix")
     pi = tuple(pi)
@@ -266,24 +260,24 @@ def symmetrize(h: ColourGraph, g: PathGadget, pi) -> tuple[GadgetGraph, Matrix2]
         raise ValueError("pi must be a permutation of the colours of h")
     if any(pi[pi[x - 1] - 1] != x for x in h.colours):
         raise ValueError("pi must be an involution")
-    r, s = g.terminal_colours
+    r, s = pairs[0]
     if pi[r - 1] != s or pi[s - 1] != r:
         raise ValueError("pi must transpose the terminal colours")
-    mirrored = PathGadget(tuple((pi[i - 1], pi[j - 1]) for i, j in g.pairs))
-    if _product(h, mirrored.pairs) != dprime:
+    mirrored = tuple((pi[i - 1], pi[j - 1]) for i, j in pairs)
+    if _product(h, mirrored) != dprime:
         raise ValueError("pi does not act as an automorphism on the gadget")
 
     dstar: Matrix2 = (
         (d[0][0] * d[1][1], d[0][1] * d[1][0]),
         (d[1][0] * d[0][1], d[1][1] * d[0][0]),
     )
-    # g's own track keeps vertices 1..length; the mirrored track, a path with
-    # the same edges, shares its terminals 1 and length, and its interior follows
-    track = _track(mirrored.pairs, d, h.n)
-    edges, lists = list(track.edges), [frozenset(p) for p in g.pairs]
+    # the gadget's own track keeps vertices 1..length; the mirrored track, a
+    # path with the same edges, shares its terminals 1 and length, and its
+    # interior follows
+    track = _track(mirrored, d, h.n)
+    edges, lists = list(track.edges), [frozenset(p) for p in pairs]
     m = _place(track, 1, track.m, track.m, edges, lists)
-    gg = GadgetGraph(m, tuple(sorted(edges)), tuple(lists), 1, track.m, (r, s), dstar, h.n)
-    return gg, dstar
+    return GadgetGraph(m, tuple(sorted(edges)), tuple(lists), 1, track.m, (r, s), dstar, h.n)
 
 
 def _splits(h: ColourGraph, r: int, s: int, c: int) -> bool:
@@ -396,45 +390,26 @@ def reduce_ising_to_listhcol(
 # ---------------------------------------------------------------------------
 # the gadget catalog, read from the witness catalogue in patterns
 
-@frozen
-class CatalogEntry:
-    """A known-good gadget for a forbidden pattern, expressed in the colour
-    labels of a concrete witness embedding, together with the expected D',
-    the pendant pair for thickening, and the row's mirror carried through
-    the embedding as (colour, image) pairs over the witness's colours."""
-
-    gadget: PathGadget
-    expected_dprime: Matrix2
-    cond_pair: tuple[int, int]
-    mirror: tuple[tuple[int, int], ...]
-
-    @property
-    def terminals(self) -> tuple[int, int]:
-        return self.gadget.terminal_colours
-
-
-def gadget_catalog(witness: ExcludedWitness) -> CatalogEntry:
-    """The catalog gadget for a witness, relabelled through its embedding."""
+def gadget_catalog(witness: ExcludedWitness) -> Recipe:
+    """The catalogue row of the witness's kind, relabelled through its
+    embedding: pairs and pendants in the target's colours, and mirror[i-1]
+    the target colour that the mirror sends embedding[i-1] to."""
     row = recipe(witness.kind, witness.length)
     emb = witness.embedding
-    return CatalogEntry(
-        PathGadget(tuple((emb[i - 1], emb[j - 1]) for i, j in row.pairs)),
-        row.dprime,
-        (emb[row.pendants[0] - 1], emb[row.pendants[1] - 1]),
-        tuple(zip(emb, (emb[y - 1] for y in row.mirror), strict=True)),
-    )
+    return replace(row, pairs=tuple((emb[i - 1], emb[j - 1]) for i, j in row.pairs),
+                   pendants=(emb[row.pendants[0] - 1], emb[row.pendants[1] - 1]),
+                   mirror=tuple(emb[y - 1] for y in row.mirror))
 
 
 def build_symmetrized(
     h: ColourGraph, witness: ExcludedWitness
-) -> tuple[CatalogEntry, GadgetGraph]:
+) -> tuple[Recipe, GadgetGraph]:
     """Catalog gadget for the witness, symmetrised inside h.
 
-    The involution is the catalog entry's mirror, fixing every other colour
+    The involution is the relabelled row's mirror, fixing every other colour
     of h, so it need not be an automorphism of all of h; symmetrize checks
     it (ValueError if wrong).
     """
-    entry = gadget_catalog(witness)
-    image = dict(entry.mirror)
-    gg, _ = symmetrize(h, entry.gadget, tuple(image.get(c, c) for c in h.colours))
-    return entry, gg
+    row = gadget_catalog(witness)
+    image = dict(zip(witness.embedding, row.mirror, strict=True))
+    return row, symmetrize(h, row.pairs, tuple(image.get(c, c) for c in h.colours))

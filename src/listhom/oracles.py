@@ -93,21 +93,22 @@ v + 1 -> v that join a run hold at every level, so the one pass over the
 clauses that finds the runs sets aside only the units and the other
 implications for filing.  All implications from one run to another become
 one 0/1 table over their levels: (x, y) is allowed exactly when y exceeds
-every offset j of an implication i -> j with i < x.  When no implication
-joins two runs, the runs count apart: the answer is the product of their
-level counts, with no plan and no table, however long a run is.  When two
-joined runs have one level left each and their table forbids that pair, the
-answer is 0, also before any plan.  On a reduce-sat formula the levels are
-the vertex's colours, so the count runs at the instance's own width.
-Grouping can also cost more than bits: two long chains joined rung by rung
-make one table over both chains' levels, quadratic in their length, where
-the bits form a ladder of width 2.  So the grouped problem is planned
-first, before any table is built.  Only when that plan is over the limit,
-or its total table entries exceed the least a bit-level pass can cost (2
-per variable and 4 per implication), is the bit-level problem planned too,
-and only until its total reaches a grouped total that fits.  The cheaper
-plan within the limit runs, and when neither is within it the error names
-both.
+every offset j of an implication i -> j with i < x.  A run left at one
+level settles each table it is in: the table keeps only the joined run's
+levels that it allows and is dropped, again while that leaves another run
+at one level, and a run with no level left answers 0 before any plan.  When
+no table joins two runs, the runs count apart: the answer is the product of
+their level counts, with no plan and no table, however long a run is.  On a
+reduce-sat formula the levels are the vertex's colours, so the count runs
+at the instance's own width.  Grouping can also cost more than bits: two
+long chains joined rung by rung make one table over both chains' levels,
+quadratic in their length, where the bits form a ladder of width 2.  So
+the grouped problem is planned first, before any table is built.  Only when
+that plan is over the limit, or its total table entries exceed the least a
+bit-level pass can cost (2 per variable and 4 per implication), is the
+bit-level problem planned too, and only until its total reaches a grouped
+total that fits.  The cheaper plan within the limit runs, and when neither
+is within it the error names both.
 
 Counts are exact Python ints; partition function values are exact Fractions.
 No floating point anywhere.  All counters are deterministic and independent
@@ -771,18 +772,21 @@ def count_1p1n(f: ImplicationFormula) -> int:
       become one 0/1 table over the two runs' levels: it allows (x, y)
       exactly when y > max{j : i < x}.  Runs with no level left give 0.
 
-    When no implication joins two runs, the count is the product of the
-    runs' level counts, returned before any plan; when two joined runs have
-    one level each and their table forbids it, the count is 0, also before
-    any plan.  Otherwise the grouped problem is planned before any table is
-    built.  When its plan is over MAX_TABLE_SIZE, or its total entries
-    exceed the least a bit-level pass can cost (2 per variable plus 4 per
-    implication), the bit-level problem, one variable per bit and one table
-    per implication, is planned too, and the cheaper of the two plans
-    within the limit runs, the grouped one on a tie.  When the grouped plan
-    is within the limit, the bit-level one stops as soon as its total
-    reaches the grouped total, since it can no longer win.  When neither is
-    within the limit, the Refusal names both before any table is built.
+    Then each table with a run left at one level is settled and dropped: A
+    at x keeps B's levels y > max{j : i < x}, and B at y keeps A's levels x
+    with j < y for every i < x.  Settling repeats while it leaves another
+    run at one level, and a run with no level left gives 0 before any plan.
+    When no table is left, the count is the product of the runs' level
+    counts, returned before any plan.  Otherwise the grouped problem is
+    planned before any table is built.  When its plan is over
+    MAX_TABLE_SIZE, or its total entries exceed the least a bit-level pass
+    can cost (2 per variable plus 4 per implication), the bit-level
+    problem, one variable per bit and one table per implication, is planned
+    too, and the cheaper of the two plans within the limit runs, the
+    grouped one on a tie.  When the grouped plan is within the limit, the
+    bit-level one stops as soon as its total reaches the grouped total,
+    since it can no longer win.  When neither is within the limit, the
+    Refusal names both before any table is built.
     """
     n = f.var_count
     links = 0
@@ -841,13 +845,32 @@ def count_1p1n(f: ImplicationFormula) -> int:
             return 0
         domains.append(levels)  # a range for a run without cuts
 
+    # settle each pair with a run left at one level: keep the joined run's
+    # levels that the pair allows, and drop the pair; again while that
+    # leaves another run at one level
+    settling = True
+    while settling:
+        settling = False
+        for (ra, rb), most in list(after.items()):
+            if len(domains[ra]) > 1 < len(domains[rb]):
+                continue
+            del after[ra, rb]
+            # levels ascend, so the allowed ones are a slice, a range of a range
+            if len(domains[ra]) == 1:  # run A at x: y > max{j : i < x}
+                x = domains[ra][0]
+                cut = max((j for i, j in most.items() if i < x), default=-1)
+                r, levels = rb, domains[rb][bisect_right(domains[rb], cut):]
+            else:  # run B at y: every i < x has j < y
+                y = domains[rb][0]
+                top = min((i for i, j in most.items() if j >= y), default=length[ra])
+                r, levels = ra, domains[ra][:bisect_right(domains[ra], top)]
+            if not levels:
+                return 0
+            settling |= len(levels) == 1 < len(domains[r])
+            domains[r] = levels
     size = [len(d) for d in domains]
     if not after:  # no implication joins two runs, so they count apart
         return prod(size)
-    for (ra, rb), most in after.items():
-        x, y = domains[ra][0], domains[rb][0]
-        if size[ra] == size[rb] == 1 and any(i < x and j >= y for i, j in most.items()):
-            return 0  # two runs left at one level each, which their table forbids
     pairs = [(ra, rb, None) for ra, rb in after]
     plan, _ = _best_plan(pairs, [d == 1 for d in size], size, ())
     if plan.largest > MAX_TABLE_SIZE or plan.total > 2 * n + 4 * (links + len(imps)):

@@ -97,12 +97,19 @@ S3 = _with_loops(
 
 @frozen
 class Recipe:
-    """A forbidden pattern and the path gadget built on it, in the pattern's
-    own labels: the gadget's colour pairs (the first is the terminal pair),
-    its expected D', the pendant pair (r', s') that thickening appends, and
-    the mirror: an automorphism of order two swapping the terminals, as an
-    image tuple, against which build_symmetrized symmetrises the gadget.
-    A cycle row builds its pattern only when something reads it."""
+    """A forbidden pattern and the path gadget built on it: the gadget's
+    colour pairs (the first is the terminal pair), its expected D', the
+    pendant pair (r', s') that thickening appends, and the mirror, an
+    automorphism of order two swapping the terminals, against which
+    build_symmetrized symmetrises the gadget.
+
+    A catalogue row is in the pattern's own labels, and mirror[i-1] is the
+    image of pattern vertex i.  gadgets.gadget_catalog relabels a row
+    through a witness embedding into the target's colours: pairs and
+    pendants name target colours, and mirror[i-1] is the target colour that
+    the mirror sends embedding[i-1] to.  kind, length, dprime and pattern
+    stay the pattern's in either labelling.  A cycle row builds its pattern
+    only when something reads it."""
 
     kind: str
     length: int | None

@@ -291,13 +291,6 @@ def find_staircase_adjacency(h: ColourGraph) -> StaircaseForm | None:
 # ---------------------------------------------------------------------------
 # forbidden induced subgraphs
 
-def witness_pattern(kind: str, length: int | None = None) -> ColourGraph:
-    """The pattern graph for a witness kind, with the loop convention of its
-    class (irreflexive for the bipartite-permutation kinds, reflexive for the
-    proper-interval kinds)."""
-    return patterns.recipe(kind, length).pattern
-
-
 @frozen
 class ExcludedWitness:
     """An induced embedding of a forbidden pattern into the target.
@@ -311,7 +304,7 @@ class ExcludedWitness:
     embedding: tuple[int, ...]
 
     def pattern(self) -> ColourGraph:
-        return witness_pattern(self.kind, self.length)
+        return patterns.recipe(self.kind, self.length).pattern
 
     def verify(self, h: ColourGraph) -> bool:
         pat = self.pattern()
@@ -599,7 +592,8 @@ CERTIFICATE_TYPES = {
 
 
 def certificate_fields(cert) -> dict:
-    """A certificate's fields in declaration order, tuples as lists."""
+    """A certificate's fields, or any frozen record's (reduce-sat's sidecar
+    reads a StaircaseEncoding's), in declaration order, tuples as lists."""
     values = {name: getattr(cert, name) for name in cert.__match_args__}
     return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 

@@ -45,7 +45,6 @@ from listhom.recognizer import (
     find_excluded_pi,
     find_staircase_adjacency,
     find_staircase_biadjacency,
-    witness_pattern,
 )
 from listhom.reductions import (
     build_staircase_encoding,
@@ -84,7 +83,7 @@ SYMMETRISED = {
 
 
 def identity_witness(kind, length=None):
-    pat = witness_pattern(kind, length)
+    pat = patterns.recipe(kind, length).pattern
     return ExcludedWitness(kind, length, tuple(range(1, pat.n + 1)))
 
 
@@ -95,10 +94,10 @@ def label(kind, length):
 def test_criterion_01_catalog_matrix_reproduction():
     for kind, length, h, want in CATALOG:
         entry = gadget_catalog(identity_witness(kind, length))
-        dprime, d = interaction_matrix(h, entry.gadget)
+        dprime, d = interaction_matrix(h, entry.pairs)
         assert dprime == want, label(kind, length)
-        assert entry.expected_dprime == want
-        bf = interaction_matrix_bruteforce(h, path_gadget_graph(h, entry.gadget))
+        assert entry.dprime == want
+        bf = interaction_matrix_bruteforce(h, path_gadget_graph(h, entry.pairs))
         assert bf == d, label(kind, length)
     print(f"ACCEPTANCE 1 PASS: all {len(CATALOG)} catalog product matrices "
           "reproduce the published values and agree with brute force")
@@ -107,7 +106,7 @@ def test_criterion_01_catalog_matrix_reproduction():
 def test_criterion_02_determinant_invariants():
     for kind, length, h, _ in CATALOG:
         entry = gadget_catalog(identity_witness(kind, length))
-        dprime, d = interaction_matrix(h, entry.gadget)
+        dprime, d = interaction_matrix(h, entry.pairs)
         assert det2(dprime) == 1, label(kind, length)
         assert det2(d) == -1, label(kind, length)
         _, gg = build_symmetrized(h, identity_witness(kind, length))
@@ -120,7 +119,7 @@ def test_criterion_02_determinant_invariants():
 
 def test_criterion_03_symmetrised_matrices():
     for (kind, length), want in SYMMETRISED.items():
-        h = witness_pattern(kind, length)
+        h = patterns.recipe(kind, length).pattern
         _, gg = build_symmetrized(h, identity_witness(kind, length))
         assert gg.matrix == want, label(kind, length)
         assert interaction_matrix_bruteforce(h, gg) == want, label(kind, length)
@@ -135,10 +134,10 @@ def test_criterion_04_thickening():
         pair = check_condH(h, *entry.terminals)
         cond3_status[label(kind, length)] = pair
         assert pair is not None, f"{label(kind, length)} lost its pendant pair"
-        assert pair == entry.cond_pair
+        assert pair == entry.pendants
         _, gg = build_symmetrized(h, identity_witness(kind, length))
         for t in (0, 1, 2):
-            gt = thicken(h, gg, entry.cond_pair, t)
+            gt = thicken(h, gg, entry.pendants, t)
             degree = [0] + [len(ns) for ns in gt.instance().g.neighbours]
             assert degree[gt.terminal1] == 1
             assert degree[gt.terminal2] == 1

@@ -526,6 +526,36 @@ def test_cmd_gadget_explicit_witness(tmp_path, capsys):
     assert data["dprime"] == [[1, 2], [1, 3]]
 
 
+@pytest.mark.parametrize("kind, length, selector", [
+    ("Net", None, "net"), ("CycleNe4", 6, "cycle6"),
+])
+def test_cmd_gadget_reports_the_catalogue_row_in_the_hosts_colours(
+        tmp_path, capsys, kind, length, selector):
+    # the pattern with a pendant colour on its first and last vertices and
+    # its colours shuffled: the report's gadget, terminals and pendant pair
+    # are the row's, mapped through the witness embedding it reports
+    row = patterns.recipe(kind, length)
+    n = row.pattern.n + 2
+    edges = row.pattern.edge_list() + [(1, n - 1), (n - 2, n)]
+    edges += [(n - 1, n - 1), (n, n)] if row.reflexive else []
+    perm = list(range(1, n + 1))
+    random.Random(30).shuffle(perm)
+    host = ColourGraph.from_edges(n, [(perm[u - 1], perm[v - 1]) for u, v in edges])
+    hfile = write(tmp_path, "h.h", serialise_h(host))
+    assert main(["gadget", hfile, "--witness", selector, "--t", "1", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    emb = data["witness"]["embedding"]
+    assert emb != list(range(1, row.pattern.n + 1))
+
+    def image(vertices):
+        return [emb[x - 1] for x in vertices]
+
+    assert data["gadget"] == [image(p) for p in row.pairs]
+    assert data["terminals"] == image(row.terminals)
+    assert data["cond_pair"] == image(row.pendants)
+    assert data["checks"] and all(data["checks"].values())
+
+
 SELECTOR_TARGETS = [
     ("x3", patterns.X3), ("x2", patterns.X2), ("t2", patterns.T2),
     ("claw", patterns.CLAW), ("net", patterns.NET), ("s3", patterns.S3),

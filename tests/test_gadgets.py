@@ -10,7 +10,6 @@ from listhom import gadgets, patterns
 from listhom.cli import main
 from listhom.formats import serialise_h, serialise_instance
 from listhom.gadgets import (
-    PathGadget,
     build_symmetrized,
     det2,
     find_transposing_automorphism,
@@ -31,13 +30,13 @@ from listhom.graphs import (
     replace,
 )
 from listhom.oracles import ImplicationFormula, count_list_hcol, ising_partition
-from listhom.recognizer import ExcludedWitness, witness_pattern
+from listhom.recognizer import ExcludedWitness
 
 from helpers import check_condH, ising_direct
 
 
 def identity_witness(kind, length=None):
-    pat = witness_pattern(kind, length)
+    pat = patterns.recipe(kind, length).pattern
     return ExcludedWitness(kind, length, tuple(range(1, pat.n + 1)))
 
 
@@ -58,12 +57,12 @@ CATALOG_CASES = [
     ("CycleGe4", 6, patterns.cycle(6, reflexive=True), ((1, 2), (1, 3))),
 ]
 
-X3_GADGET = PathGadget(((1, 2), (4, 7), (3, 6), (4, 5), (2, 1)))
+X3_GADGET = ((1, 2), (4, 7), (3, 6), (4, 5), (2, 1))
 
 
 def is_gadget(h, g):
     """The three gadget conditions, checked by the walk that multiplies."""
-    return gadgets._product(h, g.pairs) is not None
+    return gadgets._product(h, g) is not None
 
 
 # --- validation and the matrix product ---
@@ -71,29 +70,29 @@ def is_gadget(h, g):
 def test_validate_gadget_examples():
     assert is_gadget(patterns.X3, X3_GADGET)
     assert not is_gadget(patterns.CLAW, X3_GADGET)  # colours out of range
-    assert is_gadget(patterns.cycle(3), PathGadget(((1, 2), (2, 1))))
+    assert is_gadget(patterns.cycle(3), ((1, 2), (2, 1)))
     # broken swap condition
-    assert not is_gadget(patterns.cycle(3), PathGadget(((1, 2), (1, 2))))
+    assert not is_gadget(patterns.cycle(3), ((1, 2), (1, 2)))
     # a single pair is not a gadget
-    assert not is_gadget(patterns.cycle(3), PathGadget(((1, 2),)))
+    assert not is_gadget(patterns.cycle(3), ((1, 2),))
     # each condition failing alone: (i) the tracks 1, 3 and 3, 1 are not
     # walks in the path 1-2-3
-    assert not is_gadget(patterns.path(3), PathGadget(((1, 3), (3, 1))))
+    assert not is_gadget(patterns.path(3), ((1, 3), (3, 1)))
     # (ii) the one step of the reflexive K2 admits both crossings
-    assert not is_gadget(patterns.path(2, reflexive=True), PathGadget(((1, 2), (2, 1))))
+    assert not is_gadget(patterns.path(2, reflexive=True), ((1, 2), (2, 1)))
     # (iii) walks in the triangle with no crossing, but equal terminal pairs
-    assert not is_gadget(patterns.cycle(3), PathGadget(((1, 2), (2, 3), (1, 2))))
+    assert not is_gadget(patterns.cycle(3), ((1, 2), (2, 3), (1, 2)))
 
 
 def test_interaction_matrix_examples():
     dprime, d = interaction_matrix(patterns.X3, X3_GADGET)
     assert dprime == ((2, 3), (3, 5)) and d == ((3, 2), (5, 3))
-    x2_gadget = PathGadget(((1, 2), (4, 7), (3, 2), (4, 6), (3, 1), (4, 5), (2, 1)))
+    x2_gadget = ((1, 2), (4, 7), (3, 2), (4, 6), (3, 1), (4, 5), (2, 1))
     assert interaction_matrix(patterns.X2, x2_gadget)[0] == ((5, 8), (8, 13))
-    c3_edge = PathGadget(((1, 2), (2, 1)))
+    c3_edge = ((1, 2), (2, 1))
     dprime, d = interaction_matrix(patterns.cycle(3), c3_edge)
     assert dprime == ((1, 0), (0, 1)) and d == ((0, 1), (1, 0))
-    s3_gadget = PathGadget(((1, 2), (3, 6), (3, 5), (3, 4), (2, 1)))
+    s3_gadget = ((1, 2), (3, 6), (3, 5), (3, 4), (2, 1))
     assert interaction_matrix(patterns.S3, s3_gadget)[0] == ((1, 1), (1, 2))
     with pytest.raises(ValueError):
         interaction_matrix(patterns.CLAW, X3_GADGET)
@@ -102,14 +101,14 @@ def test_interaction_matrix_examples():
 def test_bruteforce_matches_product_on_catalog():
     for kind, length, h, want in CATALOG_CASES:
         entry = gadget_catalog(identity_witness(kind, length))
-        dprime, d = interaction_matrix(h, entry.gadget)
-        assert dprime == want == entry.expected_dprime
+        dprime, d = interaction_matrix(h, entry.pairs)
+        assert dprime == want == entry.dprime
         assert det2(dprime) == 1 and det2(d) == -1
-        assert interaction_matrix_bruteforce(h, path_gadget_graph(h, entry.gadget)) == d
+        assert interaction_matrix_bruteforce(h, path_gadget_graph(h, entry.pairs)) == d
 
 
 def test_bruteforce_trivial_edge_gadget():
-    gg = path_gadget_graph(patterns.cycle(3), PathGadget(((1, 2), (2, 1))))
+    gg = path_gadget_graph(patterns.cycle(3), ((1, 2), (2, 1)))
     assert interaction_matrix_bruteforce(patterns.cycle(3), gg) == ((0, 1), (1, 0))
 
 
@@ -132,7 +131,7 @@ def test_product_matches_bruteforce_on_random_gadgets():
 
         def walks(prefix):
             if len(prefix) == target_len:
-                candidate = PathGadget(tuple(prefix))
+                candidate = tuple(prefix)
                 return candidate if is_gadget(h, candidate) else None
             i1, j1 = prefix[-1]
             options = [
@@ -180,7 +179,7 @@ def test_bruteforce_matches_pinned_counts_on_thickened_catalog():
         entry = gadget_catalog(identity_witness(kind, length))
         _, gg = build_symmetrized(h, identity_witness(kind, length))
         for t in range(4):
-            gt = thicken(h, gg, entry.cond_pair, t)
+            gt = thicken(h, gg, entry.pendants, t)
             bf = interaction_matrix_bruteforce(h, gt)
             assert bf == _pinned_recount(h, gt) == gt.matrix, (kind, length, t)
 
@@ -304,12 +303,12 @@ def test_build_symmetrized_validates_the_gadget_and_its_mirror_once(monkeypatch)
 
     monkeypatch.setattr(gadgets, "_product", counted)
     build_symmetrized(patterns.X3, identity_witness("X3"))
-    assert checked == [X3_GADGET.pairs, ((2, 1), (4, 5), (3, 6), (4, 7), (1, 2))]
+    assert checked == [X3_GADGET, ((2, 1), (4, 5), (3, 6), (4, 7), (1, 2))]
 
 
 def test_build_symmetrized_on_a_long_cycle_answers_at_once():
     # an exhaustive automorphism search of the 480-cycle takes seconds
-    h = witness_pattern("CycleNe4", 480)
+    h = patterns.recipe("CycleNe4", 480).pattern
     start = time.perf_counter()
     _, gg = build_symmetrized(h, identity_witness("CycleNe4", 480))
     assert time.perf_counter() - start < 1
@@ -346,29 +345,29 @@ def test_symmetrize_catalog_matrices():
     }
     for (kind, length), expected in want.items():
         w = identity_witness(kind, length)
-        _, gg = build_symmetrized(witness_pattern(kind, length), w)
+        _, gg = build_symmetrized(patterns.recipe(kind, length).pattern, w)
         assert gg.matrix == expected
-        assert interaction_matrix_bruteforce(witness_pattern(kind, length), gg) == expected
+        assert interaction_matrix_bruteforce(patterns.recipe(kind, length).pattern, gg) == expected
 
 
 def test_symmetrize_checks_preconditions():
     h = patterns.cycle(3)
-    edge_gadget = PathGadget(((1, 2), (2, 1)))
+    edge_gadget = ((1, 2), (2, 1))
     pi = (2, 1, 3)
     with pytest.raises(ValueError):
         symmetrize(h, edge_gadget, pi)  # zero entries in D
     entry = gadget_catalog(identity_witness("X3"))
     with pytest.raises(ValueError):
-        symmetrize(patterns.X3, entry.gadget, (1, 2, 3, 4, 5, 6, 7))  # fixes terminals
+        symmetrize(patterns.X3, entry.pairs, (1, 2, 3, 4, 5, 6, 7))  # fixes terminals
     with pytest.raises(ValueError):
         # transposes terminals but breaks the gadget structure
-        symmetrize(patterns.X3, entry.gadget, (2, 1, 4, 3, 5, 6, 7))
+        symmetrize(patterns.X3, entry.pairs, (2, 1, 4, 3, 5, 6, 7))
 
 
 def test_symmetrized_structure():
     for kind, length, h, _ in CATALOG_CASES:
         _, d = interaction_matrix(
-            h, gadget_catalog(identity_witness(kind, length)).gadget)
+            h, gadget_catalog(identity_witness(kind, length)).pairs)
         gg = build_symmetrized(h, identity_witness(kind, length))[1]
         assert gg.matrix[0][0] == gg.matrix[1][1]
         assert gg.matrix[0][1] == gg.matrix[1][0]
@@ -380,18 +379,18 @@ def test_symmetrized_structure():
 
 def test_catalog_literal_gadgets():
     claw = gadget_catalog(identity_witness("Claw"))
-    assert claw.gadget.pairs == ((1, 2), (4, 2), (3, 4), (4, 1), (2, 1))
+    assert claw.pairs == ((1, 2), (4, 2), (3, 4), (4, 1), (2, 1))
     net = gadget_catalog(identity_witness("Net"))
-    assert net.gadget.pairs == ((1, 2), (4, 6), (3, 2), (3, 1), (4, 5), (2, 1))
+    assert net.pairs == ((1, 2), (4, 6), (3, 2), (3, 1), (4, 5), (2, 1))
     odd5 = gadget_catalog(identity_witness("CycleNe4", 5))
-    assert odd5.gadget.pairs == (
+    assert odd5.pairs == (
         (1, 2), (2, 3), (1, 4), (2, 5), (1, 4), (2, 3), (1, 2), (2, 1))
     even6 = gadget_catalog(identity_witness("CycleNe4", 6))
-    assert even6.gadget.pairs == ((1, 3), (2, 4), (1, 5), (2, 6), (3, 1))
-    assert even6.terminals == (1, 3) and even6.cond_pair == (6, 4)
+    assert even6.pairs == ((1, 3), (2, 4), (1, 5), (2, 6), (3, 1))
+    assert even6.terminals == (1, 3) and even6.pendants == (6, 4)
     refl5 = gadget_catalog(identity_witness("CycleGe4", 5))
-    assert refl5.gadget.pairs == ((1, 2), (1, 3), (1, 4), (1, 5), (2, 1))
-    assert refl5.cond_pair == (5, 3)
+    assert refl5.pairs == ((1, 2), (1, 3), (1, 4), (1, 5), (2, 1))
+    assert refl5.pendants == (5, 3)
 
 
 # --- condition for thickening ---
@@ -407,7 +406,7 @@ def test_check_condH_examples():
 def test_check_condH_matches_catalog_pairs():
     for kind, length, h, _ in CATALOG_CASES:
         entry = gadget_catalog(identity_witness(kind, length))
-        assert check_condH(h, *entry.terminals) == entry.cond_pair
+        assert check_condH(h, *entry.terminals) == entry.pendants
 
 
 # --- thickening ---
@@ -415,11 +414,11 @@ def test_check_condH_matches_catalog_pairs():
 def test_thicken_structure_and_matrix():
     entry = gadget_catalog(identity_witness("X3"))
     _, gg = build_symmetrized(patterns.X3, identity_witness("X3"))
-    g0 = thicken(patterns.X3, gg, entry.cond_pair, 0)
+    g0 = thicken(patterns.X3, gg, entry.pendants, 0)
     assert g0.lists[g0.terminal1 - 1] == frozenset({5, 7})
     assert g0.matrix == ((9, 10), (10, 9))
     assert interaction_matrix_bruteforce(patterns.X3, g0) == g0.matrix
-    g1 = thicken(patterns.X3, gg, entry.cond_pair, 1)
+    g1 = thicken(patterns.X3, gg, entry.pendants, 1)
     assert g1.matrix == ((81, 100), (100, 81))
     assert g1.lists[g1.terminal1 - 1] == frozenset({1, 2})
     assert interaction_matrix_bruteforce(patterns.X3, g1) == g1.matrix
@@ -430,9 +429,9 @@ def test_thicken_rejects_bad_input():
     entry = gadget_catalog(identity_witness("X3"))
     _, gg = build_symmetrized(patterns.X3, identity_witness("X3"))
     with pytest.raises(ValueError):
-        thicken(patterns.X3, gg, entry.cond_pair, -1)
+        thicken(patterns.X3, gg, entry.pendants, -1)
     with pytest.raises(ValueError):
-        thicken(patterns.X3, gg, entry.cond_pair, 9)  # above the size cap
+        thicken(patterns.X3, gg, entry.pendants, 9)  # above the size cap
     with pytest.raises(ValueError):
         thicken(patterns.X3, gg, (3, 4), 0)  # pair fails the split condition
 
@@ -450,7 +449,7 @@ def _guards():
         (lambda: replace(gg, terminal2=gg.terminal1), "terminals must be distinct vertices"),
         (lambda: replace(gg, terminal_colours=(r, other)),
          "terminal lists must equal the terminal colour pair"),
-        (lambda: thicken(patterns.X3, replace(gg, matrix=((0, 1), (1, 0))), entry.cond_pair, 0),
+        (lambda: thicken(patterns.X3, replace(gg, matrix=((0, 1), (1, 0))), entry.pendants, 0),
          "thickening needs a strictly positive interaction matrix"),
         (lambda: reduce_ising_to_listhcol(k2, replace(gg, matrix=((10, 9), (9, 10)))),
          "edge replacement needs 0 < diagonal < off-diagonal"),
@@ -505,7 +504,7 @@ def test_reduce_ising_identity_against_spin_enumeration():
         entry = gadget_catalog(identity_witness(kind))
         _, gg = build_symmetrized(h, identity_witness(kind))
         for t in range(3):
-            thick = thicken(h, gg, entry.cond_pair, t)
+            thick = thicken(h, gg, entry.pendants, t)
             for _ in range(12):
                 m = rng.randint(2, 8)
                 p = rng.choice((0.2, 0.4, 0.7))
@@ -527,7 +526,7 @@ def test_composed_gadget_numbering_is_pinned():
     assert gg.edges == ((1, 2), (1, 6), (2, 3), (3, 4), (4, 5), (5, 8), (6, 7), (7, 8))
     assert gg.lists == tuple(frozenset(p) for p in (
         (1, 2), (4, 7), (3, 6), (4, 5), (1, 2), (4, 5), (3, 6), (4, 7)))
-    thick = thicken(patterns.X3, gg, entry.cond_pair, 0)
+    thick = thicken(patterns.X3, gg, entry.pendants, 0)
     twopath = InstanceGraph.from_edges(3, [(1, 2), (2, 3)])
     inst, lam, scale = reduce_ising_to_listhcol(twopath, thick)
     assert (lam, scale) == (Fraction(9, 10), 100)
@@ -552,7 +551,7 @@ def test_reduce_ising_degree_contract():
     rng = random.Random(31)
     entry = gadget_catalog(identity_witness("X3"))
     _, gg = build_symmetrized(patterns.X3, identity_witness("X3"))
-    thick = thicken(patterns.X3, gg, entry.cond_pair, 1)
+    thick = thicken(patterns.X3, gg, entry.pendants, 1)
     for _ in range(10):
         g = InstanceGraph.from_edges(
             5, [(u, v) for u in range(1, 6) for v in range(u + 1, 6)
@@ -576,7 +575,7 @@ def test_catalog_in_embedded_labels():
     w = find_excluded_pi(host2)
     assert w is not None and w.kind == "Claw"
     entry = gadget_catalog(w)
-    dprime, d = interaction_matrix(host2, entry.gadget)
-    assert dprime == entry.expected_dprime == ((2, 3), (3, 5))
+    dprime, d = interaction_matrix(host2, entry.pairs)
+    assert dprime == entry.dprime == ((2, 3), (3, 5))
     _, gg = build_symmetrized(host2, w)
     assert interaction_matrix_bruteforce(host2, gg) == gg.matrix

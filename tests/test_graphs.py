@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from listhom import patterns
-from listhom.gadgets import CatalogEntry, GadgetGraph, PathGadget
+from listhom.gadgets import GadgetGraph
 from listhom.graphs import (
     ColourGraph,
     Instance,
@@ -272,14 +272,10 @@ RECORDS = [
     (Instance, (_P2, (_PAIR, frozenset((2,))), 2),
      "Instance(g=InstanceGraph(m=2, edges=((1, 2),)), "
      "lists=(frozenset({1, 2}), frozenset({2})), colour_count=2)"),
-    (PathGadget, (((1, 2), (2, 1)),), "PathGadget(pairs=((1, 2), (2, 1)))"),
     (GadgetGraph, (2, ((1, 2),), (_PAIR, _PAIR), 1, 2, (1, 2), ((0, 1), (1, 0)), 2),
      "GadgetGraph(m=2, edges=((1, 2),), lists=(frozenset({1, 2}), frozenset({1, 2})), "
      "terminal1=1, terminal2=2, terminal_colours=(1, 2), matrix=((0, 1), (1, 0)), "
      "colour_count=2)"),
-    (CatalogEntry, (PathGadget(((1, 2),)), ((1, 1), (1, 0)), (1, 2), ((1, 2), (2, 1))),
-     "CatalogEntry(gadget=PathGadget(pairs=((1, 2),)), expected_dprime=((1, 1), (1, 0)), "
-     "cond_pair=(1, 2), mirror=((1, 2), (2, 1)))"),
     (ImplicationFormula, (2, (("p", 1), ("i", 1, 2))),
      "ImplicationFormula(var_count=2, clauses=(('p', 1), ('i', 1, 2)))"),
     (_Plan, ("min-degree", ((1, (2,)), (2, ())), 1, 4, 6),

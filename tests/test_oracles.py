@@ -21,6 +21,8 @@ from helpers import (
     weighted_sum_enumeration,
 )
 from listhom import gadgets, oracles, patterns
+from listhom.cli import main
+from listhom.formats import serialise_formula
 from listhom.gadgets import build_symmetrized, reduce_ising_to_listhcol, thicken
 from listhom.graphs import Instance, InstanceGraph, instance_components
 from listhom.recognizer import ExcludedWitness, find_staircase_adjacency, find_staircase_biadjacency
@@ -575,7 +577,7 @@ def test_series_parallel_phase_matches_enumeration(monkeypatch):
 def _x3_gadget(t):
     h = patterns.X3
     entry, gg = build_symmetrized(h, ExcludedWitness("X3", None, tuple(h.colours)))
-    return h, thicken(h, gg, entry.cond_pair, t)
+    return h, thicken(h, gg, entry.pendants, t)
 
 
 def test_reduce_ising_counts_on_trees_and_cycles_match_the_closed_forms():
@@ -934,6 +936,87 @@ def test_1p1n_answers_zero_before_it_plans_when_two_fixed_runs_conflict():
     start = time.perf_counter()
     assert count_1p1n(f) == 0
     assert time.perf_counter() - start < 0.05
+
+
+def _run_emptied_by_a_fixed_run():
+    """P8's formula on the 8 x 8 grid beside x577 true and the run
+    x578, x579 with x579 false, joined by x577 -> x579: settling x577 leaves
+    that run no level, so the formula has no model."""
+    f = _formula_of(patterns.path(8), Instance.with_full_lists(_grid(8), 8))
+    return ImplicationFormula(579, f.clauses + (
+        unit_pos(577), implies(579, 578), unit_neg(579), implies(577, 579)))
+
+
+def test_1p1n_answers_zero_when_a_fixed_run_empties_a_joined_run():
+    f = _run_emptied_by_a_fixed_run()
+    start = time.perf_counter()
+    assert count_1p1n(f) == 0
+    assert time.perf_counter() - start < 0.05
+
+
+def test_1p1n_settles_again_when_settling_leaves_a_run_at_one_level():
+    # P8's formula on the 8 x 8 grid beside the runs x578, x579 and x580,
+    # x581 (x581 false), filed in that order: x579 -> x581 joins them, and
+    # settling x577 (true, x577 -> x579) leaves the first run at its top
+    # level, which leaves the second none
+    f = _formula_of(patterns.path(8), Instance.with_full_lists(_grid(8), 8))
+    f = ImplicationFormula(581, f.clauses + (
+        implies(579, 578), implies(581, 580), unit_neg(581), implies(579, 581),
+        unit_pos(577), implies(577, 579)))
+    start = time.perf_counter()
+    assert count_1p1n(f) == 0
+    assert time.perf_counter() - start < 0.05
+
+
+def test_count_sat_answers_zero_when_a_fixed_run_empties_a_joined_run(tmp_path, capsys):
+    path = tmp_path / "empty.f"
+    path.write_text(serialise_formula(_run_emptied_by_a_fixed_run()))
+    start = time.perf_counter()
+    code = main(["count-sat", str(path)])
+    elapsed = time.perf_counter() - start
+    assert (code, capsys.readouterr().out) == (0, "0\n")
+    assert elapsed < 0.05
+
+
+def test_1p1n_settling_a_fixed_run_matches_enumeration():
+    # seeded: run A (1..la) held at level x by its units, run B after it,
+    # at times with a unit of its own, and run C after B, with implications
+    # both ways between A and B and from B to C.  Settling A keeps the levels
+    # of B that agree with A at x: none (the formula has no model), some, or
+    # all of them
+    rng = random.Random(35)
+    seen = Counter()
+    for _ in range(200):
+        la, lb, lc = rng.randint(1, 4), rng.randint(2, 5), rng.randint(1, 4)
+        n = la + lb + lc
+        a_run, b_run = range(1, la + 1), range(la + 1, la + lb + 1)
+        c_run = range(la + lb + 1, n + 1)
+        clauses = [implies(v + 1, v) for run in (a_run, b_run, c_run) for v in run[:-1]]
+        x = rng.randint(0, la)  # A's first x variables hold, the rest do not
+        clauses += [unit_pos(x)] * (x > 0) + [unit_neg(x + 1)] * (x < la)
+        b_unit = rng.choice((unit_pos, unit_neg))(rng.choice(b_run))
+        clauses += [b_unit] * (rng.random() < 0.5)
+        cross = []
+        for _ in range(rng.randint(1, 4)):
+            a, b = rng.choice(a_run), rng.choice(b_run)
+            if rng.random() < 0.5:
+                cross.append((a, b))
+            elif (a, b) != (la, la + 1):  # b -> b - 1 would merge the runs
+                cross.append((b, a))
+        clauses += [implies(u, v) for u, v in cross]
+        clauses += [implies(rng.choice(b_run), rng.choice(c_run))
+                    for _ in range(rng.randint(1, 3))]
+        rng.shuffle(clauses)
+        f = ImplicationFormula(n, tuple(clauses))
+        assert count_1p1n(f) == count_models_enumeration(f), f
+
+        def holds(v, y):  # with A at level x and B at level y
+            return v - 1 < x if v <= la else v - la - 1 < y
+        own = [y for y in range(lb + 1) if b_unit not in clauses
+               or holds(b_unit[1], y) == (b_unit[0] == "p")]
+        kept = sum(all(holds(v, y) for u, v in cross if holds(u, y)) for y in own)
+        seen["B emptied" if kept == 0 else "B trimmed" if kept < len(own) else "B kept"] += 1
+    assert len(seen) == 3 and min(seen.values()) >= 20, seen
 
 
 def test_1p1n_counts_reduce_sat_formulas_on_grids_that_count_handles():

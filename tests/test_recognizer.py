@@ -35,7 +35,6 @@ from listhom.recognizer import (
     find_staircase_adjacency,
     find_staircase_biadjacency,
     staircase_bounds,
-    witness_pattern,
 )
 
 
@@ -462,7 +461,7 @@ def test_witness_verify_rejects_each_broken_embedding():
     rows = [(r.kind, r.length) for r in patterns.RECIPES]
     rows += [("CycleNe4", q) for q in (3, 5, 6)] + [("CycleGe4", q) for q in (4, 5)]
     for kind, length in rows:
-        pat = witness_pattern(kind, length)
+        pat = patterns.recipe(kind, length).pattern
         n = pat.n
         ident = tuple(range(1, n + 1))
         assert ExcludedWitness(kind, length, ident).verify(pat), kind
@@ -486,7 +485,7 @@ def test_witness_verify_rejects_each_broken_embedding():
         if pat.has_loop(1):  # a reflexive pattern into its irreflexive copy
             bare = ColourGraph.from_edges(n, [(u, v) for u, v in pat.edge_list() if u != v])
             assert not ExcludedWitness(kind, length, ident).verify(bare), kind
-    assert sum(witness_pattern(*row).has_loop(1) for row in rows) == 5
+    assert sum(patterns.recipe(*row).pattern.has_loop(1) for row in rows) == 5
 
 
 # --- beyond the exhaustive range ---
@@ -680,7 +679,7 @@ def test_find_induced_embedding_matches_brute_force():
                 if rng.random() < 0.4])
         else:
             kind, length = rng.choice(kinds)
-            pat = witness_pattern(kind, length)
+            pat = patterns.recipe(kind, length).pattern
         n = rng.randint(pat.n, 10)
         if i % 2 == 0:
             host = _planted(rng, pat, n)

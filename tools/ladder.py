@@ -344,8 +344,8 @@ def _reduce_ising_step(how: tuple, size: int) -> dict:
     helpers = _helpers()
     kind, t, shape = how
     h = patterns.recipe(kind).pattern
-    entry, gg = build_symmetrized(h, ExcludedWitness(kind, None, tuple(h.colours)))
-    thick = thicken(h, gg, entry.cond_pair, t)
+    row, gg = build_symmetrized(h, ExcludedWitness(kind, None, tuple(h.colours)))
+    thick = thicken(h, gg, row.pendants, t)
     if shape == "grid":
         g = InstanceGraph.from_edges(size * size, helpers.grid_edges(size))
     else:
