@@ -299,6 +299,18 @@ def _selftest_checks(seed: int):
            oracles.ising_partition(k2, Fraction(9, 10)) == Fraction(19, 5))
     yield ("oracle chain formula", oracles.count_1p1n(
         oracles.ImplicationFormula(2, (oracles.unit_pos(1), oracles.implies(2, 1)))) == 2)
+    # P8's formula on the full-list 8 x 8 grid beside the runs 577 (true),
+    # 578-580 and 581-583 (582 false): 577 -> 578 -> 582 leaves no model,
+    # through a run that keeps several levels
+    grid = [(v, v + 1) for v in range(1, 65) if v % 8] + [(v, v + 8) for v in range(1, 57)]
+    p8 = patterns.path(8)
+    enc = reductions.build_staircase_encoding(p8, recognizer.find_staircase_biadjacency(p8))
+    formula, _ = reductions.reduce_listhcol_to_1p1n(
+        enc, graphs.Instance.with_full_lists(graphs.InstanceGraph.from_edges(64, grid), 8))
+    extra = formats.parse_formula(
+        "f 583\np 577\ni 579 578\ni 580 579\ni 582 581\ni 583 582\nn 582\ni 577 578\ni 578 582\n")
+    yield ("oracle formula with no model", oracles.count_1p1n(oracles.ImplicationFormula(
+        583, formula.clauses + extra.clauses)) == 0)
 
     fixtures = [
         (patterns.K2_PRIME, recognizer.Hardness.SAT_EQUIVALENT, 6),

@@ -87,28 +87,31 @@ each vertex's chain x_{u,q} -> ... -> x_{u,0} consecutively, and
 eliminating those bits one at a time makes min-degree see several times the
 instance's width.  So count_1p1n covers the variables with maximal runs of
 v + 1 -> v implications.  A run of L variables becomes one variable over
-its L + 1 monotone levels, level k meaning its first k variables hold.
-Unit clauses and implications inside a run filter its levels; the links
-v + 1 -> v that join a run hold at every level, so the one pass over the
-clauses that finds the runs sets aside only the units and the other
-implications for filing.  All implications from one run to another become
-one 0/1 table over their levels: (x, y) is allowed exactly when y exceeds
-every offset j of an implication i -> j with i < x.  A run left at one
-level settles each table it is in: the table keeps only the joined run's
-levels that it allows and is dropped, again while that leaves another run
-at one level, and a run with no level left answers 0 before any plan.  When
-no table joins two runs, the runs count apart: the answer is the product of
-their level counts, with no plan and no table, however long a run is.  On a
-reduce-sat formula the levels are the vertex's colours, so the count runs
-at the instance's own width.  Grouping can also cost more than bits: two
-long chains joined rung by rung make one table over both chains' levels,
-quadratic in their length, where the bits form a ladder of width 2.  So
-the grouped problem is planned first, before any table is built.  Only when
-that plan is over the limit, or its total table entries exceed the least a
-bit-level pass can cost (2 per variable and 4 per implication), is the
-bit-level problem planned too, and only until its total reaches a grouped
-total that fits.  The cheaper plan within the limit runs, and when neither
-is within it the error names both.
+its L + 1 monotone levels, level k meaning its first k variables hold.  The
+links v + 1 -> v that join a run hold at every level, so the one pass over
+the clauses that finds the runs sets aside only the units and the other
+implications for filing.  Each of those is an entry of a bound table
+between two runs, a run and itself included: an implication i -> j from
+run A to run B allows the levels (x, y) exactly when y exceeds every offset
+j of an entry i -> j with i < x, and a unit is an entry of its run's own
+table.  A run's own table filters its levels once.  Then one rule, bounds
+propagation, keeps every table between two runs arc-consistent, each entry
+firing at most once each way.  Implication formulas are Horn, and like
+unit propagation (Dowling and Gallier 1984) this finds the least model in
+linear time once the entries are sorted, so a formula with no model
+answers 0 before any plan.  A table that allows every pair of levels left
+is dropped, and when none is left the runs count apart: the answer is the
+product of their level counts, with no plan and no table, however long a
+run is.  On a reduce-sat formula the levels are the vertex's colours, so
+the count runs at the instance's own width.  Grouping can also cost more
+than bits: two long chains joined rung by rung make one table over both
+chains' levels, quadratic in their length, where the bits form a ladder of
+width 2.  So the grouped problem is planned first, before any table is
+built.  Only when that plan is over the limit, or its total table entries
+exceed the least a bit-level pass can cost (2 per variable and 4 per
+implication), is the bit-level problem planned too, and only until its
+total reaches a grouped total that fits.  The cheaper plan within the limit
+runs, and when neither is within it the error names both.
 
 Counts are exact Python ints; partition function values are exact Fractions.
 No floating point anywhere.  All counters are deterministic and independent
@@ -117,7 +120,7 @@ of internal iteration order.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain, compress, product
@@ -510,8 +513,6 @@ def _eliminate(domains: list, factors, keep: tuple = (), plan: _Plan | None = No
         return {}  # before the size check: a zero count needs no table
     n = len(domains)
     kept = frozenset(keep)
-    if len(kept) != len(keep):
-        raise ValueError(f"kept variables must be distinct, got {keep!r}")
     size = [len(d) for d in domains]
     ksize = prod([size[v] for v in keep])
     if ksize > MAX_TABLE_SIZE:
@@ -722,6 +723,8 @@ def list_hcol_table(h: ColourGraph, inst: Instance, keep) -> dict:
     for v in keep:
         if not (1 <= v <= inst.g.m):
             raise ValueError(f"kept vertex {v} out of range 1..{inst.g.m}")
+    if len(set(keep)) != len(keep):
+        raise ValueError(f"kept vertices must be distinct, got {keep!r}")
     adjacent = {(a, b): 1 for a in h.colours for b in h.neighbours(a)}
     return _eliminate(
         list(inst.sorted_lists),
@@ -756,37 +759,40 @@ _IMPLIES_TABLE = {(0, 0): 1, (0, 1): 1, (1, 1): 1}
 def count_1p1n(f: ImplicationFormula) -> int:
     """Exact number of satisfying 0/1 assignments of an implication formula.
 
-    A unit clause fixes its variable, "a -> a" always holds, and a variable
-    touched by no clause doubles the count.  The formula is counted at the
-    width of its chains rather than of its bits:
+    "a -> a" always holds, and a variable touched by no clause doubles the
+    count.  The formula is counted at the width of its chains rather than
+    of its bits.  A run is a maximal range of consecutive variables v,
+    v + 1, ..., each implying the one before it, as reduce-sat numbers each
+    vertex's chain; a variable in no such implication is a run of one.  A
+    run of L variables becomes one engine variable over its L + 1 levels,
+    level k meaning that its first k variables hold and the rest do not.
 
-    * a run is a maximal range of consecutive variables v, v + 1, ..., each
-      implying the one before it, as reduce-sat numbers each vertex's chain;
-      a variable in no such implication is a run of one.  A run of L
-      variables becomes one engine variable over its L + 1 levels, level k
-      meaning that its first k variables hold and the rest do not;
-    * a unit clause keeps the levels above or at most the variable's offset,
-      and an implication from offset i to a later offset j of the same run
-      drops the levels i + 1..j (one to an earlier offset always holds);
-    * the implications from run A to run B, offset i to offset j each,
-      become one 0/1 table over the two runs' levels: it allows (x, y)
-      exactly when y > max{j : i < x}.  Runs with no level left give 0.
+    Every other clause is an entry i -> j of the bound table from a run A
+    to a run B, offset i to offset j, which allows the levels (x, y)
+    exactly when y > bound[x] = max{j : i < x}.  A run's own clauses go in
+    its table to itself: an implication inside it, a unit true at offset i
+    as the entry -1 -> i and a unit false as i -> L.  A run keeps the levels
+    x > bound[x] of its own table, and a run with none gives 0.  Then one
+    rule, bounds propagation, keeps every table between two runs
+    arc-consistent: B keeps its levels above bound[min A], and A its levels
+    x with bound[x] < max B.  An entry fires at most once each way, when
+    A's least level first passes i and when B's greatest level first falls
+    to j, so propagation is linear in the clauses once they are sorted.  It
+    finds the least model, every run at its least level left, so a formula
+    with no model leaves some run no level and gives 0 before any plan.  A
+    table that allows every pair of levels left is dropped, and when no
+    table is left the count is the product of the runs' level counts,
+    returned before any plan.
 
-    Then each table with a run left at one level is settled and dropped: A
-    at x keeps B's levels y > max{j : i < x}, and B at y keeps A's levels x
-    with j < y for every i < x.  Settling repeats while it leaves another
-    run at one level, and a run with no level left gives 0 before any plan.
-    When no table is left, the count is the product of the runs' level
-    counts, returned before any plan.  Otherwise the grouped problem is
-    planned before any table is built.  When its plan is over
-    MAX_TABLE_SIZE, or its total entries exceed the least a bit-level pass
-    can cost (2 per variable plus 4 per implication), the bit-level
-    problem, one variable per bit and one table per implication, is planned
-    too, and the cheaper of the two plans within the limit runs, the
-    grouped one on a tie.  When the grouped plan is within the limit, the
-    bit-level one stops as soon as its total reaches the grouped total,
-    since it can no longer win.  When neither is within the limit, the
-    Refusal names both before any table is built.
+    Otherwise the grouped problem is planned before any table is built.
+    When its plan is over MAX_TABLE_SIZE, or its total entries exceed the
+    least a bit-level pass can cost (2 per variable plus 4 per
+    implication), the bit-level problem, one variable per bit and one table
+    per implication, is planned too, and the cheaper of the two plans
+    within the limit runs, the grouped one on a tie.  When the grouped plan
+    is within the limit, the bit-level one stops as soon as its total
+    reaches the grouped total, since it can no longer win.  When neither is
+    within the limit, the Refusal names both before any table is built.
     """
     n = f.var_count
     links = 0
@@ -807,69 +813,77 @@ def count_1p1n(f: ImplicationFormula) -> int:
 
     start = list(compress(range(n), first))  # each run's first variable
     length = [b - a for a, b in zip(start, start[1:] + [n])]
-    lo = [0] * len(start)
-    hi = list(length)
-    for v, value in units:
-        r = bisect_right(start, v) - 1
-        i = v - start[r]
-        if value:
-            if lo[r] <= i:
-                lo[r] = i + 1
-        elif hi[r] > i:
-            hi[r] = i
-    cuts: dict[int, list] = {}  # run -> its changes in how many cuts cover a level
-    after: dict[tuple, dict] = {}  # (run A, run B) -> {offset i in A: largest j in B}
+
+    # each clause but a link is an entry i -> j of the table from run A to
+    # run B, bound[x] = max{j : i < x}.  A run's own clauses go in its table
+    # to itself: a unit true as -1 -> i, a unit false as i -> its length
+    own: dict[int, list] = {}  # run -> its own entries (i, j)
+    up: dict[int, list] = {}  # run A -> its entries (i, B, j) to other runs
+    down: dict[int, list] = {}  # run B -> its entries (-j, A, i) from other runs
     for a, b in imps:
         ra, rb = bisect_right(start, a) - 1, bisect_right(start, b) - 1
         i, j = a - start[ra], b - start[rb]
         if ra == rb:
-            if j > i:
-                diff = cuts.get(ra)
-                if diff is None:
-                    diff = cuts[ra] = [0] * (length[ra] + 2)
-                diff[i + 1] += 1
-                diff[j + 1] -= 1
+            own.setdefault(ra, []).append((i, j))
         else:
-            most = after.get((ra, rb))
-            if most is None:
-                after[ra, rb] = {i: j}
-            elif most.get(i, -1) < j:
-                most[i] = j
-    domains = []
-    for r in range(len(start)):
-        levels = range(lo[r], hi[r] + 1)
-        if r in cuts:
-            covered = list(accumulate(cuts[r]))
-            levels = tuple([x for x in levels if not covered[x]])
+            up.setdefault(ra, []).append((i, rb, j))
+            down.setdefault(rb, []).append((-j, ra, i))
+    for v, value in units:
+        r = bisect_right(start, v) - 1
+        i = v - start[r]
+        own.setdefault(r, []).append((-1, i) if value else (i, length[r]))
+
+    # a run keeps the levels x > bound[x] of its own table: one range for
+    # each stretch of levels between two offsets
+    allowed = [range(k + 1) for k in length]
+    for r, table in own.items():
+        x, top, levels = 0, -1, []
+        for i, j in sorted(table) + [(length[r], -1)]:  # bound[x..i] = top
+            if (least := x if x > top else top + 1) <= i:
+                levels.append(range(least, i + 1))
+            x, top = i + 1, top if top > j else j
         if not levels:
             return 0
-        domains.append(levels)  # a range for a run without cuts
+        allowed[r] = levels[0] if len(levels) == 1 else tuple(chain(*levels))
 
-    # settle each pair with a run left at one level: keep the joined run's
-    # levels that the pair allows, and drop the pair; again while that
-    # leaves another run at one level
-    settling = True
-    while settling:
-        settling = False
-        for (ra, rb), most in list(after.items()):
-            if len(domains[ra]) > 1 < len(domains[rb]):
-                continue
-            del after[ra, rb]
-            # levels ascend, so the allowed ones are a slice, a range of a range
-            if len(domains[ra]) == 1:  # run A at x: y > max{j : i < x}
-                x = domains[ra][0]
-                cut = max((j for i, j in most.items() if i < x), default=-1)
-                r, levels = rb, domains[rb][bisect_right(domains[rb], cut):]
-            else:  # run B at y: every i < x has j < y
-                y = domains[rb][0]
-                top = min((i for i, j in most.items() if j >= y), default=length[ra])
-                r, levels = ra, domains[ra][:bisect_right(domains[ra], top)]
-            if not levels:
+    # bounds propagation: run r keeps the levels allowed[r][lo[r]:hi[r]].  An
+    # entry i -> j fires once when A's least level passes i, so B keeps its
+    # levels above j, and once when B's greatest level falls to j, so A keeps
+    # those up to i; the worklist holds the runs whose bounds moved
+    for pending in chain(up.values(), down.values()):
+        pending.sort(reverse=True)  # the next to fire last: least i, largest j
+    lo, hi = [0] * len(start), list(map(len, allowed))
+    stack = [*up, *down]
+    while stack:
+        r = stack.pop()
+        pending = up.get(r)
+        while pending and pending[-1][0] < allowed[r][lo[r]]:
+            _, b, j = pending.pop()
+            y = bisect_right(allowed[b], j, lo[b], hi[b])
+            if y == hi[b]:
                 return 0
-            settling |= len(levels) == 1 < len(domains[r])
-            domains[r] = levels
+            if y > lo[b]:
+                lo[b] = y
+                stack.append(b)
+        pending = down.get(r)
+        while pending and -pending[-1][0] >= allowed[r][hi[r] - 1]:
+            _, a, i = pending.pop()
+            x = bisect_left(allowed[a], i + 1, lo[a], hi[a])
+            if x == lo[a]:
+                return 0
+            if x < hi[a]:
+                hi[a] = x
+                stack.append(a)
+    domains = [d[a:b] for d, a, b in zip(allowed, lo, hi)]  # a range stays a range
     size = [len(d) for d in domains]
-    if not after:  # no implication joins two runs, so they count apart
+    # an entry that has fired, or has i >= max A or j < min B, allows every
+    # pair left, and a table with no other entry is dropped
+    after: dict[tuple, list] = {}  # (run A, run B) -> its entries (i, j) left
+    for ra, pending in up.items():
+        for i, rb, j in pending:
+            if i < domains[ra][-1] and j >= domains[rb][0]:
+                after.setdefault((ra, rb), []).append((i, j))
+    if not after:  # no table joins two runs, so they count apart
         return prod(size)
     pairs = [(ra, rb, None) for ra, rb in after]
     plan, _ = _best_plan(pairs, [d == 1 for d in size], size, ())
@@ -896,14 +910,14 @@ def count_1p1n(f: ImplicationFormula) -> int:
     interned: dict[tuple, dict] = {}
     for (ra, rb), most in after.items():
         bound = [-1] * (length[ra] + 1)  # bound[x] = max{j : i < x}
-        for i, j in most.items():
-            bound[i + 1] = j
+        for i, j in most:
+            bound[i + 1] = max(bound[i + 1], j)
         bound = list(accumulate(bound, max))
         da, db = domains[ra], domains[rb]
         key = (da, db, tuple(bound[x] for x in da))
         table = interned.get(key)
         if table is None:
             table = interned[key] = {
-                (x, y): 1 for x in da for y in db if y > bound[x]}
+                (x, y): 1 for x, top in zip(da, key[2]) for y in db if y > top}
         factors.append((ra, rb, table))
     return _eliminate(domains, factors, plan=plan).get((), 0)

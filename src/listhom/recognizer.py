@@ -307,7 +307,12 @@ class ExcludedWitness:
         return patterns.recipe(self.kind, self.length).pattern
 
     def verify(self, h: ColourGraph) -> bool:
-        pat = self.pattern()
+        """True iff the embedding is an induced embedding of the pattern
+        into h; False too when kind and length name no pattern."""
+        try:
+            pat = self.pattern()
+        except ValueError:  # a Refusal, for a cycle length, is one too
+            return False
         emb = self.embedding
         if len(emb) != pat.n or len(set(emb)) != pat.n:
             return False

@@ -131,6 +131,26 @@ def count_models_enumeration(formula) -> int:
                for bits in itertools.product((0, 1), repeat=formula.var_count))
 
 
+def horn_satisfiable(formula) -> bool:
+    """Whether an implication formula has a model, by plain positive
+    propagation over the bits: the variables that the positive units force
+    through the implications hold in every model, and setting all others
+    false satisfies every implication, so there is a model exactly when no
+    forced variable has a negative unit."""
+    after = {}
+    for tag, *ends in formula.clauses:
+        if tag == "i":
+            after.setdefault(ends[0], []).append(ends[1])
+    forced = {v for tag, v, *_ in formula.clauses if tag == "p"}
+    todo = list(forced)
+    while todo:
+        for w in after.get(todo.pop(), ()):
+            if w not in forced:
+                forced.add(w)
+                todo.append(w)
+    return not any(tag == "n" and v in forced for tag, v, *_ in formula.clauses)
+
+
 def decode_assignment(enc, sides, assignment) -> tuple[int, ...]:
     """The colouring that a model of the staircase formula encodes.
 

@@ -13,6 +13,7 @@ from helpers import (
     enumerate_list_colourings,
     grid_edges,
     grid_transfer_count,
+    horn_satisfiable,
     ising_direct,
     min_degree_plan,
     random_instance_graph,
@@ -278,6 +279,16 @@ def test_list_hcol_table_rejects_bad_kept_vertices():
     for keep in ((0,), (3,), (1, 1)):
         with pytest.raises(ValueError):
             list_hcol_table(patterns.K2_PRIME, inst, keep)
+
+
+def test_list_hcol_table_rejects_a_repeated_kept_vertex_whatever_the_lists():
+    # with full lists, and with an empty list, whose count needs no table:
+    # the message names the 1-based vertices that were passed
+    full = Instance.with_full_lists(K2, 2)
+    empty = Instance(K2, (frozenset(), frozenset({1, 2})), 2)
+    for inst in (full, empty):
+        with pytest.raises(ValueError, match=r"^kept vertices must be distinct, got \(2, 2\)$"):
+            list_hcol_table(patterns.K2_PRIME, inst, (2, 2))
 
 
 def test_list_hcol_table_over_limit_raises_before_eliminating():
@@ -1017,6 +1028,140 @@ def test_1p1n_settling_a_fixed_run_matches_enumeration():
         kept = sum(all(holds(v, y) for u, v in cross if holds(u, y)) for y in own)
         seen["B emptied" if kept == 0 else "B trimmed" if kept < len(own) else "B kept"] += 1
     assert len(seen) == 3 and min(seen.values()) >= 20, seen
+
+
+def _conflict_through_a_run_of_several_levels():
+    """P8's formula on the full-list 8 x 8 grid beside run A = x577, true,
+    run B = x578..x580 and run C = x581..x583 with x582 false, joined by
+    x577 -> x578 and x578 -> x582.  The conflict passes through B, which
+    keeps several levels, so the formula has no model."""
+    f = _formula_of(patterns.path(8), Instance.with_full_lists(_grid(8), 8))
+    assert f.var_count == 576
+    return ImplicationFormula(583, f.clauses + (
+        unit_pos(577), implies(579, 578), implies(580, 579), implies(582, 581),
+        implies(583, 582), unit_neg(582), implies(577, 578), implies(578, 582)))
+
+
+def test_1p1n_answers_zero_when_the_conflict_passes_through_a_run_of_several_levels():
+    f = _conflict_through_a_run_of_several_levels()
+    start = time.perf_counter()
+    assert count_1p1n(f) == 0
+    assert time.perf_counter() - start < 0.05
+
+
+def test_count_sat_answers_zero_when_the_conflict_passes_through_a_run_of_several_levels(
+        tmp_path, capsys):
+    text = serialise_formula(_conflict_through_a_run_of_several_levels())
+    assert text.startswith("f 583\n")
+    path = tmp_path / "conflict.f"
+    path.write_text(text)
+    start = time.perf_counter()
+    code = main(["count-sat", str(path)])
+    elapsed = time.perf_counter() - start
+    assert (code, capsys.readouterr().out) == (0, "0\n")
+    assert elapsed < 0.05
+
+
+def test_horn_satisfiable_matches_enumeration():
+    rng = random.Random(36)
+    seen = Counter()
+    for _ in range(300):
+        f = _chain_formula(rng) if rng.random() < 0.7 else _random_formula(rng)
+        sat = count_models_enumeration(f) > 0
+        assert horn_satisfiable(f) == sat, f
+        seen[sat] += 1
+    assert min(seen[True], seen[False]) >= 50, seen
+
+
+def test_1p1n_answers_every_formula_with_no_model_before_any_plan(monkeypatch):
+    # propagation over the runs' levels finds the least model, so a formula
+    # with none is answered 0 with no plan drawn up and no table built
+    calls = []
+
+    def spy(name):
+        real = getattr(oracles, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return counted
+
+    for name in ("_best_plan", "_eliminate"):
+        monkeypatch.setattr(oracles, name, spy(name))
+    rng = random.Random(7)
+    seen = Counter()
+    for _ in range(3000):
+        f = _chain_formula(rng)
+        calls.clear()
+        count = count_1p1n(f)
+        if horn_satisfiable(f):
+            seen["planned" if calls else "answered before any plan"] += 1
+        else:
+            assert (count, calls) == (0, []), f
+            seen["no model"] += 1
+    assert min(seen.values()) >= 400, seen
+
+
+def _climbing_rungs(n, units):
+    """Two runs of n variables: bit k of the first implies bit k of the
+    second, which implies bit k + 1 of the first, so a unit on the first
+    bit forces both runs up one level per implication."""
+    clauses = [implies(v + 1, v) for v in range(1, n)]
+    clauses += [implies(v + 1, v) for v in range(n + 1, 2 * n)]
+    clauses += [implies(k, n + k) for k in range(1, n + 1)]
+    clauses += [implies(n + k, k + 1) for k in range(1, n)]
+    return ImplicationFormula(2 * n, tuple(clauses) + units)
+
+
+def test_1p1n_propagation_through_rung_joined_runs_takes_linear_time():
+    n = 30_000
+    for units, want in (((unit_pos(1), unit_neg(2 * n)), 0),
+                        ((unit_pos(1), unit_pos(n + 1)), 1)):
+        f = _climbing_rungs(n, units)
+        start = time.perf_counter()
+        assert count_1p1n(f) == want
+        assert time.perf_counter() - start < 1.0
+
+
+def test_1p1n_a_long_run_joined_to_many_short_runs_takes_linear_time():
+    # run A of n bits, bit k implying the one-bit run n + k, which implies
+    # bit k + 1 of A: A climbs one level per short run.  Each implication
+    # fires once; looking again at every table of A each time A moves
+    # would take about n^2 steps
+    n = 30_000
+    clauses = [implies(v + 1, v) for v in range(1, n)]
+    clauses += [implies(k, n + k) for k in range(1, n + 1)]
+    clauses += [implies(n + k, k + 1) for k in range(1, n)]
+    f = ImplicationFormula(2 * n, tuple(clauses) + (unit_pos(1),))
+    start = time.perf_counter()
+    assert count_1p1n(f) == 1
+    assert time.perf_counter() - start < 1.0
+
+
+def test_1p1n_answers_zero_without_refusal_on_reduce_sat_formulas_with_no_model():
+    # P6, P8 and P3* on 7 x 7 to 10 x 10 grids, with about 2% one-colour
+    # lists and 3% random sublists: every formula that plain propagation
+    # over the bits finds without a model counts 0, none is refused
+    rng = random.Random(31)
+    targets = (patterns.path(6), patterns.path(8), patterns.P3_STAR)
+    seen = Counter()
+    for trial in range(60):
+        h = targets[trial % 3]
+        k = rng.randint(7, 10)
+        lists = []
+        for _ in range(k * k):
+            r = rng.random()
+            if r < 0.02:
+                lists.append(frozenset((rng.randint(1, h.n),)))
+            elif r < 0.05:
+                lists.append(frozenset(rng.sample(h.colours, rng.randint(1, h.n - 1))))
+            else:
+                lists.append(frozenset(h.colours))
+        f = _formula_of(h, Instance(_grid(k), tuple(lists), h.n))
+        if not horn_satisfiable(f):
+            assert count_1p1n(f) == 0, (h, k)
+            seen[h.n] += 1
+    assert seen[6] >= 5 and seen[8] >= 5, seen
 
 
 def test_1p1n_counts_reduce_sat_formulas_on_grids_that_count_handles():

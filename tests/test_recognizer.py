@@ -451,7 +451,23 @@ def test_witness_pattern_rejects_bad_kinds():
     with pytest.raises(ValueError, match="unknown witness kind 'Square'"):
         ExcludedWitness("Square", None, (1, 2, 3, 4)).pattern()
     with pytest.raises(ValueError, match="takes no length"):
-        ExcludedWitness("X3", 5, (1, 2, 3, 4, 5, 6, 7)).verify(patterns.X3)
+        ExcludedWitness("X3", 5, (1, 2, 3, 4, 5, 6, 7)).pattern()
+
+
+@pytest.mark.parametrize("kind, length, host, want", [
+    ("CycleNe4", 4, patterns.cycle(4), False),  # the complete cycle
+    ("CycleGe4", 3, patterns.cycle(3, reflexive=True), False),  # the same
+    ("CycleNe4", None, patterns.cycle(5), False),  # a cycle kind needs a length
+    ("X3", 5, patterns.X3, False),  # a fixed shape takes none
+    ("Bogus", None, patterns.cycle(4), False),
+    ("CycleNe4", 5, patterns.cycle(5), True),
+    ("X3", None, patterns.X3, True),
+])
+def test_witness_verify_answers_false_when_kind_and_length_name_no_pattern(kind, length, host, want):
+    # as StaircaseForm.certifies does for a kind it does not know: the
+    # identity embedding into the host is checked, and no error is raised
+    witness = ExcludedWitness(kind, length, tuple(host.colours))
+    assert witness.verify(host) is want
 
 
 def test_witness_verify_rejects_each_broken_embedding():
